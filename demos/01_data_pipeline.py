@@ -4,6 +4,7 @@ per-sample feature matrix.
 Run: python3 demos/01_data_pipeline.py
 """
 
+import os
 import tempfile
 
 import numpy as np
@@ -23,6 +24,7 @@ with tempfile.NamedTemporaryFile("w", suffix=".data", delete=False) as fh:
     path = fh.name
 
 dataset = dp.parse_dataset(path, "cleveland")
+os.unlink(path)
 print(f"parsed {len(dataset)} records; labels {dataset.labels.tolist()}")
 print(f"missing anywhere: {dataset.has_missing}")
 
@@ -34,11 +36,10 @@ for i, rec in enumerate(imputed.records):
 
 # Z-score with population statistics; constant columns map to zero.
 scaler = dp.fit_scaler(imputed)
-scaled = dp.apply_scaler(imputed, scaler)
-arr = scaled.feature_array()
+arr = dp.scale_values(imputed.feature_array(), scaler)
 print(f"\ncolumn means after scaling (should be ~0): {np.round(arr.mean(axis=0), 12)}")
 
 # Each sample becomes a 13x1 single-channel column matrix for the network.
-matrix = dp.to_feature_matrix(scaled.records[0])
+matrix = dp.to_feature_matrix(dp.SampleRecord(tuple(arr[0]), int(imputed.labels[0])))
 print(f"\nfeature matrix shape: {matrix.shape}")
 print(matrix.ravel())

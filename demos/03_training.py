@@ -5,6 +5,7 @@ model file.
 Run: python3 demos/03_training.py
 """
 
+import os
 import tempfile
 
 from cardioseq import model_io, synthetic
@@ -28,5 +29,6 @@ with tempfile.NamedTemporaryFile(suffix=".txt", delete=False) as fh:
     path = fh.name
 model_io.save_model(path, model)
 reloaded = model_io.load_model(path)
+os.unlink(path)
 cls2, probs2 = tr.predict(reloaded, dataset.records[0])
 print(f"after save/load roundtrip: predicted {cls2}, probabilities {probs2}")

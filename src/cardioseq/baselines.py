@@ -280,7 +280,7 @@ def baseline_predict(model, record):
     """Classify one record with either baseline; ties resolve to class 0."""
     if len(record.features) != dp.N_FEATURES:
         raise ArityMismatchError("record must have 13 features")
-    single = dp.Dataset((dp.SampleRecord(tuple(record.features), record.label),))
+    single = dp.Dataset.from_records((record,))
     if isinstance(model, DvLogisticModel):
         score = float(model.scores(single)[0])
         return (1 if score > 0.5 else 0), score

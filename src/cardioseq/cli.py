@@ -21,7 +21,7 @@ from . import evaluation as ev
 from . import model_io
 from . import network as nn
 from . import training as tr
-from .errors import CardioseqError
+from .errors import CardioseqError, EmptyDatasetError, MalformedRowError, ModelFileError
 
 EXIT_INPUT_ERROR = 2
 EXIT_RUNTIME_ERROR = 3
@@ -81,6 +81,16 @@ def build_config(args):
     return cfg
 
 
+def check_flags(cfg):
+    """Reject out-of-range --pool and --k values before any work starts."""
+    try:
+        nn.parse_pool_mode(cfg.pool)
+    except ValueError as exc:
+        raise ValueError(f"--pool: {exc}") from None
+    if cfg.k < 2:
+        raise ValueError(f"--k: need at least 2 folds, got {cfg.k}")
+
+
 def hyper_from_config(cfg):
     return tr.Hyperparams(
         learning_rate=cfg.lr,
@@ -95,12 +105,10 @@ def hyper_from_config(cfg):
 
 def cmd_validate(cfg):
     dataset = dp.parse_dataset(cfg.data, cfg.dialect)
-    raw = dataset.feature_array()
-    labels = dataset.labels
     print(f"{len(dataset)} records")
-    print(f"class balance: {int(np.sum(labels == 0))} absence, "
-          f"{int(np.sum(labels == 1))} presence")
-    missing = np.isnan(raw).sum(axis=0)
+    print(f"class balance: {int(np.sum(dataset.y == 0))} absence, "
+          f"{int(np.sum(dataset.y == 1))} presence")
+    missing = np.isnan(dataset.X).sum(axis=0)
     if missing.any():
         print("missing values per column:")
         for name, count in zip(dataset.feature_names, missing):
@@ -118,13 +126,7 @@ def cmd_train(cfg):
     model_path = os.path.join(cfg.out, "model.txt")
     curve_path = os.path.join(cfg.out, "curve.csv")
     model_io.save_model(model_path, model)
-    lines = ["epoch,train_acc,train_loss,val_acc,val_loss"]
-    for i in range(len(model.curve)):
-        lines.append(
-            f"{i + 1},{model.curve.train_accuracy[i]:.17g},"
-            f"{model.curve.train_loss[i]:.17g},,"
-        )
-    model_io.atomic_write(curve_path, "\n".join(lines) + "\n")
+    model_io.save_curve(curve_path, model.curve)
     if len(model.curve):
         print(f"final train accuracy: {model.curve.train_accuracy[-1]:.6f}")
         print(f"final train loss: {model.curve.train_loss[-1]:.6f}")
@@ -179,6 +181,9 @@ def parse_record(text):
     if len(tokens) != dp.N_FEATURES:
         raise ValueError(f"expected {dp.N_FEATURES} comma-separated values")
     features = tuple(None if t == "?" else float(t) for t in tokens)
+    for position, (token, value) in enumerate(zip(tokens, features), start=1):
+        if value is not None and not np.isfinite(value):
+            raise ValueError(f"record value {position}: non-finite token {token!r}")
     return dp.SampleRecord(features, 0)
 
 
@@ -232,6 +237,7 @@ def main(argv=None):
         if args.command == "predict":
             return cmd_predict(args)
         cfg = build_config(args)
+        check_flags(cfg)
         if cfg.data is None:
             print("error: --data is required", file=sys.stderr)
             return EXIT_INPUT_ERROR
@@ -244,10 +250,8 @@ def main(argv=None):
         if args.command == "compare":
             return cmd_compare(cfg)
     except (OSError, ValueError, CardioseqError) as exc:
-        from .errors import EmptyDatasetError, MalformedRowError
-
         input_error = isinstance(
-            exc, (OSError, ValueError, MalformedRowError, EmptyDatasetError)
+            exc, (OSError, ValueError, MalformedRowError, EmptyDatasetError, ModelFileError)
         )
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR if input_error else EXIT_RUNTIME_ERROR

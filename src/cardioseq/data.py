@@ -10,8 +10,9 @@ Supports the two public UCI heart-disease file dialects:
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -59,43 +60,65 @@ class SampleRecord:
         return any(v is None for v in self.features)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
-    records: tuple
+    """n subjects held once, as arrays.
+
+    X is an (n, 13) read-only float64 array with NaN for missing values;
+    y is the (n,) read-only int64 array of 0/1 labels.
+    """
+
+    X: np.ndarray
+    y: np.ndarray
     feature_names: tuple = FEATURE_NAMES
     categorical_mask: tuple = DEFAULT_CATEGORICAL_MASK
 
+    def __post_init__(self):
+        X = np.array(self.X, dtype=np.float64)
+        y = np.array(self.y, dtype=np.int64)
+        if X.shape[1:] != (N_FEATURES,) or y.shape != X.shape[:1] or not np.isin(y, (0, 1)).all():
+            raise ArityMismatchError(
+                f"expected (n, {N_FEATURES}) features and n 0/1 labels, got {X.shape}, {y.shape}"
+            )
+        X.flags.writeable = y.flags.writeable = False
+        object.__setattr__(self, "X", X)
+        object.__setattr__(self, "y", y)
+
+    @classmethod
+    def from_records(cls, records, feature_names=FEATURE_NAMES,
+                     categorical_mask=DEFAULT_CATEGORICAL_MASK):
+        """Build a dataset from SampleRecords (None = missing)."""
+        records = tuple(records)
+        X = np.array([r.features for r in records], dtype=np.float64)
+        y = np.array([r.label for r in records], dtype=np.int64)
+        return cls(X.reshape(len(records), N_FEATURES), y, feature_names, categorical_mask)
+
     def __len__(self):
-        return len(self.records)
+        return self.X.shape[0]
 
     @property
     def labels(self):
-        return np.array([r.label for r in self.records], dtype=np.int64)
+        return self.y
 
     def feature_array(self):
         """All features as an (n, 13) float array with NaN for missing."""
-        out = np.full((len(self.records), N_FEATURES), np.nan)
-        for i, rec in enumerate(self.records):
-            for j, v in enumerate(rec.features):
-                if v is not None:
-                    out[i, j] = v
-        return out
+        return self.X
+
+    @cached_property
+    def records(self):
+        """The rows as SampleRecords (NaN mapped to None), built on first use."""
+        return tuple(
+            SampleRecord(tuple(None if v != v else v for v in row), label)
+            for row, label in zip(self.X.tolist(), self.y.tolist())
+        )
 
     @property
     def has_missing(self):
-        return any(r.has_missing for r in self.records)
-
-    def replace_records(self, records):
-        return Dataset(tuple(records), self.feature_names, self.categorical_mask)
+        return bool(np.isnan(self.X).any())
 
     def subset(self, indices):
-        return self.replace_records(self.records[i] for i in indices)
-
-
-@dataclass(frozen=True)
-class ImputationPolicy:
-    numeric_rule: str = "column-mean"
-    categorical_rule: str = "column-mode"
+        idx = np.asarray(indices, dtype=np.intp)
+        return replace(self, X=self.X[idx], y=self.y[idx])
 
 
 @dataclass(frozen=True)
@@ -111,70 +134,65 @@ class ScalerStats:
             raise ArityMismatchError("standard deviations must be non-negative")
 
 
-def _parse_statlog_row(tokens, line_no):
-    values = []
-    for tok in tokens[:-1]:
-        try:
-            values.append(float(tok))
-        except ValueError:
-            raise MalformedRowError(line_no, f"unparseable token {tok!r}")
-    raw_label = tokens[-1]
-    if raw_label not in ("1", "2", "1.0", "2.0"):
-        raise UnknownLabelError(line_no, f"unknown statlog label {raw_label!r}")
-    return tuple(values), int(float(raw_label)) - 1
-
-
-def _parse_cleveland_row(tokens, line_no):
+def _parse_row(tokens, line_no, dialect):
+    """Features (NaN for a cleveland `?`) and 0/1 label of one row's tokens."""
     values = []
     for tok in tokens[:-1]:
         tok = tok.strip()
-        if tok == "?":
-            values.append(None)
+        if tok == "?" and dialect == "cleveland":
+            values.append(math.nan)
             continue
         try:
-            values.append(float(tok))
+            value = float(tok)
         except ValueError:
             raise MalformedRowError(line_no, f"unparseable token {tok!r}")
+        if not math.isfinite(value):
+            raise MalformedRowError(line_no, f"non-finite token {tok!r}")
+        values.append(value)
     raw_label = tokens[-1].strip()
+    if dialect == "statlog":
+        if raw_label not in ("1", "2", "1.0", "2.0"):
+            raise UnknownLabelError(line_no, f"unknown statlog label {raw_label!r}")
+        return values, int(float(raw_label)) - 1
     try:
         level = int(float(raw_label))
     except ValueError:
         raise UnknownLabelError(line_no, f"unparseable label {raw_label!r}")
     if level not in (0, 1, 2, 3, 4):
         raise UnknownLabelError(line_no, f"cleveland label out of range: {level}")
-    return tuple(values), int(level > 0)
+    return values, int(level > 0)
 
 
 def parse_dataset(path, dialect):
     """Parse a heart-disease file into a Dataset.
 
-    Every non-empty line either yields a record or raises a located
+    Every non-empty line either yields a row or raises a located
     MalformedRowError; rows are never silently skipped.
     """
     if dialect not in ("statlog", "cleveland"):
         raise ValueError(f"unknown dialect {dialect!r}")
-    records = []
     with open(path, encoding="ascii", errors="replace") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            tokens = line.split() if dialect == "statlog" else line.split(",")
-            if len(tokens) != N_FEATURES + 1:
-                raise MalformedRowError(
-                    line_no, f"expected {N_FEATURES + 1} fields, got {len(tokens)}"
-                )
-            if dialect == "statlog":
-                features, label = _parse_statlog_row(tokens, line_no)
-            else:
-                features, label = _parse_cleveland_row(tokens, line_no)
-            records.append(SampleRecord(features, label))
-    if not records:
+        lines = fh.readlines()
+    X = np.empty((len(lines), N_FEATURES))
+    y = np.empty(len(lines), dtype=np.int64)
+    n = 0
+    for line_no, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        tokens = line.split() if dialect == "statlog" else line.split(",")
+        if len(tokens) != N_FEATURES + 1:
+            raise MalformedRowError(
+                line_no, f"expected {N_FEATURES + 1} fields, got {len(tokens)}"
+            )
+        X[n], y[n] = _parse_row(tokens, line_no, dialect)
+        n += 1
+    if n == 0:
         raise EmptyDatasetError(f"no records in {path}")
-    return Dataset(tuple(records))
+    return Dataset(X[:n], y[:n])
 
 
-def fill_values(stats_source, policy=ImputationPolicy(), categorical_mask=None):
+def fill_values(stats_source, categorical_mask=None):
     """Per-column fill values: mean of observed values for numeric columns,
     mode (smallest value on ties) for categorical ones.
 
@@ -183,7 +201,7 @@ def fill_values(stats_source, policy=ImputationPolicy(), categorical_mask=None):
     """
     if categorical_mask is None:
         categorical_mask = stats_source.categorical_mask
-    raw = stats_source.feature_array()
+    raw = stats_source.X
     fills = np.empty(N_FEATURES)
     for j in range(N_FEATURES):
         observed = raw[~np.isnan(raw[:, j]), j]
@@ -192,9 +210,9 @@ def fill_values(stats_source, policy=ImputationPolicy(), categorical_mask=None):
                 f"column {stats_source.feature_names[j]!r} has no observed values"
             )
         if categorical_mask[j]:
-            counts = Counter(observed.tolist())
-            best = max(counts.items(), key=lambda kv: (kv[1], -kv[0]))
-            fills[j] = best[0]
+            # np.unique sorts, and argmax takes the first of the tied counts
+            values, counts = np.unique(observed, return_counts=True)
+            fills[j] = values[counts.argmax()]
         else:
             fills[j] = observed.mean()
     return fills
@@ -204,25 +222,16 @@ def impute_with_values(data, fills):
     """Replace missing entries with the given per-column fill values."""
     if len(fills) != N_FEATURES:
         raise ArityMismatchError("fill values must have 13 entries")
-    out = []
-    for rec in data.records:
-        if not rec.has_missing:
-            out.append(rec)
-            continue
-        feats = tuple(
-            fills[j] if v is None else v for j, v in enumerate(rec.features)
-        )
-        out.append(SampleRecord(feats, rec.label))
-    return data.replace_records(out)
+    return replace(data, X=np.where(np.isnan(data.X), fills, data.X))
 
 
-def impute_missing(data, policy=ImputationPolicy(), stats_source=None):
+def impute_missing(data, stats_source=None):
     """Fill missing values using statistics from stats_source (default: data)."""
     if stats_source is None:
         stats_source = data
     if not data.has_missing:
         return data
-    return impute_with_values(data, fill_values(stats_source, policy, data.categorical_mask))
+    return impute_with_values(data, fill_values(stats_source, data.categorical_mask))
 
 
 def fit_scaler(data):
@@ -231,27 +240,9 @@ def fit_scaler(data):
         raise EmptyDatasetError("cannot fit a scaler on an empty dataset")
     if data.has_missing:
         raise MissingValueError("impute before fitting the scaler")
-    raw = data.feature_array()
-    mean = raw.mean(axis=0)
-    std = raw.std(axis=0)  # population (divide-by-N) convention
+    mean = data.X.mean(axis=0)
+    std = data.X.std(axis=0)  # population (divide-by-N) convention
     return ScalerStats(mean=mean, std=std, constant=std == 0.0)
-
-
-def apply_scaler(data, stats):
-    """Z-score each column; constant columns (std = 0) map to 0."""
-    if data.has_missing:
-        raise MissingValueError("impute before scaling")
-    if stats.mean.shape != (N_FEATURES,):
-        raise ArityMismatchError("scaler arity does not match dataset")
-    raw = data.feature_array()
-    safe_std = np.where(stats.constant, 1.0, stats.std)
-    scaled = (raw - stats.mean) / safe_std
-    scaled[:, stats.constant] = 0.0
-    out = [
-        SampleRecord(tuple(scaled[i]), rec.label)
-        for i, rec in enumerate(data.records)
-    ]
-    return data.replace_records(out)
 
 
 def scale_values(values, stats):

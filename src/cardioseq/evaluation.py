@@ -61,6 +61,8 @@ class ComparisonTable:
 def kfold_split(dataset, k=10, seed=0, stratified=True):
     """Seeded fold assignment; stratified by class unless a class is too
     small (then unstratified with a warning). Fold sizes differ by at most 1."""
+    if k < 2:
+        raise ValueError(f"k must be at least 2, got {k}")
     n = len(dataset)
     if n < k:
         raise TooFewSamplesError(f"{n} records cannot fill {k} folds")
@@ -77,27 +79,13 @@ def kfold_split(dataset, k=10, seed=0, stratified=True):
         for cls in np.unique(labels):
             idx = np.flatnonzero(labels == cls)
             idx = idx[rng.permutation(idx.size)]
-            for i, record_i in enumerate(idx):
-                assignments[record_i] = (offset + i) % k
+            assignments[idx] = (offset + np.arange(idx.size)) % k
             offset = (offset + idx.size) % k
     else:
         if stratified:
             warnings.warn("class too small for stratification; using plain folds")
-        order = rng.permutation(n)
-        for i, record_i in enumerate(order):
-            assignments[record_i] = i % k
+        assignments[rng.permutation(n)] = np.arange(n) % k
     return FoldPlan(k=k, seed=seed, assignments=assignments)
-
-
-def _accuracy_and_confusion(pred, y):
-    acc = float(np.mean(pred == y))
-    confusion = {
-        "tp": int(np.sum((pred == 1) & (y == 1))),
-        "tn": int(np.sum((pred == 0) & (y == 0))),
-        "fp": int(np.sum((pred == 1) & (y == 0))),
-        "fn": int(np.sum((pred == 0) & (y == 1))),
-    }
-    return acc, confusion
 
 
 def _fold_seed(base_seed, fold):
@@ -116,7 +104,8 @@ def _fit_and_score(model_kind, train_ds, test_ds, hyper, fold_seed):
         model = bl.pso_elm_train(train_ds, seed=fold_seed)
     else:
         raise ValueError(f"unknown model kind {model_kind!r}")
-    return _accuracy_and_confusion(model.predict_batch(test_ds), test_ds.labels)
+    pred, y = model.predict_batch(test_ds), test_ds.labels
+    return float(np.mean(pred == y)), tr.confusion_counts(pred, y)
 
 
 def cross_validate(dataset, model_kind, hyper=None, k=10, seed=0, stratified=True):

@@ -1,8 +1,8 @@
-"""Versioned plain-text model files.
+"""Versioned plain-text model files, training-curve files and atomic writes.
 
-Layout: a `cardioseq-model v1` header, a `model-kind` line, `param` lines
-for scalar settings, then `tensor <name> <rows> <cols>` blocks with
-row-major decimal values at 17 significant digits.
+Model-file layout: a `cardioseq-model v1` header, a `model-kind` line,
+`param` lines for scalar settings, then `tensor <name> <rows> <cols>`
+blocks with row-major decimal values at 17 significant digits.
 """
 
 from __future__ import annotations
@@ -33,6 +33,16 @@ def atomic_write(path, text):
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def save_curve(path, curve):
+    """Write the epoch table behind the accuracy/loss training plots."""
+    rows = zip(curve.train_accuracy, curve.train_loss, curve.val_accuracy, curve.val_loss)
+    lines = ["epoch,train_acc,train_loss,val_acc,val_loss"] + [
+        f"{epoch}," + ",".join("" if v is None else format(v, ".17g") for v in row)
+        for epoch, row in enumerate(rows, start=1)
+    ]
+    atomic_write(path, "\n".join(lines) + "\n")
 
 
 def _format_tensor(name, array):
@@ -73,14 +83,20 @@ def _parse(text):
             _, name, rows, cols = line.split()
             rows, cols = int(rows), int(cols)
             data = []
-            for _ in range(rows):
-                data.append([float(v) for v in lines[i].split()])
-                if len(data[-1]) != cols:
-                    raise ModelFileError(f"tensor {name!r}: bad row width")
-                i += 1
+            for row_no in range(i + 1, i + rows + 1):
+                where = f"line {row_no}: tensor {name!r}"
+                if row_no > len(lines):
+                    raise ModelFileError(f"{where}: file ends inside the tensor")
+                try:
+                    data.append([float(v) for v in lines[row_no - 1].split()])
+                except ValueError:
+                    raise ModelFileError(f"{where}: unparseable value") from None
+                if len(data[-1]) != cols or not np.isfinite(data[-1]).all():
+                    raise ModelFileError(f"{where}: expected {cols} finite values")
             tensors[name] = np.array(data)
+            i += rows
         else:
-            raise ModelFileError(f"unrecognized line: {line!r}")
+            raise ModelFileError(f"line {i}: unrecognized line: {line!r}")
     if kind is None:
         raise ModelFileError("model-kind line missing")
     return kind, params, tensors
@@ -143,6 +159,13 @@ def _vec(tensors, name):
 def load_model(path):
     with open(path, encoding="ascii") as fh:
         kind, params, tensors = _parse(fh.read())
+    try:
+        return _build_model(kind, params, tensors)
+    except KeyError as exc:
+        raise ModelFileError(f"{kind} model file lacks {exc.args[0]!r}") from None
+
+
+def _build_model(kind, params, tensors):
     if kind == "cnn":
         hyper = tr.Hyperparams(
             learning_rate=float(params["learning_rate"]),
@@ -156,11 +179,8 @@ def load_model(path):
             pool_mode=nn.parse_pool_mode(params["pool_mode"]),
             seed=int(params["seed"]),
         )
-        net_tensors = {
-            k: (v if k == "dense_w" else v.reshape(-1) if k.startswith(("conv_b", "dense_b")) else v)
-            for k, v in tensors.items()
-            if k.startswith(("conv_", "dense_"))
-        }
+        net_tensors = {k: v.reshape(-1) if k.startswith(("conv_b", "dense_b")) else v
+                       for k, v in tensors.items() if k.startswith(("conv_", "dense_"))}
         std = _vec(tensors, "scaler_std")
         return tr.TrainedModel(
             params=nn.ModelParams.from_tensors(net_tensors),

@@ -28,12 +28,16 @@ GLOBAL_POOL = ("global",)
 
 
 def parse_pool_mode(text):
-    """Parse 'global' or 'windowed:<size>:<stride>' into a pool-mode tuple."""
+    """Parse 'global' or 'windowed:<size>:<stride>' into a pool-mode tuple;
+    the window must fit the 13-long map (1 <= size <= 13) and stride >= 1."""
     if text == "global":
         return GLOBAL_POOL
     if text.startswith("windowed:"):
         _, size, stride = text.split(":")
-        return ("windowed", int(size), int(stride))
+        size, stride = int(size), int(stride)
+        if not (1 <= size <= N_FEATURES and stride >= 1):
+            raise ValueError(f"need 1 <= size <= {N_FEATURES} and stride >= 1, got {text!r}")
+        return ("windowed", size, stride)
     raise ValueError(f"unknown pool mode {text!r}")
 
 

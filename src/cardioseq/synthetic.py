@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import N_FEATURES, Dataset, SampleRecord
+from .data import N_FEATURES, Dataset
 
 
 def separable_dataset(n=200, seed=0, background=0.1, spike=2.0):
@@ -19,11 +19,11 @@ def separable_dataset(n=200, seed=0, background=0.1, spike=2.0):
     if spike <= N_FEATURES * background:
         raise ValueError("spike must exceed the worst-case background sum")
     rng = np.random.default_rng(seed)
-    records = []
-    for _ in range(n):
-        x = rng.uniform(0.0, background, N_FEATURES)
-        label = int(rng.integers(2))
-        if label:
-            x[rng.integers(N_FEATURES)] += spike
-        records.append(SampleRecord(tuple(x), label))
-    return Dataset(tuple(records), categorical_mask=(False,) * N_FEATURES)
+    X = np.empty((n, N_FEATURES))
+    y = np.empty(n, dtype=np.int64)
+    for i in range(n):
+        X[i] = rng.uniform(0.0, background, N_FEATURES)
+        y[i] = rng.integers(2)
+        if y[i]:
+            X[i, rng.integers(N_FEATURES)] += spike
+    return Dataset(X, y, categorical_mask=(False,) * N_FEATURES)

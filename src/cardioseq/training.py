@@ -216,25 +216,14 @@ def evaluate(model, dataset):
     X, y = _preprocess_arrays(dataset, model.fill_values, model.scaler)
     probs, _ = nn.forward_batch(X, model.params, pool_mode=model.hyper.pool_mode)
     loss, acc = loss_and_accuracy(probs, y)
-    pred = probs.argmax(axis=1)
-    confusion = {
+    return loss, acc, confusion_counts(probs.argmax(axis=1), y)
+
+
+def confusion_counts(pred, y):
+    """tp/tn/fp/fn counts of 0/1 predictions against 0/1 labels."""
+    return {
         "tp": int(np.sum((pred == 1) & (y == 1))),
         "tn": int(np.sum((pred == 0) & (y == 0))),
         "fp": int(np.sum((pred == 1) & (y == 0))),
         "fn": int(np.sum((pred == 0) & (y == 1))),
     }
-    return loss, acc, confusion
-
-
-def save_curve(path, curve):
-    """Write the epoch table behind the accuracy/loss training plots."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("epoch,train_acc,train_loss,val_acc,val_loss\n")
-        for i in range(len(curve)):
-            va = curve.val_accuracy[i]
-            vl = curve.val_loss[i]
-            fh.write(
-                f"{i + 1},{curve.train_accuracy[i]:.17g},{curve.train_loss[i]:.17g},"
-                f"{'' if va is None else format(va, '.17g')},"
-                f"{'' if vl is None else format(vl, '.17g')}\n"
-            )

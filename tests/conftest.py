@@ -49,7 +49,7 @@ def tiny_dataset():
     records = tuple(
         dp.SampleRecord(tuple(float(v) for v in f), y) for f, y in zip(feats, labels)
     )
-    return dp.Dataset(records)
+    return dp.Dataset.from_records(records)
 
 
 @pytest.fixture()

@@ -126,7 +126,7 @@ def test_criterion_5_fold_protocol():
     ds = random_dataset(120, seed=5)
     plan = ev.kfold_split(ds, k=10, seed=1)
     test_idx = set(plan.fold_indices(0).tolist())
-    mutated = ds.replace_records(
+    mutated = dp.Dataset.from_records(
         dp.SampleRecord(tuple(v + 99.0 for v in r.features), r.label)
         if i in test_idx else r
         for i, r in enumerate(ds.records)

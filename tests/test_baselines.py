@@ -30,14 +30,14 @@ def numeric_dataset(rows, labels):
     records = tuple(
         dp.SampleRecord(tuple(float(v) for v in r), y) for r, y in zip(rows, labels)
     )
-    return dp.Dataset(records, categorical_mask=(False,) * 13)
+    return dp.Dataset.from_records(records, categorical_mask=(False,) * 13)
 
 
 class TestDummyEncode:
     def test_reference_category_convention(self):
         rows = [[c] + [0.0] * 12 for c in (1.0, 2.0, 3.0, 4.0, 3.0)]
         mask = (True,) + (False,) * 12
-        ds = dp.Dataset(
+        ds = dp.Dataset.from_records(
             tuple(dp.SampleRecord(tuple(r), i % 2) for i, r in enumerate(rows)),
             categorical_mask=mask,
         )
@@ -48,7 +48,7 @@ class TestDummyEncode:
     def test_binary_categorical_single_column(self):
         rows = [[0.0] + [0.0] * 12, [1.0] + [0.0] * 12]
         mask = (True,) + (False,) * 12
-        ds = dp.Dataset(
+        ds = dp.Dataset.from_records(
             tuple(dp.SampleRecord(tuple(r), i) for i, r in enumerate(rows)),
             categorical_mask=mask,
         )
@@ -66,7 +66,7 @@ class TestDummyEncode:
     def test_unseen_category_all_zero(self):
         rows = [[1.0] + [0.0] * 12, [2.0] + [0.0] * 12]
         mask = (True,) + (False,) * 12
-        train = dp.Dataset(
+        train = dp.Dataset.from_records(
             tuple(dp.SampleRecord(tuple(r), i) for i, r in enumerate(rows)),
             categorical_mask=mask,
         )

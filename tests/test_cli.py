@@ -39,6 +39,30 @@ class TestValidate:
     def test_missing_data_flag(self, capsys):
         assert cli.main(["validate"]) == 2
 
+    def test_non_finite_token_names_line(self, tmp_path, capsys):
+        p = tmp_path / "bad.dat"
+        p.write_text("70 1 4 130 322 0 2 109 0 2.4 2 3 3 2\n"
+                     "70 1 4 nan 322 0 2 109 0 2.4 2 3 3 2\n")
+        assert cli.main(["validate", "--data", str(p)]) == 2
+        assert "line 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("train", "--pool", "windowed:3:0"),
+    ("train", "--pool", "windowed:20:1"),
+    ("train", "--pool", "windowed:0:1"),
+    ("cv", "--k", "0"),
+    ("cv", "--k", "1"),
+    ("cv", "--k", "-1"),
+])
+def test_bad_flag_value_rejected(statlog_file, tmp_path, capsys, command, flag, value):
+    code = cli.main([command, "--data", statlog_file, "--out", str(tmp_path),
+                     flag, value] + FAST_FLAGS)
+    assert code == 2
+    captured = capsys.readouterr()
+    assert flag in captured.err
+    assert "nan" not in captured.out
+
 
 class TestTrain:
     def test_writes_model_and_curve(self, statlog_file, tmp_path, capsys):
@@ -136,6 +160,34 @@ class TestPredict:
         record = ",".join(f"{v:.10g}" for v in rec.features)
         assert cli.main(["predict", str(path), record]) == 0
         assert f"class {rec.label}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_non_finite_record_rejected(self, tmp_path, capsys, token):
+        ds = synthetic.separable_dataset(40, seed=2)
+        model = tr.train(ds, tr.Hyperparams(epochs=0, kernels_per_width=2, seed=1))
+        path = tmp_path / "m.txt"
+        model_io.save_model(path, model)
+        record = ",".join(["1.0"] * 12 + [token])
+        assert cli.main(["predict", str(path), record]) == 2
+        assert "record value 13" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("damage", ["nan_weight", "cut_last_line"])
+    def test_broken_model_file_rejected(self, tmp_path, capsys, damage):
+        ds = synthetic.separable_dataset(40, seed=2)
+        model = tr.train(ds, tr.Hyperparams(epochs=0, kernels_per_width=2, seed=1))
+        path = tmp_path / "m.txt"
+        model_io.save_model(path, model)
+        lines = path.read_text().splitlines()
+        if damage == "nan_weight":
+            i = next(j for j, line in enumerate(lines) if line.startswith("tensor dense_w")) + 1
+            lines[i] = " ".join(["nan"] + lines[i].split()[1:])
+        else:
+            lines = lines[:-1]
+        path.write_text("\n".join(lines) + "\n")
+        assert cli.main(["predict", str(path), ",".join(["1.0"] * 13)]) == 2
+        captured = capsys.readouterr()
+        assert "line" in captured.err
+        assert "p = " not in captured.out
 
     def test_arity_error(self, tmp_path, capsys):
         ds = synthetic.separable_dataset(40, seed=2)

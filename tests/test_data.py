@@ -20,7 +20,7 @@ def make_dataset(columns, labels=None, categorical_mask=None):
         feats = [columns[j][i] if j < len(columns) else 0.0 for j in range(13)]
         rows.append(dp.SampleRecord(tuple(feats), labels[i] if labels else i % 2))
     mask = categorical_mask or (False,) * 13
-    return dp.Dataset(tuple(rows), categorical_mask=mask)
+    return dp.Dataset.from_records(tuple(rows), categorical_mask=mask)
 
 
 class TestParsing:
@@ -74,10 +74,77 @@ class TestParsing:
         with pytest.raises(MalformedRowError):
             dp.parse_dataset(p, "statlog")
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e999"])
+    @pytest.mark.parametrize("dialect", ["statlog", "cleveland"])
+    def test_non_finite_token_reports_line(self, tmp_path, dialect, token):
+        sep = " " if dialect == "statlog" else ","
+        good = sep.join("70 1 4 130 322 0 2 109 0 2.4 2 3 3 2".split())
+        bad = good.replace("130", token, 1)
+        p = tmp_path / "bad.dat"
+        p.write_text(f"{good}\n{bad}\n")
+        with pytest.raises(MalformedRowError, match="non-finite") as err:
+            dp.parse_dataset(p, dialect)
+        assert err.value.line_number == 2
+
     def test_blank_lines_skipped(self, tmp_path):
         p = tmp_path / "heart.dat"
         p.write_text("\n70 1 4 130 322 0 2 109 0 2.4 2 3 3 2\n\n")
         assert len(dp.parse_dataset(p, "statlog")) == 1
+
+
+class TestDatasetArrays:
+    def test_parsed_arrays(self, tmp_path):
+        p = tmp_path / "cleveland.data"
+        p.write_text(
+            "58.0,1.0,4.0,114.0,318.0,0.0,1.0,140.0,0.0,4.4,3.0,3.0,?,4\n"
+            "\n"
+            "41.0,0.0,2.0,130.0,204.0,0.0,2.0,172.0,0.0,1.4,1.0,?,3.0,0\n"
+        )
+        ds = dp.parse_dataset(p, "cleveland")
+        assert ds.X.shape == (2, 13) and ds.X.dtype == np.float64
+        assert ds.y.dtype == np.int64 and ds.y.tolist() == [1, 0]
+        assert np.isnan(ds.X[0, 12]) and np.isnan(ds.X[1, 11])
+        assert ds.feature_array() is ds.X and ds.labels is ds.y
+        assert ds.has_missing
+
+    def test_arrays_read_only(self, tiny_dataset):
+        with pytest.raises(ValueError):
+            tiny_dataset.X[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            tiny_dataset.y[0] = 1
+
+    def test_constructor_copies_its_input(self):
+        X = np.zeros((2, 13))
+        ds = dp.Dataset(X, [0, 1])
+        X[0, 0] = 5.0
+        assert ds.X[0, 0] == 0.0
+
+    def test_records_view_roundtrip(self):
+        ds = make_dataset([[1.5, None, 3.0]], labels=[1, 0, 1])
+        assert ds.records[1].features[0] is None
+        assert ds.records[0].features[0] == 1.5
+        assert [r.label for r in ds.records] == [1, 0, 1]
+        again = dp.Dataset.from_records(ds.records, categorical_mask=ds.categorical_mask)
+        np.testing.assert_array_equal(again.X, ds.X)
+        np.testing.assert_array_equal(again.y, ds.y)
+
+    def test_subset_keeps_rows_and_metadata(self):
+        mask = (True,) + (False,) * 12
+        ds = make_dataset([[1.0, 2.0, 3.0, 4.0]], categorical_mask=mask)
+        sub = ds.subset([3, 1])
+        assert sub.X[:, 0].tolist() == [4.0, 2.0]
+        assert sub.y.tolist() == [1, 1]
+        assert sub.categorical_mask == mask
+        assert len(ds.subset([])) == 0
+
+    @pytest.mark.parametrize("X, y", [
+        (np.zeros((2, 12)), [0, 1]),
+        (np.zeros((2, 13)), [0]),
+        (np.zeros((2, 13)), [0, 2]),
+    ])
+    def test_bad_shapes_and_labels_rejected(self, X, y):
+        with pytest.raises(ArityMismatchError):
+            dp.Dataset(X, y)
 
 
 class TestImputation:
@@ -91,6 +158,11 @@ class TestImputation:
         ds = make_dataset([[3.0, 3.0, None, 7.0]], categorical_mask=mask)
         out = dp.impute_missing(ds)
         assert out.records[2].features[0] == 3.0
+
+    def test_categorical_mode_tie_takes_smallest(self):
+        mask = (True,) + (False,) * 12
+        ds = make_dataset([[7.0, 3.0, None, 7.0, 3.0]], categorical_mask=mask)
+        assert dp.fill_values(ds)[0] == 3.0
 
     def test_complete_dataset_unchanged(self, tiny_dataset):
         assert dp.impute_missing(tiny_dataset) is tiny_dataset
@@ -133,21 +205,21 @@ class TestScaler:
 
     def test_apply_known_values(self):
         ds = make_dataset([[1.0, 2.0, 3.0]])
-        scaled = dp.apply_scaler(ds, dp.fit_scaler(ds))
-        col = [r.features[0] for r in scaled.records]
+        scaled = dp.scale_values(ds.feature_array(), dp.fit_scaler(ds))
+        col = scaled[:, 0].tolist()
         assert col == pytest.approx([-1.224744871391589, 0.0, 1.224744871391589])
 
     def test_constant_column_maps_to_zero(self):
         ds = make_dataset([[5.0, 5.0, 5.0]])
-        scaled = dp.apply_scaler(ds, dp.fit_scaler(ds))
-        assert all(r.features[0] == 0.0 for r in scaled.records)
+        scaled = dp.scale_values(ds.feature_array(), dp.fit_scaler(ds))
+        assert all(v == 0.0 for v in scaled[:, 0])
 
     def test_standardized_moments(self, rng):
         raw = rng.normal(50, 9, size=(40, 13))
-        ds = dp.Dataset(tuple(
+        ds = dp.Dataset.from_records(tuple(
             dp.SampleRecord(tuple(row), int(i % 2)) for i, row in enumerate(raw)
         ))
-        scaled = dp.apply_scaler(ds, dp.fit_scaler(ds)).feature_array()
+        scaled = dp.scale_values(ds.feature_array(), dp.fit_scaler(ds))
         assert np.all(np.abs(scaled.mean(axis=0)) < 1e-9)
         assert np.all(np.abs(scaled.std(axis=0) - 1.0) < 1e-9)
 

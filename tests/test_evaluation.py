@@ -16,13 +16,13 @@ def random_dataset(n, seed, p1=0.5):
         dp.SampleRecord(tuple(rng.standard_normal(13)), int(rng.random() < p1))
         for _ in range(n)
     )
-    ds = dp.Dataset(records, categorical_mask=(False,) * 13)
+    ds = dp.Dataset.from_records(records, categorical_mask=(False,) * 13)
     labels = ds.labels
     if labels.min() == labels.max():  # ensure both classes
         records = records[:-1] + (
             dp.SampleRecord(records[-1].features, 1 - records[-1].label),
         )
-        ds = dp.Dataset(records, categorical_mask=(False,) * 13)
+        ds = dp.Dataset.from_records(records, categorical_mask=(False,) * 13)
     return ds
 
 
@@ -76,7 +76,7 @@ class TestKfoldSplit:
         records = tuple(
             dp.SampleRecord((float(i),) + (0.0,) * 12, int(i == 0)) for i in range(20)
         )
-        ds = dp.Dataset(records, categorical_mask=(False,) * 13)
+        ds = dp.Dataset.from_records(records, categorical_mask=(False,) * 13)
         with pytest.warns(UserWarning):
             plan = ev.kfold_split(ds, k=10, seed=1)
         sizes = np.bincount(plan.assignments, minlength=10)
@@ -132,7 +132,9 @@ class TestCrossValidate:
             if i in test_idx else r
             for i, r in enumerate(separable.records)
         ]
-        mutated = separable.replace_records(mutated_records)
+        mutated = dp.Dataset.from_records(
+            mutated_records, categorical_mask=separable.categorical_mask
+        )
         train_idx = np.flatnonzero(plan.assignments != 0)
         a = separable.subset(train_idx)
         b = mutated.subset(train_idx)

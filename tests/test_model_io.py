@@ -64,6 +64,39 @@ def test_bad_header_rejected(tmp_path):
         model_io.load_model(p)
 
 
+def _saved_cnn_lines(tmp_path, separable):
+    model = tr.train(separable, tr.Hyperparams(epochs=0, kernels_per_width=2, seed=1))
+    path = tmp_path / "model.txt"
+    model_io.save_model(path, model)
+    return path, path.read_text().splitlines()
+
+
+def test_short_tensor_block_names_line(tmp_path, separable):
+    path, lines = _saved_cnn_lines(tmp_path, separable)
+    path.write_text("\n".join(lines[:-1]) + "\n")
+    expected = rf"line {len(lines)}: tensor 'fill_values': file ends"
+    with pytest.raises(ModelFileError, match=expected):
+        model_io.load_model(path)
+
+
+@pytest.mark.parametrize("token", ["nan", "inf", "oops"])
+def test_bad_tensor_value_names_line(tmp_path, separable, token):
+    path, lines = _saved_cnn_lines(tmp_path, separable)
+    i = next(j for j, line in enumerate(lines) if line.startswith("tensor conv_w3")) + 1
+    lines[i] = " ".join([token] + lines[i].split()[1:])
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ModelFileError, match=rf"line {i + 1}: tensor 'conv_w3'"):
+        model_io.load_model(path)
+
+
+def test_missing_tensor_rejected(tmp_path, separable):
+    path, lines = _saved_cnn_lines(tmp_path, separable)
+    i = next(j for j, line in enumerate(lines) if line.startswith("tensor fill_values"))
+    path.write_text("\n".join(lines[:i]) + "\n")
+    with pytest.raises(ModelFileError, match="fill_values"):
+        model_io.load_model(path)
+
+
 def test_atomic_write_no_partial_file(tmp_path):
     target = tmp_path / "out.txt"
     model_io.atomic_write(target, "hello\n")

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from cardioseq import data as dp
+from cardioseq import model_io
 from cardioseq import network as nn
 from cardioseq import synthetic
 from cardioseq import training as tr
@@ -170,7 +171,7 @@ class TestTrain:
     def test_single_class_rejected(self):
         records = tuple(dp.SampleRecord((float(i),) + (0.0,) * 12, 1) for i in range(8))
         with pytest.raises(SingleClassDataError):
-            tr.train(dp.Dataset(records), FAST)
+            tr.train(dp.Dataset.from_records(records), FAST)
 
     def test_validation_curve_captured(self, separable):
         val = synthetic.separable_dataset(40, seed=9)
@@ -224,7 +225,7 @@ class TestPredict:
 def test_curve_export_format(tmp_path, separable):
     model = tr.train(separable, FAST)
     path = tmp_path / "curve.csv"
-    tr.save_curve(path, model.curve)
+    model_io.save_curve(path, model.curve)
     lines = path.read_text().splitlines()
     assert lines[0] == "epoch,train_acc,train_loss,val_acc,val_loss"
     assert len(lines) == FAST.epochs + 1
