@@ -26,3 +26,10 @@ print(f"  swarm best validation accuracy per iteration (every 5th): "
 print(f"  global best is non-decreasing: "
       f"{all(b >= a for a, b in zip(elm.gbest_history, elm.gbest_history[1:]))}")
 print(f"  worst ridge-solve residual: {elm.max_solve_residual:.2e}")
+
+# Both baselines share the CNN's interface: predict_proba maps raw rows to
+# (n, 2) class probabilities. PSO-ELM's are the softmax of its least-squares
+# scores: ordered like the scores, but not calibrated.
+print("\npredict_proba of the first three rows:")
+print(f"  Dv-Logistic: {logit.predict_proba(dataset.X[:3]).round(3).tolist()}")
+print(f"  PSO-ELM:     {elm.predict_proba(dataset.X[:3]).round(3).tolist()}")

@@ -9,6 +9,8 @@ import numpy as np
 from scipy.linalg import solve
 
 from . import data as dp
+from . import network as nn
+from . import training as tr
 from .errors import (
     ArityMismatchError,
     NonFiniteInputError,
@@ -91,19 +93,20 @@ def dummy_encode(dataset, encoder=None):
 
 
 @dataclass
-class DvLogisticModel:
+class DvLogisticModel(tr.Classifier):
     encoder: DummyEncoder
     weights: np.ndarray
     bias: float
     fill_values: np.ndarray
 
-    def scores(self, dataset):
-        imputed = dp.impute_with_values(dataset, self.fill_values)
-        X = self.encoder.transform(imputed.feature_array())
-        return _sigmoid(X @ self.weights + self.bias)
+    def predict_proba(self, X):
+        """[1 - p, p] per raw (n, 13) row (NaN = missing), p the logistic output."""
+        design = self.encoder.transform(dp.impute_array(X, self.fill_values))
+        p = _sigmoid(design @ self.weights + self.bias)
+        return np.column_stack([1.0 - p, p])
 
-    def predict_batch(self, dataset):
-        return (self.scores(dataset) > 0.5).astype(np.int64)
+    def scores(self, dataset):
+        return self.predict_proba(dataset.X)[:, 1]
 
 
 def dv_logistic_train(dataset, lr=0.1, epochs=2000, seed=0):
@@ -132,7 +135,7 @@ def dv_logistic_train(dataset, lr=0.1, epochs=2000, seed=0):
 # ---------------------------------------------------------------------------
 
 @dataclass
-class ElmModel:
+class ElmModel(tr.Classifier):
     hidden_weights: np.ndarray  # (13, H), fixed after optimization
     hidden_biases: np.ndarray  # (H,)
     output_weights: np.ndarray  # (H, 2), closed-form least squares
@@ -142,18 +145,18 @@ class ElmModel:
     gbest_history: list = field(default_factory=list)
     max_solve_residual: float = 0.0
 
-    def _activations(self, X):
-        return _sigmoid(X @ self.hidden_weights + self.hidden_biases)
+    def _scores(self, X):
+        x = dp.scale_values(dp.impute_array(X, self.fill_values), self.scaler)
+        return _sigmoid(x @ self.hidden_weights + self.hidden_biases) @ self.output_weights
+
+    def predict_proba(self, X):
+        """Softmax of the least-squares output scores per raw (n, 13) row
+        (NaN = missing). These are ordered like the scores but not calibrated:
+        the output layer is fit to one-hot targets, not to likelihoods."""
+        return nn.softmax(self._scores(X))
 
     def outputs(self, dataset):
-        imputed = dp.impute_with_values(dataset, self.fill_values)
-        X = dp.scale_values(imputed.feature_array(), self.scaler)
-        return self._activations(X) @ self.output_weights
-
-    def predict_batch(self, dataset):
-        out = self.outputs(dataset)
-        # strict > keeps exact ties at class 0
-        return (out[:, 1] > out[:, 0]).astype(np.int64)
+        return self._scores(dataset.X)
 
 
 def elm_solve_output(hidden_activations, targets, ridge=ELM_RIDGE):
@@ -228,8 +231,7 @@ def pso_elm_train(dataset, hidden_size=32, swarm_size=20, iterations=50,
         H_fit = _sigmoid(X_fit @ W + b)
         out_w = elm_solve_output(H_fit, Y_fit, ridge)
         residuals.append(solve_residual(H_fit, Y_fit, ridge, out_w))
-        scores = _sigmoid(X_val @ W + b) @ out_w
-        pred = (scores[:, 1] > scores[:, 0]).astype(np.int64)
+        pred = tr.predicted_class(_sigmoid(X_val @ W + b) @ out_w)
         return float(np.mean(pred == y_val))
 
     bound = 1.0
@@ -275,14 +277,3 @@ def pso_elm_train(dataset, hidden_size=32, swarm_size=20, iterations=50,
         gbest_history=history, max_solve_residual=max(residuals),
     )
 
-
-def baseline_predict(model, record):
-    """Classify one record with either baseline; ties resolve to class 0."""
-    if len(record.features) != dp.N_FEATURES:
-        raise ArityMismatchError("record must have 13 features")
-    single = dp.Dataset.from_records((record,))
-    if isinstance(model, DvLogisticModel):
-        score = float(model.scores(single)[0])
-        return (1 if score > 0.5 else 0), score
-    out = model.outputs(single)[0]
-    return (1 if out[1] > out[0] else 0), out

@@ -15,7 +15,6 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import baselines as bl
 from . import data as dp
 from . import evaluation as ev
 from . import model_io
@@ -43,7 +42,7 @@ class RunConfig:
     out: str = None
 
 
-_CONFIG_TYPES = {f.name: f.type for f in fields(RunConfig)}
+_CONFIG_TYPES = {f.name: {"int": int, "float": float}.get(f.type, str) for f in fields(RunConfig)}
 
 
 def load_config_file(path):
@@ -58,7 +57,11 @@ def load_config_file(path):
             key, value = (part.strip() for part in line.split("=", 1))
             if key not in _CONFIG_TYPES:
                 raise ValueError(f"{path}:{line_no}: unknown key {key!r}")
-            values[key] = value
+            try:
+                values[key] = _CONFIG_TYPES[key](value)
+            except ValueError:
+                raise ValueError(f"{path}:{line_no}: {key}: expected "
+                                 f"{_CONFIG_TYPES[key].__name__}, got {value!r}") from None
     return values
 
 
@@ -66,9 +69,8 @@ def build_config(args):
     cfg = RunConfig()
     explicit = set()
     file_values = load_config_file(args.config) if getattr(args, "config", None) else {}
-    casts = {"int": int, "float": float, "str": str}
-    for key, raw in file_values.items():
-        setattr(cfg, key, casts.get(_CONFIG_TYPES[key], str)(raw))
+    for key, value in file_values.items():
+        setattr(cfg, key, value)
         explicit.add(key)
     for key in _CONFIG_TYPES:
         flag = getattr(args, key, None)
@@ -81,8 +83,12 @@ def build_config(args):
     return cfg
 
 
-def check_flags(cfg):
-    """Reject out-of-range --pool and --k values before any work starts."""
+def check_flags(cfg, command):
+    """Reject unknown --model names and out-of-range --pool and --k values
+    before any work starts."""
+    for kind in cfg.model.split(",") if command == "compare" else [cfg.model]:
+        if kind not in ev.FIT:
+            raise ValueError(f"--model: unknown model {kind!r}; expected {', '.join(ev.FIT)}")
     try:
         nn.parse_pool_mode(cfg.pool)
     except ValueError as exc:
@@ -121,11 +127,14 @@ def cmd_validate(cfg):
 
 def cmd_train(cfg):
     dataset = dp.parse_dataset(cfg.data, cfg.dialect)
-    model = tr.train(dataset, hyper_from_config(cfg))
+    model = ev.FIT[cfg.model](dataset, hyper_from_config(cfg), cfg.seed)
     os.makedirs(cfg.out, exist_ok=True)
     model_path = os.path.join(cfg.out, "model.txt")
-    curve_path = os.path.join(cfg.out, "curve.csv")
     model_io.save_model(model_path, model)
+    if cfg.model != "cnn":  # only the CNN trains in epochs
+        print(f"wrote {model_path}")
+        return 0
+    curve_path = os.path.join(cfg.out, "curve.csv")
     model_io.save_curve(curve_path, model.curve)
     if len(model.curve):
         print(f"final train accuracy: {model.curve.train_accuracy[-1]:.6f}")
@@ -188,32 +197,28 @@ def parse_record(text):
 
 
 def cmd_predict(args):
-    model = model_io.load_model(args.model_file)
-    record = parse_record(args.record)
-    if isinstance(model, tr.TrainedModel):
-        cls, probs = tr.predict(model, record)
-    else:
-        cls, score = bl.baseline_predict(model, record)
-        if np.isscalar(score) or np.ndim(score) == 0:
-            probs = np.array([1.0 - float(score), float(score)])
-        else:
-            probs = nn.softmax(np.asarray(score, dtype=float))
+    cls, probs = tr.predict(model_io.load_model(args.model_file), parse_record(args.record))
     print(f"class {cls}, p = {probs[0]:.6f} {probs[1]:.6f}")
     return 0
 
 
-def _add_common(parser, need_data=True):
+COMMANDS = {"validate": cmd_validate, "train": cmd_train, "cv": cmd_cv, "compare": cmd_compare}
+
+
+def _add_common(parser):
     parser.add_argument("--data", required=False, help="dataset path")
     parser.add_argument("--dialect", choices=None, default=None,
                         help="statlog or cleveland (comma list for compare)")
     parser.add_argument("--model", default=None,
                         help="cnn, dv_logistic or pso_elm (comma list for compare)")
-    parser.add_argument("--epochs", type=int, default=None)
-    parser.add_argument("--lr", type=float, default=None)
-    parser.add_argument("--dropout", type=float, default=None)
-    parser.add_argument("--batch", type=int, default=None)
-    parser.add_argument("--kernels", type=int, default=None)
-    parser.add_argument("--pool", default=None, help="global or windowed:SIZE:STRIDE")
+    cnn = parser.add_argument_group(
+        "CNN hyperparameters", "The baselines always train with their own defaults.")
+    cnn.add_argument("--epochs", type=int, default=None)
+    cnn.add_argument("--lr", type=float, default=None)
+    cnn.add_argument("--dropout", type=float, default=None)
+    cnn.add_argument("--batch", type=int, default=None)
+    cnn.add_argument("--kernels", type=int, default=None)
+    cnn.add_argument("--pool", default=None, help="global or windowed:SIZE:STRIDE")
     parser.add_argument("--k", type=int, default=None)
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--out", default=None, help="output directory")
@@ -226,9 +231,11 @@ def main(argv=None):
         description="1D-CNN cardiovascular-risk classifier with baselines",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("validate", "train", "cv", "compare"):
+    for name in COMMANDS:
         _add_common(sub.add_parser(name))
-    pred = sub.add_parser("predict")
+    pred = sub.add_parser("predict", description=(
+        "Print the class and both class probabilities. PSO-ELM's are the softmax of "
+        "its least-squares scores: ordered like the scores, not calibrated."))
     pred.add_argument("model_file", help="path to a saved model file")
     pred.add_argument("record", help="13 comma-separated values, ? = missing")
 
@@ -237,25 +244,17 @@ def main(argv=None):
         if args.command == "predict":
             return cmd_predict(args)
         cfg = build_config(args)
-        check_flags(cfg)
+        check_flags(cfg, args.command)
         if cfg.data is None:
             print("error: --data is required", file=sys.stderr)
             return EXIT_INPUT_ERROR
-        if args.command == "validate":
-            return cmd_validate(cfg)
-        if args.command == "train":
-            return cmd_train(cfg)
-        if args.command == "cv":
-            return cmd_cv(cfg)
-        if args.command == "compare":
-            return cmd_compare(cfg)
+        return COMMANDS[args.command](cfg)
     except (OSError, ValueError, CardioseqError) as exc:
         input_error = isinstance(
             exc, (OSError, ValueError, MalformedRowError, EmptyDatasetError, ModelFileError)
         )
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR if input_error else EXIT_RUNTIME_ERROR
-    return 0
 
 
 if __name__ == "__main__":

@@ -123,15 +123,19 @@ class Dataset:
 
 @dataclass(frozen=True)
 class ScalerStats:
-    """Per-column population mean/std; constant columns are flagged."""
+    """Per-column population mean/std."""
 
     mean: np.ndarray
     std: np.ndarray
-    constant: np.ndarray
 
     def __post_init__(self):
         if np.any(self.std < 0):
             raise ArityMismatchError("standard deviations must be non-negative")
+
+    @property
+    def constant(self):
+        """Columns with zero spread; they scale to 0."""
+        return self.std == 0.0
 
 
 def _parse_row(tokens, line_no, dialect):
@@ -218,11 +222,18 @@ def fill_values(stats_source, categorical_mask=None):
     return fills
 
 
+def impute_array(X, fills):
+    """Replace the NaN entries of a raw (n, 13) array with per-column fill values."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != N_FEATURES or len(fills) != N_FEATURES:
+        raise ArityMismatchError(f"expected (n, 13) rows and 13 fill values, got "
+                                 f"{X.shape} and {len(fills)}")
+    return np.where(np.isnan(X), fills, X)
+
+
 def impute_with_values(data, fills):
     """Replace missing entries with the given per-column fill values."""
-    if len(fills) != N_FEATURES:
-        raise ArityMismatchError("fill values must have 13 entries")
-    return replace(data, X=np.where(np.isnan(data.X), fills, data.X))
+    return replace(data, X=impute_array(data.X, fills))
 
 
 def impute_missing(data, stats_source=None):
@@ -242,7 +253,7 @@ def fit_scaler(data):
         raise MissingValueError("impute before fitting the scaler")
     mean = data.X.mean(axis=0)
     std = data.X.std(axis=0)  # population (divide-by-N) convention
-    return ScalerStats(mean=mean, std=std, constant=std == 0.0)
+    return ScalerStats(mean=mean, std=std)
 
 
 def scale_values(values, stats):
@@ -259,25 +270,3 @@ def to_feature_matrix(record):
         raise MissingValueError("record has missing values; impute first")
     return np.array(record.features, dtype=float).reshape(N_FEATURES, 1)
 
-
-def save_scaler(path, stats, feature_names=FEATURE_NAMES):
-    with open(path, "w", encoding="ascii") as fh:
-        for name, m, s in zip(feature_names, stats.mean, stats.std):
-            fh.write(f"{name} {m:.17g} {s:.17g}\n")
-
-
-def load_scaler(path):
-    names, means, stds = [], [], []
-    with open(path, encoding="ascii") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            name, m, s = line.split()
-            names.append(name)
-            means.append(float(m))
-            stds.append(float(s))
-    if len(names) != N_FEATURES:
-        raise ArityMismatchError(f"scaler file has {len(names)} rows, expected {N_FEATURES}")
-    mean = np.array(means)
-    std = np.array(stds)
-    return ScalerStats(mean=mean, std=std, constant=std == 0.0)

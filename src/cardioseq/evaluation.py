@@ -11,7 +11,15 @@ from . import baselines as bl
 from . import training as tr
 from .errors import TooFewSamplesError
 
-MODEL_KINDS = ("dv_logistic", "pso_elm", "cnn")
+# kind -> fit(dataset, hyper, seed) -> model. Only the CNN reads `hyper` (the CLI's
+# --epochs/--lr/--dropout/--batch/--kernels/--pool): the baselines use their defaults.
+FIT = {
+    "dv_logistic": lambda ds, hyper, seed: bl.dv_logistic_train(ds, seed=seed),
+    "pso_elm": lambda ds, hyper, seed: bl.pso_elm_train(ds, seed=seed),
+    "cnn": lambda ds, hyper, seed: tr.train(ds, replace(hyper, seed=seed)),
+}
+
+MODEL_KINDS = tuple(FIT)
 
 # Published reference accuracies (%) for these three models on the two
 # public heart-disease datasets, reported alongside our runs for context.
@@ -94,23 +102,17 @@ def _fold_seed(base_seed, fold):
 
 
 def _fit_and_score(model_kind, train_ds, test_ds, hyper, fold_seed):
-    if model_kind == "cnn":
-        model = tr.train(train_ds, replace(hyper, seed=fold_seed))
-        _, acc, confusion = tr.evaluate(model, test_ds)
-        return acc, confusion
-    if model_kind == "dv_logistic":
-        model = bl.dv_logistic_train(train_ds, seed=fold_seed)
-    elif model_kind == "pso_elm":
-        model = bl.pso_elm_train(train_ds, seed=fold_seed)
-    else:
+    if model_kind not in FIT:
         raise ValueError(f"unknown model kind {model_kind!r}")
+    model = FIT[model_kind](train_ds, hyper, fold_seed)
     pred, y = model.predict_batch(test_ds), test_ds.labels
     return float(np.mean(pred == y)), tr.confusion_counts(pred, y)
 
 
 def cross_validate(dataset, model_kind, hyper=None, k=10, seed=0, stratified=True):
     """k-fold protocol: preprocessing and model are refit per fold on the
-    other k-1 folds only, so test-fold rows never leak into training."""
+    other k-1 folds only, so test-fold rows never leak into training.
+    `hyper` applies to the CNN only; the baselines use their own defaults."""
     if hyper is None:
         hyper = tr.Hyperparams()
     plan = kfold_split(dataset, k=k, seed=seed, stratified=stratified)

@@ -2,13 +2,16 @@
 
 Model-file layout: a `cardioseq-model v1` header, a `model-kind` line,
 `param` lines for scalar settings, then `tensor <name> <rows> <cols>`
-blocks with row-major decimal values at 17 significant digits.
+blocks with row-major decimal values at 17 significant digits. Vectors are
+stored as one-row tensors. Loading checks every param and tensor shape
+against the model kind and names the offending line.
 """
 
 from __future__ import annotations
 
 import os
 import tempfile
+from dataclasses import fields
 
 import numpy as np
 
@@ -16,7 +19,7 @@ from . import baselines as bl
 from . import data as dp
 from . import network as nn
 from . import training as tr
-from .errors import ModelFileError
+from .errors import ArityMismatchError, ModelFileError
 
 HEADER = "cardioseq-model v1"
 
@@ -45,21 +48,41 @@ def save_curve(path, curve):
     atomic_write(path, "\n".join(lines) + "\n")
 
 
-def _format_tensor(name, array):
-    a = np.atleast_2d(np.asarray(array, dtype=float))
-    lines = [f"tensor {name} {a.shape[0]} {a.shape[1]}"]
-    for row in a:
-        lines.append(" ".join(f"{v:.17g}" for v in row))
-    return lines
-
-
 def _serialize(kind, params, tensors):
     lines = [HEADER, f"model-kind {kind}"]
-    for key, value in params.items():
-        lines.append(f"param {key} {value}")
+    lines += [f"param {key} {value}" for key, value in params.items()]
     for name, array in tensors.items():
-        lines.extend(_format_tensor(name, array))
+        a = np.atleast_2d(np.asarray(array, dtype=float))
+        lines.append(f"tensor {name} {a.shape[0]} {a.shape[1]}")
+        lines += [" ".join(f"{v:.17g}" for v in row) for row in a]
     return "\n".join(lines) + "\n"
+
+
+class _Sections:
+    """A model file's params and tensors by name, each with its line number. Every
+    read checks the value against what the model kind expects (KeyError: absent)."""
+
+    def __init__(self):
+        self.params, self.tensors = {}, {}  # name -> (line number, value)
+
+    def param(self, name, convert):
+        line, text = self.params[name]
+        try:
+            return convert(text)
+        except ValueError as exc:
+            raise ModelFileError(f"line {line}: param {name!r}: {exc}") from None
+
+    def tensor(self, name, rows, cols=None):
+        """The tensor `name`, which must be rows x cols (cols None: any number)."""
+        line, array = self.tensors[name]
+        if array.shape[0] != rows or cols not in (None, array.shape[1]):
+            got = "x".join(map(str, array.shape))
+            want = f"{rows}x{'any' if cols is None else cols}"
+            raise ModelFileError(f"line {line}: tensor {name!r}: expected {want}, got {got}")
+        return array
+
+    def vector(self, name, size=None):
+        return self.tensor(name, 1, size)[0]
 
 
 def _parse(text):
@@ -67,7 +90,7 @@ def _parse(text):
     if not lines or lines[0] != HEADER:
         raise ModelFileError("missing or unsupported model file header")
     kind = None
-    params, tensors = {}, {}
+    sections = _Sections()
     i = 1
     while i < len(lines):
         line = lines[i].strip()
@@ -77,11 +100,16 @@ def _parse(text):
         if line.startswith("model-kind "):
             kind = line.split(None, 1)[1]
         elif line.startswith("param "):
-            _, key, value = line.split(None, 2)
-            params[key] = value
+            _, key, *value = line.split(None, 2)
+            if not value:
+                raise ModelFileError(f"line {i}: param {key!r}: no value")
+            sections.params[key] = (i, value[0])
         elif line.startswith("tensor "):
-            _, name, rows, cols = line.split()
-            rows, cols = int(rows), int(cols)
+            parts = line.split()
+            if len(parts) != 4 or not (parts[2].isdigit() and parts[3].isdigit()):
+                raise ModelFileError(f"line {i}: tensor {parts[1]!r}: expected "
+                                     "'tensor <name> <rows> <cols>'")
+            name, rows, cols = parts[1], int(parts[2]), int(parts[3])
             data = []
             for row_no in range(i + 1, i + rows + 1):
                 where = f"line {row_no}: tensor {name!r}"
@@ -93,132 +121,125 @@ def _parse(text):
                     raise ModelFileError(f"{where}: unparseable value") from None
                 if len(data[-1]) != cols or not np.isfinite(data[-1]).all():
                     raise ModelFileError(f"{where}: expected {cols} finite values")
-            tensors[name] = np.array(data)
+            sections.tensors[name] = (i, np.array(data).reshape(rows, cols))
             i += rows
         else:
             raise ModelFileError(f"line {i}: unrecognized line: {line!r}")
     if kind is None:
         raise ModelFileError("model-kind line missing")
-    return kind, params, tensors
+    return kind, sections
+
+
+def _scaler_tensors(scaler):
+    return {"scaler_mean": scaler.mean, "scaler_std": scaler.std}
+
+
+def _read_scaler(sections):
+    return dp.ScalerStats(mean=sections.vector("scaler_mean", dp.N_FEATURES),
+                          std=sections.vector("scaler_std", dp.N_FEATURES))
+
+
+# How each Hyperparams field, by the type of its default, is written to and read
+# from its `param` line; numbers pass through Python scalars, so numpy ones do too.
+_HYPER_CODECS = {float: (lambda v: repr(float(v)), float), int: (lambda v: repr(int(v)), int),
+                 tuple: (nn.format_pool_mode, nn.parse_pool_mode)}
+
+
+def _encode_cnn(model):
+    params = {f.name: _HYPER_CODECS[type(f.default)][0](getattr(model.hyper, f.name))
+              for f in fields(tr.Hyperparams)}
+    return params, {**model.params.tensors(), **_scaler_tensors(model.scaler),
+                    "fill_values": model.fill_values}
+
+
+def _decode_cnn(sections):
+    hyper = tr.Hyperparams(**{f.name: sections.param(f.name, _HYPER_CODECS[type(f.default)][1])
+                              for f in fields(tr.Hyperparams)})
+    k = hyper.kernels_per_width
+    net = {"dense_w": sections.tensor("dense_w", 2, nn.pooled_dim(k, hyper.pool_mode)),
+           "dense_b": sections.vector("dense_b", 2)}
+    for w in nn.KERNEL_WIDTHS:
+        net[f"conv_w{w}"] = sections.tensor(f"conv_w{w}", k, w)
+        net[f"conv_b{w}"] = sections.vector(f"conv_b{w}", k)
+    return tr.TrainedModel(
+        params=nn.ModelParams.from_tensors(net), scaler=_read_scaler(sections),
+        fill_values=sections.vector("fill_values", dp.N_FEATURES), hyper=hyper,
+    )
+
+
+def _encode_dv_logistic(model):
+    enc = model.encoder
+    tensors = {"weights": model.weights, "bias": np.array([model.bias]),
+               "fill_values": model.fill_values, "numeric_mean": enc.numeric_mean,
+               "numeric_std": enc.numeric_std}
+    tensors.update({f"categories_{j}": np.array(c) for j, c in enc.categories.items() if c})
+    return {"categorical_mask": "".join("1" if c else "0" for c in enc.categorical_mask)}, tensors
+
+
+def _parse_mask(text):
+    if len(text) != dp.N_FEATURES or set(text) - {"0", "1"}:
+        raise ValueError(f"expected {dp.N_FEATURES} characters of 0/1, got {text!r}")
+    return tuple(c == "1" for c in text)
+
+
+def _decode_dv_logistic(sections):
+    mask = sections.param("categorical_mask", _parse_mask)
+    encoder = bl.DummyEncoder(
+        categories={j: sections.vector(f"categories_{j}").tolist() if is_cat else []
+                    for j, is_cat in enumerate(mask)},
+        numeric_mean=sections.vector("numeric_mean", dp.N_FEATURES),
+        numeric_std=sections.vector("numeric_std", dp.N_FEATURES),
+        categorical_mask=mask,
+    )
+    return bl.DvLogisticModel(
+        encoder=encoder, weights=sections.vector("weights", encoder.width),
+        bias=float(sections.vector("bias", 1)[0]),
+        fill_values=sections.vector("fill_values", dp.N_FEATURES),
+    )
+
+
+def _encode_pso_elm(model):
+    return {"ridge": repr(float(model.ridge))}, {
+        "hidden_weights": model.hidden_weights, "hidden_biases": model.hidden_biases,
+        "output_weights": model.output_weights, "fill_values": model.fill_values,
+        **_scaler_tensors(model.scaler)}
+
+
+def _decode_pso_elm(sections):
+    hidden_weights = sections.tensor("hidden_weights", dp.N_FEATURES)
+    h = hidden_weights.shape[1]
+    return bl.ElmModel(
+        hidden_weights=hidden_weights, hidden_biases=sections.vector("hidden_biases", h),
+        output_weights=sections.tensor("output_weights", h, 2),
+        fill_values=sections.vector("fill_values", dp.N_FEATURES),
+        scaler=_read_scaler(sections), ridge=sections.param("ridge", float),
+    )
+
+
+# model-kind -> (model class, encode(model) -> (params, tensors), decode(sections) -> model)
+KINDS = {
+    "cnn": (tr.TrainedModel, _encode_cnn, _decode_cnn),
+    "dv_logistic": (bl.DvLogisticModel, _encode_dv_logistic, _decode_dv_logistic),
+    "pso_elm": (bl.ElmModel, _encode_pso_elm, _decode_pso_elm),
+}
 
 
 def save_model(path, model):
     """Persist a trained CNN or baseline model."""
-    if isinstance(model, tr.TrainedModel):
-        h = model.hyper
-        params = {
-            "learning_rate": repr(h.learning_rate),
-            "dropout_rate": repr(h.dropout_rate),
-            "epochs": h.epochs,
-            "batch_size": h.batch_size,
-            "adam_beta1": repr(h.adam_beta1),
-            "adam_beta2": repr(h.adam_beta2),
-            "adam_epsilon": repr(h.adam_epsilon),
-            "kernels_per_width": h.kernels_per_width,
-            "pool_mode": nn.format_pool_mode(h.pool_mode),
-            "seed": h.seed,
-        }
-        tensors = dict(model.params.tensors())
-        tensors["scaler_mean"] = model.scaler.mean
-        tensors["scaler_std"] = model.scaler.std
-        tensors["fill_values"] = model.fill_values
-        atomic_write(path, _serialize("cnn", params, tensors))
-    elif isinstance(model, bl.DvLogisticModel):
-        enc = model.encoder
-        params = {"categorical_mask": "".join("1" if c else "0" for c in enc.categorical_mask)}
-        tensors = {
-            "weights": model.weights,
-            "bias": np.array([model.bias]),
-            "fill_values": model.fill_values,
-            "numeric_mean": enc.numeric_mean,
-            "numeric_std": enc.numeric_std,
-        }
-        for j, cats in enc.categories.items():
-            if cats:
-                tensors[f"categories_{j}"] = np.array(cats)
-        atomic_write(path, _serialize("dv_logistic", params, tensors))
-    elif isinstance(model, bl.ElmModel):
-        params = {"ridge": repr(model.ridge)}
-        tensors = {
-            "hidden_weights": model.hidden_weights,
-            "hidden_biases": model.hidden_biases,
-            "output_weights": model.output_weights,
-            "fill_values": model.fill_values,
-            "scaler_mean": model.scaler.mean,
-            "scaler_std": model.scaler.std,
-        }
-        atomic_write(path, _serialize("pso_elm", params, tensors))
-    else:
+    kind = next((kind for kind, (cls, _, _) in KINDS.items() if type(model) is cls), None)
+    if kind is None:
         raise ModelFileError(f"cannot serialize {type(model).__name__}")
-
-
-def _vec(tensors, name):
-    return tensors[name].reshape(-1)
+    atomic_write(path, _serialize(kind, *KINDS[kind][1](model)))
 
 
 def load_model(path):
     with open(path, encoding="ascii") as fh:
-        kind, params, tensors = _parse(fh.read())
+        kind, sections = _parse(fh.read())
+    if kind not in KINDS:
+        raise ModelFileError(f"unknown model-kind {kind!r}")
     try:
-        return _build_model(kind, params, tensors)
+        return KINDS[kind][2](sections)
     except KeyError as exc:
         raise ModelFileError(f"{kind} model file lacks {exc.args[0]!r}") from None
-
-
-def _build_model(kind, params, tensors):
-    if kind == "cnn":
-        hyper = tr.Hyperparams(
-            learning_rate=float(params["learning_rate"]),
-            dropout_rate=float(params["dropout_rate"]),
-            epochs=int(params["epochs"]),
-            batch_size=int(params["batch_size"]),
-            adam_beta1=float(params["adam_beta1"]),
-            adam_beta2=float(params["adam_beta2"]),
-            adam_epsilon=float(params["adam_epsilon"]),
-            kernels_per_width=int(params["kernels_per_width"]),
-            pool_mode=nn.parse_pool_mode(params["pool_mode"]),
-            seed=int(params["seed"]),
-        )
-        net_tensors = {k: v.reshape(-1) if k.startswith(("conv_b", "dense_b")) else v
-                       for k, v in tensors.items() if k.startswith(("conv_", "dense_"))}
-        std = _vec(tensors, "scaler_std")
-        return tr.TrainedModel(
-            params=nn.ModelParams.from_tensors(net_tensors),
-            scaler=dp.ScalerStats(
-                mean=_vec(tensors, "scaler_mean"), std=std, constant=std == 0.0
-            ),
-            fill_values=_vec(tensors, "fill_values"),
-            hyper=hyper,
-            curve=tr.TrainingCurve(),
-        )
-    if kind == "dv_logistic":
-        mask = tuple(c == "1" for c in params["categorical_mask"])
-        categories = {
-            j: (_vec(tensors, f"categories_{j}").tolist() if f"categories_{j}" in tensors else [])
-            for j in range(dp.N_FEATURES)
-        }
-        encoder = bl.DummyEncoder(
-            categories=categories,
-            numeric_mean=_vec(tensors, "numeric_mean"),
-            numeric_std=_vec(tensors, "numeric_std"),
-            categorical_mask=mask,
-        )
-        return bl.DvLogisticModel(
-            encoder=encoder,
-            weights=_vec(tensors, "weights"),
-            bias=float(_vec(tensors, "bias")[0]),
-            fill_values=_vec(tensors, "fill_values"),
-        )
-    if kind == "pso_elm":
-        std = _vec(tensors, "scaler_std")
-        return bl.ElmModel(
-            hidden_weights=tensors["hidden_weights"],
-            hidden_biases=_vec(tensors, "hidden_biases"),
-            output_weights=tensors["output_weights"],
-            fill_values=_vec(tensors, "fill_values"),
-            scaler=dp.ScalerStats(
-                mean=_vec(tensors, "scaler_mean"), std=std, constant=std == 0.0
-            ),
-            ridge=float(params["ridge"]),
-        )
-    raise ModelFileError(f"unknown model-kind {kind!r}")
+    except (ValueError, ArityMismatchError) as exc:  # the models' own checks
+        raise ModelFileError(f"{kind} model file: {exc}") from None

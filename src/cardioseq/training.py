@@ -8,15 +8,23 @@ import numpy as np
 
 from . import data as dp
 from . import network as nn
-from .errors import (
-    ArityMismatchError,
-    EmptyBatchError,
-    NonFiniteLossError,
-    ShapeMismatchError,
-    SingleClassDataError,
-)
+from .errors import EmptyBatchError, NonFiniteLossError, ShapeMismatchError, SingleClassDataError
 
 PROB_CLAMP = 1e-12
+
+
+def predicted_class(probs):
+    """Class of each (..., 2) probability row: 1 only when p1 > p0, so exact
+    ties go to class 0."""
+    return (probs[..., 1] > probs[..., 0]).astype(np.int64)
+
+
+class Classifier:
+    """The interface all three models share: `predict_proba(X)` maps raw (n, 13)
+    rows (NaN = missing) to (n, 2) class probabilities; predictions follow from it."""
+
+    def predict_batch(self, dataset):
+        return predicted_class(self.predict_proba(dataset.X))
 
 
 @dataclass(frozen=True)
@@ -72,14 +80,19 @@ class TrainingCurve:
 
 
 @dataclass
-class TrainedModel:
+class TrainedModel(Classifier):
     """A trained network plus the preprocessing statistics it was fit with."""
 
     params: nn.ModelParams
     scaler: dp.ScalerStats
     fill_values: np.ndarray
     hyper: Hyperparams
-    curve: TrainingCurve
+    curve: TrainingCurve = field(default_factory=TrainingCurve)
+
+    def predict_proba(self, X):
+        """(n, 2) softmax class probabilities of raw (n, 13) rows (NaN = missing)."""
+        x = dp.scale_values(dp.impute_array(X, self.fill_values), self.scaler)
+        return nn.forward_batch(x, self.params, pool_mode=self.hyper.pool_mode)[0]
 
 
 def cross_entropy(alpha, beta):
@@ -196,27 +209,11 @@ def train(dataset, hyper=Hyperparams(), validation=None):
 
 
 def predict(model, record):
-    """Classify one record; missing features are imputed from the model's
-    stored training statistics. Exact probability ties resolve to class 0."""
-    if len(record.features) != dp.N_FEATURES:
-        raise ArityMismatchError("record must have 13 features")
-    raw = np.array(
-        [model.fill_values[j] if v is None else v for j, v in enumerate(record.features)],
-        dtype=float,
-    )
-    x = dp.scale_values(raw[None, :], model.scaler)
-    probs, _ = nn.forward_batch(x, model.params, pool_mode=model.hyper.pool_mode)
-    probs = probs[0]
-    cls = 0 if probs[0] >= probs[1] else 1
-    return cls, probs
-
-
-def evaluate(model, dataset):
-    """Infer-mode mean loss, accuracy and confusion counts on a raw dataset."""
-    X, y = _preprocess_arrays(dataset, model.fill_values, model.scaler)
-    probs, _ = nn.forward_batch(X, model.params, pool_mode=model.hyper.pool_mode)
-    loss, acc = loss_and_accuracy(probs, y)
-    return loss, acc, confusion_counts(probs.argmax(axis=1), y)
+    """Classify one record with any model kind (CNN, Dv-Logistic or PSO-ELM):
+    (class, probabilities). Missing features are imputed from the model's
+    stored training statistics; exact probability ties resolve to class 0."""
+    probs = model.predict_proba(np.array([record.features], dtype=float))[0]
+    return int(predicted_class(probs)), probs
 
 
 def confusion_counts(pred, y):

@@ -55,3 +55,28 @@ def tiny_dataset():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture(scope="session")
+def mixed():
+    """60 rows with integer categorical columns and some missing `ca` values."""
+    rng = np.random.default_rng(7)
+    y = np.arange(60) % 2
+    X = rng.normal(size=(60, dp.N_FEATURES)) + y[:, None]
+    cat = np.array(dp.DEFAULT_CATEGORICAL_MASK)
+    X[:, cat] = rng.integers(0, 3, size=(60, int(cat.sum())))
+    X[::7, 11] = np.nan
+    return dp.Dataset(X, y)
+
+
+@pytest.fixture(scope="session")
+def fitted_models(mixed):
+    """One small fitted model of each kind; tests must not modify them."""
+    from cardioseq import baselines as bl
+    from cardioseq import training as tr
+
+    return {
+        "cnn": tr.train(mixed, tr.Hyperparams(epochs=2, kernels_per_width=2, seed=1)),
+        "dv_logistic": bl.dv_logistic_train(mixed, epochs=50),
+        "pso_elm": bl.pso_elm_train(mixed, iterations=2, seed=1),
+    }

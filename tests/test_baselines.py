@@ -4,6 +4,7 @@ import pytest
 from cardioseq import baselines as bl
 from cardioseq import data as dp
 from cardioseq import synthetic
+from cardioseq import training as tr
 from cardioseq.errors import SingleClassDataError
 
 
@@ -108,9 +109,9 @@ class TestDvLogistic:
         low = dp.SampleRecord(tuple(rec), 0)
         rec[j] += 10.0
         high = dp.SampleRecord(tuple(rec), 0)
-        _, s_low = bl.baseline_predict(model, low)
-        _, s_high = bl.baseline_predict(model, high)
-        assert s_high >= s_low
+        _, p_low = tr.predict(model, low)
+        _, p_high = tr.predict(model, high)
+        assert p_high[1] >= p_low[1]
 
 
 class TestElmSolve:
@@ -177,16 +178,18 @@ class TestBaselinePredict:
     def test_zero_logistic_ties_to_class_zero(self, rng):
         ds = numeric_dataset(rng.standard_normal((10, 13)), [i % 2 for i in range(10)])
         model = bl.dv_logistic_train(ds, epochs=0)
-        cls, score = bl.baseline_predict(model, ds.records[0])
-        assert cls == 0 and score == 0.5
+        cls, probs = tr.predict(model, ds.records[0])
+        assert cls == 0 and probs.tolist() == [0.5, 0.5]
 
     def test_elm_hand_computed_argmax(self, separable):
         model = bl.pso_elm_train(separable, iterations=0, seed=1)
         rec = separable.records[0]
-        cls, out = bl.baseline_predict(model, rec)
+        cls, probs = tr.predict(model, rec)
         imputed = np.array(rec.features, dtype=float)
         x = dp.scale_values(imputed[None, :], model.scaler)
         h = 1.0 / (1.0 + np.exp(-(x @ model.hidden_weights + model.hidden_biases)))
         expected = (h @ model.output_weights)[0]
+        out = model.outputs(dp.Dataset.from_records((rec,)))[0]
         np.testing.assert_allclose(out, expected, atol=1e-12)
+        np.testing.assert_allclose(probs, np.exp(expected) / np.exp(expected).sum(), atol=1e-12)
         assert cls == (1 if expected[1] > expected[0] else 0)

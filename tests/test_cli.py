@@ -54,6 +54,9 @@ class TestValidate:
     ("cv", "--k", "0"),
     ("cv", "--k", "1"),
     ("cv", "--k", "-1"),
+    ("compare", "--model", "dv_logistic,foo"),
+    ("cv", "--model", "foo"),
+    ("train", "--model", "cnn,dv_logistic"),
 ])
 def test_bad_flag_value_rejected(statlog_file, tmp_path, capsys, command, flag, value):
     code = cli.main([command, "--data", statlog_file, "--out", str(tmp_path),
@@ -86,6 +89,17 @@ class TestTrain:
         expected = nn.init_params(2, np.random.default_rng(5))
         for k, v in expected.tensors().items():
             np.testing.assert_array_equal(loaded.params.tensors()[k], v)
+
+    @pytest.mark.parametrize("kind", ["cnn", "dv_logistic", "pso_elm"])
+    def test_model_kind_trains_and_predicts(self, statlog_file, tmp_path, capsys, kind):
+        out = tmp_path / "out"
+        code = cli.main(["train", "--data", statlog_file, "--model", kind,
+                         "--out", str(out)] + FAST_FLAGS)
+        assert code == 0
+        assert f"\nmodel-kind {kind}\n" in (out / "model.txt").read_text()
+        assert (out / "curve.csv").exists() == (kind == "cnn")
+        assert cli.main(["predict", str(out / "model.txt"), ",".join(["0.05"] * 13)]) == 0
+        assert "class " in capsys.readouterr().out
 
     def test_rerun_byte_identical(self, statlog_file, tmp_path):
         outputs = []
@@ -217,6 +231,14 @@ class TestConfig:
             ["train", "--data", statlog_file, "--config", str(cfg)]
         ) == 2
         assert "unknown key" in capsys.readouterr().err
+
+    def test_bad_value_names_line(self, statlog_file, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = 1\nepochs = abc\n")
+        assert cli.main(
+            ["train", "--data", statlog_file, "--config", str(cfg)]
+        ) == 2
+        assert f"{cfg}:2: epochs" in capsys.readouterr().err
 
     def test_out_env_var(self, statlog_file, tmp_path, monkeypatch):
         out = tmp_path / "envout"

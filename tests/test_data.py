@@ -223,14 +223,6 @@ class TestScaler:
         assert np.all(np.abs(scaled.mean(axis=0)) < 1e-9)
         assert np.all(np.abs(scaled.std(axis=0) - 1.0) < 1e-9)
 
-    def test_scaler_roundtrip_file(self, tmp_path, tiny_dataset):
-        stats = dp.fit_scaler(tiny_dataset)
-        path = tmp_path / "scaler.txt"
-        dp.save_scaler(path, stats)
-        loaded = dp.load_scaler(path)
-        np.testing.assert_array_equal(loaded.mean, stats.mean)
-        np.testing.assert_array_equal(loaded.std, stats.std)
-
     def test_missing_values_rejected(self):
         ds = make_dataset([[1.0, None, 3.0]])
         with pytest.raises(MissingValueError):

@@ -1,8 +1,11 @@
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from cardioseq import baselines as bl
-from cardioseq import model_io
+from cardioseq import cli, model_io
 from cardioseq import training as tr
 from cardioseq.errors import ModelFileError
 
@@ -30,6 +33,19 @@ def test_cnn_roundtrip_preserves_predictions(tmp_path, separable):
         c2, p2 = tr.predict(loaded, rec)
         assert c1 == c2
         np.testing.assert_array_equal(p1, p2)
+
+
+def test_numpy_scalar_settings_roundtrip(tmp_path, separable):
+    hyper = tr.Hyperparams(epochs=np.int64(0), learning_rate=np.float64(0.01),
+                           kernels_per_width=2)
+    cnn = tr.train(separable, hyper)
+    elm = bl.pso_elm_train(separable, iterations=0, ridge=np.float64(1e-5))
+    for m in (cnn, elm):
+        model_io.save_model(tmp_path / "m.txt", m)
+        loaded = model_io.load_model(tmp_path / "m.txt")
+        np.testing.assert_array_equal(loaded.predict_proba(separable.X),
+                                      m.predict_proba(separable.X))
+    assert loaded.ridge == 1e-5
 
 
 def test_dv_logistic_roundtrip(tmp_path, tiny_dataset):
@@ -95,6 +111,70 @@ def test_missing_tensor_rejected(tmp_path, separable):
     path.write_text("\n".join(lines[:i]) + "\n")
     with pytest.raises(ModelFileError, match="fill_values"):
         model_io.load_model(path)
+
+
+def _sub(pattern, repl):
+    return lambda text: re.sub(pattern, repl, text, count=1, flags=re.M)
+
+
+def _cnn_params(m, **changes):
+    return replace(m, params=replace(m.params, **changes))
+
+
+# id -> (kind, offending name, model edit, file-text edit): files whose
+# tensors or params do not fit together or do not parse.
+BROKEN_FILES = {
+    "cnn-fill_values-12": (
+        "cnn", "fill_values", lambda m: replace(m, fill_values=m.fill_values[:12]), None),
+    "cnn-scaler_std-12": (
+        "cnn", "scaler_std",
+        lambda m: replace(m, scaler=replace(m.scaler, std=m.scaler.std[:12])), None),
+    "cnn-conv_w3-narrow": (
+        "cnn", "conv_w3",
+        lambda m: _cnn_params(m, conv_w={**m.params.conv_w, 3: m.params.conv_w[3][:, :2]}),
+        None),
+    "cnn-conv_b5-short": (
+        "cnn", "conv_b5",
+        lambda m: _cnn_params(m, conv_b={**m.params.conv_b, 5: m.params.conv_b[5][:-1]}),
+        None),
+    "cnn-dense_w-narrow": (
+        "cnn", "dense_w", lambda m: _cnn_params(m, dense_w=m.params.dense_w[:, :-1]), None),
+    "cnn-tensor-header-3-fields": (
+        "cnn", "dense_b", None, _sub(r"^tensor dense_b 1 2$", "tensor dense_b 1")),
+    "cnn-param-no-value": ("cnn", "epochs", None, _sub(r"^param epochs .*$", "param epochs")),
+    "cnn-param-unparseable": (
+        "cnn", "epochs", None, _sub(r"^param epochs .*$", "param epochs abc")),
+    "dv-mask-000": (
+        "dv_logistic", "categorical_mask",
+        lambda m: replace(m, encoder=replace(m.encoder, categorical_mask=(False,) * 3)), None),
+    "dv-weights-short": (
+        "dv_logistic", "weights", lambda m: replace(m, weights=m.weights[:-1]), None),
+    "dv-bias-2": (
+        "dv_logistic", "bias", lambda m: replace(m, bias=np.array([m.bias, m.bias])), None),
+    "elm-hidden_weights-12-rows": (
+        "pso_elm", "hidden_weights",
+        lambda m: replace(m, hidden_weights=m.hidden_weights[:12]), None),
+    "elm-hidden_biases-short": (
+        "pso_elm", "hidden_biases",
+        lambda m: replace(m, hidden_biases=m.hidden_biases[:-1]), None),
+    "elm-output_weights-3-cols": (
+        "pso_elm", "output_weights",
+        lambda m: replace(m, output_weights=m.output_weights[:, [0, 1, 1]]), None),
+}
+
+
+@pytest.mark.parametrize("case", BROKEN_FILES.values(), ids=BROKEN_FILES.keys())
+def test_inconsistent_model_file_names_line(tmp_path, capsys, fitted_models, case):
+    kind, name, edit_model, edit_text = case
+    model = fitted_models[kind]
+    path = tmp_path / "m.txt"
+    model_io.save_model(path, edit_model(model) if edit_model else model)
+    if edit_text:
+        path.write_text(edit_text(path.read_text()))
+    assert cli.main(["predict", str(path), ",".join(["1"] * 12 + ["?"])]) == 2
+    captured = capsys.readouterr()
+    assert re.search(rf"line \d+: (param|tensor) '{name}'", captured.err), captured.err
+    assert "p = " not in captured.out
 
 
 def test_atomic_write_no_partial_file(tmp_path):
