@@ -197,7 +197,10 @@ def parse_record(text):
 
 
 def cmd_predict(args):
-    cls, probs = tr.predict(model_io.load_model(args.model_file), parse_record(args.record))
+    if len(args.record) != 1:
+        raise ValueError(f"record: expected one argument of {dp.N_FEATURES} comma-separated "
+                         f"values, got {len(args.record)}")
+    cls, probs = tr.predict(model_io.load_model(args.model_file), parse_record(args.record[0]))
     print(f"class {cls}, p = {probs[0]:.6f} {probs[1]:.6f}")
     return 0
 
@@ -237,7 +240,9 @@ def main(argv=None):
         "Print the class and both class probabilities. PSO-ELM's are the softmax of "
         "its least-squares scores: ordered like the scores, not calibrated."))
     pred.add_argument("model_file", help="path to a saved model file")
-    pred.add_argument("record", help="13 comma-separated values, ? = missing")
+    # REMAINDER, so that a record starting with a negative value is not read as an option
+    pred.add_argument("record", nargs=argparse.REMAINDER,
+                      help="13 comma-separated values, ? = missing")
 
     args = parser.parse_args(argv)
     try:

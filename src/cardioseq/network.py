@@ -6,11 +6,23 @@ every feature map has length 13), passed through ReLU, max-pooled, the
 pooled values concatenated in fixed order (width 1 bank, then 3, then 5;
 kernel index ascending), optionally dropped out (inverted dropout), and
 fed to a dense layer with a 2-class softmax head.
+
+A batched training step is a few whole-array calls. The zero-padded
+sliding windows of a batch are built once, as one read-only strided view
+for the widest kernel; the width-3 bank reads its centred slice and the
+backward pass reuses the view from the forward cache. The three banks'
+maps are stacked, so pooling and its backward run once per batch for all
+banks; pooling reads the pre-activations and applies ReLU to the pooled
+values only. All parameter tensors are views into one flat float64 buffer
+(`ModelParams.flat`), so an optimizer step is a handful of elementwise
+operations on that buffer. Every step gives the same bits as computing
+each bank on its own windows.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,17 +91,48 @@ class DenseLayer:
             raise ShapeMismatchError("dense parameters must be finite")
 
 
+def tensor_views(flat, shapes):
+    """Name -> view of the next slice of `flat`, reshaped, in `shapes` order."""
+    views, offset = {}, 0
+    for name, shape in shapes.items():
+        size = math.prod(shape)
+        views[name] = flat[offset : offset + size].reshape(shape)
+        offset += size
+    return views
+
+
 @dataclass
 class ModelParams:
     """Trainable state: one kernel bank per width plus the dense head.
 
     conv_w[w] is (K, w), conv_b[w] is (K,); dense_w is (2, pooled_dim).
+    The constructor copies the tensors into one flat float64 buffer, `flat`,
+    laid out in `tensors()` order, and keeps reshaped views of it, so an
+    in-place edit of a tensor edits `flat` and the reverse.
     """
 
     conv_w: dict
     conv_b: dict
     dense_w: np.ndarray
     dense_b: np.ndarray
+
+    def __post_init__(self):
+        tensors = self.tensors()
+        flat = np.concatenate([np.ravel(a) for a in tensors.values()], dtype=float)
+        self._bind(flat, {k: np.shape(a) for k, a in tensors.items()})
+
+    def _bind(self, flat, shapes):
+        self.flat, self.shapes = flat, shapes
+        views = tensor_views(flat, shapes)
+        self.conv_w = {w: views[f"conv_w{w}"] for w in KERNEL_WIDTHS}
+        self.conv_b = {w: views[f"conv_b{w}"] for w in KERNEL_WIDTHS}
+        self.dense_w, self.dense_b = views["dense_w"], views["dense_b"]
+
+    def with_flat(self, flat):
+        """Parameters shaped like these over another flat buffer (no copy)."""
+        params = object.__new__(ModelParams)
+        params._bind(flat, self.shapes)
+        return params
 
     def tensors(self):
         """Named parameter tensors in a fixed canonical order."""
@@ -111,9 +154,7 @@ class ModelParams:
         )
 
     def copy(self):
-        return ModelParams.from_tensors(
-            {k: v.copy() for k, v in self.tensors().items()}
-        )
+        return self.with_flat(self.flat.copy())
 
     @property
     def kernels_per_width(self):
@@ -122,12 +163,19 @@ class ModelParams:
 
 @dataclass
 class ForwardCache:
-    """Everything the reverse pass needs, produced by a train-mode forward."""
+    """Everything the reverse pass needs, produced by a train-mode forward.
+
+    `windows` is the batch's zero-padded sliding-window view for the widest
+    kernel, built once per batch and read by forward and backward alike
+    (`bank_windows`). The three banks' maps are stacked along the kernel
+    axis, width 1 first: bank i is rows i*K to (i+1)*K.
+    """
 
     params: ModelParams
     inputs: np.ndarray  # (B, 13)
-    pre: dict = field(default_factory=dict)  # width -> (B, K, 13)
-    pool_idx: dict = field(default_factory=dict)  # width -> (B, K, W)
+    windows: np.ndarray = None  # (B, 13, max width), read-only view
+    pre: np.ndarray = None  # (B, 3K, 13) pre-activation maps
+    pool_idx: np.ndarray = None  # (B, 3K, W) argmax position of each window
     pooled: np.ndarray = None  # (B, D) pre-dropout concatenation
     dropout_mask: np.ndarray = None  # (B, D) or None
     dropout_rate: float = 0.0
@@ -167,11 +215,28 @@ def init_params(kernels_per_width, rng, pool_mode=GLOBAL_POOL, n_classes=2):
     return ModelParams(conv_w, conv_b, dense_w, dense_b)
 
 
-def _conv_windows(inputs, width):
-    """Zero same-padded sliding windows: (B, 13) -> (B, 13, width)."""
-    pad = (width - 1) // 2
-    padded = np.pad(inputs, ((0, 0), (pad, pad)))
-    return np.lib.stride_tricks.sliding_window_view(padded, width, axis=1)
+def conv_windows(inputs, width):
+    """Zero same-padded sliding windows of a (B, T) batch for an odd width:
+    a read-only (B, T, width) view of one zero-padded (B, T + width - 1) buffer."""
+    B, T = inputs.shape
+    pad = width // 2
+    padded = np.zeros((B, T + 2 * pad))
+    padded[:, pad : pad + T] = inputs
+    row, step = padded.strides
+    return np.lib.stride_tricks.as_strided(
+        padded, (B, T, width), (row, step, step), writeable=False
+    )
+
+
+def bank_windows(inputs, windows, width):
+    """Width-`width` windows of a contiguous (B, T) batch, given `windows`
+    built for a wider odd width: its centred slice, or for width 1 the batch
+    itself. (A width-1 slice would have the padded row stride, and with one
+    kernel the gradient einsum would then sum in another order.)"""
+    if width == 1:
+        return inputs[:, :, None]
+    trim = (windows.shape[2] - width) // 2
+    return windows[:, :, trim : trim + width]
 
 
 def conv_forward(feature_matrix, kernel):
@@ -181,8 +246,7 @@ def conv_forward(feature_matrix, kernel):
     length (13 for real samples).
     """
     x = np.asarray(feature_matrix, dtype=float).reshape(1, -1)
-    windows = _conv_windows(x, kernel.width)
-    return windows[0] @ kernel.weights + kernel.bias
+    return conv_windows(x, kernel.width)[0] @ kernel.weights + kernel.bias
 
 
 def relu(pre):
@@ -223,19 +287,24 @@ def softmax(logits):
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _pool_batch(maps, pool_mode):
-    """(B, K, T) -> pooled (B, K, W) and argmax indices (B, K, W)."""
-    T = maps.shape[2]
+def _relu_pool_batch(pre, pool_mode):
+    """Max-pool ReLU(pre) without forming it: (B, K, T) pre-activations ->
+    pooled (B, K, W) and argmax positions (B, K, W).
+
+    ReLU is monotone, so a window's pooled value is the ReLU of its largest
+    pre-activation, at the first maximum as in `max_pool`; a window with no
+    positive entry is all zeros after ReLU, so its argmax is its start.
+    """
+    B, K, T = pre.shape
     size, stride = _pool_geometry(pool_mode, T)
-    starts = list(range(0, T - size + 1, stride))
-    pooled = np.empty(maps.shape[:2] + (len(starts),))
-    idx = np.empty(maps.shape[:2] + (len(starts),), dtype=np.int64)
-    for wi, s in enumerate(starts):
-        seg = maps[:, :, s : s + size]
-        local = seg.argmax(axis=2)
-        pooled[:, :, wi] = np.take_along_axis(seg, local[:, :, None], axis=2)[:, :, 0]
-        idx[:, :, wi] = local + s
-    return pooled, idx
+    starts = np.arange(0, T - size + 1, stride)
+    idx = np.empty((B, K, len(starts)), dtype=np.int64)
+    for wi, start in enumerate(starts):  # argmax copies a strided window; keep it one wide
+        idx[:, :, wi] = pre[:, :, start : start + size].argmax(axis=2) + start
+    top = pre.reshape(B * K, T)[np.arange(B * K)[:, None], idx.reshape(B * K, -1)]
+    top = top.reshape(idx.shape)
+    np.copyto(idx, starts, where=top <= 0)
+    return relu(top), idx
 
 
 def forward_batch(inputs, params, dropout_rate=0.0, rng=None, train=False,
@@ -244,19 +313,18 @@ def forward_batch(inputs, params, dropout_rate=0.0, rng=None, train=False,
 
     Returns (probs, cache); the cache is only fully populated in train mode.
     """
-    X = np.atleast_2d(np.asarray(inputs, dtype=float))
-    cache = ForwardCache(params=params, inputs=X, dropout_rate=dropout_rate)
-    pooled_parts = []
-    for w in KERNEL_WIDTHS:
-        windows = _conv_windows(X, w)  # (B, 13, w)
-        pre = np.einsum("btw,kw->bkt", windows, params.conv_w[w]) + params.conv_b[w][None, :, None]
-        act = relu(pre)
-        pooled, idx = _pool_batch(act, pool_mode)
-        cache.pre[w] = pre
-        cache.pool_idx[w] = idx
-        pooled_parts.append(pooled.reshape(X.shape[0], -1))
-    z = np.concatenate(pooled_parts, axis=1)
-    cache.pooled = z
+    X = np.atleast_2d(np.ascontiguousarray(inputs, dtype=float))
+    windows = conv_windows(X, KERNEL_WIDTHS[-1])
+    K = params.kernels_per_width
+    pre = np.empty((X.shape[0], len(KERNEL_WIDTHS) * K, X.shape[1]))
+    for i, w in enumerate(KERNEL_WIDTHS):
+        pre[:, i * K : (i + 1) * K] = np.einsum(
+            "btw,kw->bkt", bank_windows(X, windows, w), params.conv_w[w])
+    pre += np.concatenate([params.conv_b[w] for w in KERNEL_WIDTHS])[None, :, None]
+    pooled, idx = _relu_pool_batch(pre, pool_mode)
+    z = pooled.reshape(X.shape[0], -1)
+    cache = ForwardCache(params=params, inputs=X, windows=windows, pre=pre, pool_idx=idx,
+                         pooled=z, dropout_rate=dropout_rate)
     if train and dropout_rate > 0.0:
         if rng is None:
             raise ValueError("train-mode dropout requires a generator")
@@ -308,20 +376,23 @@ def model_backward(cache, params, labels, pool_mode=GLOBAL_POOL):
     if cache.dropout_mask is not None:
         dz = dz * cache.dropout_mask / (1.0 - cache.dropout_rate)
 
-    K = params.kernels_per_width
-    W = n_pool_windows(pool_mode)
-    offset = 0
-    for w in KERNEL_WIDTHS:
-        dpool = dz[:, offset : offset + K * W].reshape(B, K, W)
-        offset += K * W
-        dmap = np.zeros_like(cache.pre[w])
-        # accumulate per window: overlapping windows can share an argmax
+    idx = cache.pool_idx
+    if idx.shape[2] != n_pool_windows(pool_mode):
+        raise ShapeMismatchError("cache was pooled with a different pool mode")
+    dpool = dz.reshape(idx.shape)
+    if idx.shape[2] == 1:
+        dmap = np.where(np.arange(X.shape[1]) == idx, dpool, 0.0)
+    else:
+        # ordered accumulation: overlapping windows can share an argmax
+        dmap = np.zeros_like(cache.pre)
         b_ix = np.arange(B)[:, None]
-        k_ix = np.arange(K)[None, :]
-        for wi in range(W):
-            dmap[b_ix, k_ix, cache.pool_idx[w][:, :, wi]] += dpool[:, :, wi]
-        dpre = dmap * (cache.pre[w] > 0)
-        windows = _conv_windows(X, w)
-        grads[f"conv_w{w}"] = np.einsum("bkt,btw->kw", dpre, windows)
+        k_ix = np.arange(idx.shape[1])[None, :]
+        for wi in range(idx.shape[2]):
+            dmap[b_ix, k_ix, idx[:, :, wi]] += dpool[:, :, wi]
+    K = params.kernels_per_width
+    for i, w in enumerate(KERNEL_WIDTHS):
+        bank = slice(i * K, (i + 1) * K)
+        dpre = dmap[:, bank] * (cache.pre[:, bank] > 0)
+        grads[f"conv_w{w}"] = np.einsum("bkt,btw->kw", dpre, bank_windows(X, cache.windows, w))
         grads[f"conv_b{w}"] = dpre.sum(axis=(0, 2))
     return grads

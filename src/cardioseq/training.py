@@ -53,19 +53,26 @@ class Hyperparams:
 
 @dataclass
 class AdamState:
-    """First/second moment estimates, shaped exactly like the parameters."""
+    """First/second moment estimates in two flat buffers laid out like
+    `ModelParams.flat`; `m[name]` and `v[name]` are views shaped like the
+    parameter tensors."""
 
-    m: dict
-    v: dict
+    m_flat: np.ndarray
+    v_flat: np.ndarray
+    shapes: dict
     t: int = 0
 
     @classmethod
     def zeros_like(cls, params):
-        tensors = params.tensors()
-        return cls(
-            m={k: np.zeros_like(a) for k, a in tensors.items()},
-            v={k: np.zeros_like(a) for k, a in tensors.items()},
-        )
+        return cls(np.zeros_like(params.flat), np.zeros_like(params.flat), params.shapes)
+
+    @property
+    def m(self):
+        return nn.tensor_views(self.m_flat, self.shapes)
+
+    @property
+    def v(self):
+        return nn.tensor_views(self.v_flat, self.shapes)
 
 
 @dataclass
@@ -108,19 +115,24 @@ def cross_entropy(alpha, beta):
     )
 
 
+def mean_loss(probs, labels):
+    """Mean clamped cross-entropy of (B, 2) class probabilities against 0/1 labels."""
+    pos = probs[:, 1]
+    losses = (
+        -labels * np.log(np.maximum(pos, PROB_CLAMP))
+        - (1 - labels) * np.log(np.maximum(1.0 - pos, PROB_CLAMP))
+    )
+    return float(losses.mean())
+
+
 def loss_and_accuracy(probs, labels):
     """Mean cross-entropy and accuracy of a batch of class probabilities."""
     probs = np.atleast_2d(probs)
     labels = np.atleast_1d(np.asarray(labels, dtype=np.int64))
     if probs.shape[0] == 0:
         raise EmptyBatchError("empty batch")
-    pos = probs[:, 1]
-    losses = (
-        -labels * np.log(np.maximum(pos, PROB_CLAMP))
-        - (1 - labels) * np.log(np.maximum(1.0 - pos, PROB_CLAMP))
-    )
     accuracy = float(np.mean(probs.argmax(axis=1) == labels))
-    return float(losses.mean()), accuracy
+    return mean_loss(probs, labels), accuracy
 
 
 def batch_loss(params, X, y, pool_mode=nn.GLOBAL_POOL):
@@ -130,24 +142,21 @@ def batch_loss(params, X, y, pool_mode=nn.GLOBAL_POOL):
 
 
 def adam_step(params, grads, state, hyper):
-    """One Adam update; returns fresh params and state (inputs untouched)."""
+    """One Adam update over the flat parameter buffer; returns fresh params
+    and state (inputs untouched)."""
     tensors = params.tensors()
     for k, g in grads.items():
         if k not in tensors or g.shape != tensors[k].shape:
             raise ShapeMismatchError(f"gradient {k!r} does not match parameters")
+    g = np.concatenate([grads[k].ravel() for k in tensors])
     t = state.t + 1
     b1, b2 = hyper.adam_beta1, hyper.adam_beta2
-    new_t, new_m, new_v = {}, {}, {}
-    for k, theta in tensors.items():
-        g = grads[k]
-        m = b1 * state.m[k] + (1 - b1) * g
-        v = b2 * state.v[k] + (1 - b2) * g * g
-        m_hat = m / (1 - b1**t)
-        v_hat = v / (1 - b2**t)
-        new_t[k] = theta - hyper.learning_rate * m_hat / (np.sqrt(v_hat) + hyper.adam_epsilon)
-        new_m[k] = m
-        new_v[k] = v
-    return nn.ModelParams.from_tensors(new_t), AdamState(m=new_m, v=new_v, t=t)
+    m = b1 * state.m_flat + (1 - b1) * g
+    v = b2 * state.v_flat + (1 - b2) * g * g
+    m_hat = m / (1 - b1**t)
+    v_hat = v / (1 - b2**t)
+    flat = params.flat - hyper.learning_rate * m_hat / (np.sqrt(v_hat) + hyper.adam_epsilon)
+    return params.with_flat(flat), AdamState(m, v, params.shapes, t)
 
 
 def _preprocess_arrays(dataset, fills, scaler):
@@ -181,16 +190,16 @@ def train(dataset, hyper=Hyperparams(), validation=None):
         order = rng.permutation(n)
         for start in range(0, n, hyper.batch_size):
             idx = order[start : start + hyper.batch_size]
+            labels = y[idx]
             probs, cache = nn.forward_batch(
                 X[idx], params, dropout_rate=hyper.dropout_rate,
                 rng=rng, train=True, pool_mode=hyper.pool_mode,
             )
-            loss, _ = loss_and_accuracy(probs, y[idx])
-            if not np.isfinite(loss):
+            if not np.isfinite(mean_loss(probs, labels)):
                 raise NonFiniteLossError(
                     f"non-finite loss at epoch {epoch}, batch {start // hyper.batch_size}"
                 )
-            grads = nn.model_backward(cache, params, y[idx], hyper.pool_mode)
+            grads = nn.model_backward(cache, params, labels, hyper.pool_mode)
             params, state = adam_step(params, grads, state, hyper)
 
         ep_loss, ep_acc = batch_loss(params, X, y, hyper.pool_mode)

@@ -13,3 +13,31 @@ def test_every_traced_layer_resolves(monkeypatch):
 
     assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)  # importing starts no timer
     assert [name for name in tracing.LAYER_NAMES if tracing.resolve(name) is None] == []
+
+
+def test_training_step_layers_are_called_through_their_modules(monkeypatch):
+    """The benchmark's per-layer spans replace these module attributes from
+    outside; `train` must keep calling them there, once per mini-batch (and
+    the forward once more per epoch for the curve), or the spans go silent."""
+    from cardioseq import network, synthetic, training
+
+    counts = {}
+
+    def counting(module, name):
+        inner = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(network, "forward_batch")
+    counting(network, "model_backward")
+    counting(training, "adam_step")
+    epochs, batches = 2, 3  # 20 rows in batches of 8, 8 and 4
+    training.train(synthetic.separable_dataset(20, seed=3),
+                   training.Hyperparams(epochs=epochs, batch_size=8, kernels_per_width=2))
+    assert counts == {"forward_batch": epochs * batches + epochs,
+                      "model_backward": epochs * batches,
+                      "adam_step": epochs * batches}

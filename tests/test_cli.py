@@ -210,6 +210,29 @@ class TestPredict:
         model_io.save_model(path, model)
         assert cli.main(["predict", str(path), "1,2,3"]) == 2
 
+    def test_negative_first_value_needs_no_separator(self, tmp_path, capsys):
+        ds = synthetic.separable_dataset(40, seed=2)
+        model = tr.train(ds, tr.Hyperparams(epochs=2, kernels_per_width=2, seed=1))
+        path = tmp_path / "m.txt"
+        model_io.save_model(path, model)
+        record = "-0.5," + ",".join(["1.2"] * 12)
+        assert cli.main(["predict", str(path), "--", record]) == 0
+        with_separator = capsys.readouterr().out
+        assert cli.main(["predict", str(path), record]) == 0
+        assert capsys.readouterr().out == with_separator
+        assert with_separator.startswith("class ")
+
+    @pytest.mark.parametrize("tokens", [[], ["1,2", "3"], ["--", "-1", "-2"]])
+    def test_record_must_be_one_argument(self, tmp_path, capsys, tokens):
+        ds = synthetic.separable_dataset(40, seed=2)
+        model = tr.train(ds, tr.Hyperparams(epochs=0, kernels_per_width=2, seed=1))
+        path = tmp_path / "m.txt"
+        model_io.save_model(path, model)
+        assert cli.main(["predict", str(path), *tokens]) == 2
+        captured = capsys.readouterr()
+        assert "record: expected one argument" in captured.err
+        assert "p = " not in captured.out
+
 
 class TestConfig:
     def test_config_file_with_flag_override(self, statlog_file, tmp_path):

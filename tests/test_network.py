@@ -25,10 +25,10 @@ def naive_conv(values, weights, bias):
     return out
 
 
-def fd_gradients(params, X, y, h=1e-5):
+def fd_gradients(params, X, y, h=1e-5, pool_mode=nn.GLOBAL_POOL):
     """Central finite differences of the mean loss over every parameter."""
     def loss_of():
-        probs, _ = nn.forward_batch(X, params)
+        probs, _ = nn.forward_batch(X, params, pool_mode=pool_mode)
         loss, _ = tr.loss_and_accuracy(probs, y)
         return loss
 
@@ -78,6 +78,26 @@ class TestConvForward:
         k = nn.ConvKernel(rng.standard_normal(width), float(rng.standard_normal()))
         assert nn.conv_forward(rng.standard_normal(13), k).shape == (13,)
 
+    @pytest.mark.parametrize("length", [1, 5, 13])
+    @pytest.mark.parametrize("width", [1, 3, 5])
+    def test_any_length_matches_naive_oracle(self, length, width, rng):
+        for _ in range(20):
+            x = rng.standard_normal(length)
+            k = nn.ConvKernel(rng.standard_normal(width), float(rng.standard_normal()))
+            out = nn.conv_forward(x, k)
+            assert out.shape == (length,)
+            np.testing.assert_allclose(out, naive_conv(x, k.weights, k.bias), atol=1e-12)
+
+    def test_windows_are_one_read_only_view(self, rng):
+        X = rng.standard_normal((4, 13))
+        windows = nn.conv_windows(X, 5)
+        assert windows.shape == (4, 13, 5) and not windows.flags.writeable
+        padded = np.pad(X, ((0, 0), (2, 2)))
+        for w in (1, 3, 5):
+            expected = np.lib.stride_tricks.sliding_window_view(
+                padded[:, 2 - w // 2 : 15 + w // 2], w, axis=1)
+            np.testing.assert_array_equal(nn.bank_windows(X, windows, w), expected)
+
     def test_matches_naive_oracle(self, rng):
         for _ in range(300):
             width = int(rng.choice([1, 3, 5]))
@@ -114,6 +134,29 @@ class TestActivationsAndPooling:
     def test_empty_map(self):
         with pytest.raises(EmptyMapError):
             nn.max_pool(np.array([]))
+
+    @pytest.mark.parametrize("mode", [nn.GLOBAL_POOL, ("windowed", 3, 2), ("windowed", 5, 1),
+                                      ("windowed", 1, 1), ("windowed", 4, 3)])
+    def test_batched_ties_pool_to_lowest_index_like_max_pool(self, mode, rng):
+        # integer inputs and weights give feature maps full of exact ties,
+        # and windows with no positive entry, which tie at 0 after ReLU
+        params = nn.init_params(3, rng, pool_mode=mode)
+        for t in params.tensors().values():
+            t[...] = rng.integers(-1, 2, t.shape)
+        X = rng.integers(0, 2, (6, 13)).astype(float)
+        X[0] = 0.0  # an all-tied row
+        _, cache = nn.forward_batch(X, params, pool_mode=mode)
+        maps = nn.relu(cache.pre)
+        B, KB, W = cache.pool_idx.shape
+        pooled = cache.pooled.reshape(B, KB, W)
+        ties = 0
+        for b in range(B):
+            for k in range(KB):
+                values, idx = nn.max_pool(maps[b, k], mode)
+                np.testing.assert_array_equal(cache.pool_idx[b, k], np.atleast_1d(idx))
+                np.testing.assert_array_equal(pooled[b, k], np.atleast_1d(values))
+                ties += len(set(maps[b, k].tolist())) < maps.shape[2]
+        assert ties > 0
 
 
 class TestDenseSoftmax:
@@ -217,6 +260,21 @@ class TestModelBackward:
         for name in grads:
             assert rel_err(grads[name], expected[name]).max() < 1e-4, name
 
+    @pytest.mark.parametrize("mode,batch", [
+        (("windowed", 5, 1), 4), (("windowed", 3, 1), 4), (nn.GLOBAL_POOL, 1),
+        (("windowed", 5, 1), 1),
+    ])
+    def test_every_parameter_matches_finite_differences(self, mode, batch, rng):
+        params = nn.init_params(2, rng, pool_mode=mode)
+        X = rng.standard_normal((batch, 13))
+        y = rng.integers(0, 2, size=batch)
+        _, cache = nn.forward_batch(X, params, train=True, pool_mode=mode)
+        grads = nn.model_backward(cache, params, y, pool_mode=mode)
+        expected = fd_gradients(params, X, y, pool_mode=mode)
+        assert grads.keys() == expected.keys()
+        for name in grads:
+            assert rel_err(grads[name], expected[name]).max() < 1e-4, name
+
     def test_relu_killed_unit_gets_no_gradient(self, rng):
         params = nn.init_params(1, rng)
         # large negative biases kill every width-1 map entry
@@ -244,6 +302,13 @@ class TestModelBackward:
         with pytest.raises(StaleCacheError):
             nn.model_backward(cache, params.copy(), np.array([0, 1]))
 
+    def test_other_pool_mode_rejected(self, rng):
+        mode = ("windowed", 3, 2)
+        params = nn.init_params(2, rng, pool_mode=mode)
+        _, cache = nn.forward_batch(rng.standard_normal((2, 13)), params, pool_mode=mode)
+        with pytest.raises(ShapeMismatchError):
+            nn.model_backward(cache, params, np.array([0, 1]), pool_mode=("windowed", 5, 2))
+
     def test_pool_backward_routes_unit_gradient(self, rng):
         # total gradient arriving at each feature map equals the gradient of
         # its single pooled output
@@ -260,9 +325,10 @@ class TestModelBackward:
         # routed mass per map equals dz gated by ReLU at the argmax
         K = params.kernels_per_width
         for wi, w in enumerate(nn.KERNEL_WIDTHS):
-            block = dz[:, wi * K : (wi + 1) * K]
+            bank = slice(wi * K, (wi + 1) * K)  # the cache stacks the banks
+            block = dz[:, bank]
             gate = np.take_along_axis(
-                cache.pre[w] > 0, cache.pool_idx[w], axis=2
+                cache.pre[:, bank] > 0, cache.pool_idx[:, bank], axis=2
             )[:, :, 0]
             np.testing.assert_allclose(
                 grads_b[f"conv_b{w}"], (block * gate).sum(axis=0), atol=1e-12

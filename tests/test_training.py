@@ -128,6 +128,24 @@ class TestAdam:
         with pytest.raises(ShapeMismatchError):
             tr.adam_step(params, grads, state, tr.Hyperparams())
 
+    def test_flat_buffers_and_untouched_inputs(self, rng):
+        params = nn.init_params(2, rng)
+        params.conv_w[3][0, 1] = 7.0  # tensors are views into one flat buffer
+        assert 7.0 in params.flat
+        copied = nn.ModelParams.from_tensors(params.tensors())
+        copied.dense_b[...] = 1.0  # from_tensors copies
+        assert not np.any(params.dense_b == 1.0)
+        state = tr.AdamState.zeros_like(params)
+        grads = {k: rng.standard_normal(v.shape) for k, v in params.tensors().items()}
+        before = params.flat.copy()
+        new_params, new_state = tr.adam_step(params, grads, state, tr.Hyperparams())
+        np.testing.assert_array_equal(params.flat, before)
+        assert not state.m_flat.any() and not state.v_flat.any()
+        for k, g in grads.items():
+            np.testing.assert_array_equal(new_state.m[k], (1 - 0.9) * g)
+            assert new_state.v[k].base is new_state.v_flat
+            assert new_params.tensors()[k].base is new_params.flat
+
     def test_shapes_preserved(self, rng):
         params = nn.init_params(3, rng)
         state = tr.AdamState.zeros_like(params)
