@@ -25,13 +25,26 @@ PSO_SOCIAL = 1.49445
 ELM_RIDGE = 1e-6
 
 
+# Most float64 elements each (particles, rows, H) hidden-layer array of one
+# block of PSO particles may hold: 2 MB, which takes the whole default swarm
+# at paper scale (303 rows) and one particle at a time at 10,000 rows.
+SWARM_BLOCK_ELEMENTS = 2**18
+
+
 def _sigmoid(z):
-    out = np.empty_like(z, dtype=float)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """Logistic function of the float64 array `z`, computed in place: `z` is
+    overwritten with the result and returned, so callers pass an array they
+    own. It is exp(min(z, 0)) / (1 + exp(-|z|)), which is 1 / (1 + exp(-z))
+    for z >= 0 and exp(z) / (1 + exp(z)) otherwise, operation for operation,
+    so no exp overflows and no mask splits the array."""
+    e = np.abs(z)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    e += 1.0
+    np.minimum(z, 0.0, out=z)
+    np.exp(z, out=z)
+    z /= e
+    return z
 
 
 # ---------------------------------------------------------------------------
@@ -159,23 +172,28 @@ class ElmModel(tr.Classifier):
         return self._scores(dataset.X)
 
 
+def _normal_equations(H, Y, ridge):
+    Ht = np.swapaxes(H, -1, -2)
+    return Ht @ H + ridge * np.eye(H.shape[-1]), Ht @ Y
+
+
 def elm_solve_output(hidden_activations, targets, ridge=ELM_RIDGE):
-    """Ridge least squares: solve (HᵀH + λI) W = HᵀY with an SPD solver."""
+    """Ridge least squares: solve (HᵀH + λI) W = HᵀY with an SPD solver, for
+    one (n, H) activation matrix or each of a stack (..., n, H) of them."""
     H = np.asarray(hidden_activations, dtype=float)
     Y = np.asarray(targets, dtype=float)
     if not (np.all(np.isfinite(H)) and np.all(np.isfinite(Y))):
         raise NonFiniteInputError("hidden activations and targets must be finite")
-    A = H.T @ H + ridge * np.eye(H.shape[1])
-    B = H.T @ Y
-    return solve(A, B, assume_a="pos")
+    return solve(*_normal_equations(H, Y, ridge), assume_a="pos")
 
 
 def solve_residual(hidden_activations, targets, ridge, output_weights):
-    """Max-norm residual of the ridge normal equations for a given solution."""
+    """Max-norm residual of the ridge normal equations for a given solution
+    (over the whole stack when given (..., n, H) activations)."""
     H = np.asarray(hidden_activations, dtype=float)
     Y = np.asarray(targets, dtype=float)
-    A = H.T @ H + ridge * np.eye(H.shape[1])
-    return float(np.abs(A @ output_weights - H.T @ Y).max())
+    A, B = _normal_equations(H, Y, ridge)
+    return float(np.abs(A @ output_weights - B).max())
 
 
 def _one_hot(y, n_classes=2):
@@ -192,7 +210,8 @@ def _stratified_holdout(y, frac, rng):
         n_val = max(1, int(round(idx.size * frac)))
         val_idx.extend(idx[:n_val].tolist())
         fit_idx.extend(idx[n_val:].tolist())
-    return np.array(sorted(fit_idx)), np.array(sorted(val_idx))
+    return (np.array(sorted(fit_idx), dtype=np.int64),
+            np.array(sorted(val_idx), dtype=np.int64))
 
 
 def pso_elm_train(dataset, hidden_size=32, swarm_size=20, iterations=50,
@@ -202,8 +221,16 @@ def pso_elm_train(dataset, hidden_size=32, swarm_size=20, iterations=50,
 
     Fitness is validation accuracy on an internal seeded 80/20 split after
     the closed-form output solve on the fit part; the winning hidden
-    parameters are refit on all rows before returning.
+    parameters are refit on all rows before returning. Each swarm evaluation
+    scores the particles in blocks of at most `SWARM_BLOCK_ELEMENTS` per
+    hidden-layer array, one stacked solve per block, with the same results as
+    scoring them one by one.
     """
+    for name, value, least in (("hidden_size", hidden_size, 1),
+                               ("swarm_size", swarm_size, 1),
+                               ("iterations", iterations, 0)):
+        if value < least:
+            raise ValueError(f"{name} must be at least {least}, got {value}")
     y = dataset.labels
     if len(set(y.tolist())) < 2:
         raise SingleClassDataError("both classes required")
@@ -218,28 +245,43 @@ def pso_elm_train(dataset, hidden_size=32, swarm_size=20, iterations=50,
     X_val, y_val = X[val_idx], y[val_idx]
     Y_fit = _one_hot(y_fit)
 
-    dim = dp.N_FEATURES * hidden_size + hidden_size
+    n_weights = dp.N_FEATURES * hidden_size
+    dim = n_weights + hidden_size
     residuals = []
+    # a particle's fit and validation arrays hold X.shape[0] rows together
+    block = min(swarm_size, max(1, SWARM_BLOCK_ELEMENTS // (X.shape[0] * hidden_size)))
+    # pre-activation workspaces, overwritten by each block's sigmoid
+    z_fit = np.empty((block, X_fit.shape[0], hidden_size))
+    z_val = np.empty((block, X_val.shape[0], hidden_size))
 
     def unpack(position):
-        W = position[: dp.N_FEATURES * hidden_size].reshape(dp.N_FEATURES, hidden_size)
-        b = position[dp.N_FEATURES * hidden_size :]
-        return W, b
+        """(..., dim) positions -> (..., 13, H) hidden weights, (..., H) biases."""
+        shape = position.shape[:-1] + (dp.N_FEATURES, hidden_size)
+        return position[..., :n_weights].reshape(shape), position[..., n_weights:]
 
-    def fitness(position):
-        W, b = unpack(position)
-        H_fit = _sigmoid(X_fit @ W + b)
-        out_w = elm_solve_output(H_fit, Y_fit, ridge)
-        residuals.append(solve_residual(H_fit, Y_fit, ridge, out_w))
-        pred = tr.predicted_class(_sigmoid(X_val @ W + b) @ out_w)
-        return float(np.mean(pred == y_val))
+    def hidden(X_part, W, b, z):
+        np.matmul(X_part, W, out=z)
+        z += b[:, None, :]
+        return _sigmoid(z)
+
+    def swarm_fitness(positions):
+        fit = np.empty(swarm_size)
+        for start in range(0, swarm_size, block):
+            W, b = unpack(positions[start : start + block])
+            s = W.shape[0]
+            H_fit = hidden(X_fit, W, b, z_fit[:s])
+            out_w = elm_solve_output(H_fit, Y_fit, ridge)
+            residuals.append(solve_residual(H_fit, Y_fit, ridge, out_w))
+            pred = tr.predicted_class(hidden(X_val, W, b, z_val[:s]) @ out_w)
+            fit[start : start + s] = np.mean(pred == y_val, axis=1)
+        return fit
 
     bound = 1.0
     v_max = 0.5 * bound
     positions = rng.uniform(-bound, bound, size=(swarm_size, dim))
     velocities = np.zeros((swarm_size, dim))
     pbest = positions.copy()
-    pbest_fit = np.array([fitness(p) for p in positions])
+    pbest_fit = swarm_fitness(positions)
     g = int(pbest_fit.argmax())
     gbest = pbest[g].copy()
     gbest_fit = float(pbest_fit[g])
@@ -255,15 +297,16 @@ def pso_elm_train(dataset, hidden_size=32, swarm_size=20, iterations=50,
         )
         np.clip(velocities, -v_max, v_max, out=velocities)
         positions = positions + velocities
-        # best updates in canonical particle order keeps runs deterministic
-        for i in range(swarm_size):
-            f = fitness(positions[i])
-            if f > pbest_fit[i]:
-                pbest_fit[i] = f
-                pbest[i] = positions[i].copy()
-                if f > gbest_fit:
-                    gbest_fit = f
-                    gbest = positions[i].copy()
+        # the same bests as updating in canonical particle order: gbest moves
+        # to the first particle with the best fitness, if that beats it
+        f = swarm_fitness(positions)
+        better = f > pbest_fit
+        pbest_fit[better] = f[better]
+        pbest[better] = positions[better]
+        g = int(f.argmax())
+        if f[g] > gbest_fit:
+            gbest_fit = float(f[g])
+            gbest = positions[g].copy()
         history.append(gbest_fit)
 
     W, b = unpack(gbest)
@@ -276,4 +319,3 @@ def pso_elm_train(dataset, hidden_size=32, swarm_size=20, iterations=50,
         fill_values=fills, scaler=scaler, ridge=ridge,
         gbest_history=history, max_solve_residual=max(residuals),
     )
-

@@ -168,6 +168,12 @@ class TestPsoElm:
         np.testing.assert_array_equal(m1.output_weights, m2.output_weights)
         assert m1.gbest_history == m2.gbest_history
 
+    @pytest.mark.parametrize("name,value", [("swarm_size", 0), ("hidden_size", 0),
+                                            ("iterations", -1)])
+    def test_bad_size_rejected(self, separable, name, value):
+        with pytest.raises(ValueError, match=name):
+            bl.pso_elm_train(separable, **{name: value})
+
     def test_positions_stay_finite_and_residuals_small(self, separable):
         model = bl.pso_elm_train(separable, iterations=10, seed=4)
         assert np.all(np.isfinite(model.hidden_weights))

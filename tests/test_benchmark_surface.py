@@ -41,3 +41,31 @@ def test_training_step_layers_are_called_through_their_modules(monkeypatch):
     assert counts == {"forward_batch": epochs * batches + epochs,
                       "model_backward": epochs * batches,
                       "adam_step": epochs * batches}
+
+
+def test_swarm_solves_are_called_through_their_module(monkeypatch):
+    """`pso_elm_train` must call `elm_solve_output` and `solve_residual` on
+    `baselines`, once per block of particles per swarm evaluation and once
+    for the final refit, or the benchmark's PSO-ELM spans go silent."""
+    from cardioseq import baselines, synthetic
+
+    counts = {}
+
+    def counting(name):
+        inner = getattr(baselines, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(baselines, name, wrapper)
+
+    counting("elm_solve_output")
+    counting("solve_residual")
+    rows, hidden, iterations = 30, 4, 2
+    # blocks of 3 particles: a swarm of 7 is scored in blocks of 3, 3 and 1
+    monkeypatch.setattr(baselines, "SWARM_BLOCK_ELEMENTS", 3 * rows * hidden)
+    baselines.pso_elm_train(synthetic.separable_dataset(rows, seed=3), hidden_size=hidden,
+                            swarm_size=7, iterations=iterations)
+    calls = 3 * (iterations + 1) + 1
+    assert counts == {"elm_solve_output": calls, "solve_residual": calls}

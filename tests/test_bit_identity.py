@@ -1,10 +1,12 @@
-"""Seeded CNN training is pinned bit for bit.
+"""Seeded CNN and baseline training is pinned bit for bit.
 
-The digests below were recorded from the original per-width implementation
-(padded windows rebuilt in forward and backward, per-window pooling loops,
-per-tensor Adam). Any rewrite of the training step must reproduce every
-trained tensor, the per-epoch curve and `predict_proba` exactly. Each digest
-is the first 16 hex digits of the sha256 of the array's float64 bytes.
+The CNN digests below were recorded from the original per-width
+implementation (padded windows rebuilt in forward and backward, per-window
+pooling loops, per-tensor Adam); the baseline digests from the original
+one-particle-at-a-time PSO-ELM swarm and boolean-mask sigmoid. Any rewrite
+must reproduce every trained tensor, the per-epoch curve, the PSO
+convergence record and `predict_proba` exactly. Each digest is the first 16
+hex digits of the sha256 of the array's float64 bytes.
 
 Regenerate (only for an intended change of results) with
 `PYTHONPATH=src python tests/test_bit_identity.py`.
@@ -15,6 +17,8 @@ import hashlib
 import numpy as np
 import pytest
 
+from cardioseq import baselines as bl
+from cardioseq import data as dp
 from cardioseq import synthetic
 from cardioseq import training as tr
 
@@ -89,7 +93,180 @@ def test_trained_tensors_and_probabilities_pinned(name):
     assert run_digests(name) == EXPECTED[name]
 
 
+def noisy_dataset(rows, seed):
+    """Overlapping classes with integer categorical columns and missing `ca`
+    values, so the swarm keeps improving and imputation and dummy coding run."""
+    rng = np.random.default_rng(seed)
+    y = np.arange(rows) % 2
+    X = rng.normal(size=(rows, dp.N_FEATURES)) + 0.6 * y[:, None]
+    cat = np.array(dp.DEFAULT_CATEGORICAL_MASK)
+    X[:, cat] = rng.integers(0, 3, size=(rows, int(cat.sum())))
+    X[::9, 11] = np.nan
+    return dp.Dataset(X, y)
+
+
+# name -> (model kind, rows, data seed, keyword arguments); the PSO-ELM rows and
+# hidden sizes of "swarm-7" and "one-particle-blocks" split the swarm into
+# several blocks (see test_baseline_cases_cover_partial_and_single_blocks)
+BASELINE_CASES = {
+    "pso-elm-default": ("pso_elm", 150, 31, dict(seed=3)),
+    "pso-elm-swarm-7": ("pso_elm", 1000, 32, dict(hidden_size=64, swarm_size=7,
+                                                  iterations=4, seed=5)),
+    "pso-elm-hidden-2": ("pso_elm", 150, 33, dict(hidden_size=2, iterations=10, seed=5)),
+    "pso-elm-hidden-3": ("pso_elm", 150, 34, dict(hidden_size=3, iterations=10, seed=6)),
+    "pso-elm-iterations-0": ("pso_elm", 150, 35, dict(iterations=0, seed=7)),
+    "pso-elm-one-particle-blocks": ("pso_elm", 3000, 36, dict(hidden_size=64, swarm_size=5,
+                                                              iterations=2, seed=8)),
+    "dv-logistic-default": ("dv_logistic", 150, 37, dict(seed=9)),
+}
+
+
+def run_baseline_digests(name):
+    kind, rows, data_seed, kwargs = BASELINE_CASES[name]
+    dataset = noisy_dataset(rows, data_seed)
+    if kind == "pso_elm":
+        model = bl.pso_elm_train(dataset, **kwargs)
+        out = {k: digest(getattr(model, k))
+               for k in ("hidden_weights", "hidden_biases", "output_weights", "gbest_history")}
+        out["max_solve_residual"] = digest([model.max_solve_residual])
+    else:
+        model = bl.dv_logistic_train(dataset, **kwargs)
+        out = {"weights": digest(model.weights), "bias": digest([model.bias])}
+    out["predict_proba"] = digest(model.predict_proba(dataset.X))
+    return out
+
+
+EXPECTED_BASELINES = {
+    "dv-logistic-default": {
+        "weights": "bf9a152068848421", "bias": "d41067f298ab632a",
+        "predict_proba": "cba114a13492c4b4",
+    },
+    "pso-elm-default": {
+        "hidden_weights": "a2197e98343df194", "hidden_biases": "8907ce9d4f196b62",
+        "output_weights": "67753690cd434fb6", "gbest_history": "d62ebf11f548c574",
+        "max_solve_residual": "cf7d2d46b72094c2", "predict_proba": "78a7873b7940b632",
+    },
+    "pso-elm-hidden-2": {
+        "hidden_weights": "39347699a47b4eab", "hidden_biases": "8c15c13aec8daebb",
+        "output_weights": "0414cf9bccb1c4d0", "gbest_history": "d1dd952503150739",
+        "max_solve_residual": "ec15db5744ce8f28", "predict_proba": "fd5e450d1abc1559",
+    },
+    "pso-elm-hidden-3": {
+        "hidden_weights": "5b4cd965e78ff411", "hidden_biases": "3d9141779cea3a7d",
+        "output_weights": "fa0f5c8af6fc3a99", "gbest_history": "7724ecdce8b19775",
+        "max_solve_residual": "ec15db5744ce8f28", "predict_proba": "d337d49b2de51e1b",
+    },
+    "pso-elm-iterations-0": {
+        "hidden_weights": "384352fc3c98498b", "hidden_biases": "6e83865c2d8dee6f",
+        "output_weights": "2eeac738176dc495", "gbest_history": "a0ceeea11ee9bac7",
+        "max_solve_residual": "98647fe203ba9404", "predict_proba": "f59f4184b91af7b6",
+    },
+    "pso-elm-one-particle-blocks": {
+        "hidden_weights": "4b23d156fe05b5b9", "hidden_biases": "a2b91056d862423c",
+        "output_weights": "9df7534eaf1df9b2", "gbest_history": "60c7bc2a7f5976fd",
+        "max_solve_residual": "5722f94f50f56263", "predict_proba": "862cc3484464cf3f",
+    },
+    "pso-elm-swarm-7": {
+        "hidden_weights": "f267912e4df5bb7e", "hidden_biases": "b9385555ff9e60a7",
+        "output_weights": "fecc91308f6700a2", "gbest_history": "9452d92f4b56a701",
+        "max_solve_residual": "444b1c057cf3b973", "predict_proba": "4f2bcec450c8c897",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(BASELINE_CASES))
+def test_baseline_results_pinned(name):
+    assert run_baseline_digests(name) == EXPECTED_BASELINES[name]
+
+
+def mask_split_sigmoid(z):
+    """The original sigmoid: a boolean mask splits the two stable forms."""
+    out = np.empty_like(z, dtype=float)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def test_sigmoid_matches_mask_split_bit_for_bit():
+    rng = np.random.default_rng(0)
+    nan_payloads = np.array([0x7FF8000000000123, 0xFFF8000000000456],
+                            dtype=np.uint64).view(np.float64)
+    edges = np.array([0.0, -0.0, 745.0, -745.0, 746.0, -746.0, 709.8, -709.8, 36.7, -36.7,
+                      5e-324, -5e-324, 1e308, -1e308, np.inf, -np.inf, np.nan, -np.nan])
+    z = np.concatenate([rng.normal(scale=s, size=50_000) for s in (1, 10, 100, 1000)]
+                       + [edges, nan_payloads])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for layout in (z, z[::-1], z.reshape(-1, 4, 5)):
+            assert same_bits(bl._sigmoid(layout.copy()), mask_split_sigmoid(layout))
+
+
+@pytest.mark.parametrize("hidden", [2, 3, 32])
+def test_block_solve_and_scores_match_one_particle(hidden):
+    """A stacked block gives each particle the output weights, validation
+    scores and residual of scoring it alone (H >= 2; see CHANGES.md for H = 1)."""
+    rng = np.random.default_rng(hidden)
+    X_fit, X_val = rng.normal(size=(40, 13)), rng.normal(size=(12, 13))
+    Y_fit = bl._one_hot(rng.integers(0, 2, 40))
+    W, b = rng.uniform(-1, 1, (5, 13, hidden)), rng.uniform(-1, 1, (5, hidden))
+    H_fit = bl._sigmoid(X_fit @ W + b[:, None, :])
+    out_w = bl.elm_solve_output(H_fit, Y_fit)
+    scores = bl._sigmoid(X_val @ W + b[:, None, :]) @ out_w
+    residuals = []
+    for i in range(5):
+        h = bl._sigmoid(X_fit @ W[i] + b[i])
+        w = bl.elm_solve_output(h, Y_fit)
+        assert same_bits(out_w[i], w)
+        assert same_bits(scores[i], bl._sigmoid(X_val @ W[i] + b[i]) @ w)
+        residuals.append(bl.solve_residual(h, Y_fit, bl.ELM_RIDGE, w))
+    assert bl.solve_residual(H_fit, Y_fit, bl.ELM_RIDGE, out_w) == max(residuals)
+
+
+def test_swarm_results_do_not_depend_on_block_size(monkeypatch):
+    dataset = noisy_dataset(60, 38)
+    results = []
+    for per_block in (1, 3, 7):
+        monkeypatch.setattr(bl, "SWARM_BLOCK_ELEMENTS", per_block * 60 * 4)
+        model = bl.pso_elm_train(dataset, hidden_size=4, swarm_size=7, iterations=5, seed=2)
+        results.append([model.hidden_weights, model.hidden_biases, model.output_weights,
+                        model.gbest_history, [model.max_solve_residual]])
+    for other in results[1:]:
+        assert all(same_bits(a, b) for a, b in zip(results[0], other))
+
+
+def test_baseline_cases_cover_partial_and_single_blocks(monkeypatch):
+    """"pso-elm-swarm-7" ends each swarm evaluation in a partial block and
+    "pso-elm-one-particle-blocks" scores one particle per block."""
+    sizes = []
+    solve = bl.elm_solve_output
+
+    def recording(H, *args):
+        if H.ndim == 3:
+            sizes.append(H.shape[0])
+        return solve(H, *args)
+
+    monkeypatch.setattr(bl, "elm_solve_output", recording)
+
+    def block_sizes(name):
+        sizes.clear()
+        _, rows, data_seed, kwargs = BASELINE_CASES[name]
+        bl.pso_elm_train(noisy_dataset(rows, data_seed), **kwargs)
+        return sorted(set(sizes))
+
+    partial, full = block_sizes("pso-elm-swarm-7")
+    assert 1 <= partial < full < 7
+    assert block_sizes("pso-elm-one-particle-blocks") == [1]
+
+
 if __name__ == "__main__":
     import pprint
 
     pprint.pprint({name: run_digests(name) for name in sorted(CASES)}, sort_dicts=False)
+    pprint.pprint({name: run_baseline_digests(name) for name in sorted(BASELINE_CASES)},
+                  sort_dicts=False)

@@ -101,6 +101,19 @@ class TestTrain:
         assert cli.main(["predict", str(out / "model.txt"), ",".join(["0.05"] * 13)]) == 0
         assert "class " in capsys.readouterr().out
 
+    def test_pso_elm_on_one_row_per_class(self, tmp_path, capsys):
+        """Both rows go to the swarm's validation part, leaving no fit rows."""
+        ds = synthetic.separable_dataset(40, seed=2)
+        data = tmp_path / "two.dat"
+        write_statlog_file(data, ds.subset([np.argmax(ds.y == 0), np.argmax(ds.y == 1)]))
+        out = tmp_path / "out"
+        assert cli.main(["train", "--data", str(data), "--model", "pso_elm",
+                         "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert cli.main(["predict", str(out / "model.txt"), ",".join(["0.05"] * 13)]) == 0
+        probs = [float(v) for v in capsys.readouterr().out.split("p =")[1].split()]
+        assert len(probs) == 2 and np.all(np.isfinite(probs))
+
     def test_rerun_byte_identical(self, statlog_file, tmp_path):
         outputs = []
         for sub in ("a", "b"):
