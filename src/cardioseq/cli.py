@@ -127,7 +127,7 @@ def cmd_validate(cfg):
 
 def cmd_train(cfg):
     dataset = dp.parse_dataset(cfg.data, cfg.dialect)
-    model = ev.FIT[cfg.model](dataset, hyper_from_config(cfg), cfg.seed)
+    model = ev.FIT[cfg.model]([dataset], hyper_from_config(cfg), [cfg.seed])[0]
     os.makedirs(cfg.out, exist_ok=True)
     model_path = os.path.join(cfg.out, "model.txt")
     model_io.save_model(model_path, model)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -11,12 +11,15 @@ from . import baselines as bl
 from . import training as tr
 from .errors import TooFewSamplesError
 
-# kind -> fit(dataset, hyper, seed) -> model. Only the CNN reads `hyper` (the CLI's
-# --epochs/--lr/--dropout/--batch/--kernels/--pool): the baselines use their defaults.
+# kind -> fit(datasets, hyper, seeds) -> one model per dataset. Only the CNN reads
+# `hyper` (the CLI's --epochs/--lr/--dropout/--batch/--kernels/--pool): the baselines
+# use their defaults. The CNN trains all its models in lockstep, the baselines one by one.
 FIT = {
-    "dv_logistic": lambda ds, hyper, seed: bl.dv_logistic_train(ds, seed=seed),
-    "pso_elm": lambda ds, hyper, seed: bl.pso_elm_train(ds, seed=seed),
-    "cnn": lambda ds, hyper, seed: tr.train(ds, replace(hyper, seed=seed)),
+    "dv_logistic": lambda sets, hyper, seeds: [
+        bl.dv_logistic_train(ds, seed=seed) for ds, seed in zip(sets, seeds)],
+    "pso_elm": lambda sets, hyper, seeds: [
+        bl.pso_elm_train(ds, seed=seed) for ds, seed in zip(sets, seeds)],
+    "cnn": lambda sets, hyper, seeds: tr.train_folds(sets, hyper, seeds),
 }
 
 MODEL_KINDS = tuple(FIT)
@@ -101,14 +104,6 @@ def _fold_seed(base_seed, fold):
     return int(np.random.SeedSequence([base_seed, fold]).generate_state(1)[0])
 
 
-def _fit_and_score(model_kind, train_ds, test_ds, hyper, fold_seed):
-    if model_kind not in FIT:
-        raise ValueError(f"unknown model kind {model_kind!r}")
-    model = FIT[model_kind](train_ds, hyper, fold_seed)
-    pred, y = model.predict_batch(test_ds), test_ds.labels
-    return float(np.mean(pred == y)), tr.confusion_counts(pred, y)
-
-
 def cross_validate(dataset, model_kind, hyper=None, k=10, seed=0, stratified=True):
     """k-fold protocol: preprocessing and model are refit per fold on the
     other k-1 folds only, so test-fold rows never leak into training.
@@ -116,19 +111,18 @@ def cross_validate(dataset, model_kind, hyper=None, k=10, seed=0, stratified=Tru
     if hyper is None:
         hyper = tr.Hyperparams()
     plan = kfold_split(dataset, k=k, seed=seed, stratified=stratified)
+    if model_kind not in FIT:
+        raise ValueError(f"unknown model kind {model_kind!r}")
+    models = FIT[model_kind](
+        [dataset.subset(np.flatnonzero(plan.assignments != fold)) for fold in range(k)],
+        hyper, [_fold_seed(seed, fold) for fold in range(k)],
+    )
     fold_accuracy, fold_confusion = [], []
-    for fold in range(k):
-        test_idx = plan.fold_indices(fold)
-        train_idx = np.flatnonzero(plan.assignments != fold)
-        acc, confusion = _fit_and_score(
-            model_kind,
-            dataset.subset(train_idx),
-            dataset.subset(test_idx),
-            hyper,
-            _fold_seed(seed, fold),
-        )
-        fold_accuracy.append(acc)
-        fold_confusion.append(confusion)
+    for fold, model in enumerate(models):
+        test_ds = dataset.subset(plan.fold_indices(fold))
+        pred, y = model.predict_batch(test_ds), test_ds.labels
+        fold_accuracy.append(float(np.mean(pred == y)))
+        fold_confusion.append(tr.confusion_counts(pred, y))
     return CvReport(
         model_kind=model_kind, k=k, seed=seed,
         fold_accuracy=fold_accuracy, fold_confusion=fold_confusion,

@@ -17,6 +17,12 @@ values only. All parameter tensors are views into one flat float64 buffer
 (`ModelParams.flat`), so an optimizer step is a handful of elementwise
 operations on that buffer. Every step gives the same bits as computing
 each bank on its own windows.
+
+The same code runs a stack of F models at once, e.g. the k fold models of
+a cross-validation: their parameters share a leading model axis (`flat`
+is (F, P), a kernel bank (F, K, w)), and a stacked batch is (F, B, 13),
+row f going through model f. A single model has no leading axis. Each
+model of a stack gets the same bits as running it alone.
 """
 
 from __future__ import annotations
@@ -92,11 +98,12 @@ class DenseLayer:
 
 
 def tensor_views(flat, shapes):
-    """Name -> view of the next slice of `flat`, reshaped, in `shapes` order."""
+    """Name -> view of the next slice of `flat`'s last axis, reshaped, in
+    `shapes` order; a leading model axis of `flat` is kept."""
     views, offset = {}, 0
     for name, shape in shapes.items():
         size = math.prod(shape)
-        views[name] = flat[offset : offset + size].reshape(shape)
+        views[name] = flat[..., offset : offset + size].reshape(flat.shape[:-1] + shape)
         offset += size
     return views
 
@@ -108,7 +115,9 @@ class ModelParams:
     conv_w[w] is (K, w), conv_b[w] is (K,); dense_w is (2, pooled_dim).
     The constructor copies the tensors into one flat float64 buffer, `flat`,
     laid out in `tensors()` order, and keeps reshaped views of it, so an
-    in-place edit of a tensor edits `flat` and the reverse.
+    in-place edit of a tensor edits `flat` and the reverse. A stack of
+    models (`stack`) has a leading model axis on `flat` and on every tensor;
+    `shapes` are always those of one model.
     """
 
     conv_w: dict
@@ -129,10 +138,20 @@ class ModelParams:
         self.dense_w, self.dense_b = views["dense_w"], views["dense_b"]
 
     def with_flat(self, flat):
-        """Parameters shaped like these over another flat buffer (no copy)."""
+        """Parameters shaped like these over another flat buffer (no copy);
+        a (F, P) buffer gives a stack of F models."""
         params = object.__new__(ModelParams)
         params._bind(flat, self.shapes)
         return params
+
+    @staticmethod
+    def stack(models):
+        """One stack of F models from F single models (copies)."""
+        return models[0].with_flat(np.stack([m.flat for m in models]))
+
+    def model(self, f):
+        """Model f of a stack, over row f of `flat` (no copy)."""
+        return self.with_flat(self.flat[f])
 
     def tensors(self):
         """Named parameter tensors in a fixed canonical order."""
@@ -158,7 +177,7 @@ class ModelParams:
 
     @property
     def kernels_per_width(self):
-        return self.conv_w[KERNEL_WIDTHS[0]].shape[0]
+        return self.conv_w[KERNEL_WIDTHS[0]].shape[-2]
 
 
 @dataclass
@@ -168,7 +187,8 @@ class ForwardCache:
     `windows` is the batch's zero-padded sliding-window view for the widest
     kernel, built once per batch and read by forward and backward alike
     (`bank_windows`). The three banks' maps are stacked along the kernel
-    axis, width 1 first: bank i is rows i*K to (i+1)*K.
+    axis, width 1 first: bank i is rows i*K to (i+1)*K. For a stack of
+    models every array has a leading model axis.
     """
 
     params: ModelParams
@@ -216,27 +236,27 @@ def init_params(kernels_per_width, rng, pool_mode=GLOBAL_POOL, n_classes=2):
 
 
 def conv_windows(inputs, width):
-    """Zero same-padded sliding windows of a (B, T) batch for an odd width:
-    a read-only (B, T, width) view of one zero-padded (B, T + width - 1) buffer."""
-    B, T = inputs.shape
+    """Zero same-padded sliding windows of a (..., B, T) batch for an odd width:
+    a read-only (..., B, T, width) view of one zero-padded (..., B, T + width - 1)
+    buffer."""
+    T = inputs.shape[-1]
     pad = width // 2
-    padded = np.zeros((B, T + 2 * pad))
-    padded[:, pad : pad + T] = inputs
-    row, step = padded.strides
+    padded = np.zeros(inputs.shape[:-1] + (T + 2 * pad,))
+    padded[..., pad : pad + T] = inputs
     return np.lib.stride_tricks.as_strided(
-        padded, (B, T, width), (row, step, step), writeable=False
+        padded, inputs.shape + (width,), padded.strides + padded.strides[-1:], writeable=False
     )
 
 
 def bank_windows(inputs, windows, width):
-    """Width-`width` windows of a contiguous (B, T) batch, given `windows`
+    """Width-`width` windows of a contiguous (..., B, T) batch, given `windows`
     built for a wider odd width: its centred slice, or for width 1 the batch
     itself. (A width-1 slice would have the padded row stride, and with one
     kernel the gradient einsum would then sum in another order.)"""
     if width == 1:
-        return inputs[:, :, None]
-    trim = (windows.shape[2] - width) // 2
-    return windows[:, :, trim : trim + width]
+        return inputs[..., None]
+    trim = (windows.shape[-1] - width) // 2
+    return windows[..., trim : trim + width]
 
 
 def conv_forward(feature_matrix, kernel):
@@ -288,51 +308,62 @@ def softmax(logits):
 
 
 def _relu_pool_batch(pre, pool_mode):
-    """Max-pool ReLU(pre) without forming it: (B, K, T) pre-activations ->
-    pooled (B, K, W) and argmax positions (B, K, W).
+    """Max-pool ReLU(pre) without forming it: contiguous (..., K, T)
+    pre-activations -> pooled (..., K, W) and argmax positions (..., K, W).
 
     ReLU is monotone, so a window's pooled value is the ReLU of its largest
     pre-activation, at the first maximum as in `max_pool`; a window with no
     positive entry is all zeros after ReLU, so its argmax is its start.
     """
-    B, K, T = pre.shape
+    T = pre.shape[-1]
     size, stride = _pool_geometry(pool_mode, T)
     starts = np.arange(0, T - size + 1, stride)
-    idx = np.empty((B, K, len(starts)), dtype=np.int64)
+    idx = np.empty(pre.shape[:-1] + (len(starts),), dtype=np.int64)
     for wi, start in enumerate(starts):  # argmax copies a strided window; keep it one wide
-        idx[:, :, wi] = pre[:, :, start : start + size].argmax(axis=2) + start
-    top = pre.reshape(B * K, T)[np.arange(B * K)[:, None], idx.reshape(B * K, -1)]
+        idx[..., wi] = pre[..., start : start + size].argmax(axis=-1) + start
+    rows = pre.size // T
+    top = pre.reshape(rows, T)[np.arange(rows)[:, None], idx.reshape(rows, -1)]
     top = top.reshape(idx.shape)
     np.copyto(idx, starts, where=top <= 0)
     return relu(top), idx
 
 
+def _dropout_keep(rng, shape, dropout_rate):
+    """Keep-mask of a (B, D) batch from one generator, or of a stacked
+    (F, B, D) batch from a sequence of F generators, one per model."""
+    if len(shape) == 2:
+        return rng.random(shape) >= dropout_rate
+    return np.stack([r.random(shape[1:]) for r in rng]) >= dropout_rate
+
+
 def forward_batch(inputs, params, dropout_rate=0.0, rng=None, train=False,
                   pool_mode=GLOBAL_POOL):
-    """Run the full network on a (B, 13) batch.
+    """Run the full network on a (B, 13) batch, or a stack of models on a
+    (F, B, 13) batch; train-mode dropout of a stack draws from `rng`, a
+    sequence of one generator per model.
 
     Returns (probs, cache); the cache is only fully populated in train mode.
     """
     X = np.atleast_2d(np.ascontiguousarray(inputs, dtype=float))
     windows = conv_windows(X, KERNEL_WIDTHS[-1])
     K = params.kernels_per_width
-    pre = np.empty((X.shape[0], len(KERNEL_WIDTHS) * K, X.shape[1]))
+    pre = np.empty(X.shape[:-1] + (len(KERNEL_WIDTHS) * K, X.shape[-1]))
     for i, w in enumerate(KERNEL_WIDTHS):
-        pre[:, i * K : (i + 1) * K] = np.einsum(
-            "btw,kw->bkt", bank_windows(X, windows, w), params.conv_w[w])
-    pre += np.concatenate([params.conv_b[w] for w in KERNEL_WIDTHS])[None, :, None]
+        pre[..., i * K : (i + 1) * K, :] = np.einsum(
+            "...btw,...kw->...bkt", bank_windows(X, windows, w), params.conv_w[w])
+    pre += np.concatenate([params.conv_b[w] for w in KERNEL_WIDTHS], -1)[..., None, :, None]
     pooled, idx = _relu_pool_batch(pre, pool_mode)
-    z = pooled.reshape(X.shape[0], -1)
+    z = pooled.reshape(X.shape[:-1] + (-1,))
     cache = ForwardCache(params=params, inputs=X, windows=windows, pre=pre, pool_idx=idx,
                          pooled=z, dropout_rate=dropout_rate)
     if train and dropout_rate > 0.0:
         if rng is None:
             raise ValueError("train-mode dropout requires a generator")
-        mask = rng.random(z.shape) >= dropout_rate
+        mask = _dropout_keep(rng, z.shape, dropout_rate)
         z = z * mask / (1.0 - dropout_rate)
         cache.dropout_mask = mask
     cache.dropped = z
-    logits = z @ params.dense_w.T + params.dense_b
+    logits = z @ params.dense_w.swapaxes(-1, -2) + params.dense_b[..., None, :]
     probs = softmax(logits)
     cache.probs = probs
     return probs, cache
@@ -353,46 +384,48 @@ def model_backward(cache, params, labels, pool_mode=GLOBAL_POOL):
     """Exact mean-cross-entropy gradients for every parameter tensor.
 
     The incoming cache must come from a forward pass on the same params
-    object; anything else means the parameters moved under the cache.
+    object; anything else means the parameters moved under the cache. For a
+    stack of models, labels are (F, B) and every gradient has the leading
+    model axis.
     """
     if cache.params is not params:
         raise StaleCacheError("cache was produced for different parameters")
     X = cache.inputs
-    B = X.shape[0]
+    B = X.shape[-2]
     y = np.atleast_1d(np.asarray(labels, dtype=np.int64))
-    if y.shape[0] != B:
+    if y.shape != X.shape[:-1]:
         raise ShapeMismatchError("label count does not match batch size")
 
-    # Combined softmax + cross-entropy gradient, averaged over the batch.
-    dlogits = cache.probs.copy()
-    dlogits[np.arange(B), y] -= 1.0
+    # Combined softmax + cross-entropy gradient, averaged over the batch;
+    # subtracting 0.0 leaves the other class's probability as it is.
+    dlogits = cache.probs - (y[..., None] == np.arange(cache.probs.shape[-1]))
     dlogits /= B
 
     grads = {
-        "dense_w": dlogits.T @ cache.dropped,
-        "dense_b": dlogits.sum(axis=0),
+        "dense_w": dlogits.swapaxes(-1, -2) @ cache.dropped,
+        "dense_b": dlogits.sum(axis=-2),
     }
     dz = dlogits @ params.dense_w
     if cache.dropout_mask is not None:
         dz = dz * cache.dropout_mask / (1.0 - cache.dropout_rate)
 
     idx = cache.pool_idx
-    if idx.shape[2] != n_pool_windows(pool_mode):
+    if idx.shape[-1] != n_pool_windows(pool_mode):
         raise ShapeMismatchError("cache was pooled with a different pool mode")
     dpool = dz.reshape(idx.shape)
-    if idx.shape[2] == 1:
-        dmap = np.where(np.arange(X.shape[1]) == idx, dpool, 0.0)
+    if idx.shape[-1] == 1:
+        dmap = np.where(np.arange(X.shape[-1]) == idx, dpool, 0.0)
     else:
         # ordered accumulation: overlapping windows can share an argmax
         dmap = np.zeros_like(cache.pre)
-        b_ix = np.arange(B)[:, None]
-        k_ix = np.arange(idx.shape[1])[None, :]
-        for wi in range(idx.shape[2]):
-            dmap[b_ix, k_ix, idx[:, :, wi]] += dpool[:, :, wi]
+        lead = np.ix_(*map(np.arange, idx.shape[:-1]))
+        for wi in range(idx.shape[-1]):
+            dmap[(*lead, idx[..., wi])] += dpool[..., wi]
     K = params.kernels_per_width
     for i, w in enumerate(KERNEL_WIDTHS):
         bank = slice(i * K, (i + 1) * K)
-        dpre = dmap[:, bank] * (cache.pre[:, bank] > 0)
-        grads[f"conv_w{w}"] = np.einsum("bkt,btw->kw", dpre, bank_windows(X, cache.windows, w))
-        grads[f"conv_b{w}"] = dpre.sum(axis=(0, 2))
+        dpre = dmap[..., bank, :] * (cache.pre[..., bank, :] > 0)
+        grads[f"conv_w{w}"] = np.einsum("...bkt,...btw->...kw", dpre,
+                                        bank_windows(X, cache.windows, w))
+        grads[f"conv_b{w}"] = dpre.sum(axis=(-3, -1))
     return grads

@@ -1,4 +1,10 @@
-"""Cross-entropy loss, Adam updates and the mini-batch training loop."""
+"""Cross-entropy loss, Adam updates and the mini-batch training loop.
+
+The training loop runs a stack of models in lockstep (`train_folds`), e.g.
+the k fold models of a cross-validation: each mini-batch step is one
+forward, one backward and one Adam update for every model that has that
+step. A single training run (`train`) is a stack of one.
+"""
 
 from __future__ import annotations
 
@@ -54,8 +60,9 @@ class Hyperparams:
 @dataclass
 class AdamState:
     """First/second moment estimates in two flat buffers laid out like
-    `ModelParams.flat`; `m[name]` and `v[name]` are views shaped like the
-    parameter tensors."""
+    `ModelParams.flat`, with its leading model axis for a stack of models;
+    `m[name]` and `v[name]` are views shaped like the parameter tensors.
+    `t` counts steps: an int, or an int array with one count per model."""
 
     m_flat: np.ndarray
     v_flat: np.ndarray
@@ -64,7 +71,9 @@ class AdamState:
 
     @classmethod
     def zeros_like(cls, params):
-        return cls(np.zeros_like(params.flat), np.zeros_like(params.flat), params.shapes)
+        lead = params.flat.shape[:-1]
+        t = np.zeros(lead, dtype=np.int64) if lead else 0
+        return cls(np.zeros_like(params.flat), np.zeros_like(params.flat), params.shapes, t)
 
     @property
     def m(self):
@@ -102,27 +111,20 @@ class TrainedModel(Classifier):
         return nn.forward_batch(x, self.params, pool_mode=self.hyper.pool_mode)[0]
 
 
-def cross_entropy(alpha, beta):
-    """Binary cross-entropy of a positive-class probability against a 0/1 label.
+def mean_loss(probs, labels):
+    """Mean clamped cross-entropy of (B, 2) class probabilities against 0/1
+    labels; a stack of models, (F, B, 2) against (F, B), gives F means.
 
     Each log argument is floored at 1e-12 so the loss stays finite at the
     boundaries while perfect predictions still give exactly 0.
     """
-    a = float(alpha)
-    return float(
-        -beta * np.log(max(a, PROB_CLAMP))
-        - (1 - beta) * np.log(max(1.0 - a, PROB_CLAMP))
-    )
-
-
-def mean_loss(probs, labels):
-    """Mean clamped cross-entropy of (B, 2) class probabilities against 0/1 labels."""
-    pos = probs[:, 1]
+    pos = probs[..., 1]
     losses = (
         -labels * np.log(np.maximum(pos, PROB_CLAMP))
         - (1 - labels) * np.log(np.maximum(1.0 - pos, PROB_CLAMP))
     )
-    return float(losses.mean())
+    mean = losses.mean(axis=-1)
+    return float(mean) if mean.ndim == 0 else mean
 
 
 def loss_and_accuracy(probs, labels):
@@ -141,20 +143,31 @@ def batch_loss(params, X, y, pool_mode=nn.GLOBAL_POOL):
     return loss_and_accuracy(probs, y)
 
 
+def _bias_correction(beta, t):
+    """1 - beta**t for one step count, or a (F, 1) column of them for a count
+    per model. The powers are Python float powers: numpy's array power
+    differs from them in the last bit for some t (beta 0.999 at t = 7)."""
+    if np.ndim(t) == 0:
+        return 1 - beta**t
+    return np.array([1 - beta ** int(s) for s in t])[:, None]
+
+
 def adam_step(params, grads, state, hyper):
-    """One Adam update over the flat parameter buffer; returns fresh params
+    """One Adam update over the flat parameter buffer, or over a stack's
+    (F, P) buffer with each model at its own step count; returns fresh params
     and state (inputs untouched)."""
     tensors = params.tensors()
     for k, g in grads.items():
         if k not in tensors or g.shape != tensors[k].shape:
             raise ShapeMismatchError(f"gradient {k!r} does not match parameters")
-    g = np.concatenate([grads[k].ravel() for k in tensors])
+    lead = params.flat.shape[:-1]
+    g = np.concatenate([grads[k].reshape(lead + (-1,)) for k in tensors], axis=-1)
     t = state.t + 1
     b1, b2 = hyper.adam_beta1, hyper.adam_beta2
     m = b1 * state.m_flat + (1 - b1) * g
     v = b2 * state.v_flat + (1 - b2) * g * g
-    m_hat = m / (1 - b1**t)
-    v_hat = v / (1 - b2**t)
+    m_hat = m / _bias_correction(b1, t)
+    v_hat = v / _bias_correction(b2, t)
     flat = params.flat - hyper.learning_rate * m_hat / (np.sqrt(v_hat) + hyper.adam_epsilon)
     return params.with_flat(flat), AdamState(m, v, params.shapes, t)
 
@@ -166,55 +179,123 @@ def _preprocess_arrays(dataset, fills, scaler):
 
 def train(dataset, hyper=Hyperparams(), validation=None):
     """Full training run: preprocessing fit, epochs of shuffled mini-batches,
-    Adam updates, and per-epoch curve capture.
+    Adam updates, and per-epoch curve capture (`train_folds` of one dataset).
 
     Imputation fills and scaler statistics come from the training data only.
     Deterministic: the same (dataset, hyper, seed) gives bit-identical output.
     """
-    labels = dataset.labels
-    if len(set(labels.tolist())) < 2:
-        raise SingleClassDataError("training data must contain both classes")
+    return train_folds([dataset], hyper, [hyper.seed], [validation])[0]
 
-    fills = dp.fill_values(dataset)
-    scaler = dp.fit_scaler(dp.impute_with_values(dataset, fills))
-    X, y = _preprocess_arrays(dataset, fills, scaler)
-    val_arrays = _preprocess_arrays(validation, fills, scaler) if validation else None
 
-    rng = np.random.default_rng(hyper.seed)
-    params = nn.init_params(hyper.kernels_per_width, rng, hyper.pool_mode)
+def epoch_steps(sizes, batch_size):
+    """The mini-batch steps of one epoch of models trained on `sizes` rows:
+    per step, its (batch rows, model indices) groups, one group per distinct
+    batch size among the models that have the step. A batch is never padded
+    to another size, since the stacked contractions round differently for
+    different batch sizes."""
+    sizes = np.asarray(sizes)
+    steps = []
+    for start in range(0, int(sizes.max()), batch_size):
+        rows = np.minimum(sizes - start, batch_size)
+        steps.append([(int(b), np.flatnonzero(rows == b))
+                      for b in sorted(set(rows[rows > 0].tolist()), reverse=True)])
+    return steps
+
+
+def train_folds(datasets, hyper, seeds, validations=None):
+    """Train one CNN per dataset, all in lockstep: model f trains on
+    datasets[f] with hyperparameters `hyper` and seed seeds[f], and gives the
+    same bits as `train(datasets[f], replace(hyper, seed=seeds[f]))`.
+
+    Each model keeps its own generator, which draws as in a run of its own:
+    the initial parameters, then a permutation per epoch and a dropout mask
+    per step. A step stacks the models that have it, grouped by batch size
+    (`epoch_steps`). Errors name the model as `fold f` when there are several.
+    """
+    F = len(datasets)
+    where = [f"fold {f}: " if F > 1 else "" for f in range(F)]
+    for f, dataset in enumerate(datasets):
+        if len(set(dataset.labels.tolist())) < 2:
+            raise SingleClassDataError(f"{where[f]}training data must contain both classes")
+
+    preprocessing, Xs, ys, val_arrays = [], [], [], []
+    for dataset, validation in zip(datasets, validations or [None] * F):
+        fills = dp.fill_values(dataset)
+        scaler = dp.fit_scaler(dp.impute_with_values(dataset, fills))
+        X, y = _preprocess_arrays(dataset, fills, scaler)
+        preprocessing.append((fills, scaler))
+        Xs.append(X)
+        ys.append(y)
+        val_arrays.append(_preprocess_arrays(validation, fills, scaler) if validation else None)
+
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    params = nn.ModelParams.stack(
+        [nn.init_params(hyper.kernels_per_width, rng, hyper.pool_mode) for rng in rngs])
     state = AdamState.zeros_like(params)
-    curve = TrainingCurve()
-    n = X.shape[0]
+    curves = [TrainingCurve() for _ in range(F)]
+
+    # Every model's rows in one array, and each model's rows a view of it;
+    # row f of `order` holds model f's shuffled row numbers into it, so a
+    # step gathers its stacked batch at once.
+    sizes = np.array([X.shape[0] for X in Xs])
+    offsets = np.cumsum(sizes) - sizes
+    X_all, y_all = np.concatenate(Xs), np.concatenate(ys)
+    Xs, ys = np.split(X_all, offsets[1:]), np.split(y_all, offsets[1:])
+    order = np.zeros((F, sizes.max()), dtype=np.int64)
+    steps = epoch_steps(sizes, hyper.batch_size)
 
     for epoch in range(hyper.epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, hyper.batch_size):
-            idx = order[start : start + hyper.batch_size]
-            labels = y[idx]
-            probs, cache = nn.forward_batch(
-                X[idx], params, dropout_rate=hyper.dropout_rate,
-                rng=rng, train=True, pool_mode=hyper.pool_mode,
-            )
-            if not np.isfinite(mean_loss(probs, labels)):
-                raise NonFiniteLossError(
-                    f"non-finite loss at epoch {epoch}, batch {start // hyper.batch_size}"
+        for f, rng in enumerate(rngs):
+            order[f, : sizes[f]] = offsets[f] + rng.permutation(sizes[f])
+        for step, groups in enumerate(steps):
+            start = step * hyper.batch_size
+            for rows, models in groups:
+                every = models.size == F
+                if every:
+                    idx, sub, sub_state = order[:, start : start + rows], params, state
+                else:
+                    idx = order[models, start : start + rows]
+                    sub = params.with_flat(params.flat[models])
+                    sub_state = AdamState(state.m_flat[models], state.v_flat[models],
+                                          state.shapes, state.t[models])
+                labels = y_all[idx]
+                probs, cache = nn.forward_batch(
+                    X_all[idx], sub, dropout_rate=hyper.dropout_rate,
+                    rng=[rngs[f] for f in models], train=True, pool_mode=hyper.pool_mode,
                 )
-            grads = nn.model_backward(cache, params, labels, hyper.pool_mode)
-            params, state = adam_step(params, grads, state, hyper)
+                bad = np.flatnonzero(~np.isfinite(mean_loss(probs, labels)))
+                if bad.size:
+                    raise NonFiniteLossError(
+                        f"{where[models[bad[0]]]}non-finite loss at epoch {epoch}, batch {step}")
+                grads = nn.model_backward(cache, sub, labels, hyper.pool_mode)
+                sub, sub_state = adam_step(sub, grads, sub_state, hyper)
+                if every:
+                    params, state = sub, sub_state
+                else:
+                    params.flat[models] = sub.flat
+                    state.m_flat[models], state.v_flat[models] = sub_state.m_flat, sub_state.v_flat
+                    state.t[models] = sub_state.t
 
-        ep_loss, ep_acc = batch_loss(params, X, y, hyper.pool_mode)
-        curve.train_loss.append(ep_loss)
-        curve.train_accuracy.append(ep_acc)
-        if val_arrays is not None:
-            v_loss, v_acc = batch_loss(params, *val_arrays, hyper.pool_mode)
-            curve.val_loss.append(v_loss)
-            curve.val_accuracy.append(v_acc)
-        else:
-            curve.val_loss.append(None)
-            curve.val_accuracy.append(None)
+        # the curve forward runs per model: a stacked full-set forward would
+        # hold every model's training-set maps at once
+        for f, curve in enumerate(curves):
+            model = params.model(f)
+            ep_loss, ep_acc = batch_loss(model, Xs[f], ys[f], hyper.pool_mode)
+            curve.train_loss.append(ep_loss)
+            curve.train_accuracy.append(ep_acc)
+            if val_arrays[f] is not None:
+                v_loss, v_acc = batch_loss(model, *val_arrays[f], hyper.pool_mode)
+                curve.val_loss.append(v_loss)
+                curve.val_accuracy.append(v_acc)
+            else:
+                curve.val_loss.append(None)
+                curve.val_accuracy.append(None)
 
-    return TrainedModel(params=params, scaler=scaler, fill_values=fills,
-                        hyper=hyper, curve=curve)
+    return [
+        TrainedModel(params=params.model(f).copy(), scaler=scaler, fill_values=fills,
+                     hyper=replace(hyper, seed=seed), curve=curve)
+        for f, ((fills, scaler), seed, curve) in enumerate(zip(preprocessing, seeds, curves))
+    ]
 
 
 def predict(model, record):

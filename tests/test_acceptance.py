@@ -84,9 +84,10 @@ def test_criterion_3_softmax_loss_invariants():
         z = rng.integers(-512, 512, size=2) / 64.0
         for c in (1.0, -32.0, 1024.0):
             ok &= bool(np.array_equal(nn.softmax(z), nn.softmax(z + c)))
-    ok &= tr.cross_entropy(1.0, 1) == 0.0
+    ok &= tr.mean_loss(np.array([[0.0, 1.0]]), np.array([1])) == 0.0
     for _ in range(500):
-        ok &= tr.cross_entropy(float(rng.random()), int(rng.integers(2))) >= 0.0
+        alpha = float(rng.random())
+        ok &= tr.mean_loss(np.array([[1.0 - alpha, alpha]]), np.array([int(rng.integers(2))])) >= 0.0
     elapsed = time.monotonic() - start
     report(
         "criterion 3 (softmax/loss invariants)",

@@ -43,6 +43,37 @@ def test_training_step_layers_are_called_through_their_modules(monkeypatch):
                       "adam_step": epochs * batches}
 
 
+def test_lockstep_cv_layers_are_called_through_their_modules(monkeypatch):
+    """A CNN `cross_validate` trains its folds in lockstep: one backward and
+    one Adam step per stacked step group, one forward per group plus one per
+    fold per epoch for the curve, and one more per fold to score it."""
+    from cardioseq import evaluation, network, synthetic, training
+
+    counts = {}
+
+    def counting(module, name):
+        inner = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(network, "forward_batch")
+    counting(network, "model_backward")
+    counting(training, "adam_step")
+    # 22 rows in 3 folds train on 14, 15 and 15 rows; batches of 4 make three
+    # steps of all folds, then one of 2 rows for fold 0 and one of 3 for the others
+    epochs, k, groups = 2, 3, 3 + 2
+    evaluation.cross_validate(synthetic.separable_dataset(22, seed=3), "cnn", k=k,
+                              hyper=training.Hyperparams(epochs=epochs, batch_size=4,
+                                                         kernels_per_width=2))
+    assert counts == {"forward_batch": epochs * groups + epochs * k + k,
+                      "model_backward": epochs * groups,
+                      "adam_step": epochs * groups}
+
+
 def test_swarm_solves_are_called_through_their_module(monkeypatch):
     """`pso_elm_train` must call `elm_solve_output` and `solve_residual` on
     `baselines`, once per block of particles per swarm evaluation and once

@@ -6,19 +6,23 @@ pooling loops, per-tensor Adam); the baseline digests from the original
 one-particle-at-a-time PSO-ELM swarm and boolean-mask sigmoid. Any rewrite
 must reproduce every trained tensor, the per-epoch curve, the PSO
 convergence record and `predict_proba` exactly. Each digest is the first 16
-hex digits of the sha256 of the array's float64 bytes.
+hex digits of the sha256 of the array's float64 bytes. The CNN
+cross-validation digests (of `report_to_csv` text) were recorded from the
+fold-by-fold CV, where each fold's CNN trained on its own.
 
 Regenerate (only for an intended change of results) with
 `PYTHONPATH=src python tests/test_bit_identity.py`.
 """
 
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from cardioseq import baselines as bl
 from cardioseq import data as dp
+from cardioseq import evaluation as ev
 from cardioseq import synthetic
 from cardioseq import training as tr
 
@@ -179,6 +183,66 @@ def test_baseline_results_pinned(name):
     assert run_baseline_digests(name) == EXPECTED_BASELINES[name]
 
 
+# name -> (rows, data seed, k, CNN hyperparameters) of a seeded CNN cross-validation.
+# "ragged-303" has 7 training sets of 273 rows and 3 of 272, so each epoch ends
+# in a one-row batch for 7 folds only; with 125 rows the training sets differ
+# by one row for every k, and "batch-over-n" trains each fold in one batch.
+CV_CASES = {
+    "ragged-303": (303, 41, 10, dict(epochs=3, kernels_per_width=4)),
+    "batch-over-n": (125, 42, 10, dict(epochs=3, batch_size=512, kernels_per_width=4)),
+    "windowed-3-2": (125, 43, 5, dict(epochs=3, kernels_per_width=4,
+                                      pool_mode=("windowed", 3, 2))),
+    "windowed-5-1": (125, 44, 5, dict(epochs=3, kernels_per_width=4,
+                                      pool_mode=("windowed", 5, 1))),
+    "dropout-0": (125, 45, 10, dict(epochs=3, dropout_rate=0.0, kernels_per_width=4)),
+    "epochs-0": (125, 46, 10, dict(epochs=0, kernels_per_width=4)),
+    "k-2": (125, 47, 2, dict(epochs=3, kernels_per_width=4)),
+    "k-3": (125, 48, 3, dict(epochs=3, kernels_per_width=4)),
+    "k-10": (125, 49, 10, dict(epochs=3, kernels_per_width=4)),
+}
+
+
+def run_cv_digest(name):
+    rows, data_seed, k, hyper = CV_CASES[name]
+    report = ev.cross_validate(noisy_dataset(rows, data_seed), "cnn",
+                               hyper=tr.Hyperparams(**hyper), k=k, seed=data_seed)
+    return hashlib.sha256(ev.report_to_csv(report).encode()).hexdigest()[:16]
+
+
+EXPECTED_CV = {
+    "batch-over-n": "b4c882b3db5efeec", "dropout-0": "8fd543351b94629b",
+    "epochs-0": "dcf699790d7258fe", "k-10": "ef9aaf57ac878ec2",
+    "k-2": "6d9b3aee9cf3c8d8", "k-3": "b91352da2097d2c0",
+    "ragged-303": "ea6ca6608218695a", "windowed-3-2": "c76d7bfdf5e00d8d",
+    "windowed-5-1": "a27de7f3c3c4eb82",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CV_CASES))
+def test_cnn_cross_validation_reports_pinned(name):
+    assert run_cv_digest(name) == EXPECTED_CV[name]
+
+
+@pytest.mark.parametrize("name", sorted(CV_CASES))
+def test_lockstep_fold_models_equal_per_fold_train(name):
+    """Each model of the lockstep trainer is the model `train` fits on the
+    same fold subset and seed: every tensor, the curve and `predict_proba`."""
+    rows, data_seed, k, hyper = CV_CASES[name]
+    dataset = noisy_dataset(rows, data_seed)
+    hyper = tr.Hyperparams(**hyper)
+    plan = ev.kfold_split(dataset, k=k, seed=data_seed)
+    sets = [dataset.subset(np.flatnonzero(plan.assignments != fold)) for fold in range(k)]
+    seeds = [ev._fold_seed(data_seed, fold) for fold in range(k)]
+    stacked = tr.train_folds(sets, hyper, seeds)
+    for subset, seed, model in zip(sets, seeds, stacked):
+        alone = tr.train(subset, replace(hyper, seed=seed))
+        assert model.hyper == alone.hyper
+        for key, tensor in alone.params.tensors().items():
+            assert same_bits(model.params.tensors()[key], tensor), key
+        assert model.curve == alone.curve
+        assert same_bits(model.predict_proba(dataset.X), alone.predict_proba(dataset.X))
+
+
 def mask_split_sigmoid(z):
     """The original sigmoid: a boolean mask splits the two stable forms."""
     out = np.empty_like(z, dtype=float)
@@ -270,3 +334,4 @@ if __name__ == "__main__":
     pprint.pprint({name: run_digests(name) for name in sorted(CASES)}, sort_dicts=False)
     pprint.pprint({name: run_baseline_digests(name) for name in sorted(BASELINE_CASES)},
                   sort_dicts=False)
+    pprint.pprint({name: run_cv_digest(name) for name in sorted(CV_CASES)}, sort_dicts=False)

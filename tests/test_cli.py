@@ -290,3 +290,29 @@ def test_training_failure_exit_code(tmp_path, capsys):
     lines = ["1 0 0 0 0 0 0 0 0 0 0 0 0 2"] * 12
     p.write_text("\n".join(lines) + "\n")
     assert cli.main(["train", "--data", str(p), "--out", str(tmp_path)]) == 3
+
+
+@pytest.mark.parametrize("command, message", [
+    ("train", "error: non-finite loss at epoch 0, batch 1\n"),
+    ("cv", "error: fold 0: non-finite loss at epoch 0, batch 1\n"),
+])
+def test_non_finite_loss_exit_code(statlog_file, tmp_path, capsys, command, message):
+    out = tmp_path / "out"
+    with np.errstate(all="ignore"):
+        code = cli.main([command, "--data", statlog_file, "--lr", "1e308", "--out", str(out)]
+                        + FAST_FLAGS)
+    assert code == 3
+    assert capsys.readouterr().err == message
+    assert not out.exists()  # no model, curve or report written
+
+
+def test_single_class_fold_exit_code(tmp_path, capsys):
+    # one class-1 row among 12 and k = 2: the stratified split puts it in
+    # fold 1, so fold 1 trains on class 0 only
+    p = tmp_path / "one_positive.dat"
+    lines = [f"{i} 0 0 0 0 0 0 0 0 0 0 0 0 1" for i in range(11)] + ["50 0 0 0 0 0 0 0 0 0 0 0 0 2"]
+    p.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    assert cli.main(["cv", "--data", str(p), "--k", "2", "--out", str(out)] + FAST_FLAGS) == 3
+    assert capsys.readouterr().err == "error: fold 1: training data must contain both classes\n"
+    assert not out.exists()

@@ -93,15 +93,11 @@ class TestCrossValidate:
     def test_constant_predictor_matches_prevalence(self, monkeypatch):
         ds = random_dataset(100, seed=11, p1=0.6)
 
-        def always_one(model_kind, train_ds, test_ds, hyper, fold_seed):
-            y = test_ds.labels
-            pred = np.ones_like(y)
-            return float(np.mean(pred == y)), {
-                "tp": int(y.sum()), "tn": 0,
-                "fp": int((y == 0).sum()), "fn": 0,
-            }
+        class AlwaysOne:
+            def predict_batch(self, dataset):
+                return np.ones_like(dataset.labels)
 
-        monkeypatch.setattr(ev, "_fit_and_score", always_one)
+        monkeypatch.setitem(ev.FIT, "cnn", lambda sets, hyper, seeds: [AlwaysOne() for _ in sets])
         report = ev.cross_validate(ds, "cnn", k=10, seed=0)
         prevalence = ds.labels.mean()
         assert report.mean_accuracy == pytest.approx(prevalence, abs=0.01)

@@ -12,6 +12,7 @@ from cardioseq import training as tr
 from cardioseq.errors import (
     ArityMismatchError,
     EmptyBatchError,
+    NonFiniteLossError,
     ShapeMismatchError,
     SingleClassDataError,
 )
@@ -34,28 +35,41 @@ def logistic_oracle_accuracy(dataset, lr=0.5, epochs=500):
     return float(np.mean((p > 0.5) == y))
 
 
+def one_row_loss(alpha, label):
+    """`mean_loss` of a one-row batch with positive-class probability alpha."""
+    return tr.mean_loss(np.array([[1.0 - alpha, alpha]]), np.array([label]))
+
+
 class TestCrossEntropy:
     def test_perfect_prediction(self):
-        assert tr.cross_entropy(1.0, 1) == 0.0
+        assert one_row_loss(1.0, 1) == 0.0
 
     def test_half_probability(self):
-        assert tr.cross_entropy(0.5, 1) == pytest.approx(math.log(2.0))
+        assert one_row_loss(0.5, 1) == pytest.approx(math.log(2.0))
 
     def test_boundary_clamped(self):
-        loss = tr.cross_entropy(0.0, 1)
+        loss = one_row_loss(0.0, 1)
         assert loss == pytest.approx(-math.log(1e-12))
         assert math.isfinite(loss)
 
     def test_non_negative(self, rng):
         for _ in range(200):
-            assert tr.cross_entropy(float(rng.random()), int(rng.integers(2))) >= 0.0
+            assert one_row_loss(float(rng.random()), int(rng.integers(2))) >= 0.0
+
+    def test_stack_gives_one_mean_per_model(self):
+        probs = np.array([[[0.3, 0.7], [0.9, 0.1]], [[0.5, 0.5], [0.2, 0.8]]])
+        labels = np.array([[1, 0], [0, 1]])
+        means = tr.mean_loss(probs, labels)
+        assert means.shape == (2,)
+        for f in range(2):
+            assert means[f] == tr.mean_loss(probs[f], labels[f])
 
 
 class TestBatchLoss:
     def test_single_sample_is_own_loss(self):
         probs = np.array([[0.3, 0.7]])
         loss, acc = tr.loss_and_accuracy(probs, [1])
-        assert loss == pytest.approx(tr.cross_entropy(0.7, 1))
+        assert loss == pytest.approx(one_row_loss(0.7, 1))
         assert acc == 1.0
 
     def test_duplicate_invariance(self):
@@ -66,8 +80,8 @@ class TestBatchLoss:
 
     def test_two_sample_mean(self):
         probs = np.array([[0.2, 0.8], [0.9, 0.1]])
-        a = tr.cross_entropy(0.8, 1)
-        b = tr.cross_entropy(0.1, 0)
+        a = one_row_loss(0.8, 1)
+        b = one_row_loss(0.1, 0)
         loss, acc = tr.loss_and_accuracy(probs, [1, 0])
         assert loss == pytest.approx((a + b) / 2)
         assert acc == 1.0
@@ -146,6 +160,39 @@ class TestAdam:
             assert new_state.v[k].base is new_state.v_flat
             assert new_params.tensors()[k].base is new_params.flat
 
+    def test_stack_matches_single_models_bit_for_bit(self, rng):
+        """Models of a stack at different step counts get exactly their
+        single-model update. At t = 7 and 12 numpy's array power differs from
+        Python's float power in the last bit (checked below), and at t = 7 the
+        difference survives into 1 - beta2**t."""
+        assert 0.999**7 != (0.999 ** np.array([7]))[0] and 0.9**12 != (0.9 ** np.array([12]))[0]
+        assert 1 - 0.999**7 != (1 - 0.999 ** np.array([7]))[0]
+        hyper = tr.Hyperparams()
+        counts = [6, 11, 0, 22, 25]  # the next steps are 7, 12, 1, 23 and 26
+        singles, states, grads = [], [], []
+        for t in counts:
+            params = nn.init_params(2, rng)
+            state = tr.AdamState.zeros_like(params)
+            state.m_flat[...] = rng.standard_normal(state.m_flat.shape)
+            state.v_flat[...] = rng.random(state.v_flat.shape)
+            state.t = t
+            singles.append(params)
+            states.append(state)
+            grads.append({k: rng.standard_normal(v.shape) for k, v in params.tensors().items()})
+        stack = nn.ModelParams.stack(singles)
+        stack_state = tr.AdamState(np.stack([s.m_flat for s in states]),
+                                   np.stack([s.v_flat for s in states]),
+                                   stack.shapes, np.array(counts))
+        stack_grads = {k: np.stack([g[k] for g in grads]) for k in grads[0]}
+        new_stack, new_state = tr.adam_step(stack, stack_grads, stack_state, hyper)
+        np.testing.assert_array_equal(new_state.t, np.array(counts) + 1)
+        for f in range(len(counts)):
+            params, state = tr.adam_step(singles[f], grads[f], states[f], hyper)
+            assert state.t == counts[f] + 1
+            for a, b in ((new_stack.flat[f], params.flat), (new_state.m_flat[f], state.m_flat),
+                         (new_state.v_flat[f], state.v_flat)):
+                assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
     def test_shapes_preserved(self, rng):
         params = nn.init_params(3, rng)
         state = tr.AdamState.zeros_like(params)
@@ -190,6 +237,33 @@ class TestTrain:
         records = tuple(dp.SampleRecord((float(i),) + (0.0,) * 12, 1) for i in range(8))
         with pytest.raises(SingleClassDataError):
             tr.train(dp.Dataset.from_records(records), FAST)
+
+    def test_single_class_fold_rejected_before_any_training(self, separable, monkeypatch):
+        calls = []
+        monkeypatch.setattr(nn, "forward_batch", lambda *a, **kw: calls.append(1))
+        one_class = separable.subset(np.flatnonzero(separable.labels == 1))
+        with pytest.raises(SingleClassDataError, match="^fold 1: training data"):
+            tr.train_folds([separable, one_class, separable], FAST, [1, 2, 3])
+        assert calls == []
+
+    def test_non_finite_loss_names_epoch_batch_and_fold(self, separable):
+        huge = replace(FAST, learning_rate=1e308)
+        with np.errstate(all="ignore"):
+            with pytest.raises(NonFiniteLossError, match=r"^non-finite loss at epoch 0, batch 1$"):
+                tr.train(separable, huge)
+            with pytest.raises(NonFiniteLossError,
+                               match=r"^fold 0: non-finite loss at epoch 0, batch 1$"):
+                tr.train_folds([separable, separable], huge, [1, 2])
+
+    def test_epoch_steps_group_models_by_batch_size(self):
+        steps = tr.epoch_steps([273, 272, 273], 16)
+        assert len(steps) == 18
+        for groups in steps[:17]:
+            assert [(rows, models.tolist()) for rows, models in groups] == [(16, [0, 1, 2])]
+        assert [(rows, models.tolist()) for rows, models in steps[17]] == [(1, [0, 2])]
+        whole = tr.epoch_steps([273, 272, 273], 512)
+        assert [[(rows, models.tolist()) for rows, models in groups] for groups in whole] == [
+            [(273, [0, 2]), (272, [1])]]
 
     def test_validation_curve_captured(self, separable):
         val = synthetic.separable_dataset(40, seed=9)
