@@ -29,8 +29,11 @@ print(f"parsed {len(dataset)} records; labels {dataset.labels.tolist()}")
 print(f"missing anywhere: {dataset.has_missing}")
 
 # Imputation: numeric columns get the column mean, categorical the mode.
-imputed = dp.impute_missing(dataset)
-print("\nafter imputation:")
+# The fill values are fit on one dataset and can be applied to another.
+fills = dp.fill_values(dataset)
+imputed = dp.impute_with_values(dataset, fills)
+print(f"\nfill values: ca={fills[11]}, thal={fills[12]}")
+print("after imputation:")
 for i, rec in enumerate(imputed.records):
     print(f"  record {i}: ca={rec.features[11]}, thal={rec.features[12]}")
 

@@ -1,6 +1,7 @@
-"""Inspect the network's building blocks: multi-width convolution with zero
-same-padding, ReLU, max pooling, the dense head and softmax, and confirm the
-analytic gradients against finite differences.
+"""Inspect the network on one row: the three kernel banks' pre-activation
+maps (zero same-padding keeps every map 13 long), ReLU and max pooling, the
+dense head and softmax, and confirm the analytic gradients against finite
+differences.
 
 Run: python3 demos/02_network.py
 """
@@ -11,28 +12,36 @@ from cardioseq import network as nn
 from cardioseq import training as tr
 
 rng = np.random.default_rng(0)
+np.set_printoptions(precision=3, suppress=True, linewidth=100)
 
-# A width-3 kernel slid over a short sequence; padding keeps the length.
-kernel = nn.ConvKernel(np.array([1.0, 1.0, 1.0]), bias=0.0)
-out = nn.conv_forward(np.array([1.0, 0.0, 2.0, 0.0, 1.0]), kernel)
-print(f"conv([1,0,2,0,1], ones(3)) = {out}")
+# A network with 2 kernels per width. Kernel 0 of the width-3 bank is set to
+# ones with zero bias, so its map is a sliding 3-sum of the zero-padded row.
+params = nn.init_params(2, rng)
+params.conv_w[3][0], params.conv_b[3][0] = 1.0, 0.0
+x = np.array([[1.0, 0.0, 2.0, 0.0, 1.0, 0, 0, 0, -1.0, 0, 0, 0, 0.5]])
 
-print(f"relu([-1, 0, 2]) = {nn.relu(np.array([-1.0, 0.0, 2.0]))}")
-value, idx = nn.max_pool(np.array([1.0, 5.0, 3.0]))
-print(f"global max pool of [1,5,3] -> value {value} at index {idx}")
+# One row through the batched forward pass; the cache keeps every stage.
+# The banks' maps are stacked along the kernel axis, width 1 first.
+probs, cache = nn.forward_batch(x, params)
+K = params.kernels_per_width
+print(f"input row: {x[0]}")
+for i, w in enumerate(nn.KERNEL_WIDTHS):
+    print(f"\nwidth-{w} bank pre-activations (one map per kernel):")
+    print(cache.pre[0, i * K : (i + 1) * K])
+
+# Global max pooling of ReLU(map): one value per kernel, and where it sat.
+print(f"\npooled values (dense input): {cache.pooled[0]}")
+print(f"argmax positions:            {cache.pool_idx[0, :, 0]}")
+print(f"class probabilities: {probs[0, 0]:.6f} {probs[0, 1]:.6f} (sum {probs[0].sum()})")
+
+print(f"\nrelu([-1, 0, 2]) = {nn.relu(np.array([-1.0, 0.0, 2.0]))}")
 print(f"softmax([ln1, ln3]) = {nn.softmax([np.log(1.0), np.log(3.0)])}")
-
-# Full forward pass: 8 kernels per width over a random standardized sample.
-params = nn.init_params(8, rng)
-x = rng.standard_normal((13, 1))
-probs, _ = nn.model_forward(x, params)
-print(f"\nclass probabilities for a random input: {probs} (sum {probs.sum()})")
 
 # Gradient check: every analytic gradient vs central finite differences.
 small = nn.init_params(2, rng)
 X = rng.standard_normal((4, 13))
 y = rng.integers(0, 2, size=4)
-_, cache = nn.forward_batch(X, small, train=True)
+_, cache = nn.forward_batch(X, small)
 grads = nn.model_backward(cache, small, y)
 
 h = 1e-5
@@ -50,4 +59,4 @@ for name, a in small.tensors().items():
         fd = (lp - lm) / (2 * h)
         denom = max(abs(fd), abs(grads[name][i]), 1e-8)
         worst = max(worst, abs(fd - grads[name][i]) / denom)
-print(f"worst relative gradient error vs finite differences: {worst:.2e}")
+print(f"\nworst relative gradient error vs finite differences: {worst:.2e}")

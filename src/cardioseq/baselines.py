@@ -215,8 +215,7 @@ def _stratified_holdout(y, frac, rng):
 
 
 def pso_elm_train(dataset, hidden_size=32, swarm_size=20, iterations=50,
-                  seed=0, ridge=ELM_RIDGE, inertia=PSO_INERTIA,
-                  cognitive=PSO_COGNITIVE, social=PSO_SOCIAL):
+                  seed=0, ridge=ELM_RIDGE):
     """Optimize the ELM's hidden weights/biases with a particle swarm.
 
     Fitness is validation accuracy on an internal seeded 80/20 split after
@@ -291,9 +290,9 @@ def pso_elm_train(dataset, hidden_size=32, swarm_size=20, iterations=50,
         r1 = rng.random((swarm_size, dim))
         r2 = rng.random((swarm_size, dim))
         velocities = (
-            inertia * velocities
-            + cognitive * r1 * (pbest - positions)
-            + social * r2 * (gbest - positions)
+            PSO_INERTIA * velocities
+            + PSO_COGNITIVE * r1 * (pbest - positions)
+            + PSO_SOCIAL * r2 * (gbest - positions)
         )
         np.clip(velocities, -v_max, v_max, out=velocities)
         positions = positions + velocities

@@ -9,6 +9,7 @@ environment variable sets the default output directory.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import dataclass, fields
@@ -20,7 +21,8 @@ from . import evaluation as ev
 from . import model_io
 from . import network as nn
 from . import training as tr
-from .errors import CardioseqError, EmptyDatasetError, MalformedRowError, ModelFileError
+from .errors import (CardioseqError, EmptyDatasetError, MalformedRowError, ModelFileError,
+                     TooFewSamplesError)
 
 EXIT_INPUT_ERROR = 2
 EXIT_RUNTIME_ERROR = 3
@@ -84,8 +86,8 @@ def build_config(args):
 
 
 def check_flags(cfg, command):
-    """Reject unknown --model names and out-of-range --pool and --k values
-    before any work starts."""
+    """Reject unknown --model names and out-of-range --pool, --k and --lr
+    values before any work starts."""
     for kind in cfg.model.split(",") if command == "compare" else [cfg.model]:
         if kind not in ev.FIT:
             raise ValueError(f"--model: unknown model {kind!r}; expected {', '.join(ev.FIT)}")
@@ -95,6 +97,8 @@ def check_flags(cfg, command):
         raise ValueError(f"--pool: {exc}") from None
     if cfg.k < 2:
         raise ValueError(f"--k: need at least 2 folds, got {cfg.k}")
+    if not (math.isfinite(cfg.lr) and cfg.lr > 0):
+        raise ValueError(f"--lr: need a finite positive learning rate, got {cfg.lr}")
 
 
 def hyper_from_config(cfg):
@@ -117,7 +121,7 @@ def cmd_validate(cfg):
     missing = np.isnan(dataset.X).sum(axis=0)
     if missing.any():
         print("missing values per column:")
-        for name, count in zip(dataset.feature_names, missing):
+        for name, count in zip(dp.FEATURE_NAMES, missing):
             if count:
                 print(f"  {name}: {int(count)}")
     else:
@@ -147,9 +151,12 @@ def cmd_train(cfg):
 
 def cmd_cv(cfg):
     dataset = dp.parse_dataset(cfg.data, cfg.dialect)
-    report = ev.cross_validate(
-        dataset, cfg.model, hyper=hyper_from_config(cfg), k=cfg.k, seed=cfg.seed
-    )
+    try:
+        report = ev.cross_validate(
+            dataset, cfg.model, hyper=hyper_from_config(cfg), k=cfg.k, seed=cfg.seed
+        )
+    except TooFewSamplesError as exc:
+        raise ValueError(f"--k: {exc}") from None
     os.makedirs(cfg.out, exist_ok=True)
     txt_path = os.path.join(cfg.out, f"cv_{cfg.model}.txt")
     csv_path = os.path.join(cfg.out, f"cv_{cfg.model}.csv")
@@ -200,7 +207,14 @@ def cmd_predict(args):
     if len(args.record) != 1:
         raise ValueError(f"record: expected one argument of {dp.N_FEATURES} comma-separated "
                          f"values, got {len(args.record)}")
-    cls, probs = tr.predict(model_io.load_model(args.model_file), parse_record(args.record[0]))
+    model = model_io.load_model(args.model_file)
+    record = parse_record(args.record[0])
+    with np.errstate(all="ignore"):  # the probabilities are checked below
+        cls, probs = tr.predict(model, record)
+    if not np.isfinite(probs).all():
+        print(f"error: {args.model_file}: non-finite class probabilities "
+              f"{probs[0]} {probs[1]}", file=sys.stderr)
+        return EXIT_RUNTIME_ERROR
     print(f"class {cls}, p = {probs[0]:.6f} {probs[1]:.6f}")
     return 0
 

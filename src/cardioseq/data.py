@@ -70,7 +70,6 @@ class Dataset:
 
     X: np.ndarray
     y: np.ndarray
-    feature_names: tuple = FEATURE_NAMES
     categorical_mask: tuple = DEFAULT_CATEGORICAL_MASK
 
     def __post_init__(self):
@@ -85,13 +84,12 @@ class Dataset:
         object.__setattr__(self, "y", y)
 
     @classmethod
-    def from_records(cls, records, feature_names=FEATURE_NAMES,
-                     categorical_mask=DEFAULT_CATEGORICAL_MASK):
+    def from_records(cls, records, categorical_mask=DEFAULT_CATEGORICAL_MASK):
         """Build a dataset from SampleRecords (None = missing)."""
         records = tuple(records)
         X = np.array([r.features for r in records], dtype=np.float64)
         y = np.array([r.label for r in records], dtype=np.int64)
-        return cls(X.reshape(len(records), N_FEATURES), y, feature_names, categorical_mask)
+        return cls(X.reshape(len(records), N_FEATURES), y, categorical_mask)
 
     def __len__(self):
         return self.X.shape[0]
@@ -196,24 +194,22 @@ def parse_dataset(path, dialect):
     return Dataset(X[:n], y[:n])
 
 
-def fill_values(stats_source, categorical_mask=None):
+def fill_values(stats_source):
     """Per-column fill values: mean of observed values for numeric columns,
     mode (smallest value on ties) for categorical ones.
 
     Statistics come from stats_source only, so fitting on a training split
     and applying elsewhere never leaks test information.
     """
-    if categorical_mask is None:
-        categorical_mask = stats_source.categorical_mask
     raw = stats_source.X
     fills = np.empty(N_FEATURES)
     for j in range(N_FEATURES):
         observed = raw[~np.isnan(raw[:, j]), j]
         if observed.size == 0:
             raise AllMissingColumnError(
-                f"column {stats_source.feature_names[j]!r} has no observed values"
+                f"column {FEATURE_NAMES[j]!r} has no observed values"
             )
-        if categorical_mask[j]:
+        if stats_source.categorical_mask[j]:
             # np.unique sorts, and argmax takes the first of the tied counts
             values, counts = np.unique(observed, return_counts=True)
             fills[j] = values[counts.argmax()]
@@ -234,15 +230,6 @@ def impute_array(X, fills):
 def impute_with_values(data, fills):
     """Replace missing entries with the given per-column fill values."""
     return replace(data, X=impute_array(data.X, fills))
-
-
-def impute_missing(data, stats_source=None):
-    """Fill missing values using statistics from stats_source (default: data)."""
-    if stats_source is None:
-        stats_source = data
-    if not data.has_missing:
-        return data
-    return impute_with_values(data, fill_values(stats_source, data.categorical_mask))
 
 
 def fit_scaler(data):

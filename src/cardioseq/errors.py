@@ -31,14 +31,6 @@ class MissingValueError(CardioseqError):
     pass
 
 
-class DimensionMismatchError(CardioseqError):
-    pass
-
-
-class EmptyMapError(CardioseqError):
-    pass
-
-
 class EmptyBatchError(CardioseqError):
     pass
 

@@ -69,7 +69,7 @@ class ComparisonTable:
     seed: int = 0
 
 
-def kfold_split(dataset, k=10, seed=0, stratified=True):
+def kfold_split(dataset, k=10, seed=0):
     """Seeded fold assignment; stratified by class unless a class is too
     small (then unstratified with a warning). Fold sizes differ by at most 1."""
     if k < 2:
@@ -81,9 +81,7 @@ def kfold_split(dataset, k=10, seed=0, stratified=True):
     rng = np.random.default_rng(seed)
     assignments = np.empty(n, dtype=np.int64)
 
-    if stratified and all(
-        np.sum(labels == c) >= k / 2 for c in np.unique(labels)
-    ):
+    if all(np.sum(labels == c) >= k / 2 for c in np.unique(labels)):
         # round-robin per class, continuing the fold offset across classes
         # so overall fold sizes stay balanced
         offset = 0
@@ -93,8 +91,7 @@ def kfold_split(dataset, k=10, seed=0, stratified=True):
             assignments[idx] = (offset + np.arange(idx.size)) % k
             offset = (offset + idx.size) % k
     else:
-        if stratified:
-            warnings.warn("class too small for stratification; using plain folds")
+        warnings.warn("class too small for stratification; using plain folds")
         assignments[rng.permutation(n)] = np.arange(n) % k
     return FoldPlan(k=k, seed=seed, assignments=assignments)
 
@@ -104,13 +101,13 @@ def _fold_seed(base_seed, fold):
     return int(np.random.SeedSequence([base_seed, fold]).generate_state(1)[0])
 
 
-def cross_validate(dataset, model_kind, hyper=None, k=10, seed=0, stratified=True):
+def cross_validate(dataset, model_kind, hyper=None, k=10, seed=0):
     """k-fold protocol: preprocessing and model are refit per fold on the
     other k-1 folds only, so test-fold rows never leak into training.
     `hyper` applies to the CNN only; the baselines use their own defaults."""
     if hyper is None:
         hyper = tr.Hyperparams()
-    plan = kfold_split(dataset, k=k, seed=seed, stratified=stratified)
+    plan = kfold_split(dataset, k=k, seed=seed)
     if model_kind not in FIT:
         raise ValueError(f"unknown model kind {model_kind!r}")
     models = FIT[model_kind](

@@ -33,12 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import N_FEATURES
-from .errors import (
-    DimensionMismatchError,
-    EmptyMapError,
-    ShapeMismatchError,
-    StaleCacheError,
-)
+from .errors import ShapeMismatchError, StaleCacheError
 
 KERNEL_WIDTHS = (1, 3, 5)
 
@@ -63,38 +58,6 @@ def format_pool_mode(mode):
     if mode == GLOBAL_POOL:
         return "global"
     return f"windowed:{mode[1]}:{mode[2]}"
-
-
-@dataclass(frozen=True)
-class ConvKernel:
-    """A width-y (y odd), height-1 kernel with a scalar bias."""
-
-    weights: np.ndarray
-    bias: float = 0.0
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        if w.ndim != 1 or w.size < 1 or w.size % 2 == 0:
-            raise ShapeMismatchError("kernel width must be odd and >= 1")
-        if not np.all(np.isfinite(w)) or not np.isfinite(self.bias):
-            raise ShapeMismatchError("kernel parameters must be finite")
-        object.__setattr__(self, "weights", w)
-
-    @property
-    def width(self):
-        return self.weights.size
-
-
-@dataclass(frozen=True)
-class DenseLayer:
-    weights: np.ndarray  # (outputs, inputs)
-    biases: np.ndarray  # (outputs,)
-
-    def __post_init__(self):
-        if self.weights.shape[0] != self.biases.shape[0]:
-            raise ShapeMismatchError("dense weight rows must match bias count")
-        if not (np.all(np.isfinite(self.weights)) and np.all(np.isfinite(self.biases))):
-            raise ShapeMismatchError("dense parameters must be finite")
 
 
 def tensor_views(flat, shapes):
@@ -182,7 +145,7 @@ class ModelParams:
 
 @dataclass
 class ForwardCache:
-    """Everything the reverse pass needs, produced by a train-mode forward.
+    """Everything the reverse pass needs, produced by `forward_batch`.
 
     `windows` is the batch's zero-padded sliding-window view for the widest
     kernel, built once per batch and read by forward and backward alike
@@ -193,14 +156,14 @@ class ForwardCache:
 
     params: ModelParams
     inputs: np.ndarray  # (B, 13)
-    windows: np.ndarray = None  # (B, 13, max width), read-only view
-    pre: np.ndarray = None  # (B, 3K, 13) pre-activation maps
-    pool_idx: np.ndarray = None  # (B, 3K, W) argmax position of each window
-    pooled: np.ndarray = None  # (B, D) pre-dropout concatenation
-    dropout_mask: np.ndarray = None  # (B, D) or None
-    dropout_rate: float = 0.0
-    dropped: np.ndarray = None  # (B, D) dense input
-    probs: np.ndarray = None  # (B, 2)
+    windows: np.ndarray  # (B, 13, max width), read-only view
+    pre: np.ndarray  # (B, 3K, 13) pre-activation maps
+    pool_idx: np.ndarray  # (B, 3K, W) argmax position of each window
+    pooled: np.ndarray  # (B, D) pre-dropout concatenation
+    dropout_mask: np.ndarray  # (B, D), or None without dropout
+    dropout_rate: float
+    dropped: np.ndarray  # (B, D) dense input
+    probs: np.ndarray  # (B, 2)
 
 
 def _glorot_uniform(rng, shape, fan_in, fan_out):
@@ -223,15 +186,16 @@ def _pool_geometry(pool_mode, length):
     return pool_mode[1], pool_mode[2]
 
 
-def init_params(kernels_per_width, rng, pool_mode=GLOBAL_POOL, n_classes=2):
-    """Glorot-uniform weights from the given generator, zero biases."""
+def init_params(kernels_per_width, rng, pool_mode=GLOBAL_POOL):
+    """Glorot-uniform weights from the given generator, zero biases; the
+    dense head has one row per class (2)."""
     conv_w, conv_b = {}, {}
     for w in KERNEL_WIDTHS:
         conv_w[w] = _glorot_uniform(rng, (kernels_per_width, w), w, w)
         conv_b[w] = np.zeros(kernels_per_width)
     d = pooled_dim(kernels_per_width, pool_mode)
-    dense_w = _glorot_uniform(rng, (n_classes, d), d, n_classes)
-    dense_b = np.zeros(n_classes)
+    dense_w = _glorot_uniform(rng, (2, d), d, 2)
+    dense_b = np.zeros(2)
     return ModelParams(conv_w, conv_b, dense_w, dense_b)
 
 
@@ -259,44 +223,8 @@ def bank_windows(inputs, windows, width):
     return windows[..., trim : trim + width]
 
 
-def conv_forward(feature_matrix, kernel):
-    """Pre-activation feature map for a single kernel (spec op surface).
-
-    Stride 1, zero same-padding, so the output length equals the input
-    length (13 for real samples).
-    """
-    x = np.asarray(feature_matrix, dtype=float).reshape(1, -1)
-    return conv_windows(x, kernel.width)[0] @ kernel.weights + kernel.bias
-
-
 def relu(pre):
     return np.maximum(0.0, pre)
-
-
-def max_pool(feature_map, mode=GLOBAL_POOL):
-    """Max pooling over a 1D map; returns (pooled values, argmax indices).
-
-    Global mode returns scalars. Ties break toward the lowest index.
-    """
-    m = np.asarray(feature_map, dtype=float)
-    if m.size == 0:
-        raise EmptyMapError("cannot pool an empty feature map")
-    size, stride = _pool_geometry(mode, m.size)
-    starts = range(0, m.size - size + 1, stride)
-    pooled = np.array([m[s : s + size].max() for s in starts])
-    idx = np.array([s + int(np.argmax(m[s : s + size])) for s in starts])
-    if mode[0] == "global":
-        return pooled[0], int(idx[0])
-    return pooled, idx
-
-
-def dense_forward(inputs, layer):
-    x = np.asarray(inputs, dtype=float)
-    if x.shape[-1] != layer.weights.shape[1]:
-        raise DimensionMismatchError(
-            f"dense expects {layer.weights.shape[1]} inputs, got {x.shape[-1]}"
-        )
-    return x @ layer.weights.T + layer.biases
 
 
 def softmax(logits):
@@ -312,8 +240,8 @@ def _relu_pool_batch(pre, pool_mode):
     pre-activations -> pooled (..., K, W) and argmax positions (..., K, W).
 
     ReLU is monotone, so a window's pooled value is the ReLU of its largest
-    pre-activation, at the first maximum as in `max_pool`; a window with no
-    positive entry is all zeros after ReLU, so its argmax is its start.
+    pre-activation, at its first maximum; a window with no positive entry is
+    all zeros after ReLU, so its argmax is its start.
     """
     T = pre.shape[-1]
     size, stride = _pool_geometry(pool_mode, T)
@@ -328,21 +256,11 @@ def _relu_pool_batch(pre, pool_mode):
     return relu(top), idx
 
 
-def _dropout_keep(rng, shape, dropout_rate):
-    """Keep-mask of a (B, D) batch from one generator, or of a stacked
-    (F, B, D) batch from a sequence of F generators, one per model."""
-    if len(shape) == 2:
-        return rng.random(shape) >= dropout_rate
-    return np.stack([r.random(shape[1:]) for r in rng]) >= dropout_rate
-
-
-def forward_batch(inputs, params, dropout_rate=0.0, rng=None, train=False,
-                  pool_mode=GLOBAL_POOL):
+def forward_batch(inputs, params, dropout_rate=0.0, rng=None, pool_mode=GLOBAL_POOL):
     """Run the full network on a (B, 13) batch, or a stack of models on a
-    (F, B, 13) batch; train-mode dropout of a stack draws from `rng`, a
-    sequence of one generator per model.
-
-    Returns (probs, cache); the cache is only fully populated in train mode.
+    (F, B, 13) batch: (probs, cache). Dropout runs iff dropout_rate > 0, and
+    `rng` is then a sequence of one generator per model, each drawing its
+    model's (B, D) keep-mask.
     """
     X = np.atleast_2d(np.ascontiguousarray(inputs, dtype=float))
     windows = conv_windows(X, KERNEL_WIDTHS[-1])
@@ -353,31 +271,13 @@ def forward_batch(inputs, params, dropout_rate=0.0, rng=None, train=False,
             "...btw,...kw->...bkt", bank_windows(X, windows, w), params.conv_w[w])
     pre += np.concatenate([params.conv_b[w] for w in KERNEL_WIDTHS], -1)[..., None, :, None]
     pooled, idx = _relu_pool_batch(pre, pool_mode)
-    z = pooled.reshape(X.shape[:-1] + (-1,))
-    cache = ForwardCache(params=params, inputs=X, windows=windows, pre=pre, pool_idx=idx,
-                         pooled=z, dropout_rate=dropout_rate)
-    if train and dropout_rate > 0.0:
-        if rng is None:
-            raise ValueError("train-mode dropout requires a generator")
-        mask = _dropout_keep(rng, z.shape, dropout_rate)
-        z = z * mask / (1.0 - dropout_rate)
-        cache.dropout_mask = mask
-    cache.dropped = z
-    logits = z @ params.dense_w.swapaxes(-1, -2) + params.dense_b[..., None, :]
-    probs = softmax(logits)
-    cache.probs = probs
-    return probs, cache
-
-
-def model_forward(feature_matrix, params, dropout_rate=0.0, rng=None,
-                  mode="infer", pool_mode=GLOBAL_POOL):
-    """Single-sample forward pass over a 13x1 feature matrix."""
-    x = np.asarray(feature_matrix, dtype=float).reshape(1, N_FEATURES)
-    probs, cache = forward_batch(
-        x, params, dropout_rate=dropout_rate, rng=rng,
-        train=(mode == "train"), pool_mode=pool_mode,
-    )
-    return probs[0], cache
+    z = dropped = pooled.reshape(X.shape[:-1] + (-1,))
+    mask = None
+    if dropout_rate > 0.0:
+        mask = np.stack([r.random(z.shape[-2:]) for r in rng]).reshape(z.shape) >= dropout_rate
+        dropped = z * mask / (1.0 - dropout_rate)
+    probs = softmax(dropped @ params.dense_w.swapaxes(-1, -2) + params.dense_b[..., None, :])
+    return probs, ForwardCache(params, X, windows, pre, idx, z, mask, dropout_rate, dropped, probs)
 
 
 def model_backward(cache, params, labels, pool_mode=GLOBAL_POOL):

@@ -8,6 +8,7 @@ step. A single training run (`train`) is a stack of one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -47,8 +48,10 @@ class Hyperparams:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be finite and positive, got {self.learning_rate}")
+        if not math.isfinite(self.adam_epsilon):
+            raise ValueError(f"adam_epsilon must be finite, got {self.adam_epsilon}")
         if not 0 <= self.dropout_rate < 1:
             raise ValueError("dropout_rate must be in [0, 1)")
         if not (0 < self.adam_beta1 < 1 and 0 < self.adam_beta2 < 1):
@@ -244,52 +247,47 @@ def train_folds(datasets, hyper, seeds, validations=None):
     order = np.zeros((F, sizes.max()), dtype=np.int64)
     steps = epoch_steps(sizes, hyper.batch_size)
 
-    for epoch in range(hyper.epochs):
-        for f, rng in enumerate(rngs):
-            order[f, : sizes[f]] = offsets[f] + rng.permutation(sizes[f])
-        for step, groups in enumerate(steps):
-            start = step * hyper.batch_size
-            for rows, models in groups:
-                every = models.size == F
-                if every:
-                    idx, sub, sub_state = order[:, start : start + rows], params, state
-                else:
+    # Every result computed here is checked (step losses, then each epoch's
+    # curve losses, which cover the final parameters), so numpy's overflow
+    # and invalid-value warnings would only run ahead of the located error.
+    with np.errstate(all="ignore"):
+        for epoch in range(hyper.epochs):
+            for f, rng in enumerate(rngs):
+                order[f, : sizes[f]] = offsets[f] + rng.permutation(sizes[f])
+            for step, groups in enumerate(steps):
+                start = step * hyper.batch_size
+                for rows, models in groups:
+                    # gather the group's models, step them, scatter them back
                     idx = order[models, start : start + rows]
                     sub = params.with_flat(params.flat[models])
                     sub_state = AdamState(state.m_flat[models], state.v_flat[models],
                                           state.shapes, state.t[models])
-                labels = y_all[idx]
-                probs, cache = nn.forward_batch(
-                    X_all[idx], sub, dropout_rate=hyper.dropout_rate,
-                    rng=[rngs[f] for f in models], train=True, pool_mode=hyper.pool_mode,
-                )
-                bad = np.flatnonzero(~np.isfinite(mean_loss(probs, labels)))
-                if bad.size:
-                    raise NonFiniteLossError(
-                        f"{where[models[bad[0]]]}non-finite loss at epoch {epoch}, batch {step}")
-                grads = nn.model_backward(cache, sub, labels, hyper.pool_mode)
-                sub, sub_state = adam_step(sub, grads, sub_state, hyper)
-                if every:
-                    params, state = sub, sub_state
-                else:
+                    labels = y_all[idx]
+                    probs, cache = nn.forward_batch(
+                        X_all[idx], sub, hyper.dropout_rate, [rngs[f] for f in models],
+                        hyper.pool_mode)
+                    bad = np.flatnonzero(~np.isfinite(mean_loss(probs, labels)))
+                    if bad.size:
+                        raise NonFiniteLossError(f"{where[models[bad[0]]]}non-finite loss "
+                                                 f"at epoch {epoch}, batch {step}")
+                    grads = nn.model_backward(cache, sub, labels, hyper.pool_mode)
+                    sub, sub_state = adam_step(sub, grads, sub_state, hyper)
                     params.flat[models] = sub.flat
                     state.m_flat[models], state.v_flat[models] = sub_state.m_flat, sub_state.v_flat
                     state.t[models] = sub_state.t
 
-        # the curve forward runs per model: a stacked full-set forward would
-        # hold every model's training-set maps at once
-        for f, curve in enumerate(curves):
-            model = params.model(f)
-            ep_loss, ep_acc = batch_loss(model, Xs[f], ys[f], hyper.pool_mode)
-            curve.train_loss.append(ep_loss)
-            curve.train_accuracy.append(ep_acc)
-            if val_arrays[f] is not None:
-                v_loss, v_acc = batch_loss(model, *val_arrays[f], hyper.pool_mode)
-                curve.val_loss.append(v_loss)
-                curve.val_accuracy.append(v_acc)
-            else:
-                curve.val_loss.append(None)
-                curve.val_accuracy.append(None)
+            # the curve forward runs per model: a stacked full-set forward would
+            # hold every model's training-set maps at once
+            for f, curve in enumerate(curves):
+                model = params.model(f)
+                for split, arrays in (("train", (Xs[f], ys[f])), ("val", val_arrays[f])):
+                    loss, acc = (batch_loss(model, *arrays, hyper.pool_mode) if arrays
+                                 else (None, None))
+                    if loss is not None and not math.isfinite(loss):
+                        raise NonFiniteLossError(
+                            f"{where[f]}non-finite {split} curve loss at epoch {epoch}")
+                    getattr(curve, f"{split}_loss").append(loss)
+                    getattr(curve, f"{split}_accuracy").append(acc)
 
     return [
         TrainedModel(params=params.model(f).copy(), scaler=scaler, fill_values=fills,

@@ -39,7 +39,7 @@ def test_criterion_1_gradient_correctness():
         params = nn.init_params(2, rng)
         X = rng.standard_normal((3, 13))
         y = rng.integers(0, 2, size=3)
-        _, cache = nn.forward_batch(X, params, train=True)
+        _, cache = nn.forward_batch(X, params)
         grads = nn.model_backward(cache, params, y)
         expected = fd_gradients(params, X, y, h=1e-5)
         for name in grads:
@@ -55,13 +55,18 @@ def test_criterion_1_gradient_correctness():
 def test_criterion_2_convolution_oracle():
     start = time.monotonic()
     rng = np.random.default_rng(42)
+    # one kernel per width; each case sets its width's kernel and reads that
+    # bank's row of the one-row batch's pre-activation maps
+    params = nn.init_params(1, np.random.default_rng(0))
     worst = 0.0
     for _ in range(1000):
         width = int(rng.choice([1, 3, 5]))
         x = rng.standard_normal(13)
-        k = nn.ConvKernel(rng.standard_normal(width), float(rng.standard_normal()))
-        got = nn.conv_forward(x, k)
-        expected = np.array(naive_conv(x, k.weights, k.bias))
+        weights, bias = rng.standard_normal(width), float(rng.standard_normal())
+        params.conv_w[width][0], params.conv_b[width][0] = weights, bias
+        _, cache = nn.forward_batch(x[None, :], params)
+        got = cache.pre[0, nn.KERNEL_WIDTHS.index(width)]
+        expected = np.array(naive_conv(x, weights, bias))
         worst = max(worst, float(np.abs(got - expected).max()))
     elapsed = time.monotonic() - start
     report(

