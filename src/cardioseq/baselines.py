@@ -3,6 +3,7 @@ particle-swarm-optimized extreme learning machine."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -124,23 +125,62 @@ class DvLogisticModel(tr.Classifier):
 
 def dv_logistic_train(dataset, lr=0.1, epochs=2000, seed=0):
     """Full-batch gradient descent on mean binary cross-entropy over the
-    dummy-encoded design matrix. Weights start at zero, so the fit is
-    deterministic; the seed is kept for interface symmetry."""
-    y = dataset.labels
-    if len(set(y.tolist())) < 2:
-        raise SingleClassDataError("both classes required")
-    fills = dp.fill_values(dataset)
-    imputed = dp.impute_with_values(dataset, fills)
-    X, encoder = dummy_encode(imputed)
-    w = np.zeros(X.shape[1])
-    b = 0.0
-    n = X.shape[0]
-    for _ in range(epochs):
-        p = _sigmoid(X @ w + b)
-        err = p - y
-        w -= lr * (X.T @ err) / n
-        b -= lr * err.mean()
-    return DvLogisticModel(encoder=encoder, weights=w, bias=b, fill_values=fills)
+    dummy-encoded design matrix (`dv_logistic_train_folds` of one dataset).
+    Weights start at zero, so the fit is deterministic; the seed is kept for
+    interface symmetry."""
+    return dv_logistic_train_folds([dataset], lr, epochs)[0]
+
+
+def dv_logistic_train_folds(datasets, lr=0.1, epochs=2000):
+    """Fit one Dv-Logistic model per dataset, all in lockstep, each with the
+    same bits as fitting it alone.
+
+    Each dataset gets its own fill values and encoder. The design matrices
+    are stacked in groups of equal shape (n, D), and each group runs one
+    epoch loop: per epoch one stacked X @ w, one sigmoid, one stacked Xᵀ @ err
+    and one row-wise error sum. A matrix is never padded to another shape,
+    since a slice of a stacked product has the bits of the unstacked product
+    only when its shape is unchanged. Errors name the model as `fold f` when
+    there are several.
+    """
+    if epochs < 0:
+        raise ValueError(f"epochs must be at least 0, got {epochs}")
+    if not (math.isfinite(lr) and lr > 0):
+        raise ValueError(f"lr must be finite and positive, got {lr}")
+    where = [f"fold {f}: " if len(datasets) > 1 else "" for f in range(len(datasets))]
+    for f, dataset in enumerate(datasets):
+        if len(set(dataset.labels.tolist())) < 2:
+            raise SingleClassDataError(f"{where[f]}training data must contain both classes")
+
+    groups = {}  # (n, D) -> [(model index, design matrix, fills, encoder)]
+    for f, dataset in enumerate(datasets):
+        fills = dp.fill_values(dataset)
+        X, encoder = dummy_encode(dp.impute_with_values(dataset, fills))
+        groups.setdefault(X.shape, []).append((f, X, fills, encoder))
+
+    models = [None] * len(datasets)
+    for (n, D), members in groups.items():
+        G = len(members)
+        X = np.stack([m[1] for m in members])  # (G, n, D)
+        Xt = np.swapaxes(X, 1, 2)
+        y = np.stack([datasets[m[0]].labels for m in members])
+        w, b = np.zeros((G, D, 1)), np.zeros(G)
+        g = np.empty_like(w)
+        z = np.empty((G, n, 1))  # pre-activations, then (in place) the errors
+        err = z[..., 0]
+        for _ in range(epochs):
+            np.matmul(X, w, out=z)
+            z += b[:, None, None]
+            np.subtract(_sigmoid(z)[..., 0], y, out=err)
+            np.matmul(Xt, z, out=g)
+            g *= lr
+            g /= n
+            w -= g
+            b -= lr * (np.add.reduce(err, -1) / n)
+        for i, (f, _, fills, encoder) in enumerate(members):
+            models[f] = DvLogisticModel(encoder=encoder, weights=w[i, :, 0].copy(),
+                                        bias=float(b[i]), fill_values=fills)
+    return models
 
 
 # ---------------------------------------------------------------------------

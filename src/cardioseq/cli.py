@@ -178,6 +178,9 @@ def cmd_compare(cfg):
     for path, dialect in zip(paths, dialects):
         name = dialect if dialect not in datasets else os.path.basename(path)
         datasets[name] = dp.parse_dataset(path, dialect)
+        if len(datasets[name]) < cfg.k:
+            raise ValueError(f"--k: {path}: {len(datasets[name])} records cannot fill "
+                             f"{cfg.k} folds")
     kinds = cfg.model.split(",") if "model" in cfg.explicit else list(ev.MODEL_KINDS)
     table = ev.compare_models(
         datasets, model_kinds=kinds, hyper=hyper_from_config(cfg), k=cfg.k, seed=cfg.seed

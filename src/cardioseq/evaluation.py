@@ -13,10 +13,10 @@ from .errors import TooFewSamplesError
 
 # kind -> fit(datasets, hyper, seeds) -> one model per dataset. Only the CNN reads
 # `hyper` (the CLI's --epochs/--lr/--dropout/--batch/--kernels/--pool): the baselines
-# use their defaults. The CNN trains all its models in lockstep, the baselines one by one.
+# use their defaults. The CNN and Dv-Logistic fit all their models in lockstep
+# (Dv-Logistic starts from zero weights and needs no seed); PSO-ELM fits one by one.
 FIT = {
-    "dv_logistic": lambda sets, hyper, seeds: [
-        bl.dv_logistic_train(ds, seed=seed) for ds, seed in zip(sets, seeds)],
+    "dv_logistic": lambda sets, hyper, seeds: bl.dv_logistic_train_folds(sets),
     "pso_elm": lambda sets, hyper, seeds: [
         bl.pso_elm_train(ds, seed=seed) for ds, seed in zip(sets, seeds)],
     "cnn": lambda sets, hyper, seeds: tr.train_folds(sets, hyper, seeds),

@@ -2,9 +2,16 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from cardioseq import data as dp
 from cardioseq import synthetic
+
+# Property tests draw the same examples on every run, and few enough of them
+# to keep the suite fast.
+settings.register_profile("cardioseq", derandomize=True, max_examples=60, deadline=None,
+                          database=None)
+settings.load_profile("cardioseq")
 
 # Public UCI files are looked up here; tests that need them skip loudly
 # when they are absent (they cannot be downloaded in this environment).

@@ -102,6 +102,29 @@ class TestDvLogistic:
         with pytest.raises(SingleClassDataError):
             bl.dv_logistic_train(ds)
 
+    def test_single_class_fold_rejected_before_any_fit(self, separable, monkeypatch):
+        calls = []
+        monkeypatch.setattr(bl, "dummy_encode", lambda *a: calls.append(1))
+        one_class = separable.subset(np.flatnonzero(separable.labels == 1))
+        with pytest.raises(SingleClassDataError,
+                           match="^fold 1: training data must contain both classes$"):
+            bl.dv_logistic_train_folds([separable, one_class, separable])
+        assert calls == []
+
+    @pytest.mark.parametrize("kwargs, match", [
+        (dict(epochs=-5), "^epochs must be at least 0, got -5$"),
+        (dict(epochs=-1), "^epochs must be at least 0"),
+        (dict(lr=float("nan")), "^lr must be finite and positive, got nan$"),
+        (dict(lr=float("inf")), "^lr must be finite and positive"),
+        (dict(lr=0.0), "^lr must be finite and positive"),
+        (dict(lr=-0.1), "^lr must be finite and positive"),
+    ])
+    def test_bad_arguments_rejected(self, separable, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            bl.dv_logistic_train(separable, **kwargs)
+        with pytest.raises(ValueError, match=match):
+            bl.dv_logistic_train_folds([separable, separable], **kwargs)
+
     def test_monotone_in_positive_weight(self, separable):
         model = bl.dv_logistic_train(separable, epochs=200)
         j = int(np.argmax(model.weights))

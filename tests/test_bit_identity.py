@@ -6,9 +6,10 @@ pooling loops, per-tensor Adam); the baseline digests from the original
 one-particle-at-a-time PSO-ELM swarm and boolean-mask sigmoid. Any rewrite
 must reproduce every trained tensor, the per-epoch curve, the PSO
 convergence record and `predict_proba` exactly. Each digest is the first 16
-hex digits of the sha256 of the array's float64 bytes. The CNN
-cross-validation digests (of `report_to_csv` text) were recorded from the
-fold-by-fold CV, where each fold's CNN trained on its own.
+hex digits of the sha256 of the array's float64 bytes. The CNN and
+Dv-Logistic cross-validation digests (of `report_to_csv` text) were
+recorded from the fold-by-fold CV, where each fold's model trained on its
+own.
 
 Regenerate (only for an intended change of results) with
 `PYTHONPATH=src python tests/test_bit_identity.py`.
@@ -243,6 +244,83 @@ def test_lockstep_fold_models_equal_per_fold_train(name):
         assert same_bits(model.predict_proba(dataset.X), alone.predict_proba(dataset.X))
 
 
+# name -> (rows, data seed, k) of a seeded Dv-Logistic cross-validation (default
+# lr and epochs). "ragged-303" has 7 training sets of 273 rows and 3 of 272; in
+# "width-split" some training sets lack a category, so the folds encode to
+# design matrices of different widths (see test_dv_cases_cover_width_groups).
+DV_CV_CASES = {
+    "ragged-303": (303, 51, 10),
+    "k-2": (125, 52, 2),
+    "k-3": (125, 53, 3),
+    "width-split": (24, 54, 5),
+}
+
+
+def dv_fold_sets(name):
+    rows, data_seed, k = DV_CV_CASES[name]
+    dataset = noisy_dataset(rows, data_seed)
+    plan = ev.kfold_split(dataset, k=k, seed=data_seed)
+    return dataset, [dataset.subset(np.flatnonzero(plan.assignments != fold))
+                     for fold in range(k)]
+
+
+def run_dv_cv_digest(name):
+    rows, data_seed, k = DV_CV_CASES[name]
+    report = ev.cross_validate(noisy_dataset(rows, data_seed), "dv_logistic", k=k, seed=data_seed)
+    return hashlib.sha256(ev.report_to_csv(report).encode()).hexdigest()[:16]
+
+
+EXPECTED_DV_CV = {
+    "k-2": "67bdebe9d8199067", "k-3": "abe1ea1e3968dd2b",
+    "ragged-303": "7206663e6b56cebb", "width-split": "16cd5c45220681c9",
+}
+
+
+@pytest.mark.parametrize("name", sorted(DV_CV_CASES))
+def test_dv_logistic_cross_validation_reports_pinned(name):
+    assert run_dv_cv_digest(name) == EXPECTED_DV_CV[name]
+
+
+def test_dv_cases_cover_width_groups():
+    """"width-split" fits design matrices of one row count and two widths, and
+    "ragged-303" of one width and two row counts."""
+    def shapes(name):
+        return {bl.dummy_encode(dp.impute_with_values(s, dp.fill_values(s)))[0].shape
+                for s in dv_fold_sets(name)[1]}
+
+    split = shapes("width-split")
+    assert len(split) >= 2 and len({d for _, d in split}) >= 2
+    assert len({n for n, _ in shapes("ragged-303")}) == 2
+
+
+@pytest.mark.parametrize("name", sorted(DV_CV_CASES))
+def test_lockstep_dv_fold_models_equal_per_fold_train(name):
+    """Each model of the lockstep Dv-Logistic trainer is the model
+    `dv_logistic_train` fits on the same fold subset (weights, bias and
+    `predict_proba`), and has the weights and bias of the original loop."""
+    dataset, sets = dv_fold_sets(name)
+    for subset, model in zip(sets, bl.dv_logistic_train_folds(sets)):
+        alone = bl.dv_logistic_train(subset)
+        assert same_bits(model.weights, alone.weights)
+        assert same_bits(model.bias, alone.bias)
+        assert same_bits(model.predict_proba(dataset.X), alone.predict_proba(dataset.X))
+        weights, bias = one_fit_gradient_descent(subset)
+        assert same_bits(model.weights, weights) and same_bits(model.bias, bias)
+
+
+def one_fit_gradient_descent(dataset, lr=0.1, epochs=2000):
+    """The original Dv-Logistic loop: one design matrix, about a dozen numpy
+    calls per epoch."""
+    X, _ = bl.dummy_encode(dp.impute_with_values(dataset, dp.fill_values(dataset)))
+    y, n = dataset.labels, X.shape[0]
+    w, b = np.zeros(X.shape[1]), 0.0
+    for _ in range(epochs):
+        err = mask_split_sigmoid(X @ w + b) - y
+        w -= lr * (X.T @ err) / n
+        b -= lr * err.mean()
+    return w, b
+
+
 def mask_split_sigmoid(z):
     """The original sigmoid: a boolean mask splits the two stable forms."""
     out = np.empty_like(z, dtype=float)
@@ -335,3 +413,5 @@ if __name__ == "__main__":
     pprint.pprint({name: run_baseline_digests(name) for name in sorted(BASELINE_CASES)},
                   sort_dicts=False)
     pprint.pprint({name: run_cv_digest(name) for name in sorted(CV_CASES)}, sort_dicts=False)
+    pprint.pprint({name: run_dv_cv_digest(name) for name in sorted(DV_CV_CASES)},
+                  sort_dicts=False)

@@ -173,6 +173,16 @@ class TestCompare:
         assert "published reference accuracies" in text
         assert (out / "comparison.csv").exists()
 
+    def test_k_above_rows_rejected_before_any_work(self, statlog_file, tmp_path, capsys):
+        # like `cv --k 400`: a bad flag value, not a table of FAILED cells
+        out = tmp_path / "out"
+        code = cli.main(["compare", "--data", statlog_file, "--model", "dv_logistic",
+                         "--k", "400", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: --k: {statlog_file}: 80 records cannot fill 400 folds\n")
+        assert not out.exists()
+
 
 class TestPredict:
     def test_zero_model_prints_half(self, statlog_file, tmp_path, capsys):
@@ -358,5 +368,17 @@ def test_single_class_fold_exit_code(tmp_path, capsys):
     p.write_text("\n".join(lines) + "\n")
     out = tmp_path / "out"
     assert cli.main(["cv", "--data", str(p), "--k", "2", "--out", str(out)] + FAST_FLAGS) == 3
+    assert capsys.readouterr().err == "error: fold 1: training data must contain both classes\n"
+    assert not out.exists()
+
+
+def test_dv_logistic_single_class_fold_exit_code(tmp_path, capsys):
+    # as above: fold 1 trains on class 0 only
+    p = tmp_path / "one_positive.dat"
+    lines = [f"{i} 0 0 0 0 0 0 0 0 0 0 0 0 1" for i in range(11)] + ["50 0 0 0 0 0 0 0 0 0 0 0 0 2"]
+    p.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    assert cli.main(["cv", "--data", str(p), "--model", "dv_logistic", "--k", "2",
+                     "--out", str(out)]) == 3
     assert capsys.readouterr().err == "error: fold 1: training data must contain both classes\n"
     assert not out.exists()

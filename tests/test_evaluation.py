@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cardioseq import data as dp
 from cardioseq import evaluation as ev
@@ -35,6 +37,27 @@ def check_plan(plan, labels, k):
     for cls in np.unique(labels):
         counts = np.bincount(plan.assignments[labels == cls], minlength=k)
         assert counts.max() - counts.min() <= 1
+
+
+@st.composite
+def split_cases(draw):
+    labels = np.array(draw(st.lists(st.integers(0, 1), min_size=2, max_size=400)))
+    k = draw(st.integers(min_value=2, max_value=min(labels.size, 30)))
+    return labels, k, draw(st.integers(min_value=0, max_value=2**32 - 1))
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")  # plain folds for a small class
+@given(split_cases())
+def test_kfold_split_partitions_rows_property(case):
+    """For any row count, label mix and k <= rows, the folds partition the rows
+    and their sizes differ by at most 1."""
+    labels, k, seed = case
+    plan = ev.kfold_split(dp.Dataset(np.zeros((labels.size, dp.N_FEATURES)), labels),
+                          k=k, seed=seed)
+    folds = [plan.fold_indices(fold) for fold in range(k)]
+    assert np.array_equal(np.sort(np.concatenate(folds)), np.arange(labels.size))
+    sizes = [f.size for f in folds]
+    assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
 
 
 class TestKfoldSplit:
