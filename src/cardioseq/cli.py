@@ -49,8 +49,14 @@ _CONFIG_TYPES = {f.name: {"int": int, "float": float}.get(f.type, str) for f in 
 
 def load_config_file(path):
     values = {}
-    with open(path, encoding="ascii") as fh:
+    # undecodable bytes read as surrogates, so that an error can name its line
+    with open(path, encoding="ascii", errors="surrogateescape") as fh:
         for line_no, line in enumerate(fh, start=1):
+            if not line.isascii():
+                column, char = next((i, c) for i, c in enumerate(line, start=1)
+                                    if not c.isascii())
+                raise ValueError(f"{path}:{line_no}: byte {ord(char) - 0xDC00:#04x} at "
+                                 f"column {column} is not ASCII")
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -86,8 +92,8 @@ def build_config(args):
 
 
 def check_flags(cfg, command):
-    """Reject unknown --model names and out-of-range --pool, --k and --lr
-    values before any work starts."""
+    """Reject unknown --model names and out-of-range --pool, --k, --lr,
+    --epochs, --batch, --kernels and --dropout values before any work starts."""
     for kind in cfg.model.split(",") if command == "compare" else [cfg.model]:
         if kind not in ev.FIT:
             raise ValueError(f"--model: unknown model {kind!r}; expected {', '.join(ev.FIT)}")
@@ -99,6 +105,12 @@ def check_flags(cfg, command):
         raise ValueError(f"--k: need at least 2 folds, got {cfg.k}")
     if not (math.isfinite(cfg.lr) and cfg.lr > 0):
         raise ValueError(f"--lr: need a finite positive learning rate, got {cfg.lr}")
+    for key, ok, need in (("epochs", cfg.epochs >= 0, "at least 0"),
+                          ("batch", cfg.batch >= 1, "at least 1"),
+                          ("kernels", cfg.kernels >= 1, "at least 1"),
+                          ("dropout", 0 <= cfg.dropout < 1, "in [0, 1)")):
+        if not ok:
+            raise ValueError(f"--{key}: need a value {need}, got {getattr(cfg, key)}")
 
 
 def hyper_from_config(cfg):

@@ -23,6 +23,11 @@ a cross-validation: their parameters share a leading model axis (`flat`
 is (F, P), a kernel bank (F, K, w)), and a stacked batch is (F, B, 13),
 row f going through model f. A single model has no leading axis. Each
 model of a stack gets the same bits as running it alone.
+
+Scoring a whole set, as the per-epoch training curve does, needs only the
+probabilities: `infer_probs` gives `forward_batch`'s bits with no cache,
+argmax or dropout, from long contiguous multiply-adds over row blocks of
+bounded size.
 """
 
 from __future__ import annotations
@@ -38,6 +43,11 @@ from .errors import ShapeMismatchError, StaleCacheError
 KERNEL_WIDTHS = (1, 3, 5)
 
 GLOBAL_POOL = ("global",)
+
+# `infer_probs` scores rows in blocks of at most this many pre-activation
+# values (3K maps of 13 positions per row), as SWARM_BLOCK_ELEMENTS bounds a
+# block of PSO particles.
+INFER_BLOCK_ELEMENTS = 2**18
 
 
 def parse_pool_mode(text):
@@ -276,8 +286,13 @@ def forward_batch(inputs, params, dropout_rate=0.0, rng=None, pool_mode=GLOBAL_P
     if dropout_rate > 0.0:
         mask = np.stack([r.random(z.shape[-2:]) for r in rng]).reshape(z.shape) >= dropout_rate
         dropped = z * mask / (1.0 - dropout_rate)
-    probs = softmax(dropped @ params.dense_w.swapaxes(-1, -2) + params.dense_b[..., None, :])
+    probs = dense_softmax(dropped, params)
     return probs, ForwardCache(params, X, windows, pre, idx, z, mask, dropout_rate, dropped, probs)
+
+
+def dense_softmax(z, params):
+    """Class probabilities of the (..., B, D) dense input."""
+    return softmax(z @ params.dense_w.swapaxes(-1, -2) + params.dense_b[..., None, :])
 
 
 def model_backward(cache, params, labels, pool_mode=GLOBAL_POOL):
@@ -329,3 +344,82 @@ def model_backward(cache, params, labels, pool_mode=GLOBAL_POOL):
                                         bank_windows(X, cache.windows, w))
         grads[f"conv_b{w}"] = dpre.sum(axis=(-3, -1))
     return grads
+
+
+def _sum_taps(weights, taps, out, tmp, odd):
+    """Write sum_j weights[:, j] * taps[j] into `out` (K, ...), adding the
+    products in the order in which `np.einsum` sums a window (numpy 2.x, two
+    lanes): the even taps in one running sum, the odd ones in another, then
+    the two lanes, so width 3 is (p0 + p2) + p1 and width 5 is
+    ((p0 + p2) + p4) + (p1 + p3). `tmp` and `odd` are scratch like `out`."""
+    def product(j, buf):
+        return np.multiply(weights[:, j, None, None], taps[j], out=buf)
+
+    product(0, out)
+    for j in range(2, len(taps), 2):
+        out += product(j, tmp)
+    if len(taps) > 1:
+        product(1, odd)
+        for j in range(3, len(taps), 2):
+            odd += product(j, tmp)
+        out += odd
+
+
+def conv_maps(X, params):
+    """Pre-activation maps of a (B, 13) batch for one model, position-major:
+    (3K, 13, B), with the bits of the per-bank einsum of `forward_batch`
+    (whose `ForwardCache.pre` is (B, 3K, 13)).
+
+    The batch is zero-padded once, transposed: row p + 2 of a (17, B) buffer
+    holds feature p of every row, so a kernel column's taps over all 13
+    positions of all rows are 13 consecutive rows of it, one contiguous
+    block. The taps are summed in einsum's order (`_sum_taps`). einsum adds
+    that sum to a zeroed output (+ 0.0, which turns a -0.0 sum into +0.0)
+    and the bias comes after; the 0.0 goes into the bias, since
+    (s + 0.0) + b and s + (b + 0.0) are the same bits for every s and b.
+    """
+    B, T = X.shape
+    pad = KERNEL_WIDTHS[-1] // 2
+    padded = np.zeros((T + 2 * pad, B))
+    padded[pad : pad + T] = X.T
+    K = params.kernels_per_width
+    maps = np.empty((len(KERNEL_WIDTHS) * K, T, B))
+    tmp, odd = np.empty((2, K, T, B))
+    for i, w in enumerate(KERNEL_WIDTHS):
+        first = pad - w // 2
+        taps = [padded[first + j : first + j + T] for j in range(w)]
+        bank = maps[i * K : (i + 1) * K]
+        _sum_taps(params.conv_w[w], taps, bank, tmp, odd)
+        bank += params.conv_b[w][:, None, None] + 0.0
+    return maps
+
+
+def _window_max(maps, pool_mode):
+    """Each pool window's running maximum over position-major (M, T, B) maps:
+    (M, W, B). It is the value `_relu_pool_batch` gathers at the window's
+    first argmax (the maps hold no -0.0, so no two zeros can differ)."""
+    T = maps.shape[-2]
+    size, stride = _pool_geometry(pool_mode, T)
+    reach = T - size + 1  # positions at which a window can start
+    top = maps[:, :reach:stride].copy()
+    for offset in range(1, size):
+        np.maximum(top, maps[:, offset : offset + reach : stride], out=top)
+    return top
+
+
+def infer_probs(inputs, params, pool_mode=GLOBAL_POOL):
+    """(B, 2) class probabilities of a (B, 13) batch for one model, without
+    dropout: the bits of `forward_batch(inputs, params, pool_mode=pool_mode)[0]`
+    with no cache and no argmax, from a few long contiguous multiply-adds per
+    block of rows (`conv_maps`). A block holds at most INFER_BLOCK_ELEMENTS
+    map values; the dense head runs once on the whole (B, D) input.
+    """
+    X = np.atleast_2d(np.ascontiguousarray(inputs, dtype=float))
+    B, T = X.shape
+    maps_k = len(KERNEL_WIDTHS) * params.kernels_per_width
+    rows = max(1, INFER_BLOCK_ELEMENTS // (maps_k * T))
+    pooled = np.empty((B, maps_k, n_pool_windows(pool_mode, T)))
+    for start in range(0, B, rows):
+        top = _window_max(conv_maps(X[start : start + rows], params), pool_mode)
+        pooled[start : start + rows] = top.transpose(2, 0, 1)
+    return dense_softmax(relu(pooled).reshape(B, -1), params)

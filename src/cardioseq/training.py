@@ -56,8 +56,9 @@ class Hyperparams:
             raise ValueError("dropout_rate must be in [0, 1)")
         if not (0 < self.adam_beta1 < 1 and 0 < self.adam_beta2 < 1):
             raise ValueError("Adam betas must be in (0, 1)")
-        if self.epochs < 0 or self.batch_size < 1 or self.kernels_per_width < 1:
-            raise ValueError("epochs >= 0, batch_size >= 1, kernels >= 1 required")
+        for name, least in (("epochs", 0), ("batch_size", 1), ("kernels_per_width", 1)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)}")
 
 
 @dataclass
@@ -141,9 +142,9 @@ def loss_and_accuracy(probs, labels):
 
 
 def batch_loss(params, X, y, pool_mode=nn.GLOBAL_POOL):
-    """Infer-mode mean loss and accuracy over a batch of standardized rows."""
-    probs, _ = nn.forward_batch(X, params, pool_mode=pool_mode)
-    return loss_and_accuracy(probs, y)
+    """Infer-mode mean loss and accuracy over a batch of standardized rows
+    (the value-only forward, `network.infer_probs`)."""
+    return loss_and_accuracy(nn.infer_probs(X, params, pool_mode), y)
 
 
 def _bias_correction(beta, t):

@@ -1,8 +1,10 @@
-"""Single-sample reference ops: one kernel, one map, one dense layer, one row.
+"""Reference ops: one kernel, one map, one dense layer, one row, and the
+per-bank einsum.
 
 They are test oracles for the batched network in `cardioseq.network`, which
 is the only path the package runs: readable one-at-a-time versions of the
-convolution, pooling and dense steps that the batched tests compare against.
+convolution, pooling and dense steps that the batched tests compare against,
+and the einsum contraction whose bits `network.conv_maps` reproduces.
 """
 
 from dataclasses import dataclass
@@ -86,3 +88,14 @@ def model_forward(feature_matrix, params, dropout_rate=0.0, rng=None,
         dropout_rate = 0.0
     probs, cache = nn.forward_batch(x, params, dropout_rate, [rng], pool_mode)
     return probs[0], cache
+
+
+def einsum_maps(X, params):
+    """(B, 3K, 13) pre-activation maps of a (B, 13) batch for one model: one
+    einsum per bank over its zero-padded windows, plus the bias, as
+    `network.forward_batch` computes them."""
+    windows = nn.conv_windows(X, nn.KERNEL_WIDTHS[-1])
+    return np.concatenate([
+        np.einsum("...btw,...kw->...bkt", nn.bank_windows(X, windows, w), params.conv_w[w])
+        + params.conv_b[w][:, None]
+        for w in nn.KERNEL_WIDTHS], axis=-2)

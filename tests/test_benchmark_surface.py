@@ -17,8 +17,8 @@ def test_every_traced_layer_resolves(monkeypatch):
 
 def test_training_step_layers_are_called_through_their_modules(monkeypatch):
     """The benchmark's per-layer spans replace these module attributes from
-    outside; `train` must keep calling them there, once per mini-batch (and
-    the forward once more per epoch for the curve), or the spans go silent."""
+    outside; `train` must keep calling them there, once per mini-batch, or the
+    spans go silent. The per-epoch curve runs the value-only forward once."""
     from cardioseq import network, synthetic, training
 
     counts = {}
@@ -33,20 +33,23 @@ def test_training_step_layers_are_called_through_their_modules(monkeypatch):
         monkeypatch.setattr(module, name, wrapper)
 
     counting(network, "forward_batch")
+    counting(network, "infer_probs")
     counting(network, "model_backward")
     counting(training, "adam_step")
     epochs, batches = 2, 3  # 20 rows in batches of 8, 8 and 4
     training.train(synthetic.separable_dataset(20, seed=3),
                    training.Hyperparams(epochs=epochs, batch_size=8, kernels_per_width=2))
-    assert counts == {"forward_batch": epochs * batches + epochs,
+    assert counts == {"forward_batch": epochs * batches,
+                      "infer_probs": epochs,
                       "model_backward": epochs * batches,
                       "adam_step": epochs * batches}
 
 
 def test_lockstep_cv_layers_are_called_through_their_modules(monkeypatch):
     """A CNN `cross_validate` trains its folds in lockstep: one backward and
-    one Adam step per stacked step group, one forward per group plus one per
-    fold per epoch for the curve, and one more per fold to score it."""
+    one Adam step per stacked step group, one forward per group and one more
+    per fold to score it, and one value-only forward per fold per epoch for
+    the curve."""
     from cardioseq import evaluation, network, synthetic, training
 
     counts = {}
@@ -61,6 +64,7 @@ def test_lockstep_cv_layers_are_called_through_their_modules(monkeypatch):
         monkeypatch.setattr(module, name, wrapper)
 
     counting(network, "forward_batch")
+    counting(network, "infer_probs")
     counting(network, "model_backward")
     counting(training, "adam_step")
     # 22 rows in 3 folds train on 14, 15 and 15 rows; batches of 4 make three
@@ -69,7 +73,8 @@ def test_lockstep_cv_layers_are_called_through_their_modules(monkeypatch):
     evaluation.cross_validate(synthetic.separable_dataset(22, seed=3), "cnn", k=k,
                               hyper=training.Hyperparams(epochs=epochs, batch_size=4,
                                                          kernels_per_width=2))
-    assert counts == {"forward_batch": epochs * groups + epochs * k + k,
+    assert counts == {"forward_batch": epochs * groups + k,
+                      "infer_probs": epochs * k,
                       "model_backward": epochs * groups,
                       "adam_step": epochs * groups}
 

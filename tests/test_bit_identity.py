@@ -24,11 +24,14 @@ import pytest
 from cardioseq import baselines as bl
 from cardioseq import data as dp
 from cardioseq import evaluation as ev
+from cardioseq import network as nn
 from cardioseq import synthetic
 from cardioseq import training as tr
 
 # name -> (rows, data seed, hyperparameters); 64 rows fill batches of 16,
-# 50 leave a last batch of 2
+# 50 leave a last batch of 2; the 1,800 rows of "curve-blocks" are scored for
+# the curve in several row blocks and a partial last one (see
+# test_curve_case_covers_several_and_partial_blocks)
 CASES = {
     "global": (64, 21, dict(epochs=3, kernels_per_width=4, seed=5)),
     "windowed-3-2": (64, 22, dict(epochs=3, kernels_per_width=4,
@@ -37,6 +40,9 @@ CASES = {
                                   pool_mode=("windowed", 5, 1), seed=7)),
     "partial-last-batch": (50, 24, dict(epochs=3, batch_size=16, seed=8)),
     "batch-size-1": (24, 25, dict(epochs=2, batch_size=1, kernels_per_width=3, seed=9)),
+    "curve-blocks": (1800, 26, dict(epochs=1, kernels_per_width=8, seed=10)),
+    "windowed-1-1": (64, 27, dict(epochs=3, kernels_per_width=4,
+                                  pool_mode=("windowed", 1, 1), seed=11)),
 }
 
 
@@ -62,6 +68,13 @@ EXPECTED = {
         "dense_w": "209b79c147458e84", "dense_b": "b1d1b30b8e6257cc",
         "curve": "eb792072adec75d5", "predict_proba": "7e4e0a98b317b1c0",
     },
+    "curve-blocks": {
+        "conv_w1": "bb6dbbf6b3fc71a7", "conv_b1": "c6fbff062f611acf",
+        "conv_w3": "cdb2fb90e2117485", "conv_b3": "2d915885e8b1e097",
+        "conv_w5": "1497e25f8a1bca08", "conv_b5": "89c47793ced65a5b",
+        "dense_w": "f3dad534893182b5", "dense_b": "b855abb3198be301",
+        "curve": "2aa2e31e59ca545e", "predict_proba": "7d32d55422906ad3",
+    },
     "global": {
         "conv_w1": "24841d864ba0fe0a", "conv_b1": "13227b8ec50a26ac",
         "conv_w3": "43dde7a255fb5e9a", "conv_b3": "46e2c4d0c4f20e4e",
@@ -75,6 +88,13 @@ EXPECTED = {
         "conv_w5": "ff0adf552cc8c621", "conv_b5": "8afd951eed822b72",
         "dense_w": "0d40e677842a8025", "dense_b": "1ae30554170a0423",
         "curve": "65792238b3dffdf7", "predict_proba": "c06d7b291e74cfb2",
+    },
+    "windowed-1-1": {
+        "conv_w1": "07276f3ebc5928e3", "conv_b1": "ff377caefe9e487c",
+        "conv_w3": "b3ccb1fe35d3dda3", "conv_b3": "c643420de1c5e64b",
+        "conv_w5": "f18f03ec99ef4778", "conv_b5": "d250010fdc428dfb",
+        "dense_w": "7f6eae1453947872", "dense_b": "4d23696447d76aa4",
+        "curve": "9b239804d20dd404", "predict_proba": "06097c98d570b225",
     },
     "windowed-3-2": {
         "conv_w1": "2c1ce69e9617f6e9", "conv_b1": "224bcf17231b1f21",
@@ -96,6 +116,38 @@ EXPECTED = {
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_trained_tensors_and_probabilities_pinned(name):
     assert run_digests(name) == EXPECTED[name]
+
+
+def test_curve_case_covers_several_and_partial_blocks(monkeypatch):
+    """"curve-blocks" scores its training set for the curve in at least three
+    row blocks, the last one partial."""
+    blocks = []
+    maps = nn.conv_maps
+
+    def recording(X, params):
+        blocks.append(X.shape[0])
+        return maps(X, params)
+
+    monkeypatch.setattr(nn, "conv_maps", recording)
+    rows, data_seed, hyper = CASES["curve-blocks"]
+    tr.train(synthetic.separable_dataset(rows, seed=data_seed), tr.Hyperparams(**hyper))
+    assert sum(blocks) == rows and len(blocks) >= 3
+    assert blocks[-1] < blocks[0] == max(blocks)
+
+
+def test_curve_and_probabilities_do_not_depend_on_block_size(monkeypatch):
+    dataset = noisy_dataset(90, 28)
+    train, val = dataset.subset(np.arange(60)), dataset.subset(np.arange(60, 90))
+    hyper = tr.Hyperparams(epochs=2, kernels_per_width=3, pool_mode=("windowed", 3, 2), seed=12)
+    X = np.random.default_rng(0).normal(size=(90, dp.N_FEATURES))
+    results = []
+    for rows in (1, 7, len(X)):
+        monkeypatch.setattr(nn, "INFER_BLOCK_ELEMENTS", rows * 3 * hyper.kernels_per_width * 13)
+        model = tr.train(train, hyper, validation=val)
+        results.append((model.curve, nn.infer_probs(X, model.params, hyper.pool_mode)))
+    for curve, probs in results[1:]:
+        assert curve == results[0][0]
+        assert same_bits(probs, results[0][1])
 
 
 def noisy_dataset(rows, seed):

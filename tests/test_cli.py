@@ -72,14 +72,18 @@ class TestValidate:
     ("train", "--lr", "inf"),
     ("cv", "--lr", "nan"),
     ("cv", "--k", "400"),
+    ("train", "--epochs", "-1"),
+    ("cv", "--batch", "0"),
+    ("train", "--kernels", "0"),
+    ("cv", "--dropout", "1"),
 ])
 def test_bad_flag_value_rejected(statlog_file, tmp_path, capsys, command, flag, value):
     out = tmp_path / "out"
-    code = cli.main([command, "--data", statlog_file, "--out", str(out),
-                     flag, value] + FAST_FLAGS)
+    code = cli.main([command, "--data", statlog_file, "--out", str(out)]
+                    + FAST_FLAGS + [flag, value])
     assert code == 2
     captured = capsys.readouterr()
-    assert flag in captured.err
+    assert captured.err.startswith(f"error: {flag}: ")
     assert "nan" not in captured.out
     assert not out.exists()
 
@@ -315,6 +319,17 @@ class TestConfig:
             ["train", "--data", statlog_file, "--config", str(cfg)]
         ) == 2
         assert f"{cfg}:2: epochs" in capsys.readouterr().err
+
+    def test_non_ascii_byte_names_line(self, statlog_file, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"seed = 1\npool = caf\xe9\n")
+        out = tmp_path / "out"
+        assert cli.main(
+            ["train", "--data", statlog_file, "--config", str(cfg), "--out", str(out)]
+        ) == 2
+        assert capsys.readouterr().err == (
+            f"error: {cfg}:2: byte 0xe9 at column 11 is not ASCII\n")
+        assert not out.exists()
 
     def test_out_env_var(self, statlog_file, tmp_path, monkeypatch):
         out = tmp_path / "envout"

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cardioseq import network as nn
 from cardioseq import training as tr
@@ -154,6 +156,37 @@ class TestActivationsAndPooling:
                 np.testing.assert_array_equal(pooled[b, k], np.atleast_1d(values))
                 ties += len(set(maps[b, k].tolist())) < maps.shape[2]
         assert ties > 0
+
+
+def signed_values(rng, shape):
+    """Normal values at three magnitudes (1e-200, whose products underflow to
+    signed zeros; 1; and 1e100), with exact 0.0 and -0.0 mixed in."""
+    values = rng.normal(size=shape) * rng.choice([1e-200, 1.0, 1e100], size=shape)
+    values[rng.random(shape) < 0.15] = 0.0
+    values[rng.random(shape) < 0.15] = -0.0
+    return values
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@given(rows=st.integers(1, 300), kernels=st.integers(1, 8),
+       mode=st.sampled_from([nn.GLOBAL_POOL, ("windowed", 1, 1), ("windowed", 3, 2),
+                             ("windowed", 5, 1), ("windowed", 13, 1)]),
+       seed=st.integers(0, 2**32 - 1))
+def test_value_only_forward_has_the_einsum_bits(rows, kernels, mode, seed):
+    """`conv_maps` gives the per-bank einsum's maps and `infer_probs` the
+    probabilities of `forward_batch`, bit for bit (signs of zero included)."""
+    rng = np.random.default_rng(seed)
+    params = nn.init_params(kernels, rng, mode)
+    for w in nn.KERNEL_WIDTHS:
+        params.conv_w[w][...] = signed_values(rng, (kernels, w))
+        params.conv_b[w][...] = signed_values(rng, kernels)
+    X = signed_values(rng, (rows, nn.N_FEATURES))
+    assert same_bits(nn.conv_maps(X, params).transpose(2, 0, 1), ref.einsum_maps(X, params))
+    assert same_bits(nn.infer_probs(X, params, mode),
+                     nn.forward_batch(X, params, pool_mode=mode)[0])
 
 
 class TestDenseSoftmax:

@@ -271,6 +271,12 @@ class TestTrain:
         with pytest.raises(ValueError, match=f"^{field} must be finite"):
             replace(FAST, **{field: value})
 
+    @pytest.mark.parametrize("field, value", [("epochs", -1), ("batch_size", 0),
+                                              ("kernels_per_width", 0)])
+    def test_out_of_range_sizes_name_the_field(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be at least"):
+            replace(FAST, **{field: value})
+
     def test_epoch_steps_group_models_by_batch_size(self):
         steps = tr.epoch_steps([273, 272, 273], 16)
         assert len(steps) == 18
