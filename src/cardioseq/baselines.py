@@ -12,11 +12,7 @@ from scipy.linalg import solve
 from . import data as dp
 from . import network as nn
 from . import training as tr
-from .errors import (
-    ArityMismatchError,
-    NonFiniteInputError,
-    SingleClassDataError,
-)
+from .errors import NonFiniteInputError
 
 # Standard constriction-coefficient PSO settings.
 PSO_INERTIA = 0.729
@@ -55,22 +51,21 @@ def _sigmoid(z):
 @dataclass
 class DummyEncoder:
     """Reference-category dummy coding for categorical columns, Z-score for
-    numeric ones. Unseen test categories map to all-zero indicators."""
+    numeric ones (with the training set's scaler). Unseen test categories map
+    to all-zero indicators."""
 
     categories: dict  # column index -> sorted observed category values
-    numeric_mean: np.ndarray
-    numeric_std: np.ndarray
+    scaler: dp.ScalerStats
     categorical_mask: tuple
 
     @property
     def width(self):
-        w = 0
-        for j, is_cat in enumerate(self.categorical_mask):
-            w += len(self.categories[j]) - 1 if is_cat else 1
-        return w
+        return sum(len(self.categories[j]) - 1 if is_cat else 1
+                   for j, is_cat in enumerate(self.categorical_mask))
 
     def transform(self, raw):
         raw = np.atleast_2d(np.asarray(raw, dtype=float))
+        scaled = dp.scale_values(raw, self.scaler)
         cols = []
         for j, is_cat in enumerate(self.categorical_mask):
             if is_cat:
@@ -79,30 +74,24 @@ class DummyEncoder:
                 for c in self.categories[j][1:]:
                     cols.append((raw[:, j] == c).astype(float))
             else:
-                std = self.numeric_std[j] if self.numeric_std[j] > 0 else 1.0
-                cols.append((raw[:, j] - self.numeric_mean[j]) / std)
+                cols.append(scaled[:, j])
         return np.column_stack(cols)
 
 
-def fit_dummy_encoder(dataset):
+def fit_dummy_encoder(dataset, scaler):
+    """The encoder of an imputed dataset: its observed categories, and the
+    scaler fit on it."""
     raw = dataset.feature_array()
-    if np.isnan(raw).any():
-        raise ArityMismatchError("impute before encoding")
-    categories = {}
-    for j, is_cat in enumerate(dataset.categorical_mask):
-        categories[j] = sorted(set(raw[:, j].tolist())) if is_cat else []
-    return DummyEncoder(
-        categories=categories,
-        numeric_mean=raw.mean(axis=0),
-        numeric_std=raw.std(axis=0),
-        categorical_mask=dataset.categorical_mask,
-    )
+    categories = {j: sorted(set(raw[:, j].tolist())) if is_cat else []
+                  for j, is_cat in enumerate(dataset.categorical_mask)}
+    return DummyEncoder(categories, scaler, dataset.categorical_mask)
 
 
 def dummy_encode(dataset, encoder=None):
-    """Dataset -> (design matrix, encoder). Fits the encoder when not given."""
+    """Imputed dataset -> (design matrix, encoder). Fits the encoder (and its
+    scaler) when not given."""
     if encoder is None:
-        encoder = fit_dummy_encoder(dataset)
+        encoder = fit_dummy_encoder(dataset, dp.fit_scaler(dataset))
     return encoder.transform(dataset.feature_array()), encoder
 
 
@@ -135,27 +124,21 @@ def dv_logistic_train_folds(datasets, lr=0.1, epochs=2000):
     """Fit one Dv-Logistic model per dataset, all in lockstep, each with the
     same bits as fitting it alone.
 
-    Each dataset gets its own fill values and encoder. The design matrices
-    are stacked in groups of equal shape (n, D), and each group runs one
-    epoch loop: per epoch one stacked X @ w, one sigmoid, one stacked Xᵀ @ err
-    and one row-wise error sum. A matrix is never padded to another shape,
-    since a slice of a stacked product has the bits of the unstacked product
-    only when its shape is unchanged. Errors name the model as `fold f` when
-    there are several.
+    Each dataset gets its own preprocessing fit (`data.fit_preprocessing`)
+    and encoder. The design matrices are stacked in groups of equal shape
+    (n, D), and each group runs one epoch loop: per epoch one stacked X @ w,
+    one sigmoid, one stacked Xᵀ @ err and one row-wise error sum. A matrix is
+    never padded to another shape, since a slice of a stacked product has the
+    bits of the unstacked product only when its shape is unchanged. Errors
+    name the model as `fold f` when there are several.
     """
     if epochs < 0:
         raise ValueError(f"epochs must be at least 0, got {epochs}")
     if not (math.isfinite(lr) and lr > 0):
         raise ValueError(f"lr must be finite and positive, got {lr}")
-    where = [f"fold {f}: " if len(datasets) > 1 else "" for f in range(len(datasets))]
-    for f, dataset in enumerate(datasets):
-        if len(set(dataset.labels.tolist())) < 2:
-            raise SingleClassDataError(f"{where[f]}training data must contain both classes")
-
     groups = {}  # (n, D) -> [(model index, design matrix, fills, encoder)]
-    for f, dataset in enumerate(datasets):
-        fills = dp.fill_values(dataset)
-        X, encoder = dummy_encode(dp.impute_with_values(dataset, fills))
+    for f, (fills, imputed, scaler) in enumerate(dp.fit_preprocessing(datasets)):
+        X, encoder = dummy_encode(imputed, fit_dummy_encoder(imputed, scaler))
         groups.setdefault(X.shape, []).append((f, X, fills, encoder))
 
     models = [None] * len(datasets)
@@ -270,13 +253,9 @@ def pso_elm_train(dataset, hidden_size=32, swarm_size=20, iterations=50,
                                ("iterations", iterations, 0)):
         if value < least:
             raise ValueError(f"{name} must be at least {least}, got {value}")
-    y = dataset.labels
-    if len(set(y.tolist())) < 2:
-        raise SingleClassDataError("both classes required")
-    fills = dp.fill_values(dataset)
-    imputed = dp.impute_with_values(dataset, fills)
-    scaler = dp.fit_scaler(imputed)
+    [(fills, imputed, scaler)] = dp.fit_preprocessing([dataset])
     X = dp.scale_values(imputed.feature_array(), scaler)
+    y = dataset.labels
 
     rng = np.random.default_rng(seed)
     fit_idx, val_idx = _stratified_holdout(y, 0.2, rng)

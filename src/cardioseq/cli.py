@@ -92,11 +92,14 @@ def build_config(args):
 
 
 def check_flags(cfg, command):
-    """Reject unknown --model names and out-of-range --pool, --k, --lr,
-    --epochs, --batch, --kernels and --dropout values before any work starts."""
-    for kind in cfg.model.split(",") if command == "compare" else [cfg.model]:
-        if kind not in ev.FIT:
-            raise ValueError(f"--model: unknown model {kind!r}; expected {', '.join(ev.FIT)}")
+    """Reject unknown --model and --dialect names and out-of-range --pool, --k,
+    --lr, --epochs, --batch, --kernels, --dropout and --seed values before any
+    work starts."""
+    for key, known in (("model", ev.FIT), ("dialect", dp.DIALECTS)):
+        value = getattr(cfg, key)
+        for name in value.split(",") if command == "compare" else [value]:
+            if name not in known:
+                raise ValueError(f"--{key}: unknown {key} {name!r}; expected {', '.join(known)}")
     try:
         nn.parse_pool_mode(cfg.pool)
     except ValueError as exc:
@@ -108,7 +111,8 @@ def check_flags(cfg, command):
     for key, ok, need in (("epochs", cfg.epochs >= 0, "at least 0"),
                           ("batch", cfg.batch >= 1, "at least 1"),
                           ("kernels", cfg.kernels >= 1, "at least 1"),
-                          ("dropout", 0 <= cfg.dropout < 1, "in [0, 1)")):
+                          ("dropout", 0 <= cfg.dropout < 1, "in [0, 1)"),
+                          ("seed", cfg.seed >= 0, "at least 0")):
         if not ok:
             raise ValueError(f"--{key}: need a value {need}, got {getattr(cfg, key)}")
 

@@ -22,10 +22,13 @@ from .errors import (
     EmptyDatasetError,
     MalformedRowError,
     MissingValueError,
+    SingleClassDataError,
     UnknownLabelError,
 )
 
 N_FEATURES = 13
+
+DIALECTS = ("statlog", "cleveland")
 
 FEATURE_NAMES = (
     "age", "sex", "cp", "trestbps", "chol", "fbs", "restecg",
@@ -132,7 +135,7 @@ class ScalerStats:
 
     @property
     def constant(self):
-        """Columns with zero spread; they scale to 0."""
+        """Columns with zero spread (all training values equal); they scale to 0."""
         return self.std == 0.0
 
 
@@ -171,7 +174,7 @@ def parse_dataset(path, dialect):
     Every non-empty line either yields a row or raises a located
     MalformedRowError; rows are never silently skipped.
     """
-    if dialect not in ("statlog", "cleveland"):
+    if dialect not in DIALECTS:
         raise ValueError(f"unknown dialect {dialect!r}")
     with open(path, encoding="ascii", errors="replace") as fh:
         lines = fh.readlines()
@@ -214,7 +217,9 @@ def fill_values(stats_source):
             values, counts = np.unique(observed, return_counts=True)
             fills[j] = values[counts.argmax()]
         else:
-            fills[j] = observed.mean()
+            # rounding can take the mean outside the observed range, e.g. off
+            # a column of equal values, which would then not stay constant
+            fills[j] = np.clip(observed.mean(), observed.min(), observed.max())
     return fills
 
 
@@ -233,14 +238,36 @@ def impute_with_values(data, fills):
 
 
 def fit_scaler(data):
-    """Population mean/std per column of a fully imputed dataset."""
+    """Population mean/std per column of a fully imputed dataset. A column of
+    equal values gets std exactly 0, so it scales to 0 (its computed std can
+    be a rounding residue: 2.2e-16 for 0.7 repeated 303 times)."""
     if len(data) == 0:
         raise EmptyDatasetError("cannot fit a scaler on an empty dataset")
     if data.has_missing:
         raise MissingValueError("impute before fitting the scaler")
     mean = data.X.mean(axis=0)
     std = data.X.std(axis=0)  # population (divide-by-N) convention
+    std[np.ptp(data.X, axis=0) == 0] = 0.0
     return ScalerStats(mean=mean, std=std)
+
+
+def fit_preprocessing(datasets):
+    """The preprocessing fit of every model kind, for each training set:
+    (fill values, the set imputed with them, scaler of the imputed set).
+
+    Every set must hold both classes, checked before anything is fit; the
+    error names the set as `fold f` when there are several.
+    """
+    for f, dataset in enumerate(datasets):
+        if np.unique(dataset.y).size < 2:
+            where = f"fold {f}: " if len(datasets) > 1 else ""
+            raise SingleClassDataError(f"{where}training data must contain both classes")
+    fitted = []
+    for dataset in datasets:
+        fills = fill_values(dataset)
+        imputed = impute_with_values(dataset, fills)
+        fitted.append((fills, imputed, fit_scaler(imputed)))
+    return fitted
 
 
 def scale_values(values, stats):

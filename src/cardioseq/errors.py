@@ -51,10 +51,6 @@ class NonFiniteInputError(CardioseqError):
     pass
 
 
-class StaleCacheError(CardioseqError):
-    pass
-
-
 class TooFewSamplesError(CardioseqError):
     pass
 

@@ -170,8 +170,8 @@ def _decode_cnn(sections):
 def _encode_dv_logistic(model):
     enc = model.encoder
     tensors = {"weights": model.weights, "bias": np.array([model.bias]),
-               "fill_values": model.fill_values, "numeric_mean": enc.numeric_mean,
-               "numeric_std": enc.numeric_std}
+               "fill_values": model.fill_values, "numeric_mean": enc.scaler.mean,
+               "numeric_std": enc.scaler.std}
     tensors.update({f"categories_{j}": np.array(c) for j, c in enc.categories.items() if c})
     return {"categorical_mask": "".join("1" if c else "0" for c in enc.categorical_mask)}, tensors
 
@@ -187,8 +187,8 @@ def _decode_dv_logistic(sections):
     encoder = bl.DummyEncoder(
         categories={j: sections.vector(f"categories_{j}").tolist() if is_cat else []
                     for j, is_cat in enumerate(mask)},
-        numeric_mean=sections.vector("numeric_mean", dp.N_FEATURES),
-        numeric_std=sections.vector("numeric_std", dp.N_FEATURES),
+        scaler=dp.ScalerStats(mean=sections.vector("numeric_mean", dp.N_FEATURES),
+                              std=sections.vector("numeric_std", dp.N_FEATURES)),
         categorical_mask=mask,
     )
     return bl.DvLogisticModel(

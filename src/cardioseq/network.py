@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import N_FEATURES
-from .errors import ShapeMismatchError, StaleCacheError
+from .errors import ShapeMismatchError
 
 KERNEL_WIDTHS = (1, 3, 5)
 
@@ -51,17 +51,17 @@ INFER_BLOCK_ELEMENTS = 2**18
 
 
 def parse_pool_mode(text):
-    """Parse 'global' or 'windowed:<size>:<stride>' into a pool-mode tuple;
-    the window must fit the 13-long map (1 <= size <= 13) and stride >= 1."""
+    """Parse 'global' or 'windowed:SIZE:STRIDE' into a pool-mode tuple;
+    the window must fit the 13-long map (1 <= SIZE <= 13) and STRIDE >= 1."""
     if text == "global":
         return GLOBAL_POOL
-    if text.startswith("windowed:"):
-        _, size, stride = text.split(":")
-        size, stride = int(size), int(stride)
-        if not (1 <= size <= N_FEATURES and stride >= 1):
-            raise ValueError(f"need 1 <= size <= {N_FEATURES} and stride >= 1, got {text!r}")
-        return ("windowed", size, stride)
-    raise ValueError(f"unknown pool mode {text!r}")
+    kind, *numbers = text.split(":")
+    if kind == "windowed" and len(numbers) == 2 and all(n.isdecimal() for n in numbers):
+        size, stride = map(int, numbers)
+        if 1 <= size <= N_FEATURES and stride >= 1:
+            return ("windowed", size, stride)
+    raise ValueError(f"expected global or windowed:SIZE:STRIDE with 1 <= SIZE <= {N_FEATURES} "
+                     f"and STRIDE >= 1, got {text!r}")
 
 
 def format_pool_mode(mode):
@@ -295,17 +295,13 @@ def dense_softmax(z, params):
     return softmax(z @ params.dense_w.swapaxes(-1, -2) + params.dense_b[..., None, :])
 
 
-def model_backward(cache, params, labels, pool_mode=GLOBAL_POOL):
-    """Exact mean-cross-entropy gradients for every parameter tensor.
-
-    The incoming cache must come from a forward pass on the same params
-    object; anything else means the parameters moved under the cache. For a
-    stack of models, labels are (F, B) and every gradient has the leading
-    model axis.
+def model_backward(cache, labels):
+    """Exact mean-cross-entropy gradients for every parameter tensor of the
+    forward pass that built `cache`, whose parameters and pool windows it
+    reads. For a stack of models, labels are (F, B) and every gradient has
+    the leading model axis.
     """
-    if cache.params is not params:
-        raise StaleCacheError("cache was produced for different parameters")
-    X = cache.inputs
+    params, X = cache.params, cache.inputs
     B = X.shape[-2]
     y = np.atleast_1d(np.asarray(labels, dtype=np.int64))
     if y.shape != X.shape[:-1]:
@@ -325,8 +321,6 @@ def model_backward(cache, params, labels, pool_mode=GLOBAL_POOL):
         dz = dz * cache.dropout_mask / (1.0 - cache.dropout_rate)
 
     idx = cache.pool_idx
-    if idx.shape[-1] != n_pool_windows(pool_mode):
-        raise ShapeMismatchError("cache was pooled with a different pool mode")
     dpool = dz.reshape(idx.shape)
     if idx.shape[-1] == 1:
         dmap = np.where(np.arange(X.shape[-1]) == idx, dpool, 0.0)

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import data as dp
 from . import network as nn
-from .errors import EmptyBatchError, NonFiniteLossError, ShapeMismatchError, SingleClassDataError
+from .errors import EmptyBatchError, NonFiniteLossError, ShapeMismatchError
 
 PROB_CLAMP = 1e-12
 
@@ -132,12 +132,13 @@ def mean_loss(probs, labels):
 
 
 def loss_and_accuracy(probs, labels):
-    """Mean cross-entropy and accuracy of a batch of class probabilities."""
+    """Mean cross-entropy and accuracy (classes by `predicted_class`) of a
+    batch of class probabilities."""
     probs = np.atleast_2d(probs)
     labels = np.atleast_1d(np.asarray(labels, dtype=np.int64))
     if probs.shape[0] == 0:
         raise EmptyBatchError("empty batch")
-    accuracy = float(np.mean(probs.argmax(axis=1) == labels))
+    accuracy = float(np.mean(predicted_class(probs) == labels))
     return mean_loss(probs, labels), accuracy
 
 
@@ -174,11 +175,6 @@ def adam_step(params, grads, state, hyper):
     v_hat = v / _bias_correction(b2, t)
     flat = params.flat - hyper.learning_rate * m_hat / (np.sqrt(v_hat) + hyper.adam_epsilon)
     return params.with_flat(flat), AdamState(m, v, params.shapes, t)
-
-
-def _preprocess_arrays(dataset, fills, scaler):
-    imputed = dp.impute_with_values(dataset, fills)
-    return dp.scale_values(imputed.feature_array(), scaler), imputed.labels
 
 
 def train(dataset, hyper=Hyperparams(), validation=None):
@@ -218,19 +214,12 @@ def train_folds(datasets, hyper, seeds, validations=None):
     """
     F = len(datasets)
     where = [f"fold {f}: " if F > 1 else "" for f in range(F)]
-    for f, dataset in enumerate(datasets):
-        if len(set(dataset.labels.tolist())) < 2:
-            raise SingleClassDataError(f"{where[f]}training data must contain both classes")
-
-    preprocessing, Xs, ys, val_arrays = [], [], [], []
-    for dataset, validation in zip(datasets, validations or [None] * F):
-        fills = dp.fill_values(dataset)
-        scaler = dp.fit_scaler(dp.impute_with_values(dataset, fills))
-        X, y = _preprocess_arrays(dataset, fills, scaler)
-        preprocessing.append((fills, scaler))
-        Xs.append(X)
-        ys.append(y)
-        val_arrays.append(_preprocess_arrays(validation, fills, scaler) if validation else None)
+    preprocessing = dp.fit_preprocessing(datasets)
+    Xs = [dp.scale_values(imputed.feature_array(), scaler) for _, imputed, scaler in preprocessing]
+    ys = [dataset.labels for dataset in datasets]
+    val_arrays = [
+        (dp.scale_values(dp.impute_array(v.X, fills), scaler), v.labels) if v else None
+        for v, (fills, _, scaler) in zip(validations or [None] * F, preprocessing)]
 
     rngs = [np.random.default_rng(seed) for seed in seeds]
     params = nn.ModelParams.stack(
@@ -271,7 +260,7 @@ def train_folds(datasets, hyper, seeds, validations=None):
                     if bad.size:
                         raise NonFiniteLossError(f"{where[models[bad[0]]]}non-finite loss "
                                                  f"at epoch {epoch}, batch {step}")
-                    grads = nn.model_backward(cache, sub, labels, hyper.pool_mode)
+                    grads = nn.model_backward(cache, labels)
                     sub, sub_state = adam_step(sub, grads, sub_state, hyper)
                     params.flat[models] = sub.flat
                     state.m_flat[models], state.v_flat[models] = sub_state.m_flat, sub_state.v_flat
@@ -293,7 +282,7 @@ def train_folds(datasets, hyper, seeds, validations=None):
     return [
         TrainedModel(params=params.model(f).copy(), scaler=scaler, fill_values=fills,
                      hyper=replace(hyper, seed=seed), curve=curve)
-        for f, ((fills, scaler), seed, curve) in enumerate(zip(preprocessing, seeds, curves))
+        for f, ((fills, _, scaler), seed, curve) in enumerate(zip(preprocessing, seeds, curves))
     ]
 
 

@@ -40,7 +40,7 @@ def test_criterion_1_gradient_correctness():
         X = rng.standard_normal((3, 13))
         y = rng.integers(0, 2, size=3)
         _, cache = nn.forward_batch(X, params)
-        grads = nn.model_backward(cache, params, y)
+        grads = nn.model_backward(cache, y)
         expected = fd_gradients(params, X, y, h=1e-5)
         for name in grads:
             worst = max(worst, float(rel_err(grads[name], expected[name]).max()))

@@ -4,6 +4,8 @@ renames one fails here and not only as `absent_layers` in a benchmark run."""
 import os
 import signal
 
+import pytest
+
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "benchmarks")
 
 
@@ -105,3 +107,29 @@ def test_swarm_solves_are_called_through_their_module(monkeypatch):
                             swarm_size=7, iterations=iterations)
     calls = 3 * (iterations + 1) + 1
     assert counts == {"elm_solve_output": calls, "solve_residual": calls}
+
+
+@pytest.mark.parametrize("kind", ["cnn", "dv_logistic", "pso_elm"])
+def test_preprocessing_is_fit_once_per_fold(monkeypatch, kind):
+    """Every kind's `cross_validate` fits its fill values, imputes its
+    training set and fits its scaler once per fold, through `data`, where
+    the benchmark's spans wrap them; scoring the test folds fits nothing."""
+    from cardioseq import data, evaluation, synthetic, training
+
+    counts = {}
+
+    def counting(name):
+        inner = getattr(data, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(data, name, wrapper)
+
+    for name in ("fill_values", "impute_with_values", "fit_scaler"):
+        counting(name)
+    k = 3
+    evaluation.cross_validate(synthetic.separable_dataset(24, seed=3), kind, k=k,
+                              hyper=training.Hyperparams(epochs=1, kernels_per_width=2))
+    assert counts == {"fill_values": k, "impute_with_values": k, "fit_scaler": k}

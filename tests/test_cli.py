@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cardioseq import cli, model_io, synthetic
+from cardioseq import data as dp
 from cardioseq import training as tr
 
 from conftest import write_statlog_file
@@ -76,6 +77,13 @@ class TestValidate:
     ("cv", "--batch", "0"),
     ("train", "--kernels", "0"),
     ("cv", "--dropout", "1"),
+    ("cv", "--seed", "-1"),
+    ("validate", "--dialect", "foo"),
+    ("train", "--dialect", "statlog,cleveland"),
+    ("compare", "--dialect", "statlog,foo"),
+    ("train", "--pool", "windowed:3"),
+    ("train", "--pool", "windowed:a:b"),
+    ("train", "--pool", "windowed:3:2:1"),
 ])
 def test_bad_flag_value_rejected(statlog_file, tmp_path, capsys, command, flag, value):
     out = tmp_path / "out"
@@ -84,7 +92,9 @@ def test_bad_flag_value_rejected(statlog_file, tmp_path, capsys, command, flag, 
     assert code == 2
     captured = capsys.readouterr()
     assert captured.err.startswith(f"error: {flag}: ")
-    assert "nan" not in captured.out
+    if flag == "--pool":
+        assert "expected global or windowed:SIZE:STRIDE" in captured.err
+    assert captured.out == ""
     assert not out.exists()
 
 
@@ -121,6 +131,29 @@ class TestTrain:
         assert (out / "curve.csv").exists() == (kind == "cnn")
         assert cli.main(["predict", str(out / "model.txt"), ",".join(["0.05"] * 13)]) == 0
         assert "class " in capsys.readouterr().out
+
+    @pytest.mark.parametrize("kind", ["cnn", "dv_logistic", "pso_elm"])
+    def test_constant_column_is_ignored(self, tmp_path, capsys, kind):
+        """A training column holding one repeated decimal has zero spread, so
+        a record's value there cannot move the prediction. (Its computed
+        population std is a rounding residue, 1.1e-16 here, not 0.)"""
+        ds = synthetic.separable_dataset(80, seed=21)
+        X = ds.X.copy()
+        X[:, 9] = 0.7  # oldpeak
+        data = tmp_path / "const.dat"
+        write_statlog_file(data, dp.Dataset(X, ds.y))
+        out = tmp_path / "out"
+        assert cli.main(["train", "--data", str(data), "--model", kind,
+                         "--out", str(out)] + FAST_FLAGS) == 0
+        capsys.readouterr()
+        lines = []
+        for value in ("0.7", "0.8", "-40", "?"):
+            record = [repr(v) for v in X[0].tolist()]
+            record[9] = value
+            assert cli.main(["predict", str(out / "model.txt"), ",".join(record)]) == 0
+            lines.append(capsys.readouterr().out)
+        assert lines[0].startswith("class ")
+        assert lines == [lines[0]] * 4
 
     def test_pso_elm_on_one_row_per_class(self, tmp_path, capsys):
         """Both rows go to the swarm's validation part, leaving no fit rows."""

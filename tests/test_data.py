@@ -8,6 +8,7 @@ from cardioseq.errors import (
     EmptyDatasetError,
     MalformedRowError,
     MissingValueError,
+    SingleClassDataError,
     UnknownLabelError,
 )
 
@@ -159,6 +160,13 @@ class TestImputation:
         out = impute(ds)
         assert out.records[2].features[0] == pytest.approx(2.0)
 
+    def test_mean_of_equal_values_is_that_value(self):
+        # np.mean of 0.7 repeated 19 times is not 0.7; the fill must be, or
+        # the imputed column would no longer be constant
+        ds = make_dataset([[0.7] * 19 + [None]])
+        assert dp.fill_values(ds)[0] == 0.7
+        assert dp.fit_scaler(impute(ds)).constant[0]
+
     def test_categorical_mode_fill(self):
         mask = (True,) + (False,) * 12
         ds = make_dataset([[3.0, 3.0, None, 7.0]], categorical_mask=mask)
@@ -202,6 +210,14 @@ class TestScaler:
         stats = dp.fit_scaler(ds)
         assert stats.std[0] == 0.0
         assert stats.constant[0]
+
+    def test_repeated_decimal_has_zero_spread(self):
+        # 0.7 repeated: the mean is not exactly 0.7, so np.std is 1.1e-16
+        ds = make_dataset([[0.7] * 20, [0.7] * 19 + [0.8]])
+        stats = dp.fit_scaler(ds)
+        assert stats.std[0] == 0.0 and stats.std[1] > 0.0
+        scaled = dp.scale_values(np.array([[0.8] + [0.0] * 12]), stats)
+        assert scaled[0, 0] == 0.0
 
     def test_single_record(self):
         ds = make_dataset([[4.0]])
@@ -259,3 +275,24 @@ class TestFeatureMatrix:
 def test_record_arity_enforced():
     with pytest.raises(ArityMismatchError):
         dp.SampleRecord((1.0, 2.0), 0)
+
+
+class TestFitPreprocessing:
+    def test_fits_each_set_on_its_own_rows(self):
+        sets = [make_dataset([[1.0, None, 3.0, 4.0]]), make_dataset([[2.0, 2.0, None, 8.0]])]
+        for ds, (fills, imputed, scaler) in zip(sets, dp.fit_preprocessing(sets)):
+            np.testing.assert_array_equal(fills, dp.fill_values(ds))
+            np.testing.assert_array_equal(imputed.X, dp.impute_with_values(ds, fills).X)
+            np.testing.assert_array_equal(scaler.mean, dp.fit_scaler(imputed).mean)
+            np.testing.assert_array_equal(scaler.std, dp.fit_scaler(imputed).std)
+
+    def test_both_classes_checked_before_any_fit(self):
+        all_missing = make_dataset([[None, None]])
+        one_class = make_dataset([[1.0, 2.0]], labels=[1, 1])
+        with pytest.raises(SingleClassDataError,
+                           match="^fold 1: training data must contain both classes$"):
+            dp.fit_preprocessing([all_missing, one_class])
+        with pytest.raises(SingleClassDataError, match="^training data must contain both"):
+            dp.fit_preprocessing([one_class])
+        with pytest.raises(AllMissingColumnError):
+            dp.fit_preprocessing([all_missing])

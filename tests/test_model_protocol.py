@@ -4,8 +4,12 @@ derived from it."""
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from cardioseq import baselines as bl
 from cardioseq import cli, model_io
+from cardioseq import data as dp
 from cardioseq import training as tr
 
 KINDS = ("cnn", "dv_logistic", "pso_elm")
@@ -37,3 +41,38 @@ def test_shared_protocol(kind, fitted_models, mixed, tmp_path, capsys):
         assert cls == int(p[1] > p[0])
         assert cli.main(["predict", str(path), "--", record_text(mixed.X[i])]) == 0
         assert capsys.readouterr().out.strip() == f"class {cls}, p = {p[0]:.6f} {p[1]:.6f}"
+
+
+# Small fits of each kind, fast enough for one per property example.
+FIT_SMALL = {
+    "cnn": lambda ds: tr.train(ds, tr.Hyperparams(epochs=1, kernels_per_width=1)),
+    "dv_logistic": lambda ds: bl.dv_logistic_train(ds, epochs=20),
+    "pso_elm": lambda ds: bl.pso_elm_train(ds, hidden_size=4, swarm_size=3, iterations=1),
+}
+
+VALUES = st.sampled_from([0.7, 0.1, 1 / 3, -2.5, 0.0, 123.456]) | st.floats(
+    -1e6, 1e6, allow_nan=False)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@given(data=st.data())
+def test_constant_training_columns_are_ignored(kind, mixed, data):
+    """Columns whose training values are all equal (after imputation) carry
+    nothing: every kind's probabilities are finite rows summing to 1 and do
+    not depend on a record's values in those columns, missing ones included."""
+    columns = data.draw(st.lists(st.integers(0, dp.N_FEATURES - 1), min_size=1, max_size=4,
+                                 unique=True), label="constant columns")
+    X = mixed.X.copy()
+    for j in columns:
+        X[:, j] = data.draw(VALUES, label=f"column {j} value")
+        if data.draw(st.booleans(), label=f"column {j} has missing values"):
+            X[::5, j] = np.nan
+    model = FIT_SMALL[kind](dp.Dataset(X, mixed.y))
+
+    probs = model.predict_proba(mixed.X)
+    assert np.isfinite(probs).all()
+    np.testing.assert_allclose(probs.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+    other = mixed.X.copy()
+    other[:, columns] = data.draw(st.lists(VALUES | st.just(np.nan), min_size=len(columns),
+                                           max_size=len(columns)), label="record values")
+    np.testing.assert_array_equal(model.predict_proba(other), probs)

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from cardioseq import network as nn
 from cardioseq import training as tr
-from cardioseq.errors import ShapeMismatchError, StaleCacheError
+from cardioseq.errors import ShapeMismatchError
 
 import reference as ref
 
@@ -285,7 +285,7 @@ class TestModelBackward:
         X = rng.standard_normal((5, 13))
         y = rng.integers(0, 2, size=5)
         _, cache = nn.forward_batch(X, params)
-        grads = nn.model_backward(cache, params, y)
+        grads = nn.model_backward(cache, y)
         expected = fd_gradients(params, X, y)
         for name in grads:
             assert rel_err(grads[name], expected[name]).max() < 1e-4, name
@@ -299,7 +299,7 @@ class TestModelBackward:
         X = rng.standard_normal((batch, 13))
         y = rng.integers(0, 2, size=batch)
         _, cache = nn.forward_batch(X, params, pool_mode=mode)
-        grads = nn.model_backward(cache, params, y, pool_mode=mode)
+        grads = nn.model_backward(cache, y)
         expected = fd_gradients(params, X, y, pool_mode=mode)
         assert grads.keys() == expected.keys()
         for name in grads:
@@ -311,7 +311,7 @@ class TestModelBackward:
         params.conv_b[1][...] = -100.0
         X = rng.standard_normal((1, 13))
         _, cache = nn.forward_batch(X, params)
-        grads = nn.model_backward(cache, params, np.array([1]))
+        grads = nn.model_backward(cache, np.array([1]))
         assert np.all(grads["conv_w1"] == 0.0)
         assert np.all(grads["conv_b1"] == 0.0)
 
@@ -321,23 +321,9 @@ class TestModelBackward:
         _, cache = nn.forward_batch(X, params)
         # force a saturated correct prediction through the cached probs
         cache.probs = np.array([[1.0, 0.0]])
-        grads = nn.model_backward(cache, params, np.array([0]))
+        grads = nn.model_backward(cache, np.array([0]))
         for g in grads.values():
             assert np.all(g == 0.0)
-
-    def test_stale_cache_rejected(self, rng):
-        params = nn.init_params(2, rng)
-        X = rng.standard_normal((2, 13))
-        _, cache = nn.forward_batch(X, params)
-        with pytest.raises(StaleCacheError):
-            nn.model_backward(cache, params.copy(), np.array([0, 1]))
-
-    def test_other_pool_mode_rejected(self, rng):
-        mode = ("windowed", 3, 2)
-        params = nn.init_params(2, rng, pool_mode=mode)
-        _, cache = nn.forward_batch(rng.standard_normal((2, 13)), params, pool_mode=mode)
-        with pytest.raises(ShapeMismatchError):
-            nn.model_backward(cache, params, np.array([0, 1]), pool_mode=("windowed", 5, 2))
 
     def test_pool_backward_routes_unit_gradient(self, rng):
         # total gradient arriving at each feature map equals the gradient of
@@ -350,7 +336,7 @@ class TestModelBackward:
         dlogits[np.arange(3), y] -= 1.0
         dlogits /= 3
         dz = dlogits @ params.dense_w  # gradient on the pooled vector
-        grads_b = nn.model_backward(cache, params, y)
+        grads_b = nn.model_backward(cache, y)
         # conv bias gradient sums dpre over positions; with no dropout the
         # routed mass per map equals dz gated by ReLU at the argmax
         K = params.kernels_per_width
@@ -373,7 +359,7 @@ class TestWindowedPooling:
         y = rng.integers(0, 2, size=4)
         probs, cache = nn.forward_batch(X, params, pool_mode=mode)
         assert probs.shape == (4, 2)
-        grads = nn.model_backward(cache, params, y, pool_mode=mode)
+        grads = nn.model_backward(cache, y)
 
         def loss_of():
             p, _ = nn.forward_batch(X, params, pool_mode=mode)

@@ -92,6 +92,13 @@ class TestBatchLoss:
         with pytest.raises(EmptyBatchError):
             tr.loss_and_accuracy(np.empty((0, 2)), [])
 
+    def test_accuracy_takes_classes_from_predicted_class(self):
+        # argmax would call the NaN row class 1; predicted_class, as every
+        # prediction does, calls it and the exact tie class 0
+        probs = np.array([[0.5, np.nan], [0.5, 0.5], [0.2, 0.8]])
+        _, acc = tr.loss_and_accuracy(probs, [0, 0, 1])
+        assert acc == 1.0
+
 
 class TestAdam:
     def test_zero_gradient_fixed_point(self, rng):
