@@ -43,6 +43,6 @@ arr = dp.scale_values(imputed.feature_array(), scaler)
 print(f"\ncolumn means after scaling (should be ~0): {np.round(arr.mean(axis=0), 12)}")
 
 # Each sample becomes a 13x1 single-channel column matrix for the network.
-matrix = dp.to_feature_matrix(dp.SampleRecord(tuple(arr[0]), int(imputed.labels[0])))
+matrix = arr[0].reshape(dp.N_FEATURES, 1)
 print(f"\nfeature matrix shape: {matrix.shape}")
 print(matrix.ravel())

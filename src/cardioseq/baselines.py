@@ -195,27 +195,26 @@ class ElmModel(tr.Classifier):
         return self._scores(dataset.X)
 
 
-def _normal_equations(H, Y, ridge):
-    Ht = np.swapaxes(H, -1, -2)
-    return Ht @ H + ridge * np.eye(H.shape[-1]), Ht @ Y
-
-
-def elm_solve_output(hidden_activations, targets, ridge=ELM_RIDGE):
-    """Ridge least squares: solve (HᵀH + λI) W = HᵀY with an SPD solver, for
-    one (n, H) activation matrix or each of a stack (..., n, H) of them."""
+def normal_equations(hidden_activations, targets, ridge=ELM_RIDGE):
+    """The ridge normal equations (HᵀH + λI, HᵀY) of one (n, H) activation
+    matrix and its targets, or of each of a stack (..., n, H) of them."""
     H = np.asarray(hidden_activations, dtype=float)
     Y = np.asarray(targets, dtype=float)
     if not (np.all(np.isfinite(H)) and np.all(np.isfinite(Y))):
         raise NonFiniteInputError("hidden activations and targets must be finite")
-    return solve(*_normal_equations(H, Y, ridge), assume_a="pos")
+    Ht = np.swapaxes(H, -1, -2)
+    return Ht @ H + ridge * np.eye(H.shape[-1]), Ht @ Y
 
 
-def solve_residual(hidden_activations, targets, ridge, output_weights):
-    """Max-norm residual of the ridge normal equations for a given solution
-    (over the whole stack when given (..., n, H) activations)."""
-    H = np.asarray(hidden_activations, dtype=float)
-    Y = np.asarray(targets, dtype=float)
-    A, B = _normal_equations(H, Y, ridge)
+def elm_solve_output(A, B):
+    """Ridge least squares: solve the normal equations A W = B (from
+    `normal_equations`) with an SPD solver, for one system or a stack."""
+    return solve(A, B, assume_a="pos")
+
+
+def solve_residual(A, B, output_weights):
+    """Max-norm residual of the normal equations A W = B for a given solution
+    (over the whole stack for stacked systems)."""
     return float(np.abs(A @ output_weights - B).max())
 
 
@@ -239,7 +238,37 @@ def _stratified_holdout(y, frac, rng):
 
 def pso_elm_train(dataset, hidden_size=32, swarm_size=20, iterations=50,
                   seed=0, ridge=ELM_RIDGE):
-    """Optimize the ELM's hidden weights/biases with a particle swarm.
+    """Optimize an ELM's hidden weights/biases with a particle swarm
+    (`pso_elm_train_folds` of one dataset)."""
+    return pso_elm_train_folds([dataset], [seed], hidden_size, swarm_size, iterations, ridge)[0]
+
+
+def pso_elm_train_folds(datasets, seeds, hidden_size=32, swarm_size=20, iterations=50,
+                        ridge=ELM_RIDGE):
+    """Fit one PSO-ELM per dataset, model f with seed seeds[f].
+
+    Every dataset's preprocessing is fit first (`data.fit_preprocessing`,
+    whose errors name the model as `fold f` when there are several), then
+    each swarm runs on its own with its own generator, as in a run of its own.
+    """
+    for name, value, least in (("hidden_size", hidden_size, 1),
+                               ("swarm_size", swarm_size, 1),
+                               ("iterations", iterations, 0),
+                               *(("seed", seed, 0) for seed in seeds)):
+        if value < least:
+            raise ValueError(f"{name} must be at least {least}, got {value}")
+    preprocessing = dp.fit_preprocessing(datasets)
+    models = []
+    for dataset, seed, (fills, imputed, scaler) in zip(datasets, seeds, preprocessing):
+        X = dp.scale_values(imputed.feature_array(), scaler)
+        fitted = _swarm_fit(X, dataset.labels, np.random.default_rng(seed),
+                            hidden_size, swarm_size, iterations, ridge)
+        models.append(ElmModel(fill_values=fills, scaler=scaler, ridge=ridge, **fitted))
+    return models
+
+
+def _swarm_fit(X, y, rng, hidden_size, swarm_size, iterations, ridge):
+    """The swarm-fit fields of an `ElmModel` of scaled rows X and labels y.
 
     Fitness is validation accuracy on an internal seeded 80/20 split after
     the closed-form output solve on the fit part; the winning hidden
@@ -248,16 +277,6 @@ def pso_elm_train(dataset, hidden_size=32, swarm_size=20, iterations=50,
     hidden-layer array, one stacked solve per block, with the same results as
     scoring them one by one.
     """
-    for name, value, least in (("hidden_size", hidden_size, 1),
-                               ("swarm_size", swarm_size, 1),
-                               ("iterations", iterations, 0)):
-        if value < least:
-            raise ValueError(f"{name} must be at least {least}, got {value}")
-    [(fills, imputed, scaler)] = dp.fit_preprocessing([dataset])
-    X = dp.scale_values(imputed.feature_array(), scaler)
-    y = dataset.labels
-
-    rng = np.random.default_rng(seed)
     fit_idx, val_idx = _stratified_holdout(y, 0.2, rng)
     X_fit, y_fit = X[fit_idx], y[fit_idx]
     X_val, y_val = X[val_idx], y[val_idx]
@@ -287,9 +306,9 @@ def pso_elm_train(dataset, hidden_size=32, swarm_size=20, iterations=50,
         for start in range(0, swarm_size, block):
             W, b = unpack(positions[start : start + block])
             s = W.shape[0]
-            H_fit = hidden(X_fit, W, b, z_fit[:s])
-            out_w = elm_solve_output(H_fit, Y_fit, ridge)
-            residuals.append(solve_residual(H_fit, Y_fit, ridge, out_w))
+            A, B = normal_equations(hidden(X_fit, W, b, z_fit[:s]), Y_fit, ridge)
+            out_w = elm_solve_output(A, B)
+            residuals.append(solve_residual(A, B, out_w))
             pred = tr.predicted_class(hidden(X_val, W, b, z_val[:s]) @ out_w)
             fit[start : start + s] = np.mean(pred == y_val, axis=1)
         return fit
@@ -328,12 +347,8 @@ def pso_elm_train(dataset, hidden_size=32, swarm_size=20, iterations=50,
         history.append(gbest_fit)
 
     W, b = unpack(gbest)
-    H_all = _sigmoid(X @ W + b)
-    Y_all = _one_hot(y)
-    out_w = elm_solve_output(H_all, Y_all, ridge)
-    residuals.append(solve_residual(H_all, Y_all, ridge, out_w))
-    return ElmModel(
-        hidden_weights=W, hidden_biases=b, output_weights=out_w,
-        fill_values=fills, scaler=scaler, ridge=ridge,
-        gbest_history=history, max_solve_residual=max(residuals),
-    )
+    A, B = normal_equations(_sigmoid(X @ W + b), _one_hot(y), ridge)
+    out_w = elm_solve_output(A, B)
+    residuals.append(solve_residual(A, B, out_w))
+    return dict(hidden_weights=W, hidden_biases=b, output_weights=out_w,
+                gbest_history=history, max_solve_residual=max(residuals))

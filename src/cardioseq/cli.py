@@ -49,27 +49,20 @@ _CONFIG_TYPES = {f.name: {"int": int, "float": float}.get(f.type, str) for f in 
 
 def load_config_file(path):
     values = {}
-    # undecodable bytes read as surrogates, so that an error can name its line
-    with open(path, encoding="ascii", errors="surrogateescape") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.isascii():
-                column, char = next((i, c) for i, c in enumerate(line, start=1)
-                                    if not c.isascii())
-                raise ValueError(f"{path}:{line_no}: byte {ord(char) - 0xDC00:#04x} at "
-                                 f"column {column} is not ASCII")
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{line_no}: expected key = value")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key not in _CONFIG_TYPES:
-                raise ValueError(f"{path}:{line_no}: unknown key {key!r}")
-            try:
-                values[key] = _CONFIG_TYPES[key](value)
-            except ValueError:
-                raise ValueError(f"{path}:{line_no}: {key}: expected "
-                                 f"{_CONFIG_TYPES[key].__name__}, got {value!r}") from None
+    for line_no, line in enumerate(model_io.read_ascii_lines(path, ValueError), start=1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}:{line_no}: expected key = value")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in _CONFIG_TYPES:
+            raise ValueError(f"{path}:{line_no}: unknown key {key!r}")
+        try:
+            values[key] = _CONFIG_TYPES[key](value)
+        except ValueError:
+            raise ValueError(f"{path}:{line_no}: {key}: expected "
+                             f"{_CONFIG_TYPES[key].__name__}, got {value!r}") from None
     return values
 
 
@@ -215,11 +208,16 @@ def parse_record(text):
     tokens = [t.strip() for t in text.split(",")]
     if len(tokens) != dp.N_FEATURES:
         raise ValueError(f"expected {dp.N_FEATURES} comma-separated values")
-    features = tuple(None if t == "?" else float(t) for t in tokens)
-    for position, (token, value) in enumerate(zip(tokens, features), start=1):
+    features = []
+    for position, token in enumerate(tokens, start=1):
+        try:
+            value = None if token == "?" else float(token)
+        except ValueError:
+            raise ValueError(f"record value {position}: unparseable token {token!r}") from None
         if value is not None and not np.isfinite(value):
             raise ValueError(f"record value {position}: non-finite token {token!r}")
-    return dp.SampleRecord(features, 0)
+        features.append(value)
+    return dp.SampleRecord(tuple(features), 0)
 
 
 def cmd_predict(args):

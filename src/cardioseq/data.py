@@ -58,10 +58,6 @@ class SampleRecord:
         if self.label not in (0, 1):
             raise ArityMismatchError(f"label must be 0 or 1, got {self.label}")
 
-    @property
-    def has_missing(self):
-        return any(v is None for v in self.features)
-
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
@@ -276,11 +272,4 @@ def scale_values(values, stats):
     scaled = (np.asarray(values, dtype=float) - stats.mean) / safe_std
     scaled[..., stats.constant] = 0.0
     return scaled
-
-
-def to_feature_matrix(record):
-    """13x1 single-channel column matrix, feature order preserved."""
-    if record.has_missing:
-        raise MissingValueError("record has missing values; impute first")
-    return np.array(record.features, dtype=float).reshape(N_FEATURES, 1)
 

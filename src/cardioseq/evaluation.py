@@ -13,12 +13,10 @@ from .errors import TooFewSamplesError
 
 # kind -> fit(datasets, hyper, seeds) -> one model per dataset. Only the CNN reads
 # `hyper` (the CLI's --epochs/--lr/--dropout/--batch/--kernels/--pool): the baselines
-# use their defaults. The CNN and Dv-Logistic fit all their models in lockstep
-# (Dv-Logistic starts from zero weights and needs no seed); PSO-ELM fits one by one.
+# use their defaults. Dv-Logistic starts from zero weights and needs no seed.
 FIT = {
     "dv_logistic": lambda sets, hyper, seeds: bl.dv_logistic_train_folds(sets),
-    "pso_elm": lambda sets, hyper, seeds: [
-        bl.pso_elm_train(ds, seed=seed) for ds, seed in zip(sets, seeds)],
+    "pso_elm": lambda sets, hyper, seeds: bl.pso_elm_train_folds(sets, seeds),
     "cnn": lambda sets, hyper, seeds: tr.train_folds(sets, hyper, seeds),
 }
 
@@ -74,6 +72,8 @@ def kfold_split(dataset, k=10, seed=0):
     small (then unstratified with a warning). Fold sizes differ by at most 1."""
     if k < 2:
         raise ValueError(f"k must be at least 2, got {k}")
+    if seed < 0:
+        raise ValueError(f"seed must be at least 0, got {seed}")
     n = len(dataset)
     if n < k:
         raise TooFewSamplesError(f"{n} records cannot fill {k} folds")

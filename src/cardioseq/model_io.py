@@ -1,4 +1,5 @@
-"""Versioned plain-text model files, training-curve files and atomic writes.
+"""Versioned plain-text model files, training-curve files, ASCII reads and
+atomic writes.
 
 Model-file layout: a `cardioseq-model v1` header, a `model-kind` line,
 `param` lines for scalar settings, then `tensor <name> <rows> <cols>`
@@ -36,6 +37,20 @@ def atomic_write(path, text):
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def read_ascii_lines(path, error):
+    """The lines of the text file `path`. A byte outside ASCII raises `error`
+    with the path, line and column of the first such byte."""
+    # undecodable bytes read as surrogates, so that the error can name its line
+    with open(path, encoding="ascii", errors="surrogateescape") as fh:
+        lines = fh.read().splitlines()
+    for line_no, line in enumerate(lines, start=1):
+        if not line.isascii():
+            column, char = next((i, c) for i, c in enumerate(line, start=1) if not c.isascii())
+            raise error(f"{path}:{line_no}: byte {ord(char) - 0xDC00:#04x} at "
+                        f"column {column} is not ASCII")
+    return lines
 
 
 def save_curve(path, curve):
@@ -85,8 +100,7 @@ class _Sections:
         return self.tensor(name, 1, size)[0]
 
 
-def _parse(text):
-    lines = text.splitlines()
+def _parse(lines):
     if not lines or lines[0] != HEADER:
         raise ModelFileError("missing or unsupported model file header")
     kind = None
@@ -233,8 +247,7 @@ def save_model(path, model):
 
 
 def load_model(path):
-    with open(path, encoding="ascii") as fh:
-        kind, sections = _parse(fh.read())
+    kind, sections = _parse(read_ascii_lines(path, ModelFileError))
     if kind not in KINDS:
         raise ModelFileError(f"unknown model-kind {kind!r}")
     try:

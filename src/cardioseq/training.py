@@ -56,7 +56,8 @@ class Hyperparams:
             raise ValueError("dropout_rate must be in [0, 1)")
         if not (0 < self.adam_beta1 < 1 and 0 < self.adam_beta2 < 1):
             raise ValueError("Adam betas must be in (0, 1)")
-        for name, least in (("epochs", 0), ("batch_size", 1), ("kernels_per_width", 1)):
+        for name, least in (("epochs", 0), ("batch_size", 1), ("kernels_per_width", 1),
+                            ("seed", 0)):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)}")
 

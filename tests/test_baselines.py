@@ -140,20 +140,20 @@ class TestDvLogistic:
 class TestElmSolve:
     def test_identity_system(self):
         Y = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
-        W = bl.elm_solve_output(np.eye(3), Y, ridge=1e-8)
+        W = bl.elm_solve_output(*bl.normal_equations(np.eye(3), Y, ridge=1e-8))
         np.testing.assert_allclose(W, Y, atol=1e-6)
 
     def test_large_ridge_shrinks_to_zero(self, rng):
         H = rng.standard_normal((10, 4))
         Y = rng.standard_normal((10, 2))
-        W = bl.elm_solve_output(H, Y, ridge=1e12)
+        W = bl.elm_solve_output(*bl.normal_equations(H, Y, ridge=1e12))
         assert np.abs(W).max() < 1e-9
 
     def test_matches_gaussian_elimination_oracle(self, rng):
         H = rng.standard_normal((6, 3))
         Y = rng.standard_normal((6, 2))
         ridge = 1e-6
-        W = bl.elm_solve_output(H, Y, ridge)
+        W = bl.elm_solve_output(*bl.normal_equations(H, Y, ridge))
         A = H.T @ H + ridge * np.eye(3)
         expected = gaussian_elimination(A, H.T @ Y)
         np.testing.assert_allclose(W, expected, atol=1e-8)
@@ -162,8 +162,9 @@ class TestElmSolve:
         for _ in range(20):
             H = rng.standard_normal((30, 8))
             Y = rng.standard_normal((30, 2))
-            W = bl.elm_solve_output(H, Y)
-            assert bl.solve_residual(H, Y, bl.ELM_RIDGE, W) < 1e-8
+            A, B = bl.normal_equations(H, Y)
+            W = bl.elm_solve_output(A, B)
+            assert bl.solve_residual(A, B, W) < 1e-8
 
 
 class TestPsoElm:
@@ -192,7 +193,7 @@ class TestPsoElm:
         assert m1.gbest_history == m2.gbest_history
 
     @pytest.mark.parametrize("name,value", [("swarm_size", 0), ("hidden_size", 0),
-                                            ("iterations", -1)])
+                                            ("iterations", -1), ("seed", -1)])
     def test_bad_size_rejected(self, separable, name, value):
         with pytest.raises(ValueError, match=name):
             bl.pso_elm_train(separable, **{name: value})
@@ -201,6 +202,53 @@ class TestPsoElm:
         model = bl.pso_elm_train(separable, iterations=10, seed=4)
         assert np.all(np.isfinite(model.hidden_weights))
         assert model.max_solve_residual < 1e-8
+
+    def test_single_class_fold_rejected_before_any_fit(self, separable, monkeypatch):
+        calls = []
+        monkeypatch.setattr(bl, "elm_solve_output", lambda *a: calls.append(1))
+        one_class = separable.subset(np.flatnonzero(separable.labels == 1))
+        with pytest.raises(SingleClassDataError,
+                           match="^fold 1: training data must contain both classes$"):
+            bl.pso_elm_train_folds([separable, one_class, separable], [0, 1, 2])
+        assert calls == []
+
+    def test_fold_models_equal_per_fold_train(self, separable):
+        sets = [separable.subset(np.arange(start, len(separable), 2)) for start in (0, 1)]
+        for subset, seed, model in zip(sets, [4, 9], bl.pso_elm_train_folds(sets, [4, 9],
+                                                                            iterations=3)):
+            alone = bl.pso_elm_train(subset, iterations=3, seed=seed)
+            for name in ("hidden_weights", "hidden_biases", "output_weights", "fill_values"):
+                np.testing.assert_array_equal(getattr(model, name), getattr(alone, name))
+            assert model.gbest_history == alone.gbest_history
+            assert model.max_solve_residual == alone.max_solve_residual
+
+    def test_normal_equations_built_once_per_solve(self, separable, monkeypatch):
+        """Every solve and its residual read the one (HᵀH + λI, HᵀY) pair that
+        `normal_equations` built for them."""
+        built, solved, checked = [], [], []
+        build, solve, residual = bl.normal_equations, bl.elm_solve_output, bl.solve_residual
+
+        def building(*args):
+            built.append(build(*args))
+            return built[-1]
+
+        def solving(A, B):
+            solved.append((A, B))
+            return solve(A, B)
+
+        def checking(A, B, W):
+            checked.append((A, B))
+            return residual(A, B, W)
+
+        monkeypatch.setattr(bl, "normal_equations", building)
+        monkeypatch.setattr(bl, "elm_solve_output", solving)
+        monkeypatch.setattr(bl, "solve_residual", checking)
+        iterations = 2
+        bl.pso_elm_train(separable, hidden_size=4, swarm_size=5, iterations=iterations)
+        assert len(built) == iterations + 2  # one block per evaluation, then the refit
+        for pairs in (solved, checked):
+            assert len(pairs) == len(built)
+            assert all(a is A and b is B for (a, b), (A, B) in zip(pairs, built))
 
 
 class TestBaselinePredict:

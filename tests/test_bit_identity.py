@@ -6,10 +6,10 @@ pooling loops, per-tensor Adam); the baseline digests from the original
 one-particle-at-a-time PSO-ELM swarm and boolean-mask sigmoid. Any rewrite
 must reproduce every trained tensor, the per-epoch curve, the PSO
 convergence record and `predict_proba` exactly. Each digest is the first 16
-hex digits of the sha256 of the array's float64 bytes. The CNN and
-Dv-Logistic cross-validation digests (of `report_to_csv` text) were
-recorded from the fold-by-fold CV, where each fold's model trained on its
-own.
+hex digits of the sha256 of the array's float64 bytes. The CNN,
+Dv-Logistic and PSO-ELM cross-validation digests (of `report_to_csv` text)
+were recorded from the fold-by-fold CV, where each fold's model trained on
+its own, with its own preprocessing fit.
 
 Regenerate (only for an intended change of results) with
 `PYTHONPATH=src python tests/test_bit_identity.py`.
@@ -333,6 +333,32 @@ def test_dv_logistic_cross_validation_reports_pinned(name):
     assert run_dv_cv_digest(name) == EXPECTED_DV_CV[name]
 
 
+# name -> (rows, data seed, k) of a seeded PSO-ELM cross-validation (default
+# hidden size, swarm and iterations); in "ragged-127" the training sets hold
+# 101 or 102 rows, so the folds' swarms run on different row counts.
+PSO_CV_CASES = {
+    "k-2": (125, 61, 2),
+    "k-3": (125, 62, 3),
+    "ragged-127": (127, 63, 5),
+}
+
+
+def run_pso_cv_digest(name):
+    rows, data_seed, k = PSO_CV_CASES[name]
+    report = ev.cross_validate(noisy_dataset(rows, data_seed), "pso_elm", k=k, seed=data_seed)
+    return hashlib.sha256(ev.report_to_csv(report).encode()).hexdigest()[:16]
+
+
+EXPECTED_PSO_CV = {
+    "k-2": "f416c505c16df23c", "k-3": "af68d4095f9e81a8", "ragged-127": "24c3c29ae95eeb3b",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PSO_CV_CASES))
+def test_pso_elm_cross_validation_reports_pinned(name):
+    assert run_pso_cv_digest(name) == EXPECTED_PSO_CV[name]
+
+
 def test_dv_cases_cover_width_groups():
     """"width-split" fits design matrices of one row count and two widths, and
     "ragged-303" of one width and two row counts."""
@@ -409,17 +435,17 @@ def test_block_solve_and_scores_match_one_particle(hidden):
     X_fit, X_val = rng.normal(size=(40, 13)), rng.normal(size=(12, 13))
     Y_fit = bl._one_hot(rng.integers(0, 2, 40))
     W, b = rng.uniform(-1, 1, (5, 13, hidden)), rng.uniform(-1, 1, (5, hidden))
-    H_fit = bl._sigmoid(X_fit @ W + b[:, None, :])
-    out_w = bl.elm_solve_output(H_fit, Y_fit)
+    A, B = bl.normal_equations(bl._sigmoid(X_fit @ W + b[:, None, :]), Y_fit)
+    out_w = bl.elm_solve_output(A, B)
     scores = bl._sigmoid(X_val @ W + b[:, None, :]) @ out_w
     residuals = []
     for i in range(5):
-        h = bl._sigmoid(X_fit @ W[i] + b[i])
-        w = bl.elm_solve_output(h, Y_fit)
+        a, b_i = bl.normal_equations(bl._sigmoid(X_fit @ W[i] + b[i]), Y_fit)
+        w = bl.elm_solve_output(a, b_i)
         assert same_bits(out_w[i], w)
         assert same_bits(scores[i], bl._sigmoid(X_val @ W[i] + b[i]) @ w)
-        residuals.append(bl.solve_residual(h, Y_fit, bl.ELM_RIDGE, w))
-    assert bl.solve_residual(H_fit, Y_fit, bl.ELM_RIDGE, out_w) == max(residuals)
+        residuals.append(bl.solve_residual(a, b_i, w))
+    assert bl.solve_residual(A, B, out_w) == max(residuals)
 
 
 def test_swarm_results_do_not_depend_on_block_size(monkeypatch):
@@ -440,10 +466,10 @@ def test_baseline_cases_cover_partial_and_single_blocks(monkeypatch):
     sizes = []
     solve = bl.elm_solve_output
 
-    def recording(H, *args):
-        if H.ndim == 3:
-            sizes.append(H.shape[0])
-        return solve(H, *args)
+    def recording(A, B):
+        if A.ndim == 3:
+            sizes.append(A.shape[0])
+        return solve(A, B)
 
     monkeypatch.setattr(bl, "elm_solve_output", recording)
 
@@ -466,4 +492,6 @@ if __name__ == "__main__":
                   sort_dicts=False)
     pprint.pprint({name: run_cv_digest(name) for name in sorted(CV_CASES)}, sort_dicts=False)
     pprint.pprint({name: run_dv_cv_digest(name) for name in sorted(DV_CV_CASES)},
+                  sort_dicts=False)
+    pprint.pprint({name: run_pso_cv_digest(name) for name in sorted(PSO_CV_CASES)},
                   sort_dicts=False)

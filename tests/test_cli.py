@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from cardioseq import baselines as bl
 from cardioseq import cli, model_io, synthetic
 from cardioseq import data as dp
 from cardioseq import training as tr
@@ -265,15 +266,17 @@ class TestPredict:
         assert captured.out == ""
         assert captured.err == f"error: {path}: non-finite class probabilities nan nan\n"
 
-    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "x"])
     def test_non_finite_record_rejected(self, tmp_path, capsys, token):
+        """A record token that is not a finite number ("x" is none) is named by position."""
+        problem = "unparseable" if token == "x" else "non-finite"
         ds = synthetic.separable_dataset(40, seed=2)
         model = tr.train(ds, tr.Hyperparams(epochs=0, kernels_per_width=2, seed=1))
         path = tmp_path / "m.txt"
         model_io.save_model(path, model)
         record = ",".join(["1.0"] * 12 + [token])
         assert cli.main(["predict", str(path), record]) == 2
-        assert "record value 13" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: record value 13: {problem} token {token!r}\n"
 
     @pytest.mark.parametrize("damage", ["nan_weight", "cut_last_line"])
     def test_broken_model_file_rejected(self, tmp_path, capsys, damage):
@@ -292,6 +295,22 @@ class TestPredict:
         captured = capsys.readouterr()
         assert "line" in captured.err
         assert "p = " not in captured.out
+
+    @pytest.mark.parametrize("line_no, column", [(1, 1), (4, 7)])
+    def test_non_ascii_model_file_names_line(self, tmp_path, capsys, line_no, column):
+        ds = synthetic.separable_dataset(40, seed=2)
+        model = tr.train(ds, tr.Hyperparams(epochs=0, kernels_per_width=2, seed=1))
+        path = tmp_path / "m.txt"
+        model_io.save_model(path, model)
+        lines = path.read_bytes().splitlines(keepends=True)
+        line = lines[line_no - 1]
+        lines[line_no - 1] = line[: column - 1] + b"\xff" + line[column:]
+        path.write_bytes(b"".join(lines))
+        assert cli.main(["predict", str(path), ",".join(["1.0"] * 13)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: {path}:{line_no}: byte 0xff at column {column} is not ASCII\n")
+        assert captured.out == ""
 
     def test_arity_error(self, tmp_path, capsys):
         ds = synthetic.separable_dataset(40, seed=2)
@@ -408,25 +427,19 @@ def test_non_finite_curve_loss_exit_code(statlog_file, tmp_path, capsys, command
     assert not out.exists()
 
 
-def test_single_class_fold_exit_code(tmp_path, capsys):
-    # one class-1 row among 12 and k = 2: the stratified split puts it in
-    # fold 1, so fold 1 trains on class 0 only
+@pytest.mark.parametrize("kind", ["cnn", "dv_logistic", "pso_elm"])
+def test_single_class_fold_named_before_any_fit(tmp_path, capsys, monkeypatch, kind):
+    """One class-1 row among 12 and k = 2: the stratified split puts it in
+    fold 1, so fold 1 trains on class 0 only. Every kind names the fold
+    before it fits anything (PSO-ELM runs no swarm solve)."""
+    solves = []
+    monkeypatch.setattr(bl, "elm_solve_output", lambda *args: solves.append(args))
     p = tmp_path / "one_positive.dat"
     lines = [f"{i} 0 0 0 0 0 0 0 0 0 0 0 0 1" for i in range(11)] + ["50 0 0 0 0 0 0 0 0 0 0 0 0 2"]
     p.write_text("\n".join(lines) + "\n")
     out = tmp_path / "out"
-    assert cli.main(["cv", "--data", str(p), "--k", "2", "--out", str(out)] + FAST_FLAGS) == 3
+    assert cli.main(["cv", "--data", str(p), "--model", kind, "--k", "2",
+                     "--out", str(out)] + FAST_FLAGS) == 3
     assert capsys.readouterr().err == "error: fold 1: training data must contain both classes\n"
     assert not out.exists()
-
-
-def test_dv_logistic_single_class_fold_exit_code(tmp_path, capsys):
-    # as above: fold 1 trains on class 0 only
-    p = tmp_path / "one_positive.dat"
-    lines = [f"{i} 0 0 0 0 0 0 0 0 0 0 0 0 1" for i in range(11)] + ["50 0 0 0 0 0 0 0 0 0 0 0 0 2"]
-    p.write_text("\n".join(lines) + "\n")
-    out = tmp_path / "out"
-    assert cli.main(["cv", "--data", str(p), "--model", "dv_logistic", "--k", "2",
-                     "--out", str(out)]) == 3
-    assert capsys.readouterr().err == "error: fold 1: training data must contain both classes\n"
-    assert not out.exists()
+    assert solves == []

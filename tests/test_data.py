@@ -251,27 +251,6 @@ class TestScaler:
             dp.fit_scaler(ds)
 
 
-class TestFeatureMatrix:
-    def test_order_preserved(self):
-        rec = dp.SampleRecord(tuple(float(i) for i in range(13)), 0)
-        m = dp.to_feature_matrix(rec)
-        assert m.shape == (13, 1)
-        assert m[:, 0].tolist() == [float(i) for i in range(13)]
-
-    def test_zero_record(self):
-        rec = dp.SampleRecord((0.0,) * 13, 0)
-        assert np.all(dp.to_feature_matrix(rec) == 0.0)
-
-    def test_flatten_roundtrip(self):
-        feats = tuple(float(i) * 1.5 for i in range(13))
-        assert tuple(dp.to_feature_matrix(dp.SampleRecord(feats, 1)).ravel()) == feats
-
-    def test_missing_rejected(self):
-        rec = dp.SampleRecord((None,) + (0.0,) * 12, 0)
-        with pytest.raises(MissingValueError):
-            dp.to_feature_matrix(rec)
-
-
 def test_record_arity_enforced():
     with pytest.raises(ArityMismatchError):
         dp.SampleRecord((1.0, 2.0), 0)

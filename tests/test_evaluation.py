@@ -95,6 +95,10 @@ class TestKfoldSplit:
         with pytest.raises(TooFewSamplesError):
             ev.kfold_split(ds, k=10)
 
+    def test_negative_seed_names_the_field(self):
+        with pytest.raises(ValueError, match="^seed must be at least 0, got -1$"):
+            ev.cross_validate(random_dataset(20, seed=1), "dv_logistic", k=2, seed=-1)
+
     def test_unstratified_fallback_warns(self):
         records = tuple(
             dp.SampleRecord((float(i),) + (0.0,) * 12, int(i == 0)) for i in range(20)

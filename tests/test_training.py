@@ -279,7 +279,7 @@ class TestTrain:
             replace(FAST, **{field: value})
 
     @pytest.mark.parametrize("field, value", [("epochs", -1), ("batch_size", 0),
-                                              ("kernels_per_width", 0)])
+                                              ("kernels_per_width", 0), ("seed", -1)])
     def test_out_of_range_sizes_name_the_field(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be at least"):
             replace(FAST, **{field: value})
