@@ -22,7 +22,7 @@ from . import model_io
 from . import network as nn
 from . import training as tr
 from .errors import (CardioseqError, EmptyDatasetError, MalformedRowError, ModelFileError,
-                     TooFewSamplesError)
+                     NonAsciiFileError, TooFewSamplesError)
 
 EXIT_INPUT_ERROR = 2
 EXIT_RUNTIME_ERROR = 3
@@ -49,7 +49,7 @@ _CONFIG_TYPES = {f.name: {"int": int, "float": float}.get(f.type, str) for f in 
 
 def load_config_file(path):
     values = {}
-    for line_no, line in enumerate(model_io.read_ascii_lines(path, ValueError), start=1):
+    for line_no, line in enumerate(dp.read_ascii_lines(path, ValueError), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -287,10 +287,14 @@ def main(argv=None):
         return COMMANDS[args.command](cfg)
     except (OSError, ValueError, CardioseqError) as exc:
         input_error = isinstance(
-            exc, (OSError, ValueError, MalformedRowError, EmptyDatasetError, ModelFileError)
+            exc, (OSError, ValueError, MalformedRowError, EmptyDatasetError, ModelFileError,
+                  NonAsciiFileError)
         )
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR if input_error else EXIT_RUNTIME_ERROR
+    except MemoryError:
+        print(f"error: out of memory in {args.command}", file=sys.stderr)
+        return EXIT_RUNTIME_ERROR
 
 
 if __name__ == "__main__":

@@ -22,6 +22,7 @@ from .errors import (
     EmptyDatasetError,
     MalformedRowError,
     MissingValueError,
+    NonAsciiFileError,
     SingleClassDataError,
     UnknownLabelError,
 )
@@ -164,6 +165,21 @@ def _parse_row(tokens, line_no, dialect):
     return values, int(level > 0)
 
 
+def read_ascii_lines(path, error):
+    """The lines of the text file `path` (split at \\n, \\r or \\r\\n). A byte
+    outside ASCII raises `error` with the path, line and column of the first
+    such byte."""
+    # undecodable bytes read as surrogates, so that the error can name its line
+    with open(path, encoding="ascii", errors="surrogateescape") as fh:
+        lines = [line.rstrip("\n") for line in fh]
+    for line_no, line in enumerate(lines, start=1):
+        if not line.isascii():
+            column, char = next((i, c) for i, c in enumerate(line, start=1) if not c.isascii())
+            raise error(f"{path}:{line_no}: byte {ord(char) - 0xDC00:#04x} at "
+                        f"column {column} is not ASCII")
+    return lines
+
+
 def parse_dataset(path, dialect):
     """Parse a heart-disease file into a Dataset.
 
@@ -172,8 +188,7 @@ def parse_dataset(path, dialect):
     """
     if dialect not in DIALECTS:
         raise ValueError(f"unknown dialect {dialect!r}")
-    with open(path, encoding="ascii", errors="replace") as fh:
-        lines = fh.readlines()
+    lines = read_ascii_lines(path, NonAsciiFileError)
     X = np.empty((len(lines), N_FEATURES))
     y = np.empty(len(lines), dtype=np.int64)
     n = 0

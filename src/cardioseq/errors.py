@@ -57,3 +57,7 @@ class TooFewSamplesError(CardioseqError):
 
 class ModelFileError(CardioseqError):
     pass
+
+
+class NonAsciiFileError(CardioseqError):
+    pass

@@ -39,20 +39,6 @@ def atomic_write(path, text):
         raise
 
 
-def read_ascii_lines(path, error):
-    """The lines of the text file `path`. A byte outside ASCII raises `error`
-    with the path, line and column of the first such byte."""
-    # undecodable bytes read as surrogates, so that the error can name its line
-    with open(path, encoding="ascii", errors="surrogateescape") as fh:
-        lines = fh.read().splitlines()
-    for line_no, line in enumerate(lines, start=1):
-        if not line.isascii():
-            column, char = next((i, c) for i, c in enumerate(line, start=1) if not c.isascii())
-            raise error(f"{path}:{line_no}: byte {ord(char) - 0xDC00:#04x} at "
-                        f"column {column} is not ASCII")
-    return lines
-
-
 def save_curve(path, curve):
     """Write the epoch table behind the accuracy/loss training plots."""
     rows = zip(curve.train_accuracy, curve.train_loss, curve.val_accuracy, curve.val_loss)
@@ -247,7 +233,7 @@ def save_model(path, model):
 
 
 def load_model(path):
-    kind, sections = _parse(read_ascii_lines(path, ModelFileError))
+    kind, sections = _parse(dp.read_ascii_lines(path, ModelFileError))
     if kind not in KINDS:
         raise ModelFileError(f"unknown model-kind {kind!r}")
     try:

@@ -13,10 +13,13 @@ for the widest kernel; the width-3 bank reads its centred slice and the
 backward pass reuses the view from the forward cache. The three banks'
 maps are stacked, so pooling and its backward run once per batch for all
 banks; pooling reads the pre-activations and applies ReLU to the pooled
-values only. All parameter tensors are views into one flat float64 buffer
+values only. With one pool window per map (global pooling) the backward
+forms no gradient maps: it gathers each map's window at its argmax. All
+parameter tensors are views into one flat float64 buffer
 (`ModelParams.flat`), so an optimizer step is a handful of elementwise
-operations on that buffer. Every step gives the same bits as computing
-each bank on its own windows.
+operations on that buffer. Every step gives the bits of an einsum per
+bank on its own windows, but for the one-window backward at K = 1, whose
+kernel gradients sum row by row and so differ in the last bits.
 
 The same code runs a stack of F models at once, e.g. the k fold models of
 a cross-validation: their parameters share a leading model axis (`flat`
@@ -162,6 +165,11 @@ class ForwardCache:
     (`bank_windows`). The three banks' maps are stacked along the kernel
     axis, width 1 first: bank i is rows i*K to (i+1)*K. For a stack of
     models every array has a leading model axis.
+
+    Besides the dense layer's fields, `model_backward` reads `windows` and
+    `pool_idx`, and with one pool window per map `pooled` (its ReLU gate is
+    pooled > 0), not `pre`; with more windows it builds gradient maps from
+    `pre`.
     """
 
     params: ModelParams
@@ -231,6 +239,19 @@ def bank_windows(inputs, windows, width):
         return inputs[..., None]
     trim = (windows.shape[-1] - width) // 2
     return windows[..., trim : trim + width]
+
+
+def _windows_at(windows, idx):
+    """The (..., B, M, width) windows of a `conv_windows` view at positions
+    idx (..., B, M), as one take from `runs`, whose row n is the contiguous
+    padded buffer's values n to n + width - 1 (padded row r's window at t is
+    row r * padded_len + t)."""
+    *lead, T, width = windows.shape
+    padded_len = T + width - 1
+    rows = math.prod(lead)
+    runs = np.lib.stride_tricks.as_strided(
+        windows, (rows * padded_len - width + 1, width), windows.strides[-1:] * 2, writeable=False)
+    return np.take(runs, idx + (np.arange(rows) * padded_len).reshape(*lead, 1), axis=0)
 
 
 def relu(pre):
@@ -321,16 +342,26 @@ def model_backward(cache, labels):
         dz = dz * cache.dropout_mask / (1.0 - cache.dropout_rate)
 
     idx = cache.pool_idx
-    dpool = dz.reshape(idx.shape)
-    if idx.shape[-1] == 1:
-        dmap = np.where(np.arange(X.shape[-1]) == idx, dpool, 0.0)
-    else:
-        # ordered accumulation: overlapping windows can share an argmax
-        dmap = np.zeros_like(cache.pre)
-        lead = np.ix_(*map(np.arange, idx.shape[:-1]))
-        for wi in range(idx.shape[-1]):
-            dmap[(*lead, idx[..., wi])] += dpool[..., wi]
     K = params.kernels_per_width
+    if idx.shape[-1] == 1:
+        # A map's gradient is nonzero at its argmax only, so each row adds one
+        # product per tap to the einsum below, and einsum adds the rows in turn
+        # onto a zeroed output: the same bits for K >= 2 (the + 0.0 is for numpy
+        # versions whose sum starts from the first row and keeps a -0.0 total).
+        dtop = dz * (cache.pooled > 0)
+        dw = (dtop[..., None] * _windows_at(cache.windows, idx[..., 0])).sum(axis=-3) + 0.0
+        db = dtop.sum(axis=-2) + 0.0
+        for i, w in enumerate(KERNEL_WIDTHS):
+            trim = (KERNEL_WIDTHS[-1] - w) // 2
+            grads[f"conv_w{w}"] = dw[..., i * K : (i + 1) * K, trim : trim + w]
+            grads[f"conv_b{w}"] = db[..., i * K : (i + 1) * K]
+        return grads
+    # ordered accumulation: overlapping windows can share an argmax
+    dpool = dz.reshape(idx.shape)
+    dmap = np.zeros_like(cache.pre)
+    lead = np.ix_(*map(np.arange, idx.shape[:-1]))
+    for wi in range(idx.shape[-1]):
+        dmap[(*lead, idx[..., wi])] += dpool[..., wi]
     for i, w in enumerate(KERNEL_WIDTHS):
         bank = slice(i * K, (i + 1) * K)
         dpre = dmap[..., bank, :] * (cache.pre[..., bank, :] > 0)

@@ -1,10 +1,12 @@
 """Reference ops: one kernel, one map, one dense layer, one row, and the
-per-bank einsum.
+per-bank einsums.
 
 They are test oracles for the batched network in `cardioseq.network`, which
 is the only path the package runs: readable one-at-a-time versions of the
 convolution, pooling and dense steps that the batched tests compare against,
-and the einsum contraction whose bits `network.conv_maps` reproduces.
+the einsum contraction whose bits `network.conv_maps` reproduces, and the
+dense backward (gradient maps and weight-gradient einsums) whose bits the
+one-window `network.model_backward` reproduces.
 """
 
 from dataclasses import dataclass
@@ -99,3 +101,39 @@ def einsum_maps(X, params):
         np.einsum("...btw,...kw->...bkt", nn.bank_windows(X, windows, w), params.conv_w[w])
         + params.conv_b[w][:, None]
         for w in nn.KERNEL_WIDTHS], axis=-2)
+
+
+def einsum_backward(cache, labels):
+    """(gradients, dpre) of `network.model_backward`'s contract, computed
+    densely: every map's gradient spread over all 13 positions (ordered
+    accumulation for overlapping windows), gated by ReLU into dpre
+    (..., B, 3K, 13), then one weight-gradient einsum and one bias sum per
+    bank over dpre and the bank's windows."""
+    params, X = cache.params, cache.inputs
+    y = np.asarray(labels)
+    dlogits = cache.probs - (y[..., None] == np.arange(cache.probs.shape[-1]))
+    dlogits /= X.shape[-2]
+    grads = {"dense_w": dlogits.swapaxes(-1, -2) @ cache.dropped,
+             "dense_b": dlogits.sum(axis=-2)}
+    dz = dlogits @ params.dense_w
+    if cache.dropout_mask is not None:
+        dz = dz * cache.dropout_mask / (1.0 - cache.dropout_rate)
+    idx = cache.pool_idx
+    dpool = dz.reshape(idx.shape)
+    if idx.shape[-1] == 1:
+        dmap = np.where(np.arange(X.shape[-1]) == idx, dpool, 0.0)
+    else:
+        dmap = np.zeros_like(cache.pre)
+        lead = np.ix_(*map(np.arange, idx.shape[:-1]))
+        for wi in range(idx.shape[-1]):
+            dmap[(*lead, idx[..., wi])] += dpool[..., wi]
+    K = params.kernels_per_width
+    dpre = []
+    for i, w in enumerate(nn.KERNEL_WIDTHS):
+        maps = slice(i * K, (i + 1) * K)  # a contiguous product: einsum's order follows layout
+        bank = dmap[..., maps, :] * (cache.pre[..., maps, :] > 0)
+        dpre.append(bank)
+        grads[f"conv_w{w}"] = np.einsum("...bkt,...btw->...kw", bank,
+                                        nn.bank_windows(X, cache.windows, w))
+        grads[f"conv_b{w}"] = bank.sum(axis=(-3, -1))
+    return grads, np.concatenate(dpre, axis=-2)

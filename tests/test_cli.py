@@ -6,6 +6,7 @@ import pytest
 from cardioseq import baselines as bl
 from cardioseq import cli, model_io, synthetic
 from cardioseq import data as dp
+from cardioseq import network as nn
 from cardioseq import training as tr
 
 from conftest import write_statlog_file
@@ -58,6 +59,18 @@ class TestValidate:
                      "70 1 4 nan 322 0 2 109 0 2.4 2 3 3 2\n")
         assert cli.main(["validate", "--data", str(p)]) == 2
         assert "line 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["validate", "train", "cv"])
+    def test_non_ascii_byte_names_file_line(self, tmp_path, capsys, command):
+        p = tmp_path / "bad.dat"
+        row = b"70 1 4 130 322 0 2 109 0 2.4 2 3 3 2\n"
+        p.write_bytes(row * 2 + b"4\xff" + row[2:] + row)
+        out = tmp_path / "out"
+        assert cli.main([command, "--data", str(p), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {p}:3: byte 0xff at column 2 is not ASCII\n"
+        assert captured.out == ""
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("command, flag, value", [
@@ -397,6 +410,20 @@ def test_training_failure_exit_code(tmp_path, capsys):
     lines = ["1 0 0 0 0 0 0 0 0 0 0 0 0 2"] * 12
     p.write_text("\n".join(lines) + "\n")
     assert cli.main(["train", "--data", str(p), "--out", str(tmp_path)]) == 3
+
+
+@pytest.mark.parametrize("command", ["train", "cv"])
+def test_out_of_memory_exit_code(statlog_file, tmp_path, capsys, monkeypatch, command):
+    def no_memory(*args):
+        raise MemoryError()
+
+    monkeypatch.setattr(nn, "init_params", no_memory)
+    out = tmp_path / "out"
+    assert cli.main([command, "--data", statlog_file, "--out", str(out)] + FAST_FLAGS) == 3
+    captured = capsys.readouterr()
+    assert captured.err == f"error: out of memory in {command}\n"
+    assert captured.out == ""
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command, message", [

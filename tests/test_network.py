@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from cardioseq import network as nn
@@ -189,6 +189,55 @@ def test_value_only_forward_has_the_einsum_bits(rows, kernels, mode, seed):
                      nn.forward_batch(X, params, pool_mode=mode)[0])
 
 
+@given(rows=st.integers(1, 300), kernels=st.integers(1, 8), models=st.sampled_from([None, 1, 10]),
+       dropout=st.booleans(), ties=st.booleans(),
+       mode=st.sampled_from([nn.GLOBAL_POOL, ("windowed", 13, 1)]),
+       seed=st.integers(0, 2**32 - 1))
+def test_one_window_backward_has_the_einsum_bits(rows, kernels, models, dropout, ties, mode,
+                                                 seed):
+    """With one pool window per map, `model_backward` gathers each map's
+    window at its argmax; for K >= 2 its gradients have the bits of the dense
+    gradient maps and per-bank einsums (`reference.einsum_backward`), signs
+    of zero included. For K = 1 the einsum and the bias sum add a bank's
+    (row, position) terms as one run, in another order than row after row,
+    so the kernel gradients may differ by summation error: at most n * eps
+    times the sum of the terms' magnitudes, n = rows * 13. (On unit-scale
+    inputs conv_w1 and the biases differ by up to 8.9e-16 at F = 10, B = 16,
+    and 1.3e-15 up to B = 300; conv_w3 and conv_w5 kept their bits.)"""
+    rng = np.random.default_rng(seed)
+    lead = () if models is None else (models,)
+    singles = []
+    for _ in range(models or 1):
+        params = nn.init_params(kernels, rng, mode)
+        for w in nn.KERNEL_WIDTHS:
+            params.conv_w[w][...] = signed_values(rng, (kernels, w))
+            params.conv_b[w][...] = signed_values(rng, kernels)
+        singles.append(params)
+    params = singles[0] if models is None else nn.ModelParams.stack(singles)
+    X = signed_values(rng, lead + (rows, nn.N_FEATURES))
+    if ties:  # constant columns: equal windows, so maps with tied maxima
+        X[..., 3:10] = signed_values(rng, 1)
+    y = rng.integers(0, 2, lead + (rows,))
+    gens = [np.random.default_rng([seed, f]) for f in range(models or 1)]
+    _, cache = nn.forward_batch(X, params, 0.5 if dropout else 0.0, gens, mode)
+    got = nn.model_backward(cache, y)
+    expected, dpre = ref.einsum_backward(cache, y)
+    assert got.keys() == expected.keys()
+    for name in got:
+        if kernels == 1 and name.startswith("conv"):
+            w = int(name[-1])
+            bank = np.abs(dpre[..., nn.KERNEL_WIDTHS.index(w), None, :])
+            if name.startswith("conv_w"):
+                windows = nn.bank_windows(cache.inputs, cache.windows, w)
+                magnitude = np.einsum("...bkt,...btw->...kw", bank, np.abs(windows))
+            else:
+                magnitude = bank.sum(axis=(-3, -1))
+            bound = rows * nn.N_FEATURES * np.finfo(float).eps * magnitude
+            assert np.all(np.abs(got[name] - expected[name]) <= bound), name
+        else:
+            assert same_bits(got[name], expected[name]), name
+
+
 class TestDenseSoftmax:
     def test_identity_weights(self):
         layer = ref.DenseLayer(np.eye(3), np.zeros(3))
@@ -349,6 +398,49 @@ class TestModelBackward:
             np.testing.assert_allclose(
                 grads_b[f"conv_b{w}"], (block * gate).sum(axis=0), atol=1e-12
             )
+
+
+def pool_margin(pre, pool_mode):
+    """Smallest distance, over every pool window of (B, M, 13) maps, between
+    its largest pre-activation and 0 or its runner-up: how far any
+    pre-activation can move before the loss meets a ReLU or argmax kink."""
+    size, stride = nn._pool_geometry(pool_mode, pre.shape[-1])
+    margin = np.inf
+    for start in range(0, pre.shape[-1] - size + 1, stride):
+        window = np.sort(pre[..., start : start + size], axis=-1)
+        margin = min(margin, np.abs(window[..., -1]).min())
+        if size > 1:
+            margin = min(margin, (window[..., -1] - window[..., -2]).min())
+    return margin
+
+
+@given(kernels=st.integers(1, 6), rows=st.integers(1, 8),
+       mode=st.sampled_from([nn.GLOBAL_POOL, ("windowed", 1, 1), ("windowed", 3, 2),
+                             ("windowed", 5, 1), ("windowed", 13, 1)]),
+       seed=st.integers(0, 2**32 - 1))
+def test_gradients_match_finite_differences(kernels, rows, mode, seed):
+    """Every parameter's gradient matches central differences wherever the
+    loss is smooth: no pre-activation may cross 0 or its window's runner-up
+    within the step (a step of h moves one by at most h * max(1, |x|))."""
+    rng = np.random.default_rng(seed)
+    params = nn.init_params(kernels, rng, mode)
+    for w in nn.KERNEL_WIDTHS:
+        params.conv_b[w][...] = rng.normal(scale=0.1, size=kernels)
+    X = rng.standard_normal((rows, nn.N_FEATURES))
+    y = rng.integers(0, 2, rows)
+    _, cache = nn.forward_batch(X, params, pool_mode=mode)
+    h = 1e-6
+    assume(pool_margin(cache.pre, mode) > 10 * h * max(1.0, np.abs(X).max()))
+    grads = nn.model_backward(cache, y)
+    # one stacked forward: model i has parameter i moved by +h, model P + i by -h
+    P = params.flat.size
+    moved = params.with_flat(params.flat + h * np.concatenate([np.eye(P), -np.eye(P)]))
+    probs, _ = nn.forward_batch(np.broadcast_to(X, (2 * P,) + X.shape), moved, pool_mode=mode)
+    loss = tr.mean_loss(probs, y)
+    expected = nn.tensor_views((loss[:P] - loss[P:]) / (2 * h), params.shapes)
+    for name in grads:
+        np.testing.assert_allclose(grads[name], expected[name], rtol=1e-4, atol=1e-8,
+                                   err_msg=name)
 
 
 class TestWindowedPooling:
