@@ -9,17 +9,15 @@ environment variable sets the default output directory.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import data as dp
 from . import evaluation as ev
 from . import model_io
-from . import network as nn
 from . import training as tr
 from .errors import (CardioseqError, EmptyDatasetError, MalformedRowError, ModelFileError,
                      NonAsciiFileError, TooFewSamplesError)
@@ -28,27 +26,37 @@ EXIT_INPUT_ERROR = 2
 EXIT_RUNTIME_ERROR = 3
 
 
+# CNN flag and config key -> its training.Hyperparams field (default, type and range)
+HYPER_KEYS = {"epochs": "epochs", "lr": "learning_rate", "dropout": "dropout_rate",
+              "batch": "batch_size", "kernels": "kernels_per_width", "pool": "pool_mode",
+              "seed": "seed"}
+RUN_KEYS = ("data", "dialect", "model", "k", "out")
+
+
 @dataclass
 class RunConfig:
     data: str = None
     dialect: str = "statlog"
     model: str = "cnn"
-    epochs: int = 50
-    lr: float = 0.001
-    dropout: float = 0.5
-    batch: int = 16
-    kernels: int = 8
-    pool: str = "global"
     k: int = 10
-    seed: int = 0
     out: str = None
+    hyper: tr.Hyperparams = field(default_factory=tr.Hyperparams)
+    explicit: set = field(default_factory=set)  # the keys a flag or the config file set
+
+    def set_value(self, key, value, where):
+        """Set and check `key`; an error starts with `where` (its flag or config line)."""
+        try:
+            if key in HYPER_KEYS:
+                self.hyper = self.hyper.with_text(HYPER_KEYS[key], value)
+            else:
+                setattr(self, key, tr.parse_number(int, value) if key == "k" else value)
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
+        self.explicit.add(key)
 
 
-_CONFIG_TYPES = {f.name: {"int": int, "float": float}.get(f.type, str) for f in fields(RunConfig)}
-
-
-def load_config_file(path):
-    values = {}
+def load_config_file(path, cfg):
+    """Set `cfg` from a flat `key = value` file, one line at a time."""
     for line_no, line in enumerate(dp.read_ascii_lines(path, ValueError), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -56,70 +64,35 @@ def load_config_file(path):
         if "=" not in line:
             raise ValueError(f"{path}:{line_no}: expected key = value")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _CONFIG_TYPES:
+        if key not in HYPER_KEYS and key not in RUN_KEYS:
             raise ValueError(f"{path}:{line_no}: unknown key {key!r}")
-        try:
-            values[key] = _CONFIG_TYPES[key](value)
-        except ValueError:
-            raise ValueError(f"{path}:{line_no}: {key}: expected "
-                             f"{_CONFIG_TYPES[key].__name__}, got {value!r}") from None
-    return values
+        cfg.set_value(key, value, f"{path}:{line_no}: {key}")
 
 
 def build_config(args):
+    """Defaults, then the config file, then the flags given."""
     cfg = RunConfig()
-    explicit = set()
-    file_values = load_config_file(args.config) if getattr(args, "config", None) else {}
-    for key, value in file_values.items():
-        setattr(cfg, key, value)
-        explicit.add(key)
-    for key in _CONFIG_TYPES:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            setattr(cfg, key, flag)
-            explicit.add(key)
+    if args.config:
+        load_config_file(args.config, cfg)
+    for key in (*RUN_KEYS, *HYPER_KEYS):
+        if getattr(args, key) is not None:
+            cfg.set_value(key, getattr(args, key), f"--{key}")
     if cfg.out is None:
         cfg.out = os.environ.get("CARDIOSEQ_OUT", ".")
-    cfg.explicit = explicit
     return cfg
 
 
 def check_flags(cfg, command):
-    """Reject unknown --model and --dialect names and out-of-range --pool, --k,
-    --lr, --epochs, --batch, --kernels, --dropout and --seed values before any
-    work starts."""
+    """Reject unknown --model and --dialect names, a --k below 2 and no --data."""
     for key, known in (("model", ev.FIT), ("dialect", dp.DIALECTS)):
         value = getattr(cfg, key)
         for name in value.split(",") if command == "compare" else [value]:
             if name not in known:
                 raise ValueError(f"--{key}: unknown {key} {name!r}; expected {', '.join(known)}")
-    try:
-        nn.parse_pool_mode(cfg.pool)
-    except ValueError as exc:
-        raise ValueError(f"--pool: {exc}") from None
     if cfg.k < 2:
         raise ValueError(f"--k: need at least 2 folds, got {cfg.k}")
-    if not (math.isfinite(cfg.lr) and cfg.lr > 0):
-        raise ValueError(f"--lr: need a finite positive learning rate, got {cfg.lr}")
-    for key, ok, need in (("epochs", cfg.epochs >= 0, "at least 0"),
-                          ("batch", cfg.batch >= 1, "at least 1"),
-                          ("kernels", cfg.kernels >= 1, "at least 1"),
-                          ("dropout", 0 <= cfg.dropout < 1, "in [0, 1)"),
-                          ("seed", cfg.seed >= 0, "at least 0")):
-        if not ok:
-            raise ValueError(f"--{key}: need a value {need}, got {getattr(cfg, key)}")
-
-
-def hyper_from_config(cfg):
-    return tr.Hyperparams(
-        learning_rate=cfg.lr,
-        dropout_rate=cfg.dropout,
-        epochs=cfg.epochs,
-        batch_size=cfg.batch,
-        kernels_per_width=cfg.kernels,
-        pool_mode=nn.parse_pool_mode(cfg.pool),
-        seed=cfg.seed,
-    )
+    if cfg.data is None:
+        raise ValueError("--data is required")
 
 
 def cmd_validate(cfg):
@@ -140,7 +113,7 @@ def cmd_validate(cfg):
 
 def cmd_train(cfg):
     dataset = dp.parse_dataset(cfg.data, cfg.dialect)
-    model = ev.FIT[cfg.model]([dataset], hyper_from_config(cfg), [cfg.seed])[0]
+    model = ev.FIT[cfg.model]([dataset], cfg.hyper, [cfg.hyper.seed])[0]
     os.makedirs(cfg.out, exist_ok=True)
     model_path = os.path.join(cfg.out, "model.txt")
     model_io.save_model(model_path, model)
@@ -161,9 +134,8 @@ def cmd_train(cfg):
 def cmd_cv(cfg):
     dataset = dp.parse_dataset(cfg.data, cfg.dialect)
     try:
-        report = ev.cross_validate(
-            dataset, cfg.model, hyper=hyper_from_config(cfg), k=cfg.k, seed=cfg.seed
-        )
+        report = ev.cross_validate(dataset, cfg.model, hyper=cfg.hyper, k=cfg.k,
+                                   seed=cfg.hyper.seed)
     except TooFewSamplesError as exc:
         raise ValueError(f"--k: {exc}") from None
     os.makedirs(cfg.out, exist_ok=True)
@@ -183,17 +155,22 @@ def cmd_compare(cfg):
         dialects *= len(paths)
     if len(dialects) != len(paths):
         raise ValueError("--dialect must match --data (one value or one per path)")
-    datasets = {}
+    columns = {}  # name -> (path, dialect): the dialect, or the file name once it is taken
     for path, dialect in zip(paths, dialects):
-        name = dialect if dialect not in datasets else os.path.basename(path)
+        name = dialect if dialect not in columns else os.path.basename(path)
+        if name in columns:
+            raise ValueError(f"--data: {columns[name][0]} and {path} would share the column "
+                             f"name {name!r}; give them different file names")
+        columns[name] = (path, dialect)
+    datasets = {}
+    for name, (path, dialect) in columns.items():
         datasets[name] = dp.parse_dataset(path, dialect)
         if len(datasets[name]) < cfg.k:
             raise ValueError(f"--k: {path}: {len(datasets[name])} records cannot fill "
                              f"{cfg.k} folds")
     kinds = cfg.model.split(",") if "model" in cfg.explicit else list(ev.MODEL_KINDS)
-    table = ev.compare_models(
-        datasets, model_kinds=kinds, hyper=hyper_from_config(cfg), k=cfg.k, seed=cfg.seed
-    )
+    table = ev.compare_models(datasets, model_kinds=kinds, hyper=cfg.hyper, k=cfg.k,
+                              seed=cfg.hyper.seed)
     os.makedirs(cfg.out, exist_ok=True)
     txt_path = os.path.join(cfg.out, "comparison.txt")
     csv_path = os.path.join(cfg.out, "comparison.csv")
@@ -240,23 +217,18 @@ COMMANDS = {"validate": cmd_validate, "train": cmd_train, "cv": cmd_cv, "compare
 
 
 def _add_common(parser):
-    parser.add_argument("--data", required=False, help="dataset path")
-    parser.add_argument("--dialect", choices=None, default=None,
-                        help="statlog or cleveland (comma list for compare)")
-    parser.add_argument("--model", default=None,
-                        help="cnn, dv_logistic or pso_elm (comma list for compare)")
-    cnn = parser.add_argument_group(
-        "CNN hyperparameters", "The baselines always train with their own defaults.")
-    cnn.add_argument("--epochs", type=int, default=None)
-    cnn.add_argument("--lr", type=float, default=None)
-    cnn.add_argument("--dropout", type=float, default=None)
-    cnn.add_argument("--batch", type=int, default=None)
-    cnn.add_argument("--kernels", type=int, default=None)
-    cnn.add_argument("--pool", default=None, help="global or windowed:SIZE:STRIDE")
-    parser.add_argument("--k", type=int, default=None)
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--out", default=None, help="output directory")
-    parser.add_argument("--config", default=None, help="key = value config file")
+    parser.add_argument("--data", help="dataset path")
+    parser.add_argument("--dialect", help="statlog or cleveland (comma list for compare)")
+    parser.add_argument("--model", help="cnn, dv_logistic or pso_elm (comma list for compare)")
+    parser.add_argument("--k", type=int)
+    cnn = parser.add_argument_group("CNN settings", (
+        "Defaults in brackets; --pool takes global or windowed:SIZE:STRIDE. --seed also "
+        "seeds the folds and PSO-ELM; the baselines otherwise train with their own defaults."))
+    defaults = tr.Hyperparams().texts()
+    for key, name in HYPER_KEYS.items():
+        cnn.add_argument(f"--{key}", help=f"[{defaults[name]}]")
+    parser.add_argument("--out", help="output directory")
+    parser.add_argument("--config", help="key = value config file")
 
 
 def main(argv=None):
@@ -281,9 +253,6 @@ def main(argv=None):
             return cmd_predict(args)
         cfg = build_config(args)
         check_flags(cfg, args.command)
-        if cfg.data is None:
-            print("error: --data is required", file=sys.stderr)
-            return EXIT_INPUT_ERROR
         return COMMANDS[args.command](cfg)
     except (OSError, ValueError, CardioseqError) as exc:
         input_error = isinstance(

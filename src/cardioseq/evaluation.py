@@ -12,8 +12,8 @@ from . import training as tr
 from .errors import TooFewSamplesError
 
 # kind -> fit(datasets, hyper, seeds) -> one model per dataset. Only the CNN reads
-# `hyper` (the CLI's --epochs/--lr/--dropout/--batch/--kernels/--pool): the baselines
-# use their defaults. Dv-Logistic starts from zero weights and needs no seed.
+# `hyper`, a training.Hyperparams: the baselines use their defaults. Dv-Logistic
+# starts from zero weights and needs no seed.
 FIT = {
     "dv_logistic": lambda sets, hyper, seeds: bl.dv_logistic_train_folds(sets),
     "pso_elm": lambda sets, hyper, seeds: bl.pso_elm_train_folds(sets, seeds),
@@ -101,12 +101,10 @@ def _fold_seed(base_seed, fold):
     return int(np.random.SeedSequence([base_seed, fold]).generate_state(1)[0])
 
 
-def cross_validate(dataset, model_kind, hyper=None, k=10, seed=0):
+def cross_validate(dataset, model_kind, hyper=tr.Hyperparams(), k=10, seed=0):
     """k-fold protocol: preprocessing and model are refit per fold on the
     other k-1 folds only, so test-fold rows never leak into training.
     `hyper` applies to the CNN only; the baselines use their own defaults."""
-    if hyper is None:
-        hyper = tr.Hyperparams()
     plan = kfold_split(dataset, k=k, seed=seed)
     if model_kind not in FIT:
         raise ValueError(f"unknown model kind {model_kind!r}")
@@ -127,7 +125,7 @@ def cross_validate(dataset, model_kind, hyper=None, k=10, seed=0):
     )
 
 
-def compare_models(datasets, model_kinds=MODEL_KINDS, hyper=None, k=10, seed=0):
+def compare_models(datasets, model_kinds=MODEL_KINDS, hyper=tr.Hyperparams(), k=10, seed=0):
     """Cross-validate every (model, dataset) cell; failed cells are kept as
     markers so a partial table still comes out."""
     table = ComparisonTable(
@@ -136,9 +134,7 @@ def compare_models(datasets, model_kinds=MODEL_KINDS, hyper=None, k=10, seed=0):
     for name, ds in datasets.items():
         for kind in model_kinds:
             try:
-                table.reports[(kind, name)] = cross_validate(
-                    ds, kind, hyper=hyper, k=k, seed=seed
-                )
+                table.reports[(kind, name)] = cross_validate(ds, kind, hyper=hyper, k=k, seed=seed)
             except Exception as exc:  # cell failure must not kill the table
                 table.failures[(kind, name)] = f"{type(exc).__name__}: {exc}"
     return table

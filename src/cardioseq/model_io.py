@@ -13,6 +13,7 @@ from __future__ import annotations
 import os
 import tempfile
 from dataclasses import fields
+from functools import partial
 
 import numpy as np
 
@@ -139,22 +140,15 @@ def _read_scaler(sections):
                           std=sections.vector("scaler_std", dp.N_FEATURES))
 
 
-# How each Hyperparams field, by the type of its default, is written to and read
-# from its `param` line; numbers pass through Python scalars, so numpy ones do too.
-_HYPER_CODECS = {float: (lambda v: repr(float(v)), float), int: (lambda v: repr(int(v)), int),
-                 tuple: (nn.format_pool_mode, nn.parse_pool_mode)}
-
-
 def _encode_cnn(model):
-    params = {f.name: _HYPER_CODECS[type(f.default)][0](getattr(model.hyper, f.name))
-              for f in fields(tr.Hyperparams)}
-    return params, {**model.params.tensors(), **_scaler_tensors(model.scaler),
-                    "fill_values": model.fill_values}
+    return model.hyper.texts(), {**model.params.tensors(), **_scaler_tensors(model.scaler),
+                                 "fill_values": model.fill_values}
 
 
 def _decode_cnn(sections):
-    hyper = tr.Hyperparams(**{f.name: sections.param(f.name, _HYPER_CODECS[type(f.default)][1])
-                              for f in fields(tr.Hyperparams)})
+    hyper = tr.Hyperparams()
+    for f in fields(hyper):  # params it does not read, as older files' `adam_*`, go unread
+        hyper = sections.param(f.name, partial(hyper.with_text, f.name))
     k = hyper.kernels_per_width
     net = {"dense_w": sections.tensor("dense_w", 2, nn.pooled_dim(k, hyper.pool_mode)),
            "dense_b": sections.vector("dense_b", 2)}

@@ -9,7 +9,8 @@ step. A single training run (`train`) is a stack of one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from functools import partial
 
 import numpy as np
 
@@ -34,15 +35,35 @@ class Classifier:
         return predicted_class(self.predict_proba(dataset.X))
 
 
+# Adam's fixed settings: the paper tunes only the learning and dropout rates.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
+
+
+def parse_number(kind, text):
+    """`kind(text)` for int or float, with an error that quotes the text."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise ValueError(f"expected {kind.__name__}, got {text!r}") from None
+
+
+# Each Hyperparams field's text form (model-file params, config values, CLI flags),
+# by the type of its default; numbers pass through Python scalars, as numpy ones may.
+_CODECS = {float: (lambda v: repr(float(v)), partial(parse_number, float)),
+           int: (lambda v: repr(int(v)), partial(parse_number, int)),
+           tuple: (nn.format_pool_mode, nn.parse_pool_mode)}
+
+
 @dataclass(frozen=True)
 class Hyperparams:
+    """The CNN's settings: the one place that states each default and range."""
+
     learning_rate: float = 0.001
     dropout_rate: float = 0.5
     epochs: int = 50
     batch_size: int = 16
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_epsilon: float = 1e-8
     kernels_per_width: int = 8
     pool_mode: tuple = nn.GLOBAL_POOL
     seed: int = 0
@@ -50,16 +71,21 @@ class Hyperparams:
     def __post_init__(self):
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError(f"learning_rate must be finite and positive, got {self.learning_rate}")
-        if not math.isfinite(self.adam_epsilon):
-            raise ValueError(f"adam_epsilon must be finite, got {self.adam_epsilon}")
         if not 0 <= self.dropout_rate < 1:
-            raise ValueError("dropout_rate must be in [0, 1)")
-        if not (0 < self.adam_beta1 < 1 and 0 < self.adam_beta2 < 1):
-            raise ValueError("Adam betas must be in (0, 1)")
+            raise ValueError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
         for name, least in (("epochs", 0), ("batch_size", 1), ("kernels_per_width", 1),
                             ("seed", 0)):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)}")
+
+    def texts(self):
+        """Field name -> the field's value as text, which `with_text` reads back."""
+        return {f.name: _CODECS[type(f.default)][0](getattr(self, f.name)) for f in fields(self)}
+
+    def with_text(self, name, text):
+        """A copy with field `name` parsed from `text` and checked (ValueError)."""
+        parse = _CODECS[type(self.__dataclass_fields__[name].default)][1]
+        return replace(self, **{name: parse(text)})
 
 
 @dataclass
@@ -169,12 +195,11 @@ def adam_step(params, grads, state, hyper):
     lead = params.flat.shape[:-1]
     g = np.concatenate([grads[k].reshape(lead + (-1,)) for k in tensors], axis=-1)
     t = state.t + 1
-    b1, b2 = hyper.adam_beta1, hyper.adam_beta2
-    m = b1 * state.m_flat + (1 - b1) * g
-    v = b2 * state.v_flat + (1 - b2) * g * g
-    m_hat = m / _bias_correction(b1, t)
-    v_hat = v / _bias_correction(b2, t)
-    flat = params.flat - hyper.learning_rate * m_hat / (np.sqrt(v_hat) + hyper.adam_epsilon)
+    m = ADAM_BETA1 * state.m_flat + (1 - ADAM_BETA1) * g
+    v = ADAM_BETA2 * state.v_flat + (1 - ADAM_BETA2) * g * g
+    m_hat = m / _bias_correction(ADAM_BETA1, t)
+    v_hat = v / _bias_correction(ADAM_BETA2, t)
+    flat = params.flat - hyper.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
     return params.with_flat(flat), AdamState(m, v, params.shapes, t)
 
 

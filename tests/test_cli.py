@@ -1,7 +1,11 @@
+import contextlib
+import io
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cardioseq import baselines as bl
 from cardioseq import cli, model_io, synthetic
@@ -98,6 +102,9 @@ class TestValidate:
     ("train", "--pool", "windowed:3"),
     ("train", "--pool", "windowed:a:b"),
     ("train", "--pool", "windowed:3:2:1"),
+    ("train", "--epochs", "abc"),
+    ("cv", "--lr", "fast"),
+    ("train", "--batch", "1.5"),
 ])
 def test_bad_flag_value_rejected(statlog_file, tmp_path, capsys, command, flag, value):
     out = tmp_path / "out"
@@ -109,6 +116,30 @@ def test_bad_flag_value_rejected(statlog_file, tmp_path, capsys, command, flag, 
     if flag == "--pool":
         assert "expected global or windowed:SIZE:STRIDE" in captured.err
     assert captured.out == ""
+    assert not out.exists()
+
+
+# flag, config key, bad value: each fails to parse or is out of range
+BAD_CNN_VALUES = [("epochs", "-1"), ("epochs", "abc"), ("lr", "nan"), ("dropout", "1"),
+                  ("batch", "0"), ("kernels", "0"), ("seed", "-1"), ("pool", "windowed:3:0")]
+
+
+@pytest.mark.parametrize("key, value", BAD_CNN_VALUES)
+def test_bad_cnn_value_located_as_flag_and_config_line(statlog_file, tmp_path, capsys,
+                                                       key, value):
+    """The same Hyperparams message, after the flag or after the config file line."""
+    out = tmp_path / "out"
+    argv = ["train", "--data", statlog_file, "--out", str(out)]
+    assert cli.main(argv + [f"--{key}", value]) == 2
+    flag = capsys.readouterr()
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"# run\n{key} = {value}\nbogus = 1\n")
+    assert cli.main(argv + ["--config", str(cfg)]) == 2
+    config = capsys.readouterr()
+    assert flag.out == config.out == ""
+    assert flag.err.startswith(f"error: --{key}: ") and flag.err.count("\n") == 1
+    assert config.err.startswith(f"error: {cfg}:2: {key}: ")
+    assert config.err.split(f"{key}: ", 1)[1] == flag.err.split(f"{key}: ", 1)[1]
     assert not out.exists()
 
 
@@ -233,6 +264,27 @@ class TestCompare:
         assert capsys.readouterr().err == (
             f"error: --k: {statlog_file}: 80 records cannot fill 400 folds\n")
         assert not out.exists()
+
+
+    def test_shared_file_name_rejected_before_any_work(self, tmp_path, capsys, monkeypatch):
+        """Each --data entry needs its own column: the first of a dialect is named
+        by the dialect, the next by its file name, and two equal file names clash."""
+        paths = []
+        for sub in "abc":
+            (tmp_path / sub).mkdir()
+            paths.append(tmp_path / sub / "h.data")
+            write_statlog_file(paths[-1], synthetic.separable_dataset(40, seed=2))
+        parsed = []
+        monkeypatch.setattr(dp, "parse_dataset", lambda *args: parsed.append(args))
+        out = tmp_path / "out"
+        code = cli.main(["compare", "--data", ",".join(map(str, paths)), "--model",
+                         "dv_logistic", "--k", "2", "--out", str(out)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: --data: {paths[1]} and {paths[2]} would share the "
+                                "column name 'h.data'; give them different file names\n")
+        assert captured.out == ""
+        assert parsed == [] and not out.exists()
 
 
 class TestPredict:
@@ -377,6 +429,13 @@ class TestConfig:
         ) == 2
         assert "unknown key" in capsys.readouterr().err
 
+    def test_values_checked_as_the_file_is_read(self, statlog_file, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = 1\nkernels = 0\nbogus = 1\n")
+        assert cli.main(["validate", "--data", statlog_file, "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {cfg}:2: kernels: kernels_per_width must be at least 1, got 0\n")
+
     def test_bad_value_names_line(self, statlog_file, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("seed = 1\nepochs = abc\n")
@@ -470,3 +529,53 @@ def test_single_class_fold_named_before_any_fit(tmp_path, capsys, monkeypatch, k
     assert capsys.readouterr().err == "error: fold 1: training data must contain both classes\n"
     assert not out.exists()
     assert solves == []
+
+
+# Config-file text: every known key with valid and invalid texts for its codec,
+# unknown keys, comments, blank lines and lines without "=".
+ASCII_TEXT = st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=12)
+INT_TEXTS = st.integers(-3, 40).map(str) | st.sampled_from(["abc", "1.5", "", "1e3", "0x10"])
+FLOAT_TEXTS = (st.floats().map(repr)
+               | st.sampled_from(["x", "1e-3", "0", "-0.5", "1e400", "", "0.999999"]))
+POOL_TEXTS = (st.sampled_from(["global", "windowed:3", "windowed:a:b", "Global", ""])
+              | st.builds("windowed:{}:{}".format, st.integers(-1, 15), st.integers(-1, 3)))
+KEY_TEXTS = {"epochs": INT_TEXTS, "batch": INT_TEXTS, "kernels": INT_TEXTS, "seed": INT_TEXTS,
+             "k": INT_TEXTS, "lr": FLOAT_TEXTS, "dropout": FLOAT_TEXTS, "pool": POOL_TEXTS,
+             "model": st.sampled_from(["cnn", "pso_elm", "foo", "cnn,pso_elm"]),
+             "dialect": st.sampled_from(["statlog", "bogus"]),
+             "data": ASCII_TEXT, "out": ASCII_TEXT}
+KNOWN_KEY_LINES = st.sampled_from(list(KEY_TEXTS)).flatmap(
+    lambda key: KEY_TEXTS[key].map(lambda value: f"{key} = {value}"))
+CONFIG_LINES = st.one_of(
+    KNOWN_KEY_LINES, KNOWN_KEY_LINES, KNOWN_KEY_LINES,  # drawn three times as often
+    st.builds("{}={}".format, st.from_regex(r"[a-z_]{1,8}", fullmatch=True), ASCII_TEXT),
+    ASCII_TEXT.map("# {}".format),
+    st.just(""),
+    ASCII_TEXT.filter(lambda text: "=" not in text),
+)
+
+
+@pytest.fixture(scope="module")
+def config_paths(tmp_path_factory):
+    root = tmp_path_factory.mktemp("config")
+    data = root / "h.dat"
+    write_statlog_file(data, synthetic.separable_dataset(40, seed=4))
+    return str(data), str(root / "run.cfg")
+
+
+@given(lines=st.lists(CONFIG_LINES, max_size=6))
+def test_config_text_runs_or_names_its_line_or_flag(config_paths, lines):
+    data, cfg = config_paths
+    with open(cfg, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["validate", "--data", data, "--config", cfg])
+    if code == 0:
+        assert err.getvalue() == ""
+    else:
+        assert code == 2
+        assert err.getvalue().count("\n") == 1
+        assert err.getvalue().startswith((f"error: {cfg}:", "error: --")), err.getvalue()
+        if err.getvalue().startswith("error: --"):  # no CNN setting is named by a flag here
+            assert err.getvalue().split(":")[1] in (" --k", " --model", " --dialect")

@@ -144,6 +144,8 @@ BROKEN_FILES = {
     "cnn-param-no-value": ("cnn", "epochs", None, _sub(r"^param epochs .*$", "param epochs")),
     "cnn-param-unparseable": (
         "cnn", "epochs", None, _sub(r"^param epochs .*$", "param epochs abc")),
+    "cnn-param-out-of-range": (
+        "cnn", "dropout_rate", None, _sub(r"^param dropout_rate .*$", "param dropout_rate 1.0")),
     "dv-mask-000": (
         "dv_logistic", "categorical_mask",
         lambda m: replace(m, encoder=replace(m.encoder, categorical_mask=(False,) * 3)), None),
@@ -175,6 +177,56 @@ def test_inconsistent_model_file_names_line(tmp_path, capsys, fitted_models, cas
     captured = capsys.readouterr()
     assert re.search(rf"line \d+: (param|tensor) '{name}'", captured.err), captured.err
     assert "p = " not in captured.out
+
+
+# Small models of each kind with settings away from the defaults.
+ROUND_TRIP_FITS = {
+    "cnn": lambda ds: tr.train(ds, tr.Hyperparams(
+        learning_rate=0.003, dropout_rate=0.25, epochs=2, batch_size=8, kernels_per_width=3,
+        pool_mode=("windowed", 3, 2), seed=9)),
+    "dv_logistic": lambda ds: bl.dv_logistic_train(ds, epochs=20),
+    "pso_elm": lambda ds: bl.pso_elm_train(ds, hidden_size=4, swarm_size=3, iterations=2, seed=2),
+}
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@pytest.mark.parametrize("kind", ROUND_TRIP_FITS)
+def test_save_load_save_is_byte_identical(tmp_path, mixed, kind):
+    model = ROUND_TRIP_FITS[kind](mixed)
+    first, second = tmp_path / "first.txt", tmp_path / "second.txt"
+    model_io.save_model(first, model)
+    loaded = model_io.load_model(first)
+    model_io.save_model(second, loaded)
+    assert second.read_bytes() == first.read_bytes()
+    assert _same_bits(loaded.predict_proba(mixed.X), model.predict_proba(mixed.X))
+    if kind == "dv_logistic":
+        assert "\ntensor categories_" in first.read_text()
+
+
+def test_file_with_adam_params_loads_as_before(tmp_path, mixed, fitted_models):
+    """Older CNN files carry Adam's settings as params, between batch_size and
+    kernels_per_width; they load unchanged and save in the current layout."""
+    model = fitted_models["cnn"]
+    path, old = tmp_path / "m.txt", tmp_path / "old.txt"
+    model_io.save_model(path, model)
+    lines = path.read_text().splitlines()
+    assert [line.split()[1] for line in lines if line.startswith("param ")] == [
+        "learning_rate", "dropout_rate", "epochs", "batch_size", "kernels_per_width",
+        "pool_mode", "seed"]
+    at = lines.index(f"param batch_size {model.hyper.batch_size}") + 1
+    lines[at:at] = ["param adam_beta1 0.9", "param adam_beta2 0.999", "param adam_epsilon 1e-08"]
+    old.write_text("\n".join(lines) + "\n")
+    loaded = model_io.load_model(old)
+    assert loaded.hyper == model.hyper
+    for name, tensor in model.params.tensors().items():
+        assert _same_bits(loaded.params.tensors()[name], tensor)
+    assert _same_bits(loaded.fill_values, model.fill_values)
+    assert _same_bits(loaded.predict_proba(mixed.X), model.predict_proba(mixed.X))
+    model_io.save_model(old, loaded)
+    assert old.read_bytes() == path.read_bytes()
 
 
 def test_atomic_write_no_partial_file(tmp_path):

@@ -118,7 +118,7 @@ class TestAdam:
         new_params, _ = tr.adam_step(params, grads, state, hyper)
         for k, theta in params.tensors().items():
             g = grads[k]
-            expected = theta - hyper.learning_rate * g / (np.abs(g) + hyper.adam_epsilon)
+            expected = theta - hyper.learning_rate * g / (np.abs(g) + 1e-8)
             np.testing.assert_allclose(new_params.tensors()[k], expected, atol=1e-12)
 
     def test_two_step_scalar_recurrence(self, rng):
@@ -131,7 +131,7 @@ class TestAdam:
         params, state = tr.adam_step(params, grads, state, hyper)
         # independent scalar re-run of the published recurrences
         b1, b2, lr, eps = (
-            hyper.adam_beta1, hyper.adam_beta2, hyper.learning_rate, hyper.adam_epsilon,
+            0.9, 0.999, hyper.learning_rate, 1e-8,
         )
         for k, theta0 in start.items():
             g = grads[k]
@@ -272,7 +272,7 @@ class TestTrain:
                            match=r"^fold 0: non-finite train curve loss at epoch 0$"):
             tr.train_folds([separable, separable], huge, [1, 2])
 
-    @pytest.mark.parametrize("field", ["learning_rate", "adam_epsilon"])
+    @pytest.mark.parametrize("field", ["learning_rate"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_step_settings_rejected(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be finite"):
@@ -283,6 +283,31 @@ class TestTrain:
     def test_out_of_range_sizes_name_the_field(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be at least"):
             replace(FAST, **{field: value})
+
+    def test_texts_read_back_with_text(self):
+        hyper = tr.Hyperparams(learning_rate=0.003, dropout_rate=0.25, epochs=7, batch_size=8,
+                               kernels_per_width=3, pool_mode=("windowed", 3, 2), seed=9)
+        assert hyper.texts() == {
+            "learning_rate": "0.003", "dropout_rate": "0.25", "epochs": "7", "batch_size": "8",
+            "kernels_per_width": "3", "pool_mode": "windowed:3:2", "seed": "9"}
+        back = tr.Hyperparams()
+        for name, text in hyper.texts().items():
+            back = back.with_text(name, text)
+        assert back == hyper
+
+    @pytest.mark.parametrize("name, text, message", [
+        ("epochs", "abc", "expected int, got 'abc'"),
+        ("batch_size", "1.5", "expected int, got '1.5'"),
+        ("learning_rate", "fast", "expected float, got 'fast'"),
+        ("learning_rate", "-1", "learning_rate must be finite and positive, got -1.0"),
+        ("dropout_rate", "1", "dropout_rate must be in [0, 1), got 1.0"),
+        ("dropout_rate", "nan", "dropout_rate must be in [0, 1), got nan"),
+        ("kernels_per_width", "0", "kernels_per_width must be at least 1, got 0"),
+    ])
+    def test_with_text_rejects_what_does_not_parse_or_fit(self, name, text, message):
+        with pytest.raises(ValueError) as err:
+            FAST.with_text(name, text)
+        assert str(err.value) == message
 
     def test_epoch_steps_group_models_by_batch_size(self):
         steps = tr.epoch_steps([273, 272, 273], 16)
