@@ -177,7 +177,6 @@ class ElmModel(tr.Classifier):
     output_weights: np.ndarray  # (H, 2), closed-form least squares
     fill_values: np.ndarray
     scaler: dp.ScalerStats
-    ridge: float = ELM_RIDGE
     gbest_history: list = field(default_factory=list)
     max_solve_residual: float = 0.0
 
@@ -236,15 +235,13 @@ def _stratified_holdout(y, frac, rng):
             np.array(sorted(val_idx), dtype=np.int64))
 
 
-def pso_elm_train(dataset, hidden_size=32, swarm_size=20, iterations=50,
-                  seed=0, ridge=ELM_RIDGE):
+def pso_elm_train(dataset, hidden_size=32, swarm_size=20, iterations=50, seed=0):
     """Optimize an ELM's hidden weights/biases with a particle swarm
     (`pso_elm_train_folds` of one dataset)."""
-    return pso_elm_train_folds([dataset], [seed], hidden_size, swarm_size, iterations, ridge)[0]
+    return pso_elm_train_folds([dataset], [seed], hidden_size, swarm_size, iterations)[0]
 
 
-def pso_elm_train_folds(datasets, seeds, hidden_size=32, swarm_size=20, iterations=50,
-                        ridge=ELM_RIDGE):
+def pso_elm_train_folds(datasets, seeds, hidden_size=32, swarm_size=20, iterations=50):
     """Fit one PSO-ELM per dataset, model f with seed seeds[f].
 
     Every dataset's preprocessing is fit first (`data.fit_preprocessing`,
@@ -262,12 +259,12 @@ def pso_elm_train_folds(datasets, seeds, hidden_size=32, swarm_size=20, iteratio
     for dataset, seed, (fills, imputed, scaler) in zip(datasets, seeds, preprocessing):
         X = dp.scale_values(imputed.feature_array(), scaler)
         fitted = _swarm_fit(X, dataset.labels, np.random.default_rng(seed),
-                            hidden_size, swarm_size, iterations, ridge)
-        models.append(ElmModel(fill_values=fills, scaler=scaler, ridge=ridge, **fitted))
+                            hidden_size, swarm_size, iterations)
+        models.append(ElmModel(fill_values=fills, scaler=scaler, **fitted))
     return models
 
 
-def _swarm_fit(X, y, rng, hidden_size, swarm_size, iterations, ridge):
+def _swarm_fit(X, y, rng, hidden_size, swarm_size, iterations):
     """The swarm-fit fields of an `ElmModel` of scaled rows X and labels y.
 
     Fitness is validation accuracy on an internal seeded 80/20 split after
@@ -306,7 +303,7 @@ def _swarm_fit(X, y, rng, hidden_size, swarm_size, iterations, ridge):
         for start in range(0, swarm_size, block):
             W, b = unpack(positions[start : start + block])
             s = W.shape[0]
-            A, B = normal_equations(hidden(X_fit, W, b, z_fit[:s]), Y_fit, ridge)
+            A, B = normal_equations(hidden(X_fit, W, b, z_fit[:s]), Y_fit)
             out_w = elm_solve_output(A, B)
             residuals.append(solve_residual(A, B, out_w))
             pred = tr.predicted_class(hidden(X_val, W, b, z_val[:s]) @ out_w)
@@ -347,7 +344,7 @@ def _swarm_fit(X, y, rng, hidden_size, swarm_size, iterations, ridge):
         history.append(gbest_fit)
 
     W, b = unpack(gbest)
-    A, B = normal_equations(_sigmoid(X @ W + b), _one_hot(y), ridge)
+    A, B = normal_equations(_sigmoid(X @ W + b), _one_hot(y))
     out_w = elm_solve_output(A, B)
     residuals.append(solve_residual(A, B, out_w))
     return dict(hidden_weights=W, hidden_biases=b, output_weights=out_w,

@@ -19,8 +19,7 @@ from . import data as dp
 from . import evaluation as ev
 from . import model_io
 from . import training as tr
-from .errors import (CardioseqError, EmptyDatasetError, MalformedRowError, ModelFileError,
-                     NonAsciiFileError, TooFewSamplesError)
+from .errors import CardioseqError, InputError
 
 EXIT_INPUT_ERROR = 2
 EXIT_RUNTIME_ERROR = 3
@@ -30,29 +29,42 @@ EXIT_RUNTIME_ERROR = 3
 HYPER_KEYS = {"epochs": "epochs", "lr": "learning_rate", "dropout": "dropout_rate",
               "batch": "batch_size", "kernels": "kernels_per_width", "pool": "pool_mode",
               "seed": "seed"}
-RUN_KEYS = ("data", "dialect", "model", "k", "out")
+# run flag and config key -> the names it accepts (a comma list of them in compare), or None
+RUN_KEYS = {"data": None, "dialect": dp.DIALECTS, "model": ev.MODEL_KINDS, "k": None, "out": None}
 
 
 @dataclass
 class RunConfig:
+    command: str
     data: str = None
     dialect: str = "statlog"
     model: str = "cnn"
     k: int = 10
     out: str = None
     hyper: tr.Hyperparams = field(default_factory=tr.Hyperparams)
-    explicit: set = field(default_factory=set)  # the keys a flag or the config file set
+    sources: dict = field(default_factory=dict)  # key -> its flag or config line, if set
 
-    def set_value(self, key, value, where):
-        """Set and check `key`; an error starts with `where` (its flag or config line)."""
+    def set_value(self, key, text, where):
+        """Parse and check `key`'s text; an error starts with `where` (its flag or config line)."""
         try:
             if key in HYPER_KEYS:
-                self.hyper = self.hyper.with_text(HYPER_KEYS[key], value)
+                self.hyper = self.hyper.with_text(HYPER_KEYS[key], text)
             else:
-                setattr(self, key, tr.parse_number(int, value) if key == "k" else value)
+                setattr(self, key, self._run_value(key, text))
         except ValueError as exc:
             raise ValueError(f"{where}: {exc}") from None
-        self.explicit.add(key)
+        self.sources[key] = where
+
+    def _run_value(self, key, text):
+        if key == "k":
+            k = tr.parse_number(int, text)
+            if k < 2:
+                raise ValueError(f"need at least 2 folds, got {k}")
+            return k
+        for name in text.split(",") if self.command == "compare" else [text]:
+            if RUN_KEYS[key] and name not in RUN_KEYS[key]:
+                raise ValueError(f"unknown {key} {name!r}; expected {', '.join(RUN_KEYS[key])}")
+        return text
 
 
 def load_config_file(path, cfg):
@@ -70,29 +82,25 @@ def load_config_file(path, cfg):
 
 
 def build_config(args):
-    """Defaults, then the config file, then the flags given."""
-    cfg = RunConfig()
+    """Defaults, then the config file, then the flags given, each checked as it is set."""
+    cfg = RunConfig(args.command, out=os.environ.get("CARDIOSEQ_OUT", "."))
     if args.config:
         load_config_file(args.config, cfg)
     for key in (*RUN_KEYS, *HYPER_KEYS):
         if getattr(args, key) is not None:
             cfg.set_value(key, getattr(args, key), f"--{key}")
-    if cfg.out is None:
-        cfg.out = os.environ.get("CARDIOSEQ_OUT", ".")
+    if cfg.data is None:
+        raise ValueError("--data is required")
     return cfg
 
 
-def check_flags(cfg, command):
-    """Reject unknown --model and --dialect names, a --k below 2 and no --data."""
-    for key, known in (("model", ev.FIT), ("dialect", dp.DIALECTS)):
-        value = getattr(cfg, key)
-        for name in value.split(",") if command == "compare" else [value]:
-            if name not in known:
-                raise ValueError(f"--{key}: unknown {key} {name!r}; expected {', '.join(known)}")
-    if cfg.k < 2:
-        raise ValueError(f"--k: need at least 2 folds, got {cfg.k}")
-    if cfg.data is None:
-        raise ValueError("--data is required")
+def parse_for_folds(cfg, path, dialect):
+    """The data file at `path`, which must hold enough records for k folds."""
+    dataset = dp.parse_dataset(path, dialect)
+    if len(dataset) < cfg.k:
+        raise ValueError(f"{cfg.sources.get('k', 'default k')}: {path}: {len(dataset)} records "
+                         f"cannot fill {cfg.k} folds")
+    return dataset
 
 
 def cmd_validate(cfg):
@@ -132,12 +140,8 @@ def cmd_train(cfg):
 
 
 def cmd_cv(cfg):
-    dataset = dp.parse_dataset(cfg.data, cfg.dialect)
-    try:
-        report = ev.cross_validate(dataset, cfg.model, hyper=cfg.hyper, k=cfg.k,
-                                   seed=cfg.hyper.seed)
-    except TooFewSamplesError as exc:
-        raise ValueError(f"--k: {exc}") from None
+    dataset = parse_for_folds(cfg, cfg.data, cfg.dialect)
+    report = ev.cross_validate(dataset, cfg.model, hyper=cfg.hyper, k=cfg.k, seed=cfg.hyper.seed)
     os.makedirs(cfg.out, exist_ok=True)
     txt_path = os.path.join(cfg.out, f"cv_{cfg.model}.txt")
     csv_path = os.path.join(cfg.out, f"cv_{cfg.model}.csv")
@@ -154,21 +158,17 @@ def cmd_compare(cfg):
     if len(dialects) == 1:
         dialects *= len(paths)
     if len(dialects) != len(paths):
-        raise ValueError("--dialect must match --data (one value or one per path)")
+        raise ValueError(f"{cfg.sources['dialect']}: give one dialect or one per data file")
     columns = {}  # name -> (path, dialect): the dialect, or the file name once it is taken
     for path, dialect in zip(paths, dialects):
         name = dialect if dialect not in columns else os.path.basename(path)
         if name in columns:
-            raise ValueError(f"--data: {columns[name][0]} and {path} would share the column "
-                             f"name {name!r}; give them different file names")
+            raise ValueError(f"{cfg.sources['data']}: {columns[name][0]} and {path} would "
+                             f"share the column name {name!r}; give them different file names")
         columns[name] = (path, dialect)
-    datasets = {}
-    for name, (path, dialect) in columns.items():
-        datasets[name] = dp.parse_dataset(path, dialect)
-        if len(datasets[name]) < cfg.k:
-            raise ValueError(f"--k: {path}: {len(datasets[name])} records cannot fill "
-                             f"{cfg.k} folds")
-    kinds = cfg.model.split(",") if "model" in cfg.explicit else list(ev.MODEL_KINDS)
+    datasets = {name: parse_for_folds(cfg, path, dialect)
+                for name, (path, dialect) in columns.items()}
+    kinds = cfg.model.split(",") if "model" in cfg.sources else list(ev.MODEL_KINDS)
     table = ev.compare_models(datasets, model_kinds=kinds, hyper=cfg.hyper, k=cfg.k,
                               seed=cfg.hyper.seed)
     os.makedirs(cfg.out, exist_ok=True)
@@ -184,7 +184,7 @@ def cmd_compare(cfg):
 def parse_record(text):
     tokens = [t.strip() for t in text.split(",")]
     if len(tokens) != dp.N_FEATURES:
-        raise ValueError(f"expected {dp.N_FEATURES} comma-separated values")
+        raise ValueError(f"record: {len(tokens)} comma-separated values, not {dp.N_FEATURES}")
     features = []
     for position, token in enumerate(tokens, start=1):
         try:
@@ -220,7 +220,7 @@ def _add_common(parser):
     parser.add_argument("--data", help="dataset path")
     parser.add_argument("--dialect", help="statlog or cleveland (comma list for compare)")
     parser.add_argument("--model", help="cnn, dv_logistic or pso_elm (comma list for compare)")
-    parser.add_argument("--k", type=int)
+    parser.add_argument("--k", help=f"folds for cv and compare [{RunConfig.k}]")
     cnn = parser.add_argument_group("CNN settings", (
         "Defaults in brackets; --pool takes global or windowed:SIZE:STRIDE. --seed also "
         "seeds the folds and PSO-ELM; the baselines otherwise train with their own defaults."))
@@ -251,15 +251,10 @@ def main(argv=None):
     try:
         if args.command == "predict":
             return cmd_predict(args)
-        cfg = build_config(args)
-        check_flags(cfg, args.command)
-        return COMMANDS[args.command](cfg)
+        return COMMANDS[args.command](build_config(args))
     except (OSError, ValueError, CardioseqError) as exc:
-        input_error = isinstance(
-            exc, (OSError, ValueError, MalformedRowError, EmptyDatasetError, ModelFileError,
-                  NonAsciiFileError)
-        )
         print(f"error: {exc}", file=sys.stderr)
+        input_error = isinstance(exc, (OSError, ValueError, InputError))
         return EXIT_INPUT_ERROR if input_error else EXIT_RUNTIME_ERROR
     except MemoryError:
         print(f"error: out of memory in {args.command}", file=sys.stderr)

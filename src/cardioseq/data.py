@@ -136,7 +136,7 @@ class ScalerStats:
         return self.std == 0.0
 
 
-def _parse_row(tokens, line_no, dialect):
+def _parse_row(tokens, path, line_no, dialect):
     """Features (NaN for a cleveland `?`) and 0/1 label of one row's tokens."""
     values = []
     for tok in tokens[:-1]:
@@ -147,21 +147,21 @@ def _parse_row(tokens, line_no, dialect):
         try:
             value = float(tok)
         except ValueError:
-            raise MalformedRowError(line_no, f"unparseable token {tok!r}")
+            raise MalformedRowError(path, line_no, f"unparseable token {tok!r}")
         if not math.isfinite(value):
-            raise MalformedRowError(line_no, f"non-finite token {tok!r}")
+            raise MalformedRowError(path, line_no, f"non-finite token {tok!r}")
         values.append(value)
     raw_label = tokens[-1].strip()
     if dialect == "statlog":
         if raw_label not in ("1", "2", "1.0", "2.0"):
-            raise UnknownLabelError(line_no, f"unknown statlog label {raw_label!r}")
+            raise UnknownLabelError(path, line_no, f"unknown statlog label {raw_label!r}")
         return values, int(float(raw_label)) - 1
     try:
         level = int(float(raw_label))
     except ValueError:
-        raise UnknownLabelError(line_no, f"unparseable label {raw_label!r}")
+        raise UnknownLabelError(path, line_no, f"unparseable label {raw_label!r}")
     if level not in (0, 1, 2, 3, 4):
-        raise UnknownLabelError(line_no, f"cleveland label out of range: {level}")
+        raise UnknownLabelError(path, line_no, f"cleveland label out of range: {level}")
     return values, int(level > 0)
 
 
@@ -183,8 +183,8 @@ def read_ascii_lines(path, error):
 def parse_dataset(path, dialect):
     """Parse a heart-disease file into a Dataset.
 
-    Every non-empty line either yields a row or raises a located
-    MalformedRowError; rows are never silently skipped.
+    Every non-empty line either yields a row or raises a MalformedRowError
+    located as PATH:LINE; rows are never silently skipped.
     """
     if dialect not in DIALECTS:
         raise ValueError(f"unknown dialect {dialect!r}")
@@ -198,13 +198,12 @@ def parse_dataset(path, dialect):
             continue
         tokens = line.split() if dialect == "statlog" else line.split(",")
         if len(tokens) != N_FEATURES + 1:
-            raise MalformedRowError(
-                line_no, f"expected {N_FEATURES + 1} fields, got {len(tokens)}"
-            )
-        X[n], y[n] = _parse_row(tokens, line_no, dialect)
+            raise MalformedRowError(path, line_no,
+                                    f"expected {N_FEATURES + 1} fields, got {len(tokens)}")
+        X[n], y[n] = _parse_row(tokens, path, line_no, dialect)
         n += 1
     if n == 0:
-        raise EmptyDatasetError(f"no records in {path}")
+        raise EmptyDatasetError(f"{path}: no records")
     return Dataset(X[:n], y[:n])
 
 
@@ -266,16 +265,19 @@ def fit_preprocessing(datasets):
     """The preprocessing fit of every model kind, for each training set:
     (fill values, the set imputed with them, scaler of the imputed set).
 
-    Every set must hold both classes, checked before anything is fit; the
+    Every set must hold both classes, checked before anything is fit. An
     error names the set as `fold f` when there are several.
     """
-    for f, dataset in enumerate(datasets):
+    names = [f"fold {f}: " if len(datasets) > 1 else "" for f in range(len(datasets))]
+    for name, dataset in zip(names, datasets):
         if np.unique(dataset.y).size < 2:
-            where = f"fold {f}: " if len(datasets) > 1 else ""
-            raise SingleClassDataError(f"{where}training data must contain both classes")
+            raise SingleClassDataError(f"{name}training data must contain both classes")
     fitted = []
-    for dataset in datasets:
-        fills = fill_values(dataset)
+    for name, dataset in zip(names, datasets):
+        try:
+            fills = fill_values(dataset)
+        except AllMissingColumnError as exc:
+            raise AllMissingColumnError(f"{name}{exc}") from None
         imputed = impute_with_values(dataset, fills)
         fitted.append((fills, imputed, fit_scaler(imputed)))
     return fitted

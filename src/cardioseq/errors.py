@@ -5,13 +5,17 @@ class CardioseqError(Exception):
     """Base class for all package errors."""
 
 
-class EmptyDatasetError(CardioseqError):
+class InputError(CardioseqError):
+    """Bad input (a data or model file): the command line exits 2, not 3."""
+
+
+class EmptyDatasetError(InputError):
     pass
 
 
-class MalformedRowError(CardioseqError):
-    def __init__(self, line_number, message):
-        super().__init__(f"line {line_number}: {message}")
+class MalformedRowError(InputError):
+    def __init__(self, path, line_number, message):
+        super().__init__(f"{path}:{line_number}: {message}")
         self.line_number = line_number
 
 
@@ -55,9 +59,9 @@ class TooFewSamplesError(CardioseqError):
     pass
 
 
-class ModelFileError(CardioseqError):
+class ModelFileError(InputError):
     pass
 
 
-class NonAsciiFileError(CardioseqError):
+class NonAsciiFileError(InputError):
     pass

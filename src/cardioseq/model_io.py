@@ -193,7 +193,7 @@ def _decode_dv_logistic(sections):
 
 
 def _encode_pso_elm(model):
-    return {"ridge": repr(float(model.ridge))}, {
+    return {}, {
         "hidden_weights": model.hidden_weights, "hidden_biases": model.hidden_biases,
         "output_weights": model.output_weights, "fill_values": model.fill_values,
         **_scaler_tensors(model.scaler)}
@@ -205,8 +205,7 @@ def _decode_pso_elm(sections):
     return bl.ElmModel(
         hidden_weights=hidden_weights, hidden_biases=sections.vector("hidden_biases", h),
         output_weights=sections.tensor("output_weights", h, 2),
-        fill_values=sections.vector("fill_values", dp.N_FEATURES),
-        scaler=_read_scaler(sections), ridge=sections.param("ridge", float),
+        fill_values=sections.vector("fill_values", dp.N_FEATURES), scaler=_read_scaler(sections),
     )
 
 

@@ -4,12 +4,13 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from cardioseq import baselines as bl
-from cardioseq import cli, model_io, synthetic
+from cardioseq import cli, errors, model_io, synthetic
 from cardioseq import data as dp
+from cardioseq import evaluation as ev
 from cardioseq import network as nn
 from cardioseq import training as tr
 
@@ -48,7 +49,7 @@ class TestValidate:
         p = tmp_path / "bad.dat"
         p.write_text("70 1 4 130 322 0 2 109 0 2.4 2 3 3 2\n1 2 3\n")
         assert cli.main(["validate", "--data", str(p)]) == 2
-        assert "line 2" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(f"error: {p}:2: ")
 
     def test_missing_file(self, tmp_path, capsys):
         assert cli.main(["validate", "--data", str(tmp_path / "nope.dat")]) == 2
@@ -62,7 +63,7 @@ class TestValidate:
         p.write_text("70 1 4 130 322 0 2 109 0 2.4 2 3 3 2\n"
                      "70 1 4 nan 322 0 2 109 0 2.4 2 3 3 2\n")
         assert cli.main(["validate", "--data", str(p)]) == 2
-        assert "line 2" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(f"error: {p}:2: ")
 
     @pytest.mark.parametrize("command", ["validate", "train", "cv"])
     def test_non_ascii_byte_names_file_line(self, tmp_path, capsys, command):
@@ -91,6 +92,7 @@ class TestValidate:
     ("train", "--lr", "inf"),
     ("cv", "--lr", "nan"),
     ("cv", "--k", "400"),
+    ("cv", "--k", "abc"),
     ("train", "--epochs", "-1"),
     ("cv", "--batch", "0"),
     ("train", "--kernels", "0"),
@@ -120,14 +122,15 @@ def test_bad_flag_value_rejected(statlog_file, tmp_path, capsys, command, flag, 
 
 
 # flag, config key, bad value: each fails to parse or is out of range
-BAD_CNN_VALUES = [("epochs", "-1"), ("epochs", "abc"), ("lr", "nan"), ("dropout", "1"),
-                  ("batch", "0"), ("kernels", "0"), ("seed", "-1"), ("pool", "windowed:3:0")]
+BAD_VALUES = [("epochs", "-1"), ("epochs", "abc"), ("lr", "nan"), ("dropout", "1"),
+              ("batch", "0"), ("kernels", "0"), ("seed", "-1"), ("pool", "windowed:3:0"),
+              ("k", "1"), ("k", "abc"), ("model", "foo"), ("dialect", "foo")]
 
 
-@pytest.mark.parametrize("key, value", BAD_CNN_VALUES)
+@pytest.mark.parametrize("key, value", BAD_VALUES)
 def test_bad_cnn_value_located_as_flag_and_config_line(statlog_file, tmp_path, capsys,
                                                        key, value):
-    """The same Hyperparams message, after the flag or after the config file line."""
+    """The same message, after the flag or after the config file line."""
     out = tmp_path / "out"
     argv = ["train", "--data", statlog_file, "--out", str(out)]
     assert cli.main(argv + [f"--{key}", value]) == 2
@@ -141,6 +144,42 @@ def test_bad_cnn_value_located_as_flag_and_config_line(statlog_file, tmp_path, c
     assert config.err.startswith(f"error: {cfg}:2: {key}: ")
     assert config.err.split(f"{key}: ", 1)[1] == flag.err.split(f"{key}: ", 1)[1]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["cv", "compare"])
+@pytest.mark.parametrize("source", ["flag", "config", "default"])
+def test_too_few_rows_names_source_of_k_and_file(tmp_path, capsys, command, source):
+    """One check, after the file is parsed and before any fit, in cv and compare."""
+    data = tmp_path / "h.dat"
+    write_statlog_file(data, synthetic.separable_dataset(6, seed=2))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed = 1\nk = 8\n")
+    argv, where, k = {"flag": (["--k", "8"], "--k", 8),
+                      "config": (["--config", str(cfg)], f"{cfg}:2: k", 8),
+                      "default": ([], "default k", 10)}[source]
+    out = tmp_path / "out"
+    assert cli.main([command, "--data", str(data), "--model", "dv_logistic",
+                     "--out", str(out)] + argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {where}: {data}: 6 records cannot fill {k} folds\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("error, code", [(errors.InputError, 2), (errors.CardioseqError, 3),
+                                         (errors.SingleClassDataError, 3)])
+def test_exit_code_follows_the_error_class(statlog_file, capsys, monkeypatch, error, code):
+    """Any InputError, including a subclass main has never heard of, exits 2;
+    any other CardioseqError exits 3."""
+    class Raised(error):
+        pass
+
+    def fail(cfg):
+        raise Raised("boom")
+
+    monkeypatch.setitem(cli.COMMANDS, "validate", fail)
+    assert cli.main(["validate", "--data", statlog_file]) == code
+    assert capsys.readouterr().err == "error: boom\n"
 
 
 class TestTrain:
@@ -531,6 +570,27 @@ def test_single_class_fold_named_before_any_fit(tmp_path, capsys, monkeypatch, k
     assert solves == []
 
 
+@pytest.mark.parametrize("kind", ["cnn", "dv_logistic", "pso_elm"])
+def test_all_missing_column_fold_named_before_any_fit(tmp_path, capsys, monkeypatch, kind):
+    """`ca` is observed in one row of 30: the fold that tests that row trains
+    with no observed `ca`, and every kind names that fold before it fits."""
+    solves = []
+    monkeypatch.setattr(bl, "elm_solve_output", lambda *args: solves.append(args))
+    ds = synthetic.separable_dataset(30, seed=3)
+    p = tmp_path / "sparse.data"
+    with open(p, "w") as fh:
+        for i, (row, label) in enumerate(zip(ds.X.tolist(), ds.y.tolist())):
+            row[11] = 1 if i == 0 else "?"
+            fh.write(",".join(map(str, row + [label])) + "\n")
+    fold = ev.kfold_split(dp.parse_dataset(p, "cleveland"), k=3, seed=5).assignments[0]
+    out = tmp_path / "out"
+    assert cli.main(["cv", "--data", str(p), "--dialect", "cleveland", "--model", kind,
+                     "--k", "3", "--out", str(out)] + FAST_FLAGS) == 3
+    assert capsys.readouterr().err == f"error: fold {fold}: column 'ca' has no observed values\n"
+    assert not out.exists()
+    assert solves == []
+
+
 # Config-file text: every known key with valid and invalid texts for its codec,
 # unknown keys, comments, blank lines and lines without "=".
 ASCII_TEXT = st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=12)
@@ -563,19 +623,108 @@ def config_paths(tmp_path_factory):
     return str(data), str(root / "run.cfg")
 
 
+def run_main(argv):
+    """cli.main(argv) with its output captured: (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
 @given(lines=st.lists(CONFIG_LINES, max_size=6))
+@example(lines=["k = 1"])
+@example(lines=["seed = 1", "model = cnn,foo"])
+@example(lines=["dialect = bar"])
 def test_config_text_runs_or_names_its_line_or_flag(config_paths, lines):
     data, cfg = config_paths
     with open(cfg, "w") as fh:
         fh.write("\n".join(lines) + "\n")
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(["validate", "--data", data, "--config", cfg])
+    code, _, err = run_main(["validate", "--data", data, "--config", cfg])
     if code == 0:
-        assert err.getvalue() == ""
+        assert err == ""
     else:
         assert code == 2
-        assert err.getvalue().count("\n") == 1
-        assert err.getvalue().startswith((f"error: {cfg}:", "error: --")), err.getvalue()
-        if err.getvalue().startswith("error: --"):  # no CNN setting is named by a flag here
-            assert err.getvalue().split(":")[1] in (" --k", " --model", " --dialect")
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: {cfg}:"), err
+
+
+# Record text: 13 numbers or `?`, 13 tokens of any kind, some other number
+# of tokens, or any text.
+RECORD_VALUES = (st.floats(allow_nan=False, allow_infinity=False).map(repr) | st.just("?")
+                 | st.integers(-10**6, 10**6).map(str))
+RECORD_TOKENS = (RECORD_VALUES | st.floats().map(repr) | ASCII_TEXT
+                 | st.sampled_from(["", " 1 ", "x", "1e400", "-inf", "1_0", "0x10"]))
+RECORD_TEXTS = st.one_of(st.lists(RECORD_VALUES, min_size=13, max_size=13).map(",".join),
+                         st.lists(RECORD_TOKENS, min_size=13, max_size=13).map(",".join),
+                         st.lists(RECORD_TOKENS, max_size=15).map(",".join), ASCII_TEXT)
+
+
+@pytest.fixture(scope="module")
+def model_paths(tmp_path_factory, fitted_models):
+    root = tmp_path_factory.mktemp("models")
+    for kind, model in fitted_models.items():
+        model_io.save_model(root / f"{kind}.txt", model)
+    return {kind: str(root / f"{kind}.txt") for kind in fitted_models}
+
+
+@given(kind=st.sampled_from(["cnn", "dv_logistic", "pso_elm"]), text=RECORD_TEXTS)
+@example(kind="cnn", text=",".join(["1.7e308"] * 13))
+def test_record_text_predicts_or_names_its_value(model_paths, kind, text):
+    code, out, err = run_main(["predict", model_paths[kind], text])
+    if code == 0:
+        assert err == ""
+        probs = [float(v) for v in out.split("p =")[1].split()]
+        assert len(probs) == 2 and np.all(np.isfinite(probs))
+    elif code == 3:  # finite values too large for the model's arithmetic (CHANGES.md FOUND)
+        assert err.startswith(f"error: {model_paths[kind]}: non-finite class probabilities")
+        assert out == ""
+    else:
+        assert code == 2
+        assert err.count("\n") == 1
+        assert err.startswith("error: record"), err
+        assert out == ""
+
+
+# Data-file text: rows that are mostly well formed for the dialect, rows of
+# any tokens, any text and blank lines, and sometimes a byte that is not ASCII.
+NUMBER_TEXTS = st.integers(0, 300).map(str) | st.sampled_from(["0.5", "-1.5e2"])
+FEATURE_TOKENS = st.one_of(*[NUMBER_TEXTS] * 12, st.just("?"))
+DATA_TOKENS = (FEATURE_TOKENS | st.floats().map(repr) | ASCII_TEXT
+               | st.sampled_from(["", "x", "nan", "1e400", "\t", "\r", "\v"]))
+ANY_ROWS = st.builds(str.join, st.sampled_from([" ", ","]),
+                     st.lists(DATA_TOKENS, min_size=12, max_size=15))
+
+
+def data_files(dialect):
+    """(dialect, lines of a data file)"""
+    sep, labels = {"statlog": (" ", ["1", "2", "2.0"]),
+                   "cleveland": (",", ["0", "1", "4"])}[dialect]
+    label = st.one_of(*[st.sampled_from(labels)] * 3, st.sampled_from(["5", "?", "-1"]))
+    rows = st.builds(lambda features, label: sep.join([*features, label]),
+                     st.lists(FEATURE_TOKENS, min_size=13, max_size=13), label)
+    lines = st.one_of(*[rows] * 6, ANY_ROWS, ASCII_TEXT, st.just(""))
+    return st.tuples(st.just(dialect), st.lists(lines, max_size=5))
+
+
+@pytest.fixture(scope="module")
+def data_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("data") / "h.data"
+
+
+@given(file=st.sampled_from(dp.DIALECTS).flatmap(data_files), at=st.integers(0, 300),
+       bad_byte=st.one_of(st.none(), st.none(), st.none(), st.sampled_from([0x80, 0xff])))
+def test_data_text_validates_or_names_the_file(data_path, file, bad_byte, at):
+    dialect, lines = file
+    raw = "\n".join(lines).encode("ascii")
+    if bad_byte is not None:
+        raw = raw[:at] + bytes([bad_byte]) + raw[at:]
+    data_path.write_bytes(raw)
+    code, out, err = run_main(["validate", "--data", str(data_path), "--dialect", dialect])
+    if code == 0:
+        assert err == ""
+        assert out.startswith(f"{len(dp.parse_dataset(data_path, dialect))} records\n")
+    else:
+        assert code == 2
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: {data_path}:"), err
+        assert out == ""

@@ -39,13 +39,12 @@ def test_numpy_scalar_settings_roundtrip(tmp_path, separable):
     hyper = tr.Hyperparams(epochs=np.int64(0), learning_rate=np.float64(0.01),
                            kernels_per_width=2)
     cnn = tr.train(separable, hyper)
-    elm = bl.pso_elm_train(separable, iterations=0, ridge=np.float64(1e-5))
+    elm = bl.pso_elm_train(separable, iterations=0)
     for m in (cnn, elm):
         model_io.save_model(tmp_path / "m.txt", m)
         loaded = model_io.load_model(tmp_path / "m.txt")
         np.testing.assert_array_equal(loaded.predict_proba(separable.X),
                                       m.predict_proba(separable.X))
-    assert loaded.ridge == 1e-5
 
 
 def test_dv_logistic_roundtrip(tmp_path, tiny_dataset):
@@ -224,6 +223,24 @@ def test_file_with_adam_params_loads_as_before(tmp_path, mixed, fitted_models):
     for name, tensor in model.params.tensors().items():
         assert _same_bits(loaded.params.tensors()[name], tensor)
     assert _same_bits(loaded.fill_values, model.fill_values)
+    assert _same_bits(loaded.predict_proba(mixed.X), model.predict_proba(mixed.X))
+    model_io.save_model(old, loaded)
+    assert old.read_bytes() == path.read_bytes()
+
+
+def test_file_with_ridge_param_loads_as_before(tmp_path, mixed, fitted_models):
+    """Older PSO-ELM files carry the fixed ridge as a param after the model-kind
+    line; they load unchanged and save in the current layout, which has no params."""
+    model = fitted_models["pso_elm"]
+    path, old = tmp_path / "m.txt", tmp_path / "old.txt"
+    model_io.save_model(path, model)
+    lines = path.read_text().splitlines()
+    assert lines[:3] == [model_io.HEADER, "model-kind pso_elm", "tensor hidden_weights 13 32"]
+    lines.insert(2, f"param ridge {bl.ELM_RIDGE!r}")
+    old.write_text("\n".join(lines) + "\n")
+    loaded = model_io.load_model(old)
+    for name in ("hidden_weights", "hidden_biases", "output_weights", "fill_values"):
+        assert _same_bits(getattr(loaded, name), getattr(model, name))
     assert _same_bits(loaded.predict_proba(mixed.X), model.predict_proba(mixed.X))
     model_io.save_model(old, loaded)
     assert old.read_bytes() == path.read_bytes()
