@@ -42,7 +42,7 @@ small = nn.init_params(2, rng)
 X = rng.standard_normal((4, 13))
 y = rng.integers(0, 2, size=4)
 _, cache = nn.forward_batch(X, small)
-grads = nn.model_backward(cache, y)
+grads = nn.model_backward(cache, y).tensors()
 
 h = 1e-5
 worst = 0.0

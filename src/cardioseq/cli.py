@@ -19,7 +19,7 @@ from . import data as dp
 from . import evaluation as ev
 from . import model_io
 from . import training as tr
-from .errors import CardioseqError, InputError
+from .errors import CardioseqError, InputError, NonFiniteProbabilityError
 
 EXIT_INPUT_ERROR = 2
 EXIT_RUNTIME_ERROR = 3
@@ -182,19 +182,12 @@ def cmd_compare(cfg):
 
 
 def parse_record(text):
-    tokens = [t.strip() for t in text.split(",")]
+    tokens = text.split(",")
     if len(tokens) != dp.N_FEATURES:
         raise ValueError(f"record: {len(tokens)} comma-separated values, not {dp.N_FEATURES}")
-    features = []
-    for position, token in enumerate(tokens, start=1):
-        try:
-            value = None if token == "?" else float(token)
-        except ValueError:
-            raise ValueError(f"record value {position}: unparseable token {token!r}") from None
-        if value is not None and not np.isfinite(value):
-            raise ValueError(f"record value {position}: non-finite token {token!r}")
-        features.append(value)
-    return dp.SampleRecord(tuple(features), 0)
+    values = dp.parse_values(tokens, True, lambda position, problem: ValueError(
+        f"record value {position}: {problem}"))
+    return dp.SampleRecord(tuple(None if np.isnan(v) else v for v in values), 0)
 
 
 def cmd_predict(args):
@@ -205,10 +198,11 @@ def cmd_predict(args):
     record = parse_record(args.record[0])
     with np.errstate(all="ignore"):  # the probabilities are checked below
         cls, probs = tr.predict(model, record)
-    if not np.isfinite(probs).all():
-        print(f"error: {args.model_file}: non-finite class probabilities "
-              f"{probs[0]} {probs[1]}", file=sys.stderr)
-        return EXIT_RUNTIME_ERROR
+        if not np.isfinite(probs).all():
+            # the record is at fault if the model scores its own fill values
+            fill_probs = tr.predict(model, dp.SampleRecord((None,) * dp.N_FEATURES, 0))[1]
+            where = "record" if np.isfinite(fill_probs).all() else args.model_file
+            raise NonFiniteProbabilityError(where, probs)
     print(f"class {cls}, p = {probs[0]:.6f} {probs[1]:.6f}")
     return 0
 

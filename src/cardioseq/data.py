@@ -136,21 +136,30 @@ class ScalerStats:
         return self.std == 0.0
 
 
-def _parse_row(tokens, path, line_no, dialect):
-    """Features (NaN for a cleveland `?`) and 0/1 label of one row's tokens."""
+def parse_values(tokens, missing_ok, error):
+    """The floats of one row's value tokens, each stripped; `?` is NaN where
+    `missing_ok`. The first token that is not a finite number raises
+    `error(position, problem)`, position counted from 1."""
     values = []
-    for tok in tokens[:-1]:
+    for position, tok in enumerate(tokens, start=1):
         tok = tok.strip()
-        if tok == "?" and dialect == "cleveland":
+        if tok == "?" and missing_ok:
             values.append(math.nan)
             continue
         try:
             value = float(tok)
         except ValueError:
-            raise MalformedRowError(path, line_no, f"unparseable token {tok!r}")
+            raise error(position, f"unparseable token {tok!r}") from None
         if not math.isfinite(value):
-            raise MalformedRowError(path, line_no, f"non-finite token {tok!r}")
+            raise error(position, f"non-finite token {tok!r}")
         values.append(value)
+    return values
+
+
+def _parse_row(tokens, path, line_no, dialect):
+    """Features (NaN for a cleveland `?`) and 0/1 label of one row's tokens."""
+    values = parse_values(tokens[:-1], dialect == "cleveland",
+                          lambda _, problem: MalformedRowError(path, line_no, problem))
     raw_label = tokens[-1].strip()
     if dialect == "statlog":
         if raw_label not in ("1", "2", "1.0", "2.0"):
@@ -256,7 +265,10 @@ def fit_scaler(data):
     if data.has_missing:
         raise MissingValueError("impute before fitting the scaler")
     mean = data.X.mean(axis=0)
-    std = data.X.std(axis=0)  # population (divide-by-N) convention
+    # population (divide-by-N) convention; values too far apart to square give
+    # an infinite spread, which scales the column to 0
+    with np.errstate(over="ignore"):
+        std = data.X.std(axis=0)
     std[np.ptp(data.X, axis=0) == 0] = 0.0
     return ScalerStats(mean=mean, std=std)
 

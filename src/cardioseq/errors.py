@@ -55,6 +55,14 @@ class NonFiniteInputError(CardioseqError):
     pass
 
 
+class NonFiniteProbabilityError(InputError):
+    """Values (a record's or a model's) too large for the model's arithmetic."""
+
+    def __init__(self, where, probs, row=None):
+        super().__init__(f"{where}: non-finite class probabilities {probs[0]} {probs[1]}")
+        self.probs, self.row = probs, row
+
+
 class TooFewSamplesError(CardioseqError):
     pass
 

@@ -9,7 +9,7 @@ import numpy as np
 
 from . import baselines as bl
 from . import training as tr
-from .errors import TooFewSamplesError
+from .errors import NonFiniteProbabilityError, TooFewSamplesError
 
 # kind -> fit(datasets, hyper, seeds) -> one model per dataset. Only the CNN reads
 # `hyper`, a training.Hyperparams: the baselines use their defaults. Dv-Logistic
@@ -114,8 +114,13 @@ def cross_validate(dataset, model_kind, hyper=tr.Hyperparams(), k=10, seed=0):
     )
     fold_accuracy, fold_confusion = [], []
     for fold, model in enumerate(models):
-        test_ds = dataset.subset(plan.fold_indices(fold))
-        pred, y = model.predict_batch(test_ds), test_ds.labels
+        test_rows = plan.fold_indices(fold)
+        test_ds = dataset.subset(test_rows)
+        try:
+            pred, y = model.predict_batch(test_ds), test_ds.labels
+        except NonFiniteProbabilityError as exc:
+            raise NonFiniteProbabilityError(f"fold {fold}: record {test_rows[exc.row] + 1}",
+                                            exc.probs) from None
         fold_accuracy.append(float(np.mean(pred == y)))
         fold_confusion.append(tr.confusion_counts(pred, y))
     return CvReport(

@@ -16,10 +16,11 @@ banks; pooling reads the pre-activations and applies ReLU to the pooled
 values only. With one pool window per map (global pooling) the backward
 forms no gradient maps: it gathers each map's window at its argmax. All
 parameter tensors are views into one flat float64 buffer
-(`ModelParams.flat`), so an optimizer step is a handful of elementwise
-operations on that buffer. Every step gives the bits of an einsum per
-bank on its own windows, but for the one-window backward at K = 1, whose
-kernel gradients sum row by row and so differ in the last bits.
+(`ModelParams.flat`), and so are the gradients (`model_backward`): an
+optimizer step is a handful of elementwise operations on whole buffers.
+Every step gives the bits of an einsum per bank on its own windows, but
+for the one-window backward at K = 1, whose kernel gradients sum row by
+row and so differ in the last bits.
 
 The same code runs a stack of F models at once, e.g. the k fold models of
 a cross-validation: their parameters share a leading model axis (`flat`
@@ -317,10 +318,11 @@ def dense_softmax(z, params):
 
 
 def model_backward(cache, labels):
-    """Exact mean-cross-entropy gradients for every parameter tensor of the
-    forward pass that built `cache`, whose parameters and pool windows it
-    reads. For a stack of models, labels are (F, B) and every gradient has
-    the leading model axis.
+    """Exact mean-cross-entropy gradients of the forward pass that built
+    `cache`, whose parameters and pool windows it reads, as a `ModelParams`
+    over a new flat buffer laid out like the parameters' (`grads.flat` is the
+    whole gradient, `grads.tensors()` names it). For a stack of models,
+    labels are (F, B) and the buffer is (F, P).
     """
     params, X = cache.params, cache.inputs
     B = X.shape[-2]
@@ -333,10 +335,9 @@ def model_backward(cache, labels):
     dlogits = cache.probs - (y[..., None] == np.arange(cache.probs.shape[-1]))
     dlogits /= B
 
-    grads = {
-        "dense_w": dlogits.swapaxes(-1, -2) @ cache.dropped,
-        "dense_b": dlogits.sum(axis=-2),
-    }
+    grads = params.with_flat(np.empty_like(params.flat))
+    grads.dense_w[...] = dlogits.swapaxes(-1, -2) @ cache.dropped
+    grads.dense_b[...] = dlogits.sum(axis=-2)
     dz = dlogits @ params.dense_w
     if cache.dropout_mask is not None:
         dz = dz * cache.dropout_mask / (1.0 - cache.dropout_rate)
@@ -353,8 +354,8 @@ def model_backward(cache, labels):
         db = dtop.sum(axis=-2) + 0.0
         for i, w in enumerate(KERNEL_WIDTHS):
             trim = (KERNEL_WIDTHS[-1] - w) // 2
-            grads[f"conv_w{w}"] = dw[..., i * K : (i + 1) * K, trim : trim + w]
-            grads[f"conv_b{w}"] = db[..., i * K : (i + 1) * K]
+            grads.conv_w[w][...] = dw[..., i * K : (i + 1) * K, trim : trim + w]
+            grads.conv_b[w][...] = db[..., i * K : (i + 1) * K]
         return grads
     # ordered accumulation: overlapping windows can share an argmax
     dpool = dz.reshape(idx.shape)
@@ -365,9 +366,9 @@ def model_backward(cache, labels):
     for i, w in enumerate(KERNEL_WIDTHS):
         bank = slice(i * K, (i + 1) * K)
         dpre = dmap[..., bank, :] * (cache.pre[..., bank, :] > 0)
-        grads[f"conv_w{w}"] = np.einsum("...bkt,...btw->...kw", dpre,
-                                        bank_windows(X, cache.windows, w))
-        grads[f"conv_b{w}"] = dpre.sum(axis=(-3, -1))
+        grads.conv_w[w][...] = np.einsum("...bkt,...btw->...kw", dpre,
+                                         bank_windows(X, cache.windows, w))
+        grads.conv_b[w][...] = dpre.sum(axis=(-3, -1))
     return grads
 
 

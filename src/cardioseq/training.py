@@ -3,7 +3,8 @@
 The training loop runs a stack of models in lockstep (`train_folds`), e.g.
 the k fold models of a cross-validation: each mini-batch step is one
 forward, one backward and one Adam update for every model that has that
-step. A single training run (`train`) is a stack of one.
+step. A single training run (`train`) is a stack of one. Adam updates flat
+buffers laid out like `network.ModelParams.flat`, moments and gradient alike.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ import numpy as np
 
 from . import data as dp
 from . import network as nn
-from .errors import EmptyBatchError, NonFiniteLossError, ShapeMismatchError
+from .errors import (EmptyBatchError, NonFiniteLossError, NonFiniteProbabilityError,
+                     ShapeMismatchError)
 
 PROB_CLAMP = 1e-12
 
@@ -32,7 +34,14 @@ class Classifier:
     rows (NaN = missing) to (n, 2) class probabilities; predictions follow from it."""
 
     def predict_batch(self, dataset):
-        return predicted_class(self.predict_proba(dataset.X))
+        """Classes of a dataset's rows; NonFiniteProbabilityError names the first
+        row (as `record N`, from 1) whose probabilities are not finite."""
+        with np.errstate(all="ignore"):  # the probabilities are checked below
+            probs = self.predict_proba(dataset.X)
+        bad = np.flatnonzero(~np.isfinite(probs).all(axis=-1))
+        if bad.size:
+            raise NonFiniteProbabilityError(f"record {bad[0] + 1}", probs[bad[0]], int(bad[0]))
+        return predicted_class(probs)
 
 
 # Adam's fixed settings: the paper tunes only the learning and dropout rates.
@@ -86,33 +95,6 @@ class Hyperparams:
         """A copy with field `name` parsed from `text` and checked (ValueError)."""
         parse = _CODECS[type(self.__dataclass_fields__[name].default)][1]
         return replace(self, **{name: parse(text)})
-
-
-@dataclass
-class AdamState:
-    """First/second moment estimates in two flat buffers laid out like
-    `ModelParams.flat`, with its leading model axis for a stack of models;
-    `m[name]` and `v[name]` are views shaped like the parameter tensors.
-    `t` counts steps: an int, or an int array with one count per model."""
-
-    m_flat: np.ndarray
-    v_flat: np.ndarray
-    shapes: dict
-    t: int = 0
-
-    @classmethod
-    def zeros_like(cls, params):
-        lead = params.flat.shape[:-1]
-        t = np.zeros(lead, dtype=np.int64) if lead else 0
-        return cls(np.zeros_like(params.flat), np.zeros_like(params.flat), params.shapes, t)
-
-    @property
-    def m(self):
-        return nn.tensor_views(self.m_flat, self.shapes)
-
-    @property
-    def v(self):
-        return nn.tensor_views(self.v_flat, self.shapes)
 
 
 @dataclass
@@ -184,23 +166,19 @@ def _bias_correction(beta, t):
     return np.array([1 - beta ** int(s) for s in t])[:, None]
 
 
-def adam_step(params, grads, state, hyper):
-    """One Adam update over the flat parameter buffer, or over a stack's
-    (F, P) buffer with each model at its own step count; returns fresh params
-    and state (inputs untouched)."""
-    tensors = params.tensors()
-    for k, g in grads.items():
-        if k not in tensors or g.shape != tensors[k].shape:
-            raise ShapeMismatchError(f"gradient {k!r} does not match parameters")
-    lead = params.flat.shape[:-1]
-    g = np.concatenate([grads[k].reshape(lead + (-1,)) for k in tensors], axis=-1)
-    t = state.t + 1
-    m = ADAM_BETA1 * state.m_flat + (1 - ADAM_BETA1) * g
-    v = ADAM_BETA2 * state.v_flat + (1 - ADAM_BETA2) * g * g
+def adam_step(flat, grad, m, v, t, learning_rate):
+    """One Adam update of a flat parameter buffer with gradient `grad` and
+    moments `m`, `v` laid out like it, `t` counting this step; for a stack's
+    (F, P) buffers `t` holds one count per model. Returns the new
+    (flat, m, v), leaving the inputs untouched."""
+    if grad.shape != flat.shape:
+        raise ShapeMismatchError(f"gradient shape {grad.shape} does not match "
+                                 f"parameter shape {flat.shape}")
+    m = ADAM_BETA1 * m + (1 - ADAM_BETA1) * grad
+    v = ADAM_BETA2 * v + (1 - ADAM_BETA2) * grad * grad
     m_hat = m / _bias_correction(ADAM_BETA1, t)
     v_hat = v / _bias_correction(ADAM_BETA2, t)
-    flat = params.flat - hyper.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
-    return params.with_flat(flat), AdamState(m, v, params.shapes, t)
+    return flat - learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON), m, v
 
 
 def train(dataset, hyper=Hyperparams(), validation=None):
@@ -250,7 +228,9 @@ def train_folds(datasets, hyper, seeds, validations=None):
     rngs = [np.random.default_rng(seed) for seed in seeds]
     params = nn.ModelParams.stack(
         [nn.init_params(hyper.kernels_per_width, rng, hyper.pool_mode) for rng in rngs])
-    state = AdamState.zeros_like(params)
+    # Adam's moments, laid out like `params.flat`, and each model's step count
+    m, v = np.zeros_like(params.flat), np.zeros_like(params.flat)
+    t = np.zeros(F, dtype=np.int64)
     curves = [TrainingCurve() for _ in range(F)]
 
     # Every model's rows in one array, and each model's rows a view of it;
@@ -276,8 +256,6 @@ def train_folds(datasets, hyper, seeds, validations=None):
                     # gather the group's models, step them, scatter them back
                     idx = order[models, start : start + rows]
                     sub = params.with_flat(params.flat[models])
-                    sub_state = AdamState(state.m_flat[models], state.v_flat[models],
-                                          state.shapes, state.t[models])
                     labels = y_all[idx]
                     probs, cache = nn.forward_batch(
                         X_all[idx], sub, hyper.dropout_rate, [rngs[f] for f in models],
@@ -287,10 +265,9 @@ def train_folds(datasets, hyper, seeds, validations=None):
                         raise NonFiniteLossError(f"{where[models[bad[0]]]}non-finite loss "
                                                  f"at epoch {epoch}, batch {step}")
                     grads = nn.model_backward(cache, labels)
-                    sub, sub_state = adam_step(sub, grads, sub_state, hyper)
-                    params.flat[models] = sub.flat
-                    state.m_flat[models], state.v_flat[models] = sub_state.m_flat, sub_state.v_flat
-                    state.t[models] = sub_state.t
+                    t[models] += 1
+                    params.flat[models], m[models], v[models] = adam_step(
+                        sub.flat, grads.flat, m[models], v[models], t[models], hyper.learning_rate)
 
             # the curve forward runs per model: a stacked full-set forward would
             # hold every model's training-set maps at once

@@ -40,7 +40,7 @@ def test_criterion_1_gradient_correctness():
         X = rng.standard_normal((3, 13))
         y = rng.integers(0, 2, size=3)
         _, cache = nn.forward_batch(X, params)
-        grads = nn.model_backward(cache, y)
+        grads = nn.model_backward(cache, y).tensors()
         expected = fd_gradients(params, X, y, h=1e-5)
         for name in grads:
             worst = max(worst, float(rel_err(grads[name], expected[name]).max()))
@@ -237,11 +237,13 @@ def test_criterion_9_adam_unit_contract():
     rng = np.random.default_rng(77)
     params = nn.init_params(1, rng)
     start_tensors = {k: v.copy() for k, v in params.tensors().items()}
-    grads = {k: rng.standard_normal(v.shape) for k, v in params.tensors().items()}
+    grad = params.with_flat(rng.standard_normal(params.flat.shape))
+    grads = grad.tensors()
 
     # first step closed form
-    state = tr.AdamState.zeros_like(params)
-    stepped, state = tr.adam_step(params, grads, state, hyper)
+    m = v = np.zeros_like(params.flat)
+    flat, m, v = tr.adam_step(params.flat, grad.flat, m, v, 1, hyper.learning_rate)
+    stepped = params.with_flat(flat)
     worst = 0.0
     for k, theta in start_tensors.items():
         g = grads[k]
@@ -249,7 +251,8 @@ def test_criterion_9_adam_unit_contract():
         worst = max(worst, float(np.abs(stepped.tensors()[k] - expected).max()))
 
     # two-step scalar recurrence, re-run independently
-    stepped, state = tr.adam_step(stepped, grads, state, hyper)
+    flat, m, v = tr.adam_step(flat, grad.flat, m, v, 2, hyper.learning_rate)
+    stepped = params.with_flat(flat)
     b1, b2, lr, eps = (
         0.9, 0.999, hyper.learning_rate, 1e-8,
     )

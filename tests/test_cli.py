@@ -365,10 +365,29 @@ class TestPredict:
         path = tmp_path / "huge.txt"
         model_io.save_model(path, model)
         record = ",".join(["1.0"] * 13)
-        assert main_without_runtime_warnings(["predict", str(path), record]) == 3
+        assert main_without_runtime_warnings(["predict", str(path), record]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {path}: non-finite class probabilities nan nan\n"
+
+    @pytest.mark.parametrize("kind", ["cnn", "dv_logistic", "pso_elm"])
+    def test_subnormal_scaler_spread_is_bad_input(self, tmp_path, capsys, fitted_models, kind):
+        """A spread of 1e-320 in every column overflows the scaling of any
+        record: the model file is named when even the model's fill values
+        get no finite probabilities (Dv-Logistic's saturate to 0 and 1)."""
+        path = tmp_path / "m.txt"
+        model_io.save_model(path, fitted_models[kind])
+        name = "numeric_std" if kind == "dv_logistic" else "scaler_std"
+        lines = path.read_text().splitlines()
+        lines[lines.index(f"tensor {name} 1 13") + 1] = " ".join(["1e-320"] * 13)
+        path.write_text("\n".join(lines) + "\n")
+        code = main_without_runtime_warnings(["predict", str(path), ",".join(["1.5"] * 13)])
+        captured = capsys.readouterr()
+        if kind == "dv_logistic":
+            assert code == 0 and captured.out.startswith("class ")
+        else:
+            assert code == 2 and captured.out == ""
+            assert captured.err == f"error: {path}: non-finite class probabilities nan nan\n"
 
     @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "x"])
     def test_non_finite_record_rejected(self, tmp_path, capsys, token):
@@ -591,6 +610,31 @@ def test_all_missing_column_fold_named_before_any_fit(tmp_path, capsys, monkeypa
     assert solves == []
 
 
+@pytest.mark.parametrize("command", ["cv", "compare"])
+def test_record_too_large_for_its_fold_model_names_fold_and_record(tmp_path, capsys, command):
+    """1.7e308 in one row's fbs: the folds that train on the row get an
+    infinite fbs spread and scale the column to 0; the fold that tests it
+    scores NaN for it, which is bad input: exit 2 naming fold and record (a
+    failed cell in compare), with no numpy warning."""
+    ds = synthetic.separable_dataset(30, seed=3)
+    X = ds.X.copy()
+    X[0, dp.FEATURE_NAMES.index("fbs")] = 1.7e308
+    p = tmp_path / "huge.dat"
+    write_statlog_file(p, dp.Dataset(X, ds.y))
+    fold = ev.kfold_split(dp.parse_dataset(p, "statlog"), k=3, seed=5).assignments[0]
+    message = f"fold {fold}: record 1: non-finite class probabilities nan nan"
+    out = tmp_path / "out"
+    code = main_without_runtime_warnings([command, "--data", str(p), "--model", "cnn",
+                                          "--k", "3", "--out", str(out)] + FAST_FLAGS)
+    captured = capsys.readouterr()
+    if command == "cv":
+        assert (code, captured.err) == (2, f"error: {message}\n")
+        assert not out.exists()
+    else:
+        assert code == 3
+        assert f"cnn / statlog: NonFiniteProbabilityError: {message}\n" in captured.out
+
+
 # Config-file text: every known key with valid and invalid texts for its codec,
 # unknown keys, comments, blank lines and lines without "=".
 ASCII_TEXT = st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=12)
@@ -675,13 +719,69 @@ def test_record_text_predicts_or_names_its_value(model_paths, kind, text):
         assert err == ""
         probs = [float(v) for v in out.split("p =")[1].split()]
         assert len(probs) == 2 and np.all(np.isfinite(probs))
-    elif code == 3:  # finite values too large for the model's arithmetic (CHANGES.md FOUND)
-        assert err.startswith(f"error: {model_paths[kind]}: non-finite class probabilities")
-        assert out == ""
     else:
         assert code == 2
         assert err.count("\n") == 1
         assert err.startswith("error: record"), err
+        assert out == ""
+
+
+# Model-file text: a saved file of each kind with one edit, a value or param
+# token replaced by a huge, subnormal, negative or garbage token, a line
+# dropped, duplicated or swapped with another, or the file truncated.
+MODEL_TOKENS = (st.sampled_from(["1e308", "-1e308", "1.7e308", "1e-320", "-5e-324", "-1", "-0.0",
+                                 "0", "x", "nan", "inf", "1e400", "?", "windowed:1:1"])
+                | st.floats().map(repr) | st.integers(-10**6, 10**6).map(str) | ASCII_TEXT)
+
+
+def value_tokens(lines):
+    """(line, token) positions of a model file's values and param values."""
+    keyword_tokens = {"param": {2}, "tensor": set(), "model-kind": set(), "cardioseq-model": set()}
+    return [(i, j) for i, line in enumerate(lines) for j in range(len(line.split()))
+            if j in keyword_tokens.get(line.split()[0], {j})]
+
+
+@st.composite
+def edited_model_text(draw, text):
+    lines = text.splitlines()
+    edit = draw(st.sampled_from(["token", "drop", "duplicate", "swap", "truncate"]))
+    line = st.integers(0, len(lines) - 1)
+    if edit == "token":
+        i, j = draw(st.sampled_from(value_tokens(lines)))
+        tokens = lines[i].split()
+        tokens[j] = draw(MODEL_TOKENS)
+        lines[i] = " ".join(tokens)
+    elif edit == "drop":
+        del lines[draw(line)]
+    elif edit == "duplicate":
+        i = draw(line)
+        lines.insert(i, lines[i])
+    elif edit == "swap":
+        i, j = draw(line), draw(line)
+        lines[i], lines[j] = lines[j], lines[i]
+    else:
+        return text[: draw(st.integers(0, len(text)))]
+    return "\n".join(lines) + "\n"
+
+
+@given(kind=st.sampled_from(["cnn", "dv_logistic", "pso_elm"]), data=st.data())
+def test_model_file_text_predicts_or_names_the_problem(model_paths, kind, data):
+    """A model file with one edit predicts a fixed record with finite
+    probabilities that sum to 1, or exits 2 with one `error:` line: never 3,
+    a traceback or a NaN."""
+    with open(model_paths[kind]) as fh:
+        text = data.draw(edited_model_text(fh.read()))
+    path = model_paths[kind] + ".edited"
+    with open(path, "w") as fh:
+        fh.write(text)
+    code, out, err = run_main(["predict", path, "?,1,3,145,233,1,0,150,0,2.3,0,0,1"])
+    if code == 0:
+        assert err == ""
+        probs = [float(v) for v in out.split("p =")[1].split()]
+        assert len(probs) == 2 and np.all(np.isfinite(probs)) and abs(sum(probs) - 1) < 1e-5
+    else:
+        assert code == 2, err
+        assert err.count("\n") == 1 and err.startswith("error: "), err
         assert out == ""
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cardioseq import cli
 from cardioseq import data as dp
 from cardioseq.errors import (
     AllMissingColumnError,
@@ -86,6 +87,30 @@ class TestParsing:
         with pytest.raises(MalformedRowError, match="non-finite") as err:
             dp.parse_dataset(p, dialect)
         assert err.value.line_number == 2
+
+    def test_rows_and_records_share_one_value_parser(self, tmp_path, monkeypatch):
+        """`parse_values` reads every data row and `predict` record, once per
+        row; a token is stripped, `?` is missing only where allowed, and the
+        messages name the line or the record's value position."""
+        rows = []
+        monkeypatch.setattr(dp, "parse_values",
+                            lambda tokens, *args, real=dp.parse_values:
+                            rows.append(len(tokens)) or real(tokens, *args))
+        p = tmp_path / "h.data"
+        p.write_text("70, 1,4,130,322,0,2,109,0,2.4,2, ? ,3,2\n" * 3)
+        X = dp.parse_dataset(p, "cleveland").X
+        assert rows == [13] * 3 and np.isnan(X[:, 11]).all() and X[0, 1] == 1.0
+        assert cli.parse_record(" 70,1,4,130,322,0,2,109,0,2.4,2, ? ,3").features[10:] == (
+            2.0, None, 3.0)
+        assert rows == [13] * 4
+        statlog = tmp_path / "h.dat"
+        statlog.write_text("70 1 4 130 322 0 2 109 0 2.4 2 ? 3 2\n")
+        with pytest.raises(MalformedRowError) as err:
+            dp.parse_dataset(statlog, "statlog")
+        assert str(err.value) == f"{statlog}:1: unparseable token '?'"
+        with pytest.raises(ValueError) as err:
+            cli.parse_record("70,1,4,130,322,0,2,109,0,2.4,2,3, inf ")
+        assert str(err.value) == "record value 13: non-finite token 'inf'"
 
     def test_blank_lines_skipped(self, tmp_path):
         p = tmp_path / "heart.dat"

@@ -11,6 +11,7 @@ from cardioseq import baselines as bl
 from cardioseq import cli, model_io
 from cardioseq import data as dp
 from cardioseq import training as tr
+from cardioseq.errors import InputError, NonFiniteProbabilityError
 
 KINDS = ("cnn", "dv_logistic", "pso_elm")
 
@@ -41,6 +42,34 @@ def test_shared_protocol(kind, fitted_models, mixed, tmp_path, capsys):
         assert cls == int(p[1] > p[0])
         assert cli.main(["predict", str(path), "--", record_text(mixed.X[i])]) == 0
         assert capsys.readouterr().out.strip() == f"class {cls}, p = {p[0]:.6f} {p[1]:.6f}"
+
+
+def test_predict_batch_names_the_first_row_without_finite_probabilities(mixed):
+    class Fixed(tr.Classifier):
+        def predict_proba(self, X):
+            probs = np.full((len(X), 2), 0.5)
+            probs[2, 1], probs[4] = np.nan, np.inf
+            return probs
+
+    with pytest.raises(NonFiniteProbabilityError,
+                       match=r"^record 3: non-finite class probabilities 0.5 nan$") as info:
+        Fixed().predict_batch(mixed)
+    assert info.value.row == 2 and isinstance(info.value, InputError)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_values_too_large_for_the_model_raise_no_warning(kind, fitted_models, mixed):
+    """1.7e308 in every column of one row overflows the CNN's and PSO-ELM's
+    scaling (inf - inf later gives NaN), with numpy's warnings silenced;
+    Dv-Logistic's sigmoid saturates to finite probabilities."""
+    X = mixed.X.copy()
+    X[1] = 1.7e308
+    huge = dp.Dataset(X, mixed.y)
+    if kind == "dv_logistic":
+        assert fitted_models[kind].predict_batch(huge).shape == (len(huge),)
+    else:
+        with pytest.raises(NonFiniteProbabilityError, match="^record 2: "):
+            fitted_models[kind].predict_batch(huge)
 
 
 # Small fits of each kind, fast enough for one per property example.

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given
@@ -220,7 +222,7 @@ def test_one_window_backward_has_the_einsum_bits(rows, kernels, models, dropout,
     y = rng.integers(0, 2, lead + (rows,))
     gens = [np.random.default_rng([seed, f]) for f in range(models or 1)]
     _, cache = nn.forward_batch(X, params, 0.5 if dropout else 0.0, gens, mode)
-    got = nn.model_backward(cache, y)
+    got = nn.model_backward(cache, y).tensors()
     expected, dpre = ref.einsum_backward(cache, y)
     assert got.keys() == expected.keys()
     for name in got:
@@ -329,12 +331,34 @@ class TestModelForward:
 
 
 class TestModelBackward:
+    @pytest.mark.parametrize("models", [None, 3])
+    def test_gradients_are_views_of_one_buffer_laid_out_like_the_parameters(self, models, rng):
+        lead = () if models is None else (models,)
+        singles = [nn.init_params(2, rng) for _ in range(models or 1)]
+        params = singles[0] if models is None else nn.ModelParams.stack(singles)
+        X = rng.standard_normal(lead + (4, 13))
+        _, cache = nn.forward_batch(X, params)
+        grads = nn.model_backward(cache, rng.integers(0, 2, lead + (4,)))
+        assert isinstance(grads, nn.ModelParams)
+        assert grads.flat.shape == params.flat.shape
+        assert not np.shares_memory(grads.flat, params.flat)
+        # number every entry of the buffer: each tensor must read the next slice
+        grads.flat[...] = np.arange(grads.flat.size).reshape(grads.flat.shape)
+        offset = 0
+        for (name, g), p in zip(grads.tensors().items(), params.tensors().values()):
+            assert g.shape == p.shape and g.base is grads.flat, name
+            size = math.prod(g.shape[len(lead):])
+            np.testing.assert_array_equal(g.reshape(lead + (size,)),
+                                          grads.flat[..., offset : offset + size], err_msg=name)
+            offset += size
+        assert offset == grads.flat.shape[-1]
+
     def test_matches_finite_differences(self, rng):
         params = nn.init_params(3, rng)
         X = rng.standard_normal((5, 13))
         y = rng.integers(0, 2, size=5)
         _, cache = nn.forward_batch(X, params)
-        grads = nn.model_backward(cache, y)
+        grads = nn.model_backward(cache, y).tensors()
         expected = fd_gradients(params, X, y)
         for name in grads:
             assert rel_err(grads[name], expected[name]).max() < 1e-4, name
@@ -348,7 +372,7 @@ class TestModelBackward:
         X = rng.standard_normal((batch, 13))
         y = rng.integers(0, 2, size=batch)
         _, cache = nn.forward_batch(X, params, pool_mode=mode)
-        grads = nn.model_backward(cache, y)
+        grads = nn.model_backward(cache, y).tensors()
         expected = fd_gradients(params, X, y, pool_mode=mode)
         assert grads.keys() == expected.keys()
         for name in grads:
@@ -360,7 +384,7 @@ class TestModelBackward:
         params.conv_b[1][...] = -100.0
         X = rng.standard_normal((1, 13))
         _, cache = nn.forward_batch(X, params)
-        grads = nn.model_backward(cache, np.array([1]))
+        grads = nn.model_backward(cache, np.array([1])).tensors()
         assert np.all(grads["conv_w1"] == 0.0)
         assert np.all(grads["conv_b1"] == 0.0)
 
@@ -370,7 +394,7 @@ class TestModelBackward:
         _, cache = nn.forward_batch(X, params)
         # force a saturated correct prediction through the cached probs
         cache.probs = np.array([[1.0, 0.0]])
-        grads = nn.model_backward(cache, np.array([0]))
+        grads = nn.model_backward(cache, np.array([0])).tensors()
         for g in grads.values():
             assert np.all(g == 0.0)
 
@@ -385,7 +409,7 @@ class TestModelBackward:
         dlogits[np.arange(3), y] -= 1.0
         dlogits /= 3
         dz = dlogits @ params.dense_w  # gradient on the pooled vector
-        grads_b = nn.model_backward(cache, y)
+        grads_b = nn.model_backward(cache, y).tensors()
         # conv bias gradient sums dpre over positions; with no dropout the
         # routed mass per map equals dz gated by ReLU at the argmax
         K = params.kernels_per_width
@@ -431,7 +455,7 @@ def test_gradients_match_finite_differences(kernels, rows, mode, seed):
     _, cache = nn.forward_batch(X, params, pool_mode=mode)
     h = 1e-6
     assume(pool_margin(cache.pre, mode) > 10 * h * max(1.0, np.abs(X).max()))
-    grads = nn.model_backward(cache, y)
+    grads = nn.model_backward(cache, y).tensors()
     # one stacked forward: model i has parameter i moved by +h, model P + i by -h
     P = params.flat.size
     moved = params.with_flat(params.flat + h * np.concatenate([np.eye(P), -np.eye(P)]))
@@ -451,7 +475,7 @@ class TestWindowedPooling:
         y = rng.integers(0, 2, size=4)
         probs, cache = nn.forward_batch(X, params, pool_mode=mode)
         assert probs.shape == (4, 2)
-        grads = nn.model_backward(cache, y)
+        grads = nn.model_backward(cache, y).tensors()
 
         def loss_of():
             p, _ = nn.forward_batch(X, params, pool_mode=mode)

@@ -100,56 +100,61 @@ class TestBatchLoss:
         assert acc == 1.0
 
 
+def random_grad(params, rng):
+    """A gradient for `params`: random values over a buffer laid out like theirs."""
+    return params.with_flat(rng.standard_normal(params.flat.shape))
+
+
+def zero_moments(params):
+    return np.zeros_like(params.flat), np.zeros_like(params.flat)
+
+
 class TestAdam:
     def test_zero_gradient_fixed_point(self, rng):
         params = nn.init_params(2, rng)
-        state = tr.AdamState.zeros_like(params)
-        grads = {k: np.zeros_like(v) for k, v in params.tensors().items()}
-        new_params, new_state = tr.adam_step(params, grads, state, tr.Hyperparams())
-        assert new_state.t == 1
-        for k, v in params.tensors().items():
-            np.testing.assert_array_equal(new_params.tensors()[k], v)
+        m, v = zero_moments(params)
+        flat, new_m, new_v = tr.adam_step(params.flat, np.zeros_like(params.flat), m, v, 1,
+                                          tr.Hyperparams().learning_rate)
+        np.testing.assert_array_equal(flat, params.flat)
+        assert not new_m.any() and not new_v.any()
 
     def test_first_step_closed_form(self, rng):
         hyper = tr.Hyperparams()
         params = nn.init_params(1, rng)
-        state = tr.AdamState.zeros_like(params)
-        grads = {k: rng.standard_normal(v.shape) for k, v in params.tensors().items()}
-        new_params, _ = tr.adam_step(params, grads, state, hyper)
+        grad = random_grad(params, rng)
+        flat, _, _ = tr.adam_step(params.flat, grad.flat, *zero_moments(params), 1,
+                                  hyper.learning_rate)
         for k, theta in params.tensors().items():
-            g = grads[k]
+            g = grad.tensors()[k]
             expected = theta - hyper.learning_rate * g / (np.abs(g) + 1e-8)
-            np.testing.assert_allclose(new_params.tensors()[k], expected, atol=1e-12)
+            np.testing.assert_allclose(params.with_flat(flat).tensors()[k], expected, atol=1e-12)
 
     def test_two_step_scalar_recurrence(self, rng):
         hyper = tr.Hyperparams()
         params = nn.init_params(1, rng)
-        start = {k: v.copy() for k, v in params.tensors().items()}
-        state = tr.AdamState.zeros_like(params)
-        grads = {k: rng.standard_normal(v.shape) for k, v in params.tensors().items()}
-        params, state = tr.adam_step(params, grads, state, hyper)
-        params, state = tr.adam_step(params, grads, state, hyper)
+        grad = random_grad(params, rng)
+        flat, m, v = params.flat, *zero_moments(params)
+        for t in (1, 2):
+            flat, m, v = tr.adam_step(flat, grad.flat, m, v, t, hyper.learning_rate)
         # independent scalar re-run of the published recurrences
         b1, b2, lr, eps = (
             0.9, 0.999, hyper.learning_rate, 1e-8,
         )
-        for k, theta0 in start.items():
-            g = grads[k]
+        for k, theta0 in params.tensors().items():
+            g = grad.tensors()[k]
             m = v = 0.0
             theta = theta0.copy()
             for t in (1, 2):
                 m = b1 * m + (1 - b1) * g
                 v = b2 * v + (1 - b2) * g * g
                 theta = theta - lr * (m / (1 - b1**t)) / (np.sqrt(v / (1 - b2**t)) + eps)
-            np.testing.assert_allclose(params.tensors()[k], theta, atol=1e-12)
+            np.testing.assert_allclose(params.with_flat(flat).tensors()[k], theta, atol=1e-12)
 
     def test_shape_mismatch_rejected(self, rng):
         params = nn.init_params(2, rng)
-        state = tr.AdamState.zeros_like(params)
-        grads = {k: np.zeros_like(v) for k, v in params.tensors().items()}
-        grads["dense_b"] = np.zeros(5)
         with pytest.raises(ShapeMismatchError):
-            tr.adam_step(params, grads, state, tr.Hyperparams())
+            tr.adam_step(params.flat, np.zeros(params.flat.size + 3), *zero_moments(params), 1,
+                         tr.Hyperparams().learning_rate)
 
     def test_flat_buffers_and_untouched_inputs(self, rng):
         params = nn.init_params(2, rng)
@@ -158,15 +163,17 @@ class TestAdam:
         copied = nn.ModelParams.from_tensors(params.tensors())
         copied.dense_b[...] = 1.0  # from_tensors copies
         assert not np.any(params.dense_b == 1.0)
-        state = tr.AdamState.zeros_like(params)
-        grads = {k: rng.standard_normal(v.shape) for k, v in params.tensors().items()}
-        before = params.flat.copy()
-        new_params, new_state = tr.adam_step(params, grads, state, tr.Hyperparams())
+        m, v = zero_moments(params)
+        grad = random_grad(params, rng)
+        before, grad_before = params.flat.copy(), grad.flat.copy()
+        flat, new_m, _ = tr.adam_step(params.flat, grad.flat, m, v, 1,
+                                      tr.Hyperparams().learning_rate)
         np.testing.assert_array_equal(params.flat, before)
-        assert not state.m_flat.any() and not state.v_flat.any()
-        for k, g in grads.items():
-            np.testing.assert_array_equal(new_state.m[k], (1 - 0.9) * g)
-            assert new_state.v[k].base is new_state.v_flat
+        np.testing.assert_array_equal(grad.flat, grad_before)
+        assert not m.any() and not v.any()
+        np.testing.assert_array_equal(new_m, (1 - 0.9) * grad.flat)
+        new_params = params.with_flat(flat)
+        for k in grad.tensors():
             assert new_params.tensors()[k].base is new_params.flat
 
     def test_stack_matches_single_models_bit_for_bit(self, rng):
@@ -176,40 +183,26 @@ class TestAdam:
         difference survives into 1 - beta2**t."""
         assert 0.999**7 != (0.999 ** np.array([7]))[0] and 0.9**12 != (0.9 ** np.array([12]))[0]
         assert 1 - 0.999**7 != (1 - 0.999 ** np.array([7]))[0]
-        hyper = tr.Hyperparams()
-        counts = [6, 11, 0, 22, 25]  # the next steps are 7, 12, 1, 23 and 26
-        singles, states, grads = [], [], []
-        for t in counts:
-            params = nn.init_params(2, rng)
-            state = tr.AdamState.zeros_like(params)
-            state.m_flat[...] = rng.standard_normal(state.m_flat.shape)
-            state.v_flat[...] = rng.random(state.v_flat.shape)
-            state.t = t
-            singles.append(params)
-            states.append(state)
-            grads.append({k: rng.standard_normal(v.shape) for k, v in params.tensors().items()})
-        stack = nn.ModelParams.stack(singles)
-        stack_state = tr.AdamState(np.stack([s.m_flat for s in states]),
-                                   np.stack([s.v_flat for s in states]),
-                                   stack.shapes, np.array(counts))
-        stack_grads = {k: np.stack([g[k] for g in grads]) for k in grads[0]}
-        new_stack, new_state = tr.adam_step(stack, stack_grads, stack_state, hyper)
-        np.testing.assert_array_equal(new_state.t, np.array(counts) + 1)
-        for f in range(len(counts)):
-            params, state = tr.adam_step(singles[f], grads[f], states[f], hyper)
-            assert state.t == counts[f] + 1
-            for a, b in ((new_stack.flat[f], params.flat), (new_state.m_flat[f], state.m_flat),
-                         (new_state.v_flat[f], state.v_flat)):
-                assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+        lr = tr.Hyperparams().learning_rate
+        steps = np.array([7, 12, 1, 23, 26])
+        stack = nn.ModelParams.stack([nn.init_params(2, rng) for _ in steps])
+        grad = rng.standard_normal(stack.flat.shape)
+        m = rng.standard_normal(stack.flat.shape)
+        v = rng.random(stack.flat.shape)
+        stacked = tr.adam_step(stack.flat, grad, m, v, steps, lr)
+        for f, t in enumerate(steps.tolist()):
+            single = tr.adam_step(stack.flat[f], grad[f], m[f], v[f], t, lr)
+            for a, b in zip(stacked, single):
+                assert np.array_equal(a[f].view(np.uint64), b.view(np.uint64))
 
     def test_shapes_preserved(self, rng):
         params = nn.init_params(3, rng)
-        state = tr.AdamState.zeros_like(params)
-        grads = {k: rng.standard_normal(v.shape) for k, v in params.tensors().items()}
-        new_params, new_state = tr.adam_step(params, grads, state, tr.Hyperparams())
-        for k, v in params.tensors().items():
-            assert new_params.tensors()[k].shape == v.shape
-            assert np.all(new_state.v[k] >= 0)
+        flat, _, v = tr.adam_step(params.flat, random_grad(params, rng).flat,
+                                  *zero_moments(params), 1, tr.Hyperparams().learning_rate)
+        assert flat.shape == v.shape == params.flat.shape
+        for k, new in params.with_flat(flat).tensors().items():
+            assert new.shape == params.tensors()[k].shape
+        assert np.all(v >= 0)
 
 
 class TestTrain:
