@@ -19,6 +19,7 @@ import numpy as np
 from .errors import (
     AllMissingColumnError,
     ArityMismatchError,
+    ColumnOverflowError,
     EmptyDatasetError,
     MalformedRowError,
     MissingValueError,
@@ -238,7 +239,8 @@ def fill_values(stats_source):
         else:
             # rounding can take the mean outside the observed range, e.g. off
             # a column of equal values, which would then not stay constant
-            fills[j] = np.clip(observed.mean(), observed.min(), observed.max())
+            with np.errstate(over="ignore", invalid="ignore"):  # fit_scaler reports overflow
+                fills[j] = np.clip(observed.mean(), observed.min(), observed.max())
     return fills
 
 
@@ -264,12 +266,14 @@ def fit_scaler(data):
         raise EmptyDatasetError("cannot fit a scaler on an empty dataset")
     if data.has_missing:
         raise MissingValueError("impute before fitting the scaler")
-    mean = data.X.mean(axis=0)
     # population (divide-by-N) convention; values too far apart to square give
     # an infinite spread, which scales the column to 0
-    with np.errstate(over="ignore"):
-        std = data.X.std(axis=0)
-    std[np.ptp(data.X, axis=0) == 0] = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, std, ptp = data.X.mean(axis=0), data.X.std(axis=0), np.ptp(data.X, axis=0)
+    bad = np.flatnonzero(~(np.isfinite(mean) & np.isfinite(ptp)))
+    if bad.size:
+        raise ColumnOverflowError(f"column {FEATURE_NAMES[bad[0]]!r} has values too large to scale")
+    std[ptp == 0] = 0.0
     return ScalerStats(mean=mean, std=std)
 
 
@@ -288,10 +292,10 @@ def fit_preprocessing(datasets):
     for name, dataset in zip(names, datasets):
         try:
             fills = fill_values(dataset)
-        except AllMissingColumnError as exc:
-            raise AllMissingColumnError(f"{name}{exc}") from None
-        imputed = impute_with_values(dataset, fills)
-        fitted.append((fills, imputed, fit_scaler(imputed)))
+            imputed = impute_with_values(dataset, fills)
+            fitted.append((fills, imputed, fit_scaler(imputed)))
+        except (AllMissingColumnError, ColumnOverflowError) as exc:
+            raise type(exc)(f"{name}{exc}") from None
     return fitted
 
 

@@ -27,6 +27,10 @@ class AllMissingColumnError(CardioseqError):
     pass
 
 
+class ColumnOverflowError(InputError):
+    """A training column whose mean or range overflows, so it cannot be scaled."""
+
+
 class ArityMismatchError(CardioseqError):
     pass
 

@@ -42,11 +42,9 @@ def atomic_write(path, text):
 
 def save_curve(path, curve):
     """Write the epoch table behind the accuracy/loss training plots."""
-    rows = zip(curve.train_accuracy, curve.train_loss, curve.val_accuracy, curve.val_loss)
-    lines = ["epoch,train_acc,train_loss,val_acc,val_loss"] + [
-        f"{epoch}," + ",".join("" if v is None else format(v, ".17g") for v in row)
-        for epoch, row in enumerate(rows, start=1)
-    ]
+    rows = zip(curve.train_accuracy, curve.train_loss)
+    lines = ["epoch,train_acc,train_loss"] + [
+        f"{epoch},{acc:.17g},{loss:.17g}" for epoch, (acc, loss) in enumerate(rows, start=1)]
     atomic_write(path, "\n".join(lines) + "\n")
 
 
@@ -131,13 +129,13 @@ def _parse(lines):
     return kind, sections
 
 
-def _scaler_tensors(scaler):
-    return {"scaler_mean": scaler.mean, "scaler_std": scaler.std}
+def _scaler_tensors(scaler, prefix="scaler"):
+    return {f"{prefix}_mean": scaler.mean, f"{prefix}_std": scaler.std}
 
 
-def _read_scaler(sections):
-    return dp.ScalerStats(mean=sections.vector("scaler_mean", dp.N_FEATURES),
-                          std=sections.vector("scaler_std", dp.N_FEATURES))
+def _read_scaler(sections, prefix="scaler"):
+    return dp.ScalerStats(mean=sections.vector(f"{prefix}_mean", dp.N_FEATURES),
+                          std=sections.vector(f"{prefix}_std", dp.N_FEATURES))
 
 
 def _encode_cnn(model):
@@ -164,8 +162,7 @@ def _decode_cnn(sections):
 def _encode_dv_logistic(model):
     enc = model.encoder
     tensors = {"weights": model.weights, "bias": np.array([model.bias]),
-               "fill_values": model.fill_values, "numeric_mean": enc.scaler.mean,
-               "numeric_std": enc.scaler.std}
+               "fill_values": model.fill_values, **_scaler_tensors(enc.scaler, "numeric")}
     tensors.update({f"categories_{j}": np.array(c) for j, c in enc.categories.items() if c})
     return {"categorical_mask": "".join("1" if c else "0" for c in enc.categorical_mask)}, tensors
 
@@ -181,8 +178,7 @@ def _decode_dv_logistic(sections):
     encoder = bl.DummyEncoder(
         categories={j: sections.vector(f"categories_{j}").tolist() if is_cat else []
                     for j, is_cat in enumerate(mask)},
-        scaler=dp.ScalerStats(mean=sections.vector("numeric_mean", dp.N_FEATURES),
-                              std=sections.vector("numeric_std", dp.N_FEATURES)),
+        scaler=_read_scaler(sections, "numeric"),
         categorical_mask=mask,
     )
     return bl.DvLogisticModel(

@@ -28,10 +28,9 @@ is (F, P), a kernel bank (F, K, w)), and a stacked batch is (F, B, 13),
 row f going through model f. A single model has no leading axis. Each
 model of a stack gets the same bits as running it alone.
 
-Scoring a whole set, as the per-epoch training curve does, needs only the
-probabilities: `infer_probs` gives `forward_batch`'s bits with no cache,
-argmax or dropout, from long contiguous multiply-adds over row blocks of
-bounded size.
+Scoring a whole training set needs only the probabilities: `infer_probs`
+gives `forward_batch`'s bits with no cache, argmax or dropout, from long
+contiguous multiply-adds over row blocks of bounded size.
 """
 
 from __future__ import annotations

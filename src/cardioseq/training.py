@@ -1,7 +1,7 @@
 """Cross-entropy loss, Adam updates and the mini-batch training loop.
 
 The training loop runs a stack of models in lockstep (`train_folds`), e.g.
-the k fold models of a cross-validation: each mini-batch step is one
+the k fold models of a k-fold `cv`: each mini-batch step is one
 forward, one backward and one Adam update for every model that has that
 step. A single training run (`train`) is a stack of one. Adam updates flat
 buffers laid out like `network.ModelParams.flat`, moments and gradient alike.
@@ -101,8 +101,6 @@ class Hyperparams:
 class TrainingCurve:
     train_accuracy: list = field(default_factory=list)
     train_loss: list = field(default_factory=list)
-    val_accuracy: list = field(default_factory=list)
-    val_loss: list = field(default_factory=list)
 
     def __len__(self):
         return len(self.train_loss)
@@ -181,14 +179,14 @@ def adam_step(flat, grad, m, v, t, learning_rate):
     return flat - learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON), m, v
 
 
-def train(dataset, hyper=Hyperparams(), validation=None):
-    """Full training run: preprocessing fit, epochs of shuffled mini-batches,
-    Adam updates, and per-epoch curve capture (`train_folds` of one dataset).
+def train(dataset, hyper=Hyperparams()):
+    """Full training run (`train_folds` of one dataset): preprocessing fit,
+    mini-batch Adam epochs and the per-epoch curve, recorded for one model only.
 
     Imputation fills and scaler statistics come from the training data only.
     Deterministic: the same (dataset, hyper, seed) gives bit-identical output.
     """
-    return train_folds([dataset], hyper, [hyper.seed], [validation])[0]
+    return train_folds([dataset], hyper, [hyper.seed])[0]
 
 
 def epoch_steps(sizes, batch_size):
@@ -206,24 +204,22 @@ def epoch_steps(sizes, batch_size):
     return steps
 
 
-def train_folds(datasets, hyper, seeds, validations=None):
+def train_folds(datasets, hyper, seeds):
     """Train one CNN per dataset, all in lockstep: model f trains on
-    datasets[f] with hyperparameters `hyper` and seed seeds[f], and gives the
-    same bits as `train(datasets[f], replace(hyper, seed=seeds[f]))`.
+    datasets[f] with hyperparameters `hyper` and seed seeds[f], and gets the
+    parameters of `train(datasets[f], replace(hyper, seed=seeds[f]))`.
 
     Each model keeps its own generator, which draws as in a run of its own:
     the initial parameters, then a permutation per epoch and a dropout mask
     per step. A step stacks the models that have it, grouped by batch size
-    (`epoch_steps`). Errors name the model as `fold f` when there are several.
+    (`epoch_steps`). A single model records its curve every epoch; a stack
+    scores its final models only. Errors name the model as `fold f` if several.
     """
     F = len(datasets)
     where = [f"fold {f}: " if F > 1 else "" for f in range(F)]
     preprocessing = dp.fit_preprocessing(datasets)
     Xs = [dp.scale_values(imputed.feature_array(), scaler) for _, imputed, scaler in preprocessing]
     ys = [dataset.labels for dataset in datasets]
-    val_arrays = [
-        (dp.scale_values(dp.impute_array(v.X, fills), scaler), v.labels) if v else None
-        for v, (fills, _, scaler) in zip(validations or [None] * F, preprocessing)]
 
     rngs = [np.random.default_rng(seed) for seed in seeds]
     params = nn.ModelParams.stack(
@@ -231,7 +227,7 @@ def train_folds(datasets, hyper, seeds, validations=None):
     # Adam's moments, laid out like `params.flat`, and each model's step count
     m, v = np.zeros_like(params.flat), np.zeros_like(params.flat)
     t = np.zeros(F, dtype=np.int64)
-    curves = [TrainingCurve() for _ in range(F)]
+    curve = TrainingCurve()
 
     # Every model's rows in one array, and each model's rows a view of it;
     # row f of `order` holds model f's shuffled row numbers into it, so a
@@ -243,9 +239,9 @@ def train_folds(datasets, hyper, seeds, validations=None):
     order = np.zeros((F, sizes.max()), dtype=np.int64)
     steps = epoch_steps(sizes, hyper.batch_size)
 
-    # Every result computed here is checked (step losses, then each epoch's
-    # curve losses, which cover the final parameters), so numpy's overflow
-    # and invalid-value warnings would only run ahead of the located error.
+    # Every result computed here is checked (step losses, then the training-set
+    # scores, which cover the final parameters), so numpy's overflow and
+    # invalid-value warnings would only run ahead of the located error.
     with np.errstate(all="ignore"):
         for epoch in range(hyper.epochs):
             for f, rng in enumerate(rngs):
@@ -269,23 +265,23 @@ def train_folds(datasets, hyper, seeds, validations=None):
                     params.flat[models], m[models], v[models] = adam_step(
                         sub.flat, grads.flat, m[models], v[models], t[models], hyper.learning_rate)
 
-            # the curve forward runs per model: a stacked full-set forward would
-            # hold every model's training-set maps at once
-            for f, curve in enumerate(curves):
-                model = params.model(f)
-                for split, arrays in (("train", (Xs[f], ys[f])), ("val", val_arrays[f])):
-                    loss, acc = (batch_loss(model, *arrays, hyper.pool_mode) if arrays
-                                 else (None, None))
-                    if loss is not None and not math.isfinite(loss):
-                        raise NonFiniteLossError(
-                            f"{where[f]}non-finite {split} curve loss at epoch {epoch}")
-                    getattr(curve, f"{split}_loss").append(loss)
-                    getattr(curve, f"{split}_accuracy").append(acc)
+            # a stack scores after its last epoch only, and per model: a stacked
+            # full-set forward would hold every model's training-set maps at once
+            if F > 1 and epoch < hyper.epochs - 1:
+                continue
+            for f in range(F):
+                loss, acc = batch_loss(params.model(f), Xs[f], ys[f], hyper.pool_mode)
+                if not math.isfinite(loss):
+                    raise NonFiniteLossError(
+                        f"{where[f]}non-finite train curve loss at epoch {epoch}")
+            if F == 1:
+                curve.train_loss.append(loss)
+                curve.train_accuracy.append(acc)
 
     return [
         TrainedModel(params=params.model(f).copy(), scaler=scaler, fill_values=fills,
-                     hyper=replace(hyper, seed=seed), curve=curve)
-        for f, ((fills, _, scaler), seed, curve) in enumerate(zip(preprocessing, seeds, curves))
+                     hyper=replace(hyper, seed=seed), curve=curve if F == 1 else TrainingCurve())
+        for f, ((fills, _, scaler), seed) in enumerate(zip(preprocessing, seeds))
     ]
 
 

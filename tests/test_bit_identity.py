@@ -136,14 +136,13 @@ def test_curve_case_covers_several_and_partial_blocks(monkeypatch):
 
 
 def test_curve_and_probabilities_do_not_depend_on_block_size(monkeypatch):
-    dataset = noisy_dataset(90, 28)
-    train, val = dataset.subset(np.arange(60)), dataset.subset(np.arange(60, 90))
+    train = noisy_dataset(90, 28).subset(np.arange(60))
     hyper = tr.Hyperparams(epochs=2, kernels_per_width=3, pool_mode=("windowed", 3, 2), seed=12)
     X = np.random.default_rng(0).normal(size=(90, dp.N_FEATURES))
     results = []
     for rows in (1, 7, len(X)):
         monkeypatch.setattr(nn, "INFER_BLOCK_ELEMENTS", rows * 3 * hyper.kernels_per_width * 13)
-        model = tr.train(train, hyper, validation=val)
+        model = tr.train(train, hyper)
         results.append((model.curve, nn.infer_probs(X, model.params, hyper.pool_mode)))
     for curve, probs in results[1:]:
         assert curve == results[0][0]
@@ -279,7 +278,8 @@ def test_cnn_cross_validation_reports_pinned(name):
 @pytest.mark.parametrize("name", sorted(CV_CASES))
 def test_lockstep_fold_models_equal_per_fold_train(name):
     """Each model of the lockstep trainer is the model `train` fits on the
-    same fold subset and seed: every tensor, the curve and `predict_proba`."""
+    same fold subset and seed: every tensor and `predict_proba`. Fold models
+    record no curve."""
     rows, data_seed, k, hyper = CV_CASES[name]
     dataset = noisy_dataset(rows, data_seed)
     hyper = tr.Hyperparams(**hyper)
@@ -292,7 +292,7 @@ def test_lockstep_fold_models_equal_per_fold_train(name):
         assert model.hyper == alone.hyper
         for key, tensor in alone.params.tensors().items():
             assert same_bits(model.params.tensors()[key], tensor), key
-        assert model.curve == alone.curve
+        assert model.curve == tr.TrainingCurve()
         assert same_bits(model.predict_proba(dataset.X), alone.predict_proba(dataset.X))
 
 

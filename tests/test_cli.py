@@ -191,7 +191,7 @@ class TestTrain:
         assert code == 0
         assert (out / "model.txt").exists()
         curve = (out / "curve.csv").read_text().splitlines()
-        assert curve[0] == "epoch,train_acc,train_loss,val_acc,val_loss"
+        assert curve[0] == "epoch,train_acc,train_loss"
         assert len(curve) == 3
         assert "final train accuracy" in capsys.readouterr().out
 
@@ -633,6 +633,27 @@ def test_record_too_large_for_its_fold_model_names_fold_and_record(tmp_path, cap
     else:
         assert code == 3
         assert f"cnn / statlog: NonFiniteProbabilityError: {message}\n" in captured.out
+
+
+@pytest.mark.parametrize("kind", ["cnn", "dv_logistic", "pso_elm"])
+def test_column_too_large_to_scale_names_fold_and_column(tmp_path, capsys, kind):
+    """1.7e308, -1.7e308 and 1.7e308 in the `age` of rows 1 to 3: a fold that
+    trains on two of them cannot fit the column's scaler (its mean or its
+    range overflows), which is bad input: every kind exits 2 naming the
+    first such fold and the column, with no numpy warning."""
+    ds = synthetic.separable_dataset(30, seed=3)
+    X = ds.X.copy()
+    X[:3, dp.FEATURE_NAMES.index("age")] = [1.7e308, -1.7e308, 1.7e308]
+    p = tmp_path / "huge.dat"
+    write_statlog_file(p, dp.Dataset(X, ds.y))
+    tested = ev.kfold_split(dp.parse_dataset(p, "statlog"), k=3, seed=5).assignments[:3]
+    fold = next(f for f in range(3) if np.sum(tested == f) <= 1)
+    out = tmp_path / "out"
+    code = main_without_runtime_warnings(["cv", "--data", str(p), "--model", kind,
+                                          "--k", "3", "--out", str(out)] + FAST_FLAGS)
+    assert (code, capsys.readouterr().err) == (
+        2, f"error: fold {fold}: column 'age' has values too large to scale\n")
+    assert not out.exists()
 
 
 # Config-file text: every known key with valid and invalid texts for its codec,

@@ -69,7 +69,8 @@ class TestKfoldSplit:
 
     def test_13_records_balanced_remainder(self):
         ds = random_dataset(13, seed=2)
-        plan = ev.kfold_split(ds, k=10, seed=3)
+        with pytest.warns(UserWarning, match="class too small"):
+            plan = ev.kfold_split(ds, k=10, seed=3)
         sizes = sorted(np.bincount(plan.assignments, minlength=10).tolist())
         assert sizes == [1] * 7 + [2] * 3
 

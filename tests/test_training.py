@@ -7,7 +7,6 @@ import pytest
 from cardioseq import data as dp
 from cardioseq import model_io
 from cardioseq import network as nn
-from cardioseq import synthetic
 from cardioseq import training as tr
 from cardioseq.errors import (
     ArityMismatchError,
@@ -312,12 +311,6 @@ class TestTrain:
         assert [[(rows, models.tolist()) for rows, models in groups] for groups in whole] == [
             [(273, [0, 2]), (272, [1])]]
 
-    def test_validation_curve_captured(self, separable):
-        val = synthetic.separable_dataset(40, seed=9)
-        model = tr.train(separable, FAST, validation=val)
-        assert len(model.curve.val_accuracy) == FAST.epochs
-        assert all(v is not None for v in model.curve.val_accuracy)
-
 
 class TestPredict:
     def test_zero_model_tie_resolves_to_zero(self, separable):
@@ -366,9 +359,8 @@ def test_curve_export_format(tmp_path, separable):
     path = tmp_path / "curve.csv"
     model_io.save_curve(path, model.curve)
     lines = path.read_text().splitlines()
-    assert lines[0] == "epoch,train_acc,train_loss,val_acc,val_loss"
+    assert lines[0] == "epoch,train_acc,train_loss"
     assert len(lines) == FAST.epochs + 1
     first = lines[1].split(",")
     assert first[0] == "1"
-    assert float(first[2]) == model.curve.train_loss[0]
-    assert first[3] == "" and first[4] == ""
+    assert len(first) == 3 and float(first[2]) == model.curve.train_loss[0]
