@@ -7,14 +7,18 @@ pooled values concatenated in fixed order (width 1 bank, then 3, then 5;
 kernel index ascending), optionally dropped out (inverted dropout), and
 fed to a dense layer with a 2-class softmax head.
 
-A batched training step is a few whole-array calls. The zero-padded
-sliding windows of a batch are built once, as one read-only strided view
-for the widest kernel; the width-3 bank reads its centred slice and the
-backward pass reuses the view from the forward cache. The three banks'
-maps are stacked, so pooling and its backward run once per batch for all
-banks; pooling reads the pre-activations and applies ReLU to the pooled
-values only. With one pool window per map (global pooling) the backward
-forms no gradient maps: it gathers each map's window at its argmax. All
+A batch runs through one forward path, `forward_batch`, whether it is a
+training step, a training-set score or one record to predict. Its maps are
+built position-major, (3K, 13, B), block of rows by block of rows: the
+taps at one offset of every window of every row of a block are one
+contiguous slice of the block's zero-padded, transposed inputs, so the
+three banks are a few long multiply-adds, summed in the order of one
+`np.einsum` per bank and so with its bits. A window's pooled value is the
+ReLU of its largest pre-activation. What only the backward reads (pool
+positions, the inputs' sliding windows, batch-major maps) is built when it
+asks for it (`ForwardCache`). With one pool window per map (global
+pooling) the backward forms no gradient maps: it gathers each map's window
+at its argmax; with more it runs a weight-gradient einsum per bank. All
 parameter tensors are views into one flat float64 buffer
 (`ModelParams.flat`), and so are the gradients (`model_backward`): an
 optimizer step is a handful of elementwise operations on whole buffers.
@@ -27,28 +31,25 @@ a cross-validation: their parameters share a leading model axis (`flat`
 is (F, P), a kernel bank (F, K, w)), and a stacked batch is (F, B, 13),
 row f going through model f. A single model has no leading axis. Each
 model of a stack gets the same bits as running it alone.
-
-Scoring a whole training set needs only the probabilities: `infer_probs`
-gives `forward_batch`'s bits with no cache, argmax or dropout, from long
-contiguous multiply-adds over row blocks of bounded size.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .data import N_FEATURES
 from .errors import ShapeMismatchError
 
-KERNEL_WIDTHS = (1, 3, 5)
+KERNEL_WIDTHS = (1, 3, 5)  # `_map_blocks` sums these three widths' taps by hand
 
 GLOBAL_POOL = ("global",)
 
-# `infer_probs` scores rows in blocks of at most this many pre-activation
-# values (3K maps of 13 positions per row), as SWARM_BLOCK_ELEMENTS bounds a
+# `forward_batch` builds maps in row blocks of at most this many values (3K
+# maps of 13 positions per row and model), as SWARM_BLOCK_ELEMENTS bounds a
 # block of PSO particles.
 INFER_BLOCK_ELEMENTS = 2**18
 
@@ -160,28 +161,64 @@ class ModelParams:
 class ForwardCache:
     """Everything the reverse pass needs, produced by `forward_batch`.
 
-    `windows` is the batch's zero-padded sliding-window view for the widest
-    kernel, built once per batch and read by forward and backward alike
-    (`bank_windows`). The three banks' maps are stacked along the kernel
-    axis, width 1 first: bank i is rows i*K to (i+1)*K. For a stack of
-    models every array has a leading model axis.
-
-    Besides the dense layer's fields, `model_backward` reads `windows` and
-    `pool_idx`, and with one pool window per map `pooled` (its ReLU gate is
-    pooled > 0), not `pre`; with more windows it builds gradient maps from
-    `pre`.
+    The three banks' maps are stacked along the kernel axis, width 1 first:
+    bank i is rows i*K to (i+1)*K. For a stack of models every array has a
+    leading model axis. `maps`, `windows`, `pre` and `pool_idx` are built
+    when first read, so a forward that only scores builds none of them;
+    `maps` are the forward's own when one row block held the batch (every
+    training batch of up to 840 rows at 8 kernels per width), else built
+    again. Besides the dense layer's fields, `model_backward` reads
+    `windows` and `pool_idx` (from `maps` and `pooled`), and with one pool
+    window per map `pooled` (its ReLU gate is pooled > 0), not `pre`; with
+    more windows it builds gradient maps from `pre`.
     """
 
     params: ModelParams
     inputs: np.ndarray  # (B, 13)
-    windows: np.ndarray  # (B, 13, max width), read-only view
-    pre: np.ndarray  # (B, 3K, 13) pre-activation maps
-    pool_idx: np.ndarray  # (B, 3K, W) argmax position of each window
+    pool_mode: tuple
+    block_maps: np.ndarray  # `maps` if the batch was one row block, else None
     pooled: np.ndarray  # (B, D) pre-dropout concatenation
     dropout_mask: np.ndarray  # (B, D), or None without dropout
     dropout_rate: float
     dropped: np.ndarray  # (B, D) dense input
     probs: np.ndarray  # (B, 2)
+
+    @cached_property
+    def maps(self):
+        """(3K, 13, B) pre-activation maps, position-major."""
+        if self.block_maps is not None:
+            return self.block_maps
+        return np.concatenate([maps for _, maps in _map_blocks(self.inputs, self.params)], -1)
+
+    @cached_property
+    def windows(self):
+        """(B, 13, max width) read-only view of the zero-padded sliding
+        windows for the widest kernel (`conv_windows`, `bank_windows`)."""
+        return conv_windows(self.inputs, KERNEL_WIDTHS[-1])
+
+    @cached_property
+    def pre(self):
+        """(B, 3K, 13) pre-activation maps, C-contiguous: the weight-gradient
+        einsum of `model_backward` sums in an order that follows layout."""
+        return np.ascontiguousarray(np.moveaxis(self.maps, -1, -3))
+
+    @cached_property
+    def pool_idx(self):
+        """(B, 3K, W) position of each pool window's maximum: the first
+        position that reaches it, or the window's start when the maximum is
+        <= 0 (the window is all zeros after ReLU)."""
+        M, T, _ = self.maps.shape[-3:]
+        size, stride = _pool_geometry(self.pool_mode, T)
+        pooled = self.pooled.reshape(self.pooled.shape[:-1] + (M, -1))
+        idx = np.empty(pooled.shape, dtype=np.int64)
+        # a hit at offset j scores size - j, so the highest score is the first hit
+        score = np.arange(size, 0, -1, dtype=np.uint8)[:, None]
+        for wi, start in enumerate(range(0, T - size + 1, stride)):
+            top = pooled[..., wi].swapaxes(-1, -2)
+            hit = np.equal(self.maps[..., start : start + size, :], top[..., None, :])
+            first = (start + size) - (hit.view(np.uint8) * score).max(axis=-2)
+            idx[..., wi] = np.where(top > 0, first, start).swapaxes(-1, -2)
+        return idx
 
 
 def _glorot_uniform(rng, shape, fan_in, fan_out):
@@ -266,25 +303,50 @@ def softmax(logits):
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _relu_pool_batch(pre, pool_mode):
-    """Max-pool ReLU(pre) without forming it: contiguous (..., K, T)
-    pre-activations -> pooled (..., K, W) and argmax positions (..., K, W).
+def _map_blocks(X, params):
+    """The pre-activation maps of a (..., B, 13) batch, position-major, one
+    block of rows at a time: yields (first row, (..., 3K, 13, rows) maps),
+    a block holding at most INFER_BLOCK_ELEMENTS map values, with the bits
+    of one einsum per bank ("...btw,...kw->...bkt") plus the bias.
 
-    ReLU is monotone, so a window's pooled value is the ReLU of its largest
-    pre-activation, at its first maximum; a window with no positive entry is
-    all zeros after ReLU, so its argmax is its start.
+    A block is zero-padded once, transposed: row p + 2 of a (..., 17, rows)
+    buffer holds feature p of every row, so the taps at offset o of the
+    5-wide windows of all 13 positions of all rows are its 13 rows from row
+    o on, one contiguous slice x[o], and one multiply gives the products of
+    every bank that reads that offset (the scratch is 4K such maps). numpy
+    2.x's einsum sums a window in two lanes, the even taps in one running
+    sum, the odd ones in another, then the lanes: width 3 is (p0 + p2) + p1
+    and width 5 is ((p0 + p2) + p4) + (p1 + p3). The centre offset 2 is p0
+    of width 1, p1 of width 3 and p2 of width 5; offsets 1 and 3 add up
+    width 3's even lane and width 5's odd lane in one sum; offsets 0 and 4
+    complete width 5's even lane. (Addition commutes, so p1 + (p0 + p2) has
+    the bits of (p0 + p2) + p1.) einsum adds the sum to a zeroed output
+    (+ 0.0, which turns a -0.0 sum into +0.0) and the bias comes after; the
+    0.0 goes into the bias, since (s + 0.0) + b and s + (b + 0.0) are the
+    same bits for every s and b. So the maps hold no -0.0.
     """
-    T = pre.shape[-1]
-    size, stride = _pool_geometry(pool_mode, T)
-    starts = np.arange(0, T - size + 1, stride)
-    idx = np.empty(pre.shape[:-1] + (len(starts),), dtype=np.int64)
-    for wi, start in enumerate(starts):  # argmax copies a strided window; keep it one wide
-        idx[..., wi] = pre[..., start : start + size].argmax(axis=-1) + start
-    rows = pre.size // T
-    top = pre.reshape(rows, T)[np.arange(rows)[:, None], idx.reshape(rows, -1)]
-    top = top.reshape(idx.shape)
-    np.copyto(idx, starts, where=top <= 0)
-    return relu(top), idx
+    *lead, B, T = X.shape
+    K = params.kernels_per_width
+    w1, w3, w5 = (params.conv_w[w] for w in KERNEL_WIDTHS)
+    centre, left, right = (np.concatenate(taps, -1)[..., None, None] for taps in (
+        (w1[..., 0], w3[..., 1], w5[..., 2]), (w3[..., 0], w5[..., 1]), (w3[..., 2], w5[..., 3])))
+    bias = (np.concatenate([params.conv_b[w] for w in KERNEL_WIDTHS], -1) + 0.0)[..., None, None]
+    rows = max(1, INFER_BLOCK_ELEMENTS // (math.prod(lead) * len(KERNEL_WIDTHS) * K * T))
+    for lo in range(0, B, rows):
+        n = min(rows, B - lo)
+        padded = np.zeros((*lead, 1, T + 4, n))
+        padded[..., 0, 2 : 2 + T, :] = X[..., lo : lo + n, :].swapaxes(-1, -2)
+        x = [padded[..., o : o + T, :] for o in range(5)]
+        maps = np.multiply(centre, x[2])
+        sides, scratch = np.empty((2, *lead, 2 * K, T, n))
+        np.multiply(left, x[1], out=sides)
+        sides += np.multiply(right, x[3], out=scratch)
+        even5 = maps[..., 2 * K :, :, :]
+        even5 += np.multiply(w5[..., 0, None, None], x[0], out=scratch[..., :K, :, :])
+        even5 += np.multiply(w5[..., 4, None, None], x[4], out=scratch[..., :K, :, :])
+        maps[..., K:, :, :] += sides
+        maps += bias
+        yield lo, maps
 
 
 def forward_batch(inputs, params, dropout_rate=0.0, rng=None, pool_mode=GLOBAL_POOL):
@@ -292,23 +354,30 @@ def forward_batch(inputs, params, dropout_rate=0.0, rng=None, pool_mode=GLOBAL_P
     (F, B, 13) batch: (probs, cache). Dropout runs iff dropout_rate > 0, and
     `rng` is then a sequence of one generator per model, each drawing its
     model's (B, D) keep-mask.
+
+    The maps are built and pooled one row block at a time (`_map_blocks`),
+    so scratch stays small however many rows are scored. Pool positions
+    are left to the cache (`ForwardCache.pool_idx`).
     """
     X = np.atleast_2d(np.ascontiguousarray(inputs, dtype=float))
-    windows = conv_windows(X, KERNEL_WIDTHS[-1])
-    K = params.kernels_per_width
-    pre = np.empty(X.shape[:-1] + (len(KERNEL_WIDTHS) * K, X.shape[-1]))
-    for i, w in enumerate(KERNEL_WIDTHS):
-        pre[..., i * K : (i + 1) * K, :] = np.einsum(
-            "...btw,...kw->...bkt", bank_windows(X, windows, w), params.conv_w[w])
-    pre += np.concatenate([params.conv_b[w] for w in KERNEL_WIDTHS], -1)[..., None, :, None]
-    pooled, idx = _relu_pool_batch(pre, pool_mode)
-    z = dropped = pooled.reshape(X.shape[:-1] + (-1,))
+    *lead, B, T = X.shape
+    size, stride = _pool_geometry(pool_mode, T)
+    starts = range(0, T - size + 1, stride)
+    pooled = np.empty((*lead, B, len(KERNEL_WIDTHS) * params.kernels_per_width, len(starts)))
+    kept = None
+    for lo, maps in _map_blocks(X, params):
+        for wi, start in enumerate(starts):
+            top = maps[..., start : start + size, :].max(axis=-2)
+            pooled[..., lo : lo + maps.shape[-1], :, wi] = top.swapaxes(-1, -2)
+        if maps.shape[-1] == B:  # one block holds the batch: keep it for the backward
+            kept = maps
+    z = dropped = relu(pooled).reshape(*lead, B, -1)
     mask = None
     if dropout_rate > 0.0:
         mask = np.stack([r.random(z.shape[-2:]) for r in rng]).reshape(z.shape) >= dropout_rate
         dropped = z * mask / (1.0 - dropout_rate)
     probs = dense_softmax(dropped, params)
-    return probs, ForwardCache(params, X, windows, pre, idx, z, mask, dropout_rate, dropped, probs)
+    return probs, ForwardCache(params, X, pool_mode, kept, z, mask, dropout_rate, dropped, probs)
 
 
 def dense_softmax(z, params):
@@ -369,82 +438,3 @@ def model_backward(cache, labels):
                                          bank_windows(X, cache.windows, w))
         grads.conv_b[w][...] = dpre.sum(axis=(-3, -1))
     return grads
-
-
-def _sum_taps(weights, taps, out, tmp, odd):
-    """Write sum_j weights[:, j] * taps[j] into `out` (K, ...), adding the
-    products in the order in which `np.einsum` sums a window (numpy 2.x, two
-    lanes): the even taps in one running sum, the odd ones in another, then
-    the two lanes, so width 3 is (p0 + p2) + p1 and width 5 is
-    ((p0 + p2) + p4) + (p1 + p3). `tmp` and `odd` are scratch like `out`."""
-    def product(j, buf):
-        return np.multiply(weights[:, j, None, None], taps[j], out=buf)
-
-    product(0, out)
-    for j in range(2, len(taps), 2):
-        out += product(j, tmp)
-    if len(taps) > 1:
-        product(1, odd)
-        for j in range(3, len(taps), 2):
-            odd += product(j, tmp)
-        out += odd
-
-
-def conv_maps(X, params):
-    """Pre-activation maps of a (B, 13) batch for one model, position-major:
-    (3K, 13, B), with the bits of the per-bank einsum of `forward_batch`
-    (whose `ForwardCache.pre` is (B, 3K, 13)).
-
-    The batch is zero-padded once, transposed: row p + 2 of a (17, B) buffer
-    holds feature p of every row, so a kernel column's taps over all 13
-    positions of all rows are 13 consecutive rows of it, one contiguous
-    block. The taps are summed in einsum's order (`_sum_taps`). einsum adds
-    that sum to a zeroed output (+ 0.0, which turns a -0.0 sum into +0.0)
-    and the bias comes after; the 0.0 goes into the bias, since
-    (s + 0.0) + b and s + (b + 0.0) are the same bits for every s and b.
-    """
-    B, T = X.shape
-    pad = KERNEL_WIDTHS[-1] // 2
-    padded = np.zeros((T + 2 * pad, B))
-    padded[pad : pad + T] = X.T
-    K = params.kernels_per_width
-    maps = np.empty((len(KERNEL_WIDTHS) * K, T, B))
-    tmp, odd = np.empty((2, K, T, B))
-    for i, w in enumerate(KERNEL_WIDTHS):
-        first = pad - w // 2
-        taps = [padded[first + j : first + j + T] for j in range(w)]
-        bank = maps[i * K : (i + 1) * K]
-        _sum_taps(params.conv_w[w], taps, bank, tmp, odd)
-        bank += params.conv_b[w][:, None, None] + 0.0
-    return maps
-
-
-def _window_max(maps, pool_mode):
-    """Each pool window's running maximum over position-major (M, T, B) maps:
-    (M, W, B). It is the value `_relu_pool_batch` gathers at the window's
-    first argmax (the maps hold no -0.0, so no two zeros can differ)."""
-    T = maps.shape[-2]
-    size, stride = _pool_geometry(pool_mode, T)
-    reach = T - size + 1  # positions at which a window can start
-    top = maps[:, :reach:stride].copy()
-    for offset in range(1, size):
-        np.maximum(top, maps[:, offset : offset + reach : stride], out=top)
-    return top
-
-
-def infer_probs(inputs, params, pool_mode=GLOBAL_POOL):
-    """(B, 2) class probabilities of a (B, 13) batch for one model, without
-    dropout: the bits of `forward_batch(inputs, params, pool_mode=pool_mode)[0]`
-    with no cache and no argmax, from a few long contiguous multiply-adds per
-    block of rows (`conv_maps`). A block holds at most INFER_BLOCK_ELEMENTS
-    map values; the dense head runs once on the whole (B, D) input.
-    """
-    X = np.atleast_2d(np.ascontiguousarray(inputs, dtype=float))
-    B, T = X.shape
-    maps_k = len(KERNEL_WIDTHS) * params.kernels_per_width
-    rows = max(1, INFER_BLOCK_ELEMENTS // (maps_k * T))
-    pooled = np.empty((B, maps_k, n_pool_windows(pool_mode, T)))
-    for start in range(0, B, rows):
-        top = _window_max(conv_maps(X[start : start + rows], params), pool_mode)
-        pooled[start : start + rows] = top.transpose(2, 0, 1)
-    return dense_softmax(relu(pooled).reshape(B, -1), params)

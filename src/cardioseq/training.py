@@ -150,9 +150,8 @@ def loss_and_accuracy(probs, labels):
 
 
 def batch_loss(params, X, y, pool_mode=nn.GLOBAL_POOL):
-    """Infer-mode mean loss and accuracy over a batch of standardized rows
-    (the value-only forward, `network.infer_probs`)."""
-    return loss_and_accuracy(nn.infer_probs(X, params, pool_mode), y)
+    """Infer-mode mean loss and accuracy over a batch of standardized rows."""
+    return loss_and_accuracy(nn.forward_batch(X, params, pool_mode=pool_mode)[0], y)
 
 
 def _bias_correction(beta, t):
@@ -265,8 +264,8 @@ def train_folds(datasets, hyper, seeds):
                     params.flat[models], m[models], v[models] = adam_step(
                         sub.flat, grads.flat, m[models], v[models], t[models], hyper.learning_rate)
 
-            # a stack scores after its last epoch only, and per model: a stacked
-            # full-set forward would hold every model's training-set maps at once
+            # a stack scores after its last epoch only, model by model (the
+            # folds' training sets differ in size)
             if F > 1 and epoch < hyper.epochs - 1:
                 continue
             for f in range(F):

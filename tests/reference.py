@@ -4,9 +4,10 @@ per-bank einsums.
 They are test oracles for the batched network in `cardioseq.network`, which
 is the only path the package runs: readable one-at-a-time versions of the
 convolution, pooling and dense steps that the batched tests compare against,
-the einsum contraction whose bits `network.conv_maps` reproduces, and the
-dense backward (gradient maps and weight-gradient einsums) whose bits the
-one-window `network.model_backward` reproduces.
+the einsum contraction whose bits `network.forward_batch`'s maps reproduce,
+an argmax pool over those maps, and the dense backward (gradient maps and
+weight-gradient einsums) whose bits the one-window `network.model_backward`
+reproduces.
 """
 
 from dataclasses import dataclass
@@ -93,14 +94,26 @@ def model_forward(feature_matrix, params, dropout_rate=0.0, rng=None,
 
 
 def einsum_maps(X, params):
-    """(B, 3K, 13) pre-activation maps of a (B, 13) batch for one model: one
-    einsum per bank over its zero-padded windows, plus the bias, as
-    `network.forward_batch` computes them."""
+    """(..., B, 3K, 13) pre-activation maps of a (..., B, 13) batch for one
+    model or a stack: one einsum per bank over its zero-padded windows, plus
+    the bias."""
     windows = nn.conv_windows(X, nn.KERNEL_WIDTHS[-1])
     return np.concatenate([
         np.einsum("...btw,...kw->...bkt", nn.bank_windows(X, windows, w), params.conv_w[w])
-        + params.conv_b[w][:, None]
+        + params.conv_b[w][..., None, :, None]
         for w in nn.KERNEL_WIDTHS], axis=-2)
+
+
+def relu_pool(pre, pool_mode):
+    """Max-pool ReLU(pre) of (..., M, 13) maps by argmax: pooled values and
+    positions, both (..., M, W). A window's position is its first argmax, or
+    its start when its maximum is <= 0 (all zeros after ReLU)."""
+    T = pre.shape[-1]
+    size, stride = (T, T) if pool_mode[0] == "global" else pool_mode[1:]
+    starts = np.arange(0, T - size + 1, stride)
+    idx = np.stack([pre[..., s : s + size].argmax(axis=-1) + s for s in starts], axis=-1)
+    top = np.take_along_axis(pre, idx, axis=-1)
+    return nn.relu(top), np.where(top > 0, idx, starts)
 
 
 def einsum_backward(cache, labels):

@@ -17,66 +17,59 @@ def test_every_traced_layer_resolves(monkeypatch):
     assert [name for name in tracing.LAYER_NAMES if tracing.resolve(name) is None] == []
 
 
+def counting(monkeypatch, counts, module, name):
+    """Count calls of module.name in counts[name]; `forward_batch` records the
+    leading shape of each batch, (B,) for one model or (F, B) for a stack."""
+    inner = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        if name == "forward_batch":
+            counts.setdefault(name, []).append(args[0].shape[:-1])
+        else:
+            counts[name] = counts.get(name, 0) + 1
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+
+
 def test_training_step_layers_are_called_through_their_modules(monkeypatch):
     """The benchmark's per-layer spans replace these module attributes from
     outside; `train` must keep calling them there, once per mini-batch, or the
-    spans go silent. The per-epoch curve runs the value-only forward once."""
+    spans go silent. Each epoch's curve runs one more forward, on the whole
+    training set."""
     from cardioseq import network, synthetic, training
 
     counts = {}
-
-    def counting(module, name):
-        inner = getattr(module, name)
-
-        def wrapper(*args, **kwargs):
-            counts[name] = counts.get(name, 0) + 1
-            return inner(*args, **kwargs)
-
-        monkeypatch.setattr(module, name, wrapper)
-
-    counting(network, "forward_batch")
-    counting(network, "infer_probs")
-    counting(network, "model_backward")
-    counting(training, "adam_step")
+    for module, name in ((network, "forward_batch"), (network, "model_backward"),
+                         (training, "adam_step")):
+        counting(monkeypatch, counts, module, name)
     epochs, batches = 2, 3  # 20 rows in batches of 8, 8 and 4
     training.train(synthetic.separable_dataset(20, seed=3),
                    training.Hyperparams(epochs=epochs, batch_size=8, kernels_per_width=2))
-    assert counts == {"forward_batch": epochs * batches,
-                      "infer_probs": epochs,
+    assert counts == {"forward_batch": [(1, 8), (1, 8), (1, 4), (20,)] * epochs,
                       "model_backward": epochs * batches,
                       "adam_step": epochs * batches}
 
 
 def test_lockstep_cv_layers_are_called_through_their_modules(monkeypatch):
-    """A CNN `cross_validate` trains its folds in lockstep: one backward and
-    one Adam step per stacked step group, one forward per group and one more
-    per fold to score it, and one value-only forward per fold, after the last
-    epoch, to check its final parameters (fold models record no curve)."""
+    """A CNN `cross_validate` trains its folds in lockstep: one forward, one
+    backward and one Adam step per stacked step group; after the last epoch
+    one forward per fold on its training set, to check its final parameters
+    (fold models record no curve); then one per fold to score its test fold."""
     from cardioseq import evaluation, network, synthetic, training
 
     counts = {}
-
-    def counting(module, name):
-        inner = getattr(module, name)
-
-        def wrapper(*args, **kwargs):
-            counts[name] = counts.get(name, 0) + 1
-            return inner(*args, **kwargs)
-
-        monkeypatch.setattr(module, name, wrapper)
-
-    counting(network, "forward_batch")
-    counting(network, "infer_probs")
-    counting(network, "model_backward")
-    counting(training, "adam_step")
+    for module, name in ((network, "forward_batch"), (network, "model_backward"),
+                         (training, "adam_step")):
+        counting(monkeypatch, counts, module, name)
     # 22 rows in 3 folds train on 14, 15 and 15 rows; batches of 4 make three
-    # steps of all folds, then one of 2 rows for fold 0 and one of 3 for the others
+    # steps of all folds, then one of 3 rows for folds 1 and 2 and one of 2 for fold 0
     epochs, k, groups = 2, 3, 3 + 2
     evaluation.cross_validate(synthetic.separable_dataset(22, seed=3), "cnn", k=k,
                               hyper=training.Hyperparams(epochs=epochs, batch_size=4,
                                                          kernels_per_width=2))
-    assert counts == {"forward_batch": epochs * groups + k,
-                      "infer_probs": k,
+    steps = [(3, 4)] * 3 + [(2, 3), (1, 2)]
+    assert counts == {"forward_batch": steps * epochs + [(14,), (15,), (15,), (8,), (7,), (7,)],
                       "model_backward": epochs * groups,
                       "adam_step": epochs * groups}
 

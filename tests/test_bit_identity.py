@@ -120,19 +120,25 @@ def test_trained_tensors_and_probabilities_pinned(name):
 
 def test_curve_case_covers_several_and_partial_blocks(monkeypatch):
     """"curve-blocks" scores its training set for the curve in at least three
-    row blocks, the last one partial."""
-    blocks = []
-    maps = nn.conv_maps
+    row blocks, the last one partial, while each training step's batch is one
+    block."""
+    calls = []
+    blocks = nn._map_blocks
 
     def recording(X, params):
-        blocks.append(X.shape[0])
-        return maps(X, params)
+        sizes = []
+        calls.append((X.shape[-2], sizes))
+        for lo, maps in blocks(X, params):
+            sizes.append(maps.shape[-1])
+            yield lo, maps
 
-    monkeypatch.setattr(nn, "conv_maps", recording)
+    monkeypatch.setattr(nn, "_map_blocks", recording)
     rows, data_seed, hyper = CASES["curve-blocks"]
     tr.train(synthetic.separable_dataset(rows, seed=data_seed), tr.Hyperparams(**hyper))
-    assert sum(blocks) == rows and len(blocks) >= 3
-    assert blocks[-1] < blocks[0] == max(blocks)
+    (curve,) = [sizes for n, sizes in calls if n == rows]
+    assert sum(curve) == rows and len(curve) >= 3
+    assert curve[-1] < curve[0] == max(curve)
+    assert all(sizes == [n] for n, sizes in calls if n != rows)
 
 
 def test_curve_and_probabilities_do_not_depend_on_block_size(monkeypatch):
@@ -143,7 +149,8 @@ def test_curve_and_probabilities_do_not_depend_on_block_size(monkeypatch):
     for rows in (1, 7, len(X)):
         monkeypatch.setattr(nn, "INFER_BLOCK_ELEMENTS", rows * 3 * hyper.kernels_per_width * 13)
         model = tr.train(train, hyper)
-        results.append((model.curve, nn.infer_probs(X, model.params, hyper.pool_mode)))
+        probs, _ = nn.forward_batch(X, model.params, pool_mode=hyper.pool_mode)
+        results.append((model.curve, probs))
     for curve, probs in results[1:]:
         assert curve == results[0][0]
         assert same_bits(probs, results[0][1])

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -138,26 +139,34 @@ class TestActivationsAndPooling:
 
     @pytest.mark.parametrize("mode", [nn.GLOBAL_POOL, ("windowed", 3, 2), ("windowed", 5, 1),
                                       ("windowed", 1, 1), ("windowed", 4, 3)])
-    def test_batched_ties_pool_to_lowest_index_like_max_pool(self, mode, rng):
+    def test_batched_ties_pool_to_lowest_index_like_max_pool(self, mode, rng, monkeypatch):
         # integer inputs and weights give feature maps full of exact ties,
-        # and windows with no positive entry, which tie at 0 after ReLU
-        params = nn.init_params(3, rng, pool_mode=mode)
-        for t in params.tensors().values():
-            t[...] = rng.integers(-1, 2, t.shape)
-        X = rng.integers(0, 2, (6, 13)).astype(float)
-        X[0] = 0.0  # an all-tied row
-        _, cache = nn.forward_batch(X, params, pool_mode=mode)
-        maps = nn.relu(cache.pre)
-        B, KB, W = cache.pool_idx.shape
-        pooled = cache.pooled.reshape(B, KB, W)
-        ties = 0
-        for b in range(B):
-            for k in range(KB):
-                values, idx = ref.max_pool(maps[b, k], mode)
-                np.testing.assert_array_equal(cache.pool_idx[b, k], np.atleast_1d(idx))
-                np.testing.assert_array_equal(pooled[b, k], np.atleast_1d(values))
-                ties += len(set(maps[b, k].tolist())) < maps.shape[2]
-        assert ties > 0
+        # and windows with no positive entry, which tie at 0 after ReLU; one
+        # model and a stack of 3, their 6 rows in row blocks of 4 and 2
+        for models in (None, 3):
+            lead = () if models is None else (models,)
+            monkeypatch.setattr(nn, "INFER_BLOCK_ELEMENTS", 4 * (models or 1) * 3 * 3 * 13)
+            singles = []
+            for _ in range(models or 1):
+                params = nn.init_params(3, rng, pool_mode=mode)
+                for t in params.tensors().values():
+                    t[...] = rng.integers(-1, 2, t.shape)
+                singles.append(params)
+            params = singles[0] if models is None else nn.ModelParams.stack(singles)
+            X = rng.integers(0, 2, lead + (6, 13)).astype(float)
+            X[..., 0, :] = 0.0  # an all-tied row
+            _, cache = nn.forward_batch(X, params, pool_mode=mode)
+            assert cache.block_maps is None  # more than one row block
+            maps = nn.relu(cache.pre).reshape(-1, 6, 9, 13)  # (model, row, map, position)
+            idx = cache.pool_idx.reshape(maps.shape[:3] + (-1,))
+            pooled = cache.pooled.reshape(idx.shape)
+            ties = 0
+            for f, b, k in np.ndindex(maps.shape[:3]):
+                values, first = ref.max_pool(maps[f, b, k], mode)
+                np.testing.assert_array_equal(idx[f, b, k], np.atleast_1d(first))
+                np.testing.assert_array_equal(pooled[f, b, k], np.atleast_1d(values))
+                ties += len(set(maps[f, b, k].tolist())) < maps.shape[-1]
+            assert ties > 0
 
 
 def signed_values(rng, shape):
@@ -173,22 +182,40 @@ def same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
-@given(rows=st.integers(1, 300), kernels=st.integers(1, 8),
+@given(rows=st.integers(1, 300), kernels=st.integers(1, 8), models=st.sampled_from([None, 1, 10]),
+       block_rows=st.integers(1, 300),
        mode=st.sampled_from([nn.GLOBAL_POOL, ("windowed", 1, 1), ("windowed", 3, 2),
                              ("windowed", 5, 1), ("windowed", 13, 1)]),
        seed=st.integers(0, 2**32 - 1))
-def test_value_only_forward_has_the_einsum_bits(rows, kernels, mode, seed):
-    """`conv_maps` gives the per-bank einsum's maps and `infer_probs` the
-    probabilities of `forward_batch`, bit for bit (signs of zero included)."""
+def test_value_only_forward_has_the_einsum_bits(rows, kernels, models, block_rows, mode, seed):
+    """`forward_batch`'s maps are the per-bank einsum's (`reference.einsum_maps`),
+    its pooled values and pool positions those of an argmax pool over them
+    (`reference.relu_pool`), and its probabilities the dense head's on those
+    values, bit for bit (signs of zero included): for one model and stacks,
+    in row blocks of `block_rows` rows."""
     rng = np.random.default_rng(seed)
-    params = nn.init_params(kernels, rng, mode)
-    for w in nn.KERNEL_WIDTHS:
-        params.conv_w[w][...] = signed_values(rng, (kernels, w))
-        params.conv_b[w][...] = signed_values(rng, kernels)
-    X = signed_values(rng, (rows, nn.N_FEATURES))
-    assert same_bits(nn.conv_maps(X, params).transpose(2, 0, 1), ref.einsum_maps(X, params))
-    assert same_bits(nn.infer_probs(X, params, mode),
-                     nn.forward_batch(X, params, pool_mode=mode)[0])
+    lead = () if models is None else (models,)
+    singles = []
+    for _ in range(models or 1):
+        params = nn.init_params(kernels, rng, mode)
+        for w in nn.KERNEL_WIDTHS:
+            params.conv_w[w][...] = signed_values(rng, (kernels, w))
+            params.conv_b[w][...] = signed_values(rng, kernels)
+        singles.append(params)
+    params = singles[0] if models is None else nn.ModelParams.stack(singles)
+    X = signed_values(rng, lead + (rows, nn.N_FEATURES))
+    block = block_rows * (models or 1) * len(nn.KERNEL_WIDTHS) * kernels * nn.N_FEATURES
+    with mock.patch.object(nn, "INFER_BLOCK_ELEMENTS", block):
+        probs, cache = nn.forward_batch(X, params, pool_mode=mode)
+        maps = cache.maps
+    assert (cache.block_maps is None) == (rows > block_rows)
+    expected = ref.einsum_maps(X, params)
+    assert same_bits(np.moveaxis(maps, -1, -3), expected)
+    pooled, idx = ref.relu_pool(expected, mode)
+    pooled = pooled.reshape(lead + (rows, -1))
+    assert same_bits(cache.pooled, pooled)
+    assert np.array_equal(cache.pool_idx, idx)
+    assert same_bits(probs, nn.dense_softmax(pooled, params))
 
 
 @given(rows=st.integers(1, 300), kernels=st.integers(1, 8), models=st.sampled_from([None, 1, 10]),
@@ -422,6 +449,32 @@ class TestModelBackward:
             np.testing.assert_allclose(
                 grads_b[f"conv_b{w}"], (block * gate).sum(axis=0), atol=1e-12
             )
+
+
+@pytest.mark.parametrize("models", [None, 3])
+@pytest.mark.parametrize("mode", [nn.GLOBAL_POOL, ("windowed", 3, 2)])
+def test_forward_and_backward_do_not_depend_on_block_size(models, mode, rng, monkeypatch):
+    """Probabilities, pooled values, pool positions and gradients keep every
+    bit whether the batch runs in row blocks of one row, of 7 rows or in one
+    block (whose maps the backward reuses; the others' it builds again)."""
+    lead = () if models is None else (models,)
+    singles = [nn.init_params(4, rng, mode) for _ in range(models or 1)]
+    params = singles[0] if models is None else nn.ModelParams.stack(singles)
+    rows = 30
+    X = rng.standard_normal(lead + (rows, nn.N_FEATURES))
+    y = rng.integers(0, 2, lead + (rows,))
+    results = []
+    for block_rows in (1, 7, rows):
+        monkeypatch.setattr(nn, "INFER_BLOCK_ELEMENTS",
+                            block_rows * (models or 1) * len(nn.KERNEL_WIDTHS) * 4 * nn.N_FEATURES)
+        gens = [np.random.default_rng([7, f]) for f in range(models or 1)]
+        probs, cache = nn.forward_batch(X, params, 0.5, gens, mode)
+        grads = nn.model_backward(cache, y)
+        assert (cache.block_maps is None) == (block_rows < rows)
+        results.append((probs, cache.pooled, cache.pool_idx, grads.flat))
+    for result in results[1:]:
+        for got, expected in zip(result, results[0]):
+            assert got.dtype == expected.dtype and same_bits(got, expected)
 
 
 def pool_margin(pre, pool_mode):

@@ -329,6 +329,29 @@ class TestPredict:
         expected, _ = ref.model_forward(x.reshape(13, 1), model.params)
         np.testing.assert_array_equal(probs, expected)
 
+    def test_a_record_pools_like_its_row_in_a_batched_forward(self, separable, monkeypatch):
+        """A record's dense input has the bits of its row in one batched
+        forward run in row blocks of 7 rows, and its probabilities are the
+        dense head's on that row alone. (They are not compared with the
+        batch's: BLAS may round a one-row product unlike a many-row one.)"""
+        model = tr.train(separable, FAST)
+        monkeypatch.setattr(nn, "INFER_BLOCK_ELEMENTS", 7 * 3 * model.hyper.kernels_per_width * 13)
+        caches, forward = [], nn.forward_batch
+
+        def recording(*args, **kwargs):
+            probs, cache = forward(*args, **kwargs)
+            caches.append(cache)
+            return probs, cache
+
+        monkeypatch.setattr(nn, "forward_batch", recording)
+        model.predict_proba(separable.X)
+        (batched,) = caches
+        for r, rec in enumerate(separable.records):
+            probs = tr.predict(model, rec)[1]
+            assert caches[-1].pooled.tobytes() == batched.pooled[r].tobytes(), r
+            alone = nn.dense_softmax(batched.pooled[r : r + 1], model.params)[0]
+            assert probs.tobytes() == alone.tobytes(), r
+
     def test_training_sample_classified_correctly(self, separable):
         model = tr.train(separable, tr.Hyperparams(seed=7))
         rec = separable.records[0]
