@@ -20,18 +20,21 @@ params = nn.init_params(2, rng)
 params.conv_w[3][0], params.conv_b[3][0] = 1.0, 0.0
 x = np.array([[1.0, 0.0, 2.0, 0.0, 1.0, 0, 0, 0, -1.0, 0, 0, 0, 0.5]])
 
-# One row through the batched forward pass; the cache keeps every stage.
-# The banks' maps are stacked along the kernel axis, width 1 first.
+# One row through the batched forward pass; the cache keeps what it computed.
+# The banks' maps are stacked along the kernel axis, width 1 first, and are
+# position-major: (map, position, row).
 probs, cache = nn.forward_batch(x, params)
 K = params.kernels_per_width
 print(f"input row: {x[0]}")
 for i, w in enumerate(nn.KERNEL_WIDTHS):
     print(f"\nwidth-{w} bank pre-activations (one map per kernel):")
-    print(cache.pre[0, i * K : (i + 1) * K])
+    print(cache.maps[i * K : (i + 1) * K, :, 0])
 
-# Global max pooling of ReLU(map): one value per kernel, and where it sat.
+# Global max pooling of ReLU(map): one value per kernel, and where it sat
+# (the positions the backward derives from the maps and pooled values).
 print(f"\npooled values (dense input): {cache.pooled[0]}")
-print(f"argmax positions:            {cache.pool_idx[0, :, 0]}")
+idx = nn.pool_positions(cache.maps, cache.pooled, cache.pool_mode)
+print(f"argmax positions:            {idx[0, :, 0]}")
 print(f"class probabilities: {probs[0, 0]:.6f} {probs[0, 1]:.6f} (sum {probs[0].sum()})")
 
 print(f"\nrelu([-1, 0, 2]) = {nn.relu(np.array([-1.0, 0.0, 2.0]))}")

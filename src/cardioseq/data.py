@@ -137,20 +137,27 @@ class ScalerStats:
         return self.std == 0.0
 
 
+def _numeral(tok):
+    """float() of an ASCII numeral with no `_` (float() reads both)."""
+    if "_" in tok or not tok.isascii():
+        raise ValueError(tok)
+    return float(tok)
+
+
 def parse_values(tokens, missing_ok, error):
     """The floats of one row's value tokens, each stripped; `?` is NaN where
-    `missing_ok`. The first token that is not a finite number raises
+    `missing_ok`. The first token that is not a finite ASCII numeral raises
     `error(position, problem)`, position counted from 1."""
     values = []
     for position, tok in enumerate(tokens, start=1):
-        tok = tok.strip()
+        tok = tok.strip() if tok.isascii() else tok  # shown whole in the error
         if tok == "?" and missing_ok:
             values.append(math.nan)
             continue
         try:
-            value = float(tok)
+            value = _numeral(tok)
         except ValueError:
-            raise error(position, f"unparseable token {tok!r}") from None
+            raise error(position, f"unparseable token {tok!a}") from None
         if not math.isfinite(value):
             raise error(position, f"non-finite token {tok!r}")
         values.append(value)
@@ -167,9 +174,9 @@ def _parse_row(tokens, path, line_no, dialect):
             raise UnknownLabelError(path, line_no, f"unknown statlog label {raw_label!r}")
         return values, int(float(raw_label)) - 1
     try:
-        level = int(float(raw_label))
-    except ValueError:
-        raise UnknownLabelError(path, line_no, f"unparseable label {raw_label!r}")
+        level = int(_numeral(raw_label))
+    except (ValueError, OverflowError):
+        raise UnknownLabelError(path, line_no, f"unparseable label {raw_label!a}")
     if level not in (0, 1, 2, 3, 4):
         raise UnknownLabelError(path, line_no, f"cleveland label out of range: {level}")
     return values, int(level > 0)

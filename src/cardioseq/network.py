@@ -14,17 +14,18 @@ taps at one offset of every window of every row of a block are one
 contiguous slice of the block's zero-padded, transposed inputs, so the
 three banks are a few long multiply-adds, summed in the order of one
 `np.einsum` per bank and so with its bits. A window's pooled value is the
-ReLU of its largest pre-activation. What only the backward reads (pool
-positions, the inputs' sliding windows, batch-major maps) is built when it
-asks for it (`ForwardCache`). With one pool window per map (global
-pooling) the backward forms no gradient maps: it gathers each map's window
-at its argmax; with more it runs a weight-gradient einsum per bank. All
-parameter tensors are views into one flat float64 buffer
-(`ModelParams.flat`), and so are the gradients (`model_backward`): an
-optimizer step is a handful of elementwise operations on whole buffers.
-Every step gives the bits of an einsum per bank on its own windows, but
-for the one-window backward at K = 1, whose kernel gradients sum row by
-row and so differ in the last bits.
+ReLU of its largest pre-activation. The forward keeps what it computed
+(`ForwardCache`); the backward finds the pool positions, the input windows
+and, past one row block, the maps itself, and gates by ReLU on the pooled
+values. With one pool window per map (global pooling) it gathers each
+map's window at its argmax; with more it scatters into gradient maps and
+runs a weight-gradient einsum per bank. All parameter tensors are views
+into one flat float64 buffer (`ModelParams.flat`), and so are the
+gradients (`model_backward`): an optimizer step is a handful of
+elementwise operations on whole buffers. Every step gives the bits of an
+einsum per bank on its own windows, but for the one-window backward at
+K = 1, whose kernel gradients sum row by row and so differ in the last
+bits.
 
 The same code runs a stack of F models at once, e.g. the k fold models of
 a cross-validation: their parameters share a leading model axis (`flat`
@@ -37,7 +38,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -159,66 +159,19 @@ class ModelParams:
 
 @dataclass
 class ForwardCache:
-    """Everything the reverse pass needs, produced by `forward_batch`.
-
-    The three banks' maps are stacked along the kernel axis, width 1 first:
-    bank i is rows i*K to (i+1)*K. For a stack of models every array has a
-    leading model axis. `maps`, `windows`, `pre` and `pool_idx` are built
-    when first read, so a forward that only scores builds none of them;
-    `maps` are the forward's own when one row block held the batch (every
-    training batch of up to 840 rows at 8 kernels per width), else built
-    again. Besides the dense layer's fields, `model_backward` reads
-    `windows` and `pool_idx` (from `maps` and `pooled`), and with one pool
-    window per map `pooled` (its ReLU gate is pooled > 0), not `pre`; with
-    more windows it builds gradient maps from `pre`.
-    """
+    """What `forward_batch` computed, no more: `model_backward` builds the
+    rest. The banks' maps are stacked along the kernel axis, width 1 first
+    (bank i is rows i*K to (i+1)*K); a stack of models adds a leading axis."""
 
     params: ModelParams
     inputs: np.ndarray  # (B, 13)
     pool_mode: tuple
-    block_maps: np.ndarray  # `maps` if the batch was one row block, else None
+    maps: np.ndarray  # (3K, 13, B) position-major if one row block held the batch, else None
     pooled: np.ndarray  # (B, D) pre-dropout concatenation
     dropout_mask: np.ndarray  # (B, D), or None without dropout
     dropout_rate: float
     dropped: np.ndarray  # (B, D) dense input
     probs: np.ndarray  # (B, 2)
-
-    @cached_property
-    def maps(self):
-        """(3K, 13, B) pre-activation maps, position-major."""
-        if self.block_maps is not None:
-            return self.block_maps
-        return np.concatenate([maps for _, maps in _map_blocks(self.inputs, self.params)], -1)
-
-    @cached_property
-    def windows(self):
-        """(B, 13, max width) read-only view of the zero-padded sliding
-        windows for the widest kernel (`conv_windows`, `bank_windows`)."""
-        return conv_windows(self.inputs, KERNEL_WIDTHS[-1])
-
-    @cached_property
-    def pre(self):
-        """(B, 3K, 13) pre-activation maps, C-contiguous: the weight-gradient
-        einsum of `model_backward` sums in an order that follows layout."""
-        return np.ascontiguousarray(np.moveaxis(self.maps, -1, -3))
-
-    @cached_property
-    def pool_idx(self):
-        """(B, 3K, W) position of each pool window's maximum: the first
-        position that reaches it, or the window's start when the maximum is
-        <= 0 (the window is all zeros after ReLU)."""
-        M, T, _ = self.maps.shape[-3:]
-        size, stride = _pool_geometry(self.pool_mode, T)
-        pooled = self.pooled.reshape(self.pooled.shape[:-1] + (M, -1))
-        idx = np.empty(pooled.shape, dtype=np.int64)
-        # a hit at offset j scores size - j, so the highest score is the first hit
-        score = np.arange(size, 0, -1, dtype=np.uint8)[:, None]
-        for wi, start in enumerate(range(0, T - size + 1, stride)):
-            top = pooled[..., wi].swapaxes(-1, -2)
-            hit = np.equal(self.maps[..., start : start + size, :], top[..., None, :])
-            first = (start + size) - (hit.view(np.uint8) * score).max(axis=-2)
-            idx[..., wi] = np.where(top > 0, first, start).swapaxes(-1, -2)
-        return idx
 
 
 def _glorot_uniform(rng, shape, fan_in, fan_out):
@@ -349,6 +302,29 @@ def _map_blocks(X, params):
         yield lo, maps
 
 
+def forward_maps(X, params):
+    """(..., 3K, 13, B) pre-activation maps of a whole batch, position-major."""
+    return np.concatenate([maps for _, maps in _map_blocks(X, params)], -1)
+
+
+def pool_positions(maps, pooled, pool_mode):
+    """(..., B, 3K, W) position of each pool window's maximum in (..., 3K, 13, B)
+    maps pooled to (..., B, 3K * W): the first position that reaches it, or
+    the window's start when it is <= 0 (all zeros after ReLU)."""
+    M, T, _ = maps.shape[-3:]
+    size, stride = _pool_geometry(pool_mode, T)
+    pooled = pooled.reshape(pooled.shape[:-1] + (M, -1))
+    idx = np.empty(pooled.shape, dtype=np.int64)
+    # a hit at offset j scores size - j, so the highest score is the first hit
+    score = np.arange(size, 0, -1, dtype=np.uint8)[:, None]
+    for wi, start in enumerate(range(0, T - size + 1, stride)):
+        top = pooled[..., wi].swapaxes(-1, -2)
+        hit = np.equal(maps[..., start : start + size, :], top[..., None, :])
+        first = (start + size) - (hit.view(np.uint8) * score).max(axis=-2)
+        idx[..., wi] = np.where(top > 0, first, start).swapaxes(-1, -2)
+    return idx
+
+
 def forward_batch(inputs, params, dropout_rate=0.0, rng=None, pool_mode=GLOBAL_POOL):
     """Run the full network on a (B, 13) batch, or a stack of models on a
     (F, B, 13) batch: (probs, cache). Dropout runs iff dropout_rate > 0, and
@@ -356,8 +332,7 @@ def forward_batch(inputs, params, dropout_rate=0.0, rng=None, pool_mode=GLOBAL_P
     model's (B, D) keep-mask.
 
     The maps are built and pooled one row block at a time (`_map_blocks`),
-    so scratch stays small however many rows are scored. Pool positions
-    are left to the cache (`ForwardCache.pool_idx`).
+    so scratch stays small however many rows are scored.
     """
     X = np.atleast_2d(np.ascontiguousarray(inputs, dtype=float))
     *lead, B, T = X.shape
@@ -393,7 +368,7 @@ def model_backward(cache, labels):
     labels are (F, B) and the buffer is (F, P).
     """
     params, X = cache.params, cache.inputs
-    B = X.shape[-2]
+    B, T = X.shape[-2:]
     y = np.atleast_1d(np.asarray(labels, dtype=np.int64))
     if y.shape != X.shape[:-1]:
         raise ShapeMismatchError("label count does not match batch size")
@@ -410,31 +385,35 @@ def model_backward(cache, labels):
     if cache.dropout_mask is not None:
         dz = dz * cache.dropout_mask / (1.0 - cache.dropout_rate)
 
-    idx = cache.pool_idx
+    maps = forward_maps(X, params) if cache.maps is None else cache.maps
+    idx = pool_positions(maps, cache.pooled, cache.pool_mode)
+    windows = conv_windows(X, KERNEL_WIDTHS[-1])
     K = params.kernels_per_width
+    dtop = dz * (cache.pooled > 0)
     if idx.shape[-1] == 1:
         # A map's gradient is nonzero at its argmax only, so each row adds one
         # product per tap to the einsum below, and einsum adds the rows in turn
         # onto a zeroed output: the same bits for K >= 2 (the + 0.0 is for numpy
         # versions whose sum starts from the first row and keeps a -0.0 total).
-        dtop = dz * (cache.pooled > 0)
-        dw = (dtop[..., None] * _windows_at(cache.windows, idx[..., 0])).sum(axis=-3) + 0.0
+        dw = (dtop[..., None] * _windows_at(windows, idx[..., 0])).sum(axis=-3) + 0.0
         db = dtop.sum(axis=-2) + 0.0
         for i, w in enumerate(KERNEL_WIDTHS):
             trim = (KERNEL_WIDTHS[-1] - w) // 2
             grads.conv_w[w][...] = dw[..., i * K : (i + 1) * K, trim : trim + w]
             grads.conv_b[w][...] = db[..., i * K : (i + 1) * K]
         return grads
-    # ordered accumulation: overlapping windows can share an argmax
-    dpool = dz.reshape(idx.shape)
-    dmap = np.zeros_like(cache.pre)
+    # Ordered accumulation: overlapping windows can share an argmax. This is
+    # the dense ReLU gate's scatter: a live window's argmax has a map value
+    # > 0; a dead window points at its start, where the map is <= its max
+    # <= 0, so no live one does. Only zeros' signs differ, which sums drop.
+    dtop = dtop.reshape(idx.shape)
+    dmap = np.zeros(idx.shape[:-1] + (T,))
     lead = np.ix_(*map(np.arange, idx.shape[:-1]))
     for wi in range(idx.shape[-1]):
-        dmap[(*lead, idx[..., wi])] += dpool[..., wi]
+        dmap[(*lead, idx[..., wi])] += dtop[..., wi]
     for i, w in enumerate(KERNEL_WIDTHS):
-        bank = slice(i * K, (i + 1) * K)
-        dpre = dmap[..., bank, :] * (cache.pre[..., bank, :] > 0)
-        grads.conv_w[w][...] = np.einsum("...bkt,...btw->...kw", dpre,
-                                         bank_windows(X, cache.windows, w))
+        # a C-contiguous copy per bank: the einsum's summation order follows layout
+        dpre = np.ascontiguousarray(dmap[..., i * K : (i + 1) * K, :])
+        grads.conv_w[w][...] = np.einsum("...bkt,...btw->...kw", dpre, bank_windows(X, windows, w))
         grads.conv_b[w][...] = dpre.sum(axis=(-3, -1))
     return grads

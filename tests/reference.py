@@ -6,8 +6,7 @@ is the only path the package runs: readable one-at-a-time versions of the
 convolution, pooling and dense steps that the batched tests compare against,
 the einsum contraction whose bits `network.forward_batch`'s maps reproduce,
 an argmax pool over those maps, and the dense backward (gradient maps and
-weight-gradient einsums) whose bits the one-window `network.model_backward`
-reproduces.
+weight-gradient einsums) whose bits `network.model_backward` reproduces.
 """
 
 from dataclasses import dataclass
@@ -118,10 +117,12 @@ def relu_pool(pre, pool_mode):
 
 def einsum_backward(cache, labels):
     """(gradients, dpre) of `network.model_backward`'s contract, computed
-    densely: every map's gradient spread over all 13 positions (ordered
-    accumulation for overlapping windows), gated by ReLU into dpre
-    (..., B, 3K, 13), then one weight-gradient einsum and one bias sum per
-    bank over dpre and the bank's windows."""
+    densely from the cache's inputs and parameters alone: the per-bank
+    einsum maps (`einsum_maps`) and an argmax pool over them (`relu_pool`),
+    every map's gradient spread over all 13 positions (ordered accumulation
+    for overlapping windows), gated by ReLU into dpre (..., B, 3K, 13), then
+    one weight-gradient einsum and one bias sum per bank over dpre and the
+    bank's windows."""
     params, X = cache.params, cache.inputs
     y = np.asarray(labels)
     dlogits = cache.probs - (y[..., None] == np.arange(cache.probs.shape[-1]))
@@ -131,12 +132,14 @@ def einsum_backward(cache, labels):
     dz = dlogits @ params.dense_w
     if cache.dropout_mask is not None:
         dz = dz * cache.dropout_mask / (1.0 - cache.dropout_rate)
-    idx = cache.pool_idx
+    pre = einsum_maps(X, params)
+    _, idx = relu_pool(pre, cache.pool_mode)
+    windows = nn.conv_windows(X, nn.KERNEL_WIDTHS[-1])
     dpool = dz.reshape(idx.shape)
     if idx.shape[-1] == 1:
         dmap = np.where(np.arange(X.shape[-1]) == idx, dpool, 0.0)
     else:
-        dmap = np.zeros_like(cache.pre)
+        dmap = np.zeros_like(pre)
         lead = np.ix_(*map(np.arange, idx.shape[:-1]))
         for wi in range(idx.shape[-1]):
             dmap[(*lead, idx[..., wi])] += dpool[..., wi]
@@ -144,9 +147,9 @@ def einsum_backward(cache, labels):
     dpre = []
     for i, w in enumerate(nn.KERNEL_WIDTHS):
         maps = slice(i * K, (i + 1) * K)  # a contiguous product: einsum's order follows layout
-        bank = dmap[..., maps, :] * (cache.pre[..., maps, :] > 0)
+        bank = dmap[..., maps, :] * (pre[..., maps, :] > 0)
         dpre.append(bank)
         grads[f"conv_w{w}"] = np.einsum("...bkt,...btw->...kw", bank,
-                                        nn.bank_windows(X, cache.windows, w))
+                                        nn.bank_windows(X, windows, w))
         grads[f"conv_b{w}"] = bank.sum(axis=(-3, -1))
     return grads, np.concatenate(dpre, axis=-2)

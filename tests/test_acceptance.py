@@ -65,7 +65,7 @@ def test_criterion_2_convolution_oracle():
         weights, bias = rng.standard_normal(width), float(rng.standard_normal())
         params.conv_w[width][0], params.conv_b[width][0] = weights, bias
         _, cache = nn.forward_batch(x[None, :], params)
-        got = cache.pre[0, nn.KERNEL_WIDTHS.index(width)]
+        got = cache.maps[nn.KERNEL_WIDTHS.index(width), :, 0]
         expected = np.array(naive_conv(x, weights, bias))
         worst = max(worst, float(np.abs(got - expected).max()))
     elapsed = time.monotonic() - start

@@ -88,6 +88,29 @@ class TestParsing:
             dp.parse_dataset(p, dialect)
         assert err.value.line_number == 2
 
+    @pytest.mark.parametrize("value, label", [("58.0_0", "0"), ("5_8", "0"), ("58.0", "0_0"),
+                                              ("58.0", "inf"), ("58.0", "1e999")])
+    def test_malformed_numeral_reports_line(self, tmp_path, value, label):
+        """float() reads `_` digit separators, and int(float()) of an
+        infinite label overflows; a data row with either is located."""
+        good = "58.0,1.0,4.0,114.0,318.0,0.0,1.0,140.0,0.0,4.4,3.0,3.0,6.0,0"
+        p = tmp_path / "bad.data"
+        p.write_text(f"{good}\n{value}{good[4:-2]},{label}\n")
+        error = MalformedRowError if value != "58.0" else UnknownLabelError
+        with pytest.raises(error) as err:
+            dp.parse_dataset(p, "cleveland")
+        token = f"token {value!r}" if value != "58.0" else f"label {label!r}"
+        assert str(err.value) == f"{p}:2: unparseable {token}"
+
+    @pytest.mark.parametrize("token", ["5_8", "\uff15\uff18", "\u0665\u0668", "58\u00a0",
+                                       " \u2007?"])
+    def test_record_value_must_be_an_ascii_numeral(self, token):
+        """A `predict` record has no file's ASCII check, so its values are
+        checked one by one; a non-ASCII token is shown whole, escaped."""
+        with pytest.raises(ValueError) as err:
+            cli.parse_record(f"1,2,{token},4,5,6,7,8,9,10,11,12,1")
+        assert str(err.value) == f"record value 3: unparseable token {ascii(token)}"
+
     def test_rows_and_records_share_one_value_parser(self, tmp_path, monkeypatch):
         """`parse_values` reads every data row and `predict` record, once per
         row; a token is stripped, `?` is missing only where allowed, and the

@@ -1,4 +1,5 @@
-"""Smoke test: the narrative demos run to completion.
+"""Smoke test: the narrative demos run to completion, with runtime and user
+warnings as errors, as pytest's `filterwarnings` makes them for the tests.
 
 `05_cross_validation.py` is the slowest, at about 3 s on a 2-core host: one
 Dv-Logistic cross-validation and a three-model comparison table on 200 rows.
@@ -25,7 +26,8 @@ def test_demo_runs(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     result = subprocess.run(
-        [sys.executable, os.path.join(ROOT, "demos", demo)],
+        [sys.executable, "-W", "error::RuntimeWarning", "-W", "error::UserWarning",
+         os.path.join(ROOT, "demos", demo)],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert result.returncode == 0, result.stderr

@@ -156,9 +156,11 @@ class TestActivationsAndPooling:
             X = rng.integers(0, 2, lead + (6, 13)).astype(float)
             X[..., 0, :] = 0.0  # an all-tied row
             _, cache = nn.forward_batch(X, params, pool_mode=mode)
-            assert cache.block_maps is None  # more than one row block
-            maps = nn.relu(cache.pre).reshape(-1, 6, 9, 13)  # (model, row, map, position)
-            idx = cache.pool_idx.reshape(maps.shape[:3] + (-1,))
+            assert cache.maps is None  # more than one row block
+            pre = nn.forward_maps(cache.inputs, params)
+            # (model, row, map, position)
+            maps = nn.relu(np.moveaxis(pre, -1, -3)).reshape(-1, 6, 9, 13)
+            idx = nn.pool_positions(pre, cache.pooled, mode).reshape(maps.shape[:3] + (-1,))
             pooled = cache.pooled.reshape(idx.shape)
             ties = 0
             for f, b, k in np.ndindex(maps.shape[:3]):
@@ -207,32 +209,36 @@ def test_value_only_forward_has_the_einsum_bits(rows, kernels, models, block_row
     block = block_rows * (models or 1) * len(nn.KERNEL_WIDTHS) * kernels * nn.N_FEATURES
     with mock.patch.object(nn, "INFER_BLOCK_ELEMENTS", block):
         probs, cache = nn.forward_batch(X, params, pool_mode=mode)
-        maps = cache.maps
-    assert (cache.block_maps is None) == (rows > block_rows)
+        maps = nn.forward_maps(X, params) if cache.maps is None else cache.maps
+    assert (cache.maps is None) == (rows > block_rows)
     expected = ref.einsum_maps(X, params)
     assert same_bits(np.moveaxis(maps, -1, -3), expected)
     pooled, idx = ref.relu_pool(expected, mode)
     pooled = pooled.reshape(lead + (rows, -1))
     assert same_bits(cache.pooled, pooled)
-    assert np.array_equal(cache.pool_idx, idx)
+    assert np.array_equal(nn.pool_positions(maps, cache.pooled, mode), idx)
     assert same_bits(probs, nn.dense_softmax(pooled, params))
 
 
 @given(rows=st.integers(1, 300), kernels=st.integers(1, 8), models=st.sampled_from([None, 1, 10]),
-       dropout=st.booleans(), ties=st.booleans(),
-       mode=st.sampled_from([nn.GLOBAL_POOL, ("windowed", 13, 1)]),
+       dropout=st.booleans(), ties=st.booleans(), dead=st.booleans(),
+       mode=st.sampled_from([nn.GLOBAL_POOL, ("windowed", 13, 1), ("windowed", 1, 1),
+                             ("windowed", 2, 2), ("windowed", 3, 2), ("windowed", 5, 1)]),
        seed=st.integers(0, 2**32 - 1))
-def test_one_window_backward_has_the_einsum_bits(rows, kernels, models, dropout, ties, mode,
-                                                 seed):
-    """With one pool window per map, `model_backward` gathers each map's
-    window at its argmax; for K >= 2 its gradients have the bits of the dense
-    gradient maps and per-bank einsums (`reference.einsum_backward`), signs
-    of zero included. For K = 1 the einsum and the bias sum add a bank's
-    (row, position) terms as one run, in another order than row after row,
-    so the kernel gradients may differ by summation error: at most n * eps
-    times the sum of the terms' magnitudes, n = rows * 13. (On unit-scale
-    inputs conv_w1 and the biases differ by up to 8.9e-16 at F = 10, B = 16,
-    and 1.3e-15 up to B = 300; conv_w3 and conv_w5 kept their bits.)"""
+def test_backward_has_the_einsum_bits(rows, kernels, models, dropout, ties, dead, mode, seed):
+    """`model_backward`'s gradients have the bits of the dense gradient maps,
+    ReLU-gated by the maps, and per-bank einsums (`reference.einsum_backward`,
+    which builds its own maps, pool positions and windows), signs of zero
+    included, in every pool mode. With several pool windows per map it
+    scatters gated gradients into gradient maps; with one it gathers each
+    map's window at its argmax, and for K = 1 the einsum and the bias sum
+    add a bank's (row, position) terms as one run, in another order than row
+    after row, so the kernel gradients may differ by summation error: at
+    most n * eps times the sum of the terms' magnitudes, n = rows * 13. (On
+    unit-scale inputs conv_w1 and the biases differ by up to 8.9e-16 at
+    F = 10, B = 16, and 1.3e-15 up to B = 300; conv_w3 and conv_w5 kept
+    their bits.) `dead` makes every window of the width-3 bank dead (its
+    maximum is < 0), so that each points at its own start."""
     rng = np.random.default_rng(seed)
     lead = () if models is None else (models,)
     singles = []
@@ -241,6 +247,9 @@ def test_one_window_backward_has_the_einsum_bits(rows, kernels, models, dropout,
         for w in nn.KERNEL_WIDTHS:
             params.conv_w[w][...] = signed_values(rng, (kernels, w))
             params.conv_b[w][...] = signed_values(rng, kernels)
+        if dead:  # signed zero weights and negative biases
+            params.conv_w[3][...] *= 0.0
+            params.conv_b[3][...] = -np.abs(params.conv_b[3]) - 1.0
         singles.append(params)
     params = singles[0] if models is None else nn.ModelParams.stack(singles)
     X = signed_values(rng, lead + (rows, nn.N_FEATURES))
@@ -253,11 +262,11 @@ def test_one_window_backward_has_the_einsum_bits(rows, kernels, models, dropout,
     expected, dpre = ref.einsum_backward(cache, y)
     assert got.keys() == expected.keys()
     for name in got:
-        if kernels == 1 and name.startswith("conv"):
+        if kernels == 1 and nn.n_pool_windows(mode) == 1 and name.startswith("conv"):
             w = int(name[-1])
             bank = np.abs(dpre[..., nn.KERNEL_WIDTHS.index(w), None, :])
             if name.startswith("conv_w"):
-                windows = nn.bank_windows(cache.inputs, cache.windows, w)
+                windows = nn.bank_windows(cache.inputs, nn.conv_windows(cache.inputs, 5), w)
                 magnitude = np.einsum("...bkt,...btw->...kw", bank, np.abs(windows))
             else:
                 magnitude = bank.sum(axis=(-3, -1))
@@ -437,15 +446,15 @@ class TestModelBackward:
         dlogits /= 3
         dz = dlogits @ params.dense_w  # gradient on the pooled vector
         grads_b = nn.model_backward(cache, y).tensors()
+        pre = np.moveaxis(cache.maps, -1, -3)  # (row, map, position)
+        idx = nn.pool_positions(cache.maps, cache.pooled, cache.pool_mode)
         # conv bias gradient sums dpre over positions; with no dropout the
         # routed mass per map equals dz gated by ReLU at the argmax
         K = params.kernels_per_width
         for wi, w in enumerate(nn.KERNEL_WIDTHS):
             bank = slice(wi * K, (wi + 1) * K)  # the cache stacks the banks
             block = dz[:, bank]
-            gate = np.take_along_axis(
-                cache.pre[:, bank] > 0, cache.pool_idx[:, bank], axis=2
-            )[:, :, 0]
+            gate = np.take_along_axis(pre[:, bank] > 0, idx[:, bank], axis=2)[:, :, 0]
             np.testing.assert_allclose(
                 grads_b[f"conv_b{w}"], (block * gate).sum(axis=0), atol=1e-12
             )
@@ -470,8 +479,10 @@ def test_forward_and_backward_do_not_depend_on_block_size(models, mode, rng, mon
         gens = [np.random.default_rng([7, f]) for f in range(models or 1)]
         probs, cache = nn.forward_batch(X, params, 0.5, gens, mode)
         grads = nn.model_backward(cache, y)
-        assert (cache.block_maps is None) == (block_rows < rows)
-        results.append((probs, cache.pooled, cache.pool_idx, grads.flat))
+        assert (cache.maps is None) == (block_rows < rows)
+        maps = nn.forward_maps(X, params) if cache.maps is None else cache.maps
+        idx = nn.pool_positions(maps, cache.pooled, mode)
+        results.append((probs, cache.pooled, idx, grads.flat))
     for result in results[1:]:
         for got, expected in zip(result, results[0]):
             assert got.dtype == expected.dtype and same_bits(got, expected)
@@ -507,7 +518,7 @@ def test_gradients_match_finite_differences(kernels, rows, mode, seed):
     y = rng.integers(0, 2, rows)
     _, cache = nn.forward_batch(X, params, pool_mode=mode)
     h = 1e-6
-    assume(pool_margin(cache.pre, mode) > 10 * h * max(1.0, np.abs(X).max()))
+    assume(pool_margin(np.moveaxis(cache.maps, -1, -3), mode) > 10 * h * max(1.0, np.abs(X).max()))
     grads = nn.model_backward(cache, y).tensors()
     # one stacked forward: model i has parameter i moved by +h, model P + i by -h
     P = params.flat.size

@@ -387,3 +387,34 @@ def test_curve_export_format(tmp_path, separable):
     first = lines[1].split(",")
     assert first[0] == "1"
     assert len(first) == 3 and float(first[2]) == model.curve.train_loss[0]
+
+
+def test_scoring_builds_no_backward_state(separable, monkeypatch):
+    """Pool positions, input windows and rebuilt maps are backward state:
+    scoring (`predict_proba`, `predict`, `batch_loss`) builds none of them,
+    training finds pool positions once per step group, and it rebuilds maps
+    only for a backward whose batch spans several row blocks."""
+    calls = dict.fromkeys(("pool_positions", "conv_windows", "forward_maps"), 0)
+    for name in calls:
+        def counting(*args, name=name, real=getattr(nn, name)):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(nn, name, counting)
+
+    def counts(run, *args):
+        calls.update(dict.fromkeys(calls, 0))
+        result = run(*args)
+        return list(calls.values()), result
+
+    groups = FAST.epochs * sum(map(len, tr.epoch_steps([len(separable)], FAST.batch_size)))
+    got, model = counts(tr.train, separable, FAST)
+    assert got == [groups, groups, 0]
+    X = dp.scale_values(separable.X, model.scaler)
+    assert counts(model.predict_proba, separable.X)[0] == [0, 0, 0]
+    assert counts(tr.predict, model, separable.records[0])[0] == [0, 0, 0]
+    assert counts(tr.batch_loss, model.params, X, separable.labels)[0] == [0, 0, 0]
+    # row blocks of 10 rows: the full 16-row batches rebuild their maps
+    monkeypatch.setattr(nn, "INFER_BLOCK_ELEMENTS", 10 * 3 * FAST.kernels_per_width * 13)
+    full = FAST.epochs * (len(separable) // FAST.batch_size)
+    assert counts(tr.train, separable, FAST)[0] == [groups, groups, full]
+    assert counts(model.predict_proba, separable.X)[0] == [0, 0, 0]
