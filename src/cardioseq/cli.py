@@ -61,6 +61,8 @@ class RunConfig:
             if k < 2:
                 raise ValueError(f"need at least 2 folds, got {k}")
             return k
+        if key == "out" and not text:
+            raise ValueError("empty output directory")
         for name in text.split(",") if self.command == "compare" else [text]:
             if RUN_KEYS[key] and name not in RUN_KEYS[key]:
                 raise ValueError(f"unknown {key} {name!r}; expected {', '.join(RUN_KEYS[key])}")
@@ -82,8 +84,11 @@ def load_config_file(path, cfg):
 
 
 def build_config(args):
-    """Defaults, then the config file, then the flags given, each checked as it is set."""
-    cfg = RunConfig(args.command, out=os.environ.get("CARDIOSEQ_OUT", "."))
+    """Defaults, then CARDIOSEQ_OUT, then the config file, then the flags given, each
+    checked as it is set."""
+    cfg = RunConfig(args.command, out=".")
+    if "CARDIOSEQ_OUT" in os.environ:
+        cfg.set_value("out", os.environ["CARDIOSEQ_OUT"], "CARDIOSEQ_OUT")
     if args.config:
         load_config_file(args.config, cfg)
     for key in (*RUN_KEYS, *HYPER_KEYS):

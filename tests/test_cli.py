@@ -520,6 +520,27 @@ class TestConfig:
         assert code == 0
         assert (out / "model.txt").exists()
 
+    def test_out_env_var_is_a_source(self, statlog_file, tmp_path, monkeypatch):
+        monkeypatch.setenv("CARDIOSEQ_OUT", str(tmp_path / "envout"))
+        seen = []
+        monkeypatch.setitem(cli.COMMANDS, "validate", lambda cfg: seen.append(cfg) or 0)
+        assert cli.main(["validate", "--data", statlog_file]) == 0
+        assert seen[0].out == str(tmp_path / "envout")
+        assert seen[0].sources["out"] == "CARDIOSEQ_OUT"
+
+    @pytest.mark.parametrize("source", ["flag", "config", "env"])
+    def test_empty_out_names_its_source(self, statlog_file, tmp_path, monkeypatch, capsys,
+                                        source):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("model = dv_logistic\nout =\n")
+        argv, where = {"flag": (["--out", ""], "--out"),
+                       "config": (["--config", str(cfg)], f"{cfg}:2: out"),
+                       "env": ([], "CARDIOSEQ_OUT")}[source]
+        monkeypatch.setenv("CARDIOSEQ_OUT", "" if source == "env" else str(tmp_path / "out"))
+        assert cli.main(["train", "--data", statlog_file, "--model", "dv_logistic"] + argv) == 2
+        assert capsys.readouterr().err == f"error: {where}: empty output directory\n"
+        assert not (tmp_path / "out").exists()
+
 
 def test_training_failure_exit_code(tmp_path, capsys):
     # single-class file: training must fail with the runtime exit code
