@@ -64,6 +64,8 @@ class RunConfig:
         if key == "out" and not text:
             raise ValueError("empty output directory")
         for name in text.split(",") if self.command == "compare" else [text]:
+            if key == "data" and not name:
+                raise ValueError("empty data path")
             if RUN_KEYS[key] and name not in RUN_KEYS[key]:
                 raise ValueError(f"unknown {key} {name!r}; expected {', '.join(RUN_KEYS[key])}")
         return text
@@ -199,6 +201,8 @@ def cmd_predict(args):
     if len(args.record) != 1:
         raise ValueError(f"record: expected one argument of {dp.N_FEATURES} comma-separated "
                          f"values, got {len(args.record)}")
+    if not args.model_file:
+        raise ValueError("empty model file path")
     model = model_io.load_model(args.model_file)
     record = parse_record(args.record[0])
     with np.errstate(all="ignore"):  # the probabilities are checked below

@@ -6,11 +6,17 @@ Supports the two public UCI heart-disease file dialects:
   in {1, 2}; labels are remapped 1 -> 0 (absence), 2 -> 1 (presence).
 * cleveland: 14 comma-separated fields, ``?`` marks a missing value, the
   last field is in {0..4} and is binarized (0 -> 0, 1..4 -> 1).
+
+A clean file is read in one numpy pass: one that holds only numerals and the
+dialect's separators (and ``?`` as a whole cleveland field), with 14 finite
+values or ``?`` to a row and valid labels. Any other file is parsed row by
+row, which locates every error. Both ways give the same arrays, bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -31,6 +37,9 @@ from .errors import (
 N_FEATURES = 13
 
 DIALECTS = ("statlog", "cleveland")
+
+STATLOG_LABELS = ("1", "2", "1.0", "2.0")  # the label texts a statlog row may hold
+CLEVELAND_LEVELS = range(5)
 
 FEATURE_NAMES = (
     "age", "sex", "cp", "trestbps", "chol", "fbs", "restecg",
@@ -170,15 +179,18 @@ def _parse_row(tokens, path, line_no, dialect):
                           lambda _, problem: MalformedRowError(path, line_no, problem))
     raw_label = tokens[-1].strip()
     if dialect == "statlog":
-        if raw_label not in ("1", "2", "1.0", "2.0"):
+        if raw_label not in STATLOG_LABELS:
             raise UnknownLabelError(path, line_no, f"unknown statlog label {raw_label!r}")
         return values, int(float(raw_label)) - 1
     try:
-        level = int(_numeral(raw_label))
+        value = _numeral(raw_label)
+        level = int(value)
     except (ValueError, OverflowError):
         raise UnknownLabelError(path, line_no, f"unparseable label {raw_label!a}")
-    if level not in (0, 1, 2, 3, 4):
+    if level not in CLEVELAND_LEVELS:
         raise UnknownLabelError(path, line_no, f"cleveland label out of range: {level}")
+    if level != value:
+        raise UnknownLabelError(path, line_no, f"cleveland label {raw_label!r} is not an integer")
     return values, int(level > 0)
 
 
@@ -197,15 +209,46 @@ def read_ascii_lines(path, error):
     return lines
 
 
-def parse_dataset(path, dialect):
-    """Parse a heart-disease file into a Dataset.
+# Every byte a clean file of each dialect may hold, line ends included. This
+# leaves out letters (`nan`, `inf`), `_`, `#`, quotes, and whitespace other
+# than space and tab (\v, \f, \x1c-\x1f), which str.strip and str.split
+# read as whitespace and loadtxt may not.
+_CLEAN_BYTES = {"statlog": b"0123456789.+-eE \t\n", "cleveland": b"0123456789.+-eE \t\n,?"}
 
-    Every non-empty line either yields a row or raises a MalformedRowError
-    located as PATH:LINE; rows are never silently skipped.
-    """
-    if dialect not in DIALECTS:
-        raise ValueError(f"unknown dialect {dialect!r}")
-    lines = read_ascii_lines(path, NonAsciiFileError)
+
+def _read_clean(lines, dialect):
+    """(X, y) of a clean file's `lines`, read in one numpy pass, or None
+    unless `_parse_rows` would give the same arrays."""
+    rows = [row for row in map(str.strip, lines) if row]
+    if not rows:  # loadtxt warns on empty input
+        return None
+    text = "\n".join(rows)
+    if text.encode("ascii").translate(None, _CLEAN_BYTES[dialect]):
+        return None
+    if dialect == "cleveland":
+        # a `?` with anything but `,` or a line end beside it (`-?` would read as -nan)
+        if re.search(r"\?(?<=[^,\n]\?)|\?(?=[^,\n])", text):
+            return None
+        rows = [row.replace("?", "nan") for row in rows]
+    try:
+        table = np.loadtxt(rows, delimiter="," if dialect == "cleveland" else None,
+                           comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if table.shape != (len(rows), N_FEATURES + 1) or np.isinf(table[:, :N_FEATURES]).any():
+        return None
+    X, label = table[:, :N_FEATURES], table[:, N_FEATURES]
+    if dialect == "statlog":
+        if not {row.rsplit(None, 1)[-1] for row in rows} <= set(STATLOG_LABELS):
+            return None
+        return X, label.astype(np.int64) - 1
+    if not np.isin(label, CLEVELAND_LEVELS).all():
+        return None
+    return X, (label > 0).astype(np.int64)
+
+
+def _parse_rows(lines, path, dialect):
+    """A Dataset of the file's `lines`, parsed and checked one row at a time."""
     X = np.empty((len(lines), N_FEATURES))
     y = np.empty(len(lines), dtype=np.int64)
     n = 0
@@ -222,6 +265,23 @@ def parse_dataset(path, dialect):
     if n == 0:
         raise EmptyDatasetError(f"{path}: no records")
     return Dataset(X[:n], y[:n])
+
+
+def parse_dataset(path, dialect):
+    """Parse a heart-disease file into a Dataset.
+
+    Every non-empty line either yields a row or raises a MalformedRowError
+    located as PATH:LINE; rows are never silently skipped. A clean file is
+    read in one numpy pass; any other, and every error, is left to the
+    row-by-row parser.
+    """
+    if dialect not in DIALECTS:
+        raise ValueError(f"unknown dialect {dialect!r}")
+    lines = read_ascii_lines(path, NonAsciiFileError)
+    clean = _read_clean(lines, dialect)
+    if clean is None:
+        return _parse_rows(lines, path, dialect)
+    return Dataset(*clean)
 
 
 def fill_values(stats_source):

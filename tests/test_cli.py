@@ -338,6 +338,10 @@ class TestPredict:
         assert cli.main(["predict", str(path), record]) == 0
         assert "class 0, p = 0.500000 0.500000" in capsys.readouterr().out
 
+    def test_empty_model_path_is_named(self, capsys):
+        assert cli.main(["predict", "", ",".join(["1"] * 13)]) == 2
+        assert capsys.readouterr() == ("", "error: empty model file path\n")
+
     def test_missing_marker_accepted(self, statlog_file, tmp_path, capsys):
         ds = synthetic.separable_dataset(40, seed=2)
         model = tr.train(ds, tr.Hyperparams(epochs=2, kernels_per_width=2, seed=1))
@@ -539,6 +543,17 @@ class TestConfig:
         monkeypatch.setenv("CARDIOSEQ_OUT", "" if source == "env" else str(tmp_path / "out"))
         assert cli.main(["train", "--data", statlog_file, "--model", "dv_logistic"] + argv) == 2
         assert capsys.readouterr().err == f"error: {where}: empty output directory\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("source", ["flag", "compare list", "config"])
+    def test_empty_data_path_names_its_source(self, statlog_file, tmp_path, capsys, source):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("data =\n")
+        argv, where = {"flag": (["validate", "--data", ""], "--data"),
+                       "compare list": (["compare", "--data", f"{statlog_file},"], "--data"),
+                       "config": (["validate", "--config", str(cfg)], f"{cfg}:1: data")}[source]
+        assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr() == ("", f"error: {where}: empty data path\n")
         assert not (tmp_path / "out").exists()
 
 

@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cardioseq import cli
 from cardioseq import data as dp
 from cardioseq.errors import (
     AllMissingColumnError,
     ArityMismatchError,
+    CardioseqError,
     EmptyDatasetError,
     MalformedRowError,
     MissingValueError,
+    NonAsciiFileError,
     SingleClassDataError,
     UnknownLabelError,
 )
@@ -102,6 +106,19 @@ class TestParsing:
         token = f"token {value!r}" if value != "58.0" else f"label {label!r}"
         assert str(err.value) == f"{p}:2: unparseable {token}"
 
+    @pytest.mark.parametrize("label", ["0.5", "-0.9", "4.99", "1.5e0"])
+    def test_cleveland_label_must_be_an_integer(self, tmp_path, label):
+        """A label value outside 0..4 is rejected, not truncated: int(float()) would
+        read 0.5 and -0.9 as absence and 4.99 as presence."""
+        good = "58.0,1.0,4.0,114.0,318.0,0.0,1.0,140.0,0.0,4.4,3.0,3.0,6.0,"
+        p = tmp_path / "bad.data"
+        p.write_text(f"{good}0\n{good}{label}\n")
+        with pytest.raises(UnknownLabelError) as err:
+            dp.parse_dataset(p, "cleveland")
+        assert str(err.value) == f"{p}:2: cleveland label {label!r} is not an integer"
+        p.write_text(f"{good}1.0\n{good}1e0\n{good} 3 \n{good}-0\n")
+        assert dp.parse_dataset(p, "cleveland").y.tolist() == [1, 1, 1, 0]
+
     @pytest.mark.parametrize("token", ["5_8", "\uff15\uff18", "\u0665\u0668", "58\u00a0",
                                        " \u2007?"])
     def test_record_value_must_be_an_ascii_numeral(self, token):
@@ -112,15 +129,19 @@ class TestParsing:
         assert str(err.value) == f"record value 3: unparseable token {ascii(token)}"
 
     def test_rows_and_records_share_one_value_parser(self, tmp_path, monkeypatch):
-        """`parse_values` reads every data row and `predict` record, once per
-        row; a token is stripped, `?` is missing only where allowed, and the
-        messages name the line or the record's value position."""
+        """`parse_values` reads every row the row-by-row parser reads and every
+        `predict` record, once per row; a token is stripped, `?` is missing
+        only where allowed, and the messages name the line or the record's
+        value position. A clean file is read in one numpy pass instead, which
+        TestCleanFileRead checks against the row-by-row parser; this file's
+        spaced ` ? ` is not clean, so its rows go through `parse_values`."""
         rows = []
         monkeypatch.setattr(dp, "parse_values",
                             lambda tokens, *args, real=dp.parse_values:
                             rows.append(len(tokens)) or real(tokens, *args))
         p = tmp_path / "h.data"
         p.write_text("70, 1,4,130,322,0,2,109,0,2.4,2, ? ,3,2\n" * 3)
+        assert dp._read_clean(p.read_text().splitlines(), "cleveland") is None
         X = dp.parse_dataset(p, "cleveland").X
         assert rows == [13] * 3 and np.isnan(X[:, 11]).all() and X[0, 1] == 1.0
         assert cli.parse_record(" 70,1,4,130,322,0,2,109,0,2.4,2, ? ,3").features[10:] == (
@@ -139,6 +160,99 @@ class TestParsing:
         p = tmp_path / "heart.dat"
         p.write_text("\n70 1 4 130 322 0 2 109 0 2.4 2 3 3 2\n\n")
         assert len(dp.parse_dataset(p, "statlog")) == 1
+
+
+CLEAN_ROWS = {"statlog": "70 1 4 130 322 -0 2 109 0 2.4 2 3 3 2",
+              "cleveland": "58.0,1.0,4.0,114.0,318.0,-0,1.0,140.0,0.0,4.4,3.0,?,6.0,0"}
+# Texts on which a one-pass read could part from the row-by-row parser.
+TRAPS = ["-?", "+?", "??", " ? ", "?", "1e999", "1e-999", "1_0", "nan", "2.00", "+2", "5", "0.5",
+         "#", "\r", "\x0b", "\x1c", "", " ", "\t", ",", "-", "e5", "1e0", "\n"]
+
+
+def parse_both_ways(path, dialect):
+    """(parse_dataset's outcome, the row-by-row parser's, whether the file
+    read clean): arrays as bytes, or the error's class and message."""
+    def outcome(parse):
+        try:
+            ds = parse()
+        except CardioseqError as exc:
+            return type(exc), str(exc)
+        return ds.X.tobytes(), ds.y.tobytes()
+
+    lines = dp.read_ascii_lines(path, NonAsciiFileError)
+    return (outcome(lambda: dp.parse_dataset(path, dialect)),
+            outcome(lambda: dp._parse_rows(lines, path, dialect)),
+            dp._read_clean(lines, dialect) is not None)
+
+
+@st.composite
+def mutated_files(draw):
+    """(dialect, text): rows of a dialect, up to two of them edited by a trap
+    text put in at any place, over up to three characters."""
+    dialect = draw(st.sampled_from(dp.DIALECTS))
+    sep = " " if dialect == "statlog" else ","
+    values = st.integers(-5, 300).map(str) | st.floats(-1e6, 1e6).map(repr)
+    if dialect == "cleveland":
+        values |= st.just("?")
+    labels = st.sampled_from(dp.STATLOG_LABELS if dialect == "statlog" else "01234")
+    rows = st.builds(lambda row, label: sep.join([*row, label]),
+                     st.lists(values, min_size=13, max_size=13), labels)
+    text = "\n".join(draw(st.lists(rows, min_size=1, max_size=3))) + "\n"
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from(TRAPS)) + text[at + draw(st.integers(0, 3)):]
+    return dialect, text
+
+
+class TestCleanFileRead:
+    """A clean file is read in one numpy pass, to the same arrays (bytes, NaN
+    and -0.0 included) as the row-by-row parser; any other file goes row by
+    row, so that the errors stay its own."""
+
+    @pytest.fixture(scope="class")
+    def path(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("clean") / "h.data"
+
+    @given(file=mutated_files())
+    def test_mutated_files_parse_as_row_by_row(self, path, file):
+        dialect, text = file
+        path.write_bytes(text.encode("ascii"))
+        ours, rows, _ = parse_both_ways(path, dialect)
+        assert ours == rows
+
+    @pytest.mark.parametrize("dialect, old, new, clean", [
+        ("cleveland", "?", "-?", False), ("cleveland", "?", "+?", False),
+        ("cleveland", "?", "??", False), ("cleveland", "?", " ? ", False),
+        ("cleveland", ",?", ",\t?", False), ("cleveland", "?,", "?\t,", False),
+        ("statlog", "130", "1e999", False), ("cleveland", "114.0", "1e999", False),
+        ("statlog", "130", "1e-999", True), ("cleveland", "114.0", "1e-999", True),
+        ("statlog", "130", "1_0", False), ("cleveland", "114.0", "1_0", False),
+        ("statlog", "130", "nan", False), ("cleveland", "114.0", "nan", False),
+        ("statlog", " 2\n", " 2.00\n", False), ("statlog", " 2\n", " +2\n", False),
+        ("statlog", " 2\n", " 2.0\n", True), ("statlog", " 130 ", "\t130\t", True),
+        ("cleveland", ",0\n", ",?\n", False), ("cleveland", ",0\n", ",5\n", False),
+        ("cleveland", ",0\n", ",0.5\n", False), ("cleveland", ",0\n", ",1e0\n", True),
+        ("cleveland", ",0\n", ", 4 \n", True),
+        ("statlog", "\n", "\n#\n", False), ("cleveland", "\n", " #\n", False),
+        ("statlog", "\n", "\r", True), ("cleveland", "\n", "\r", True),
+        ("statlog", " 130 ", "\x0b130\x0b", False), ("statlog", " 130 ", " 130\x1c", False),
+        ("cleveland", ",114.0", ",\x0b114.0", False), ("cleveland", ",114.0", ",114.0\x1c", False),
+        ("cleveland", "\n", "\x0b\n", True),
+        ("statlog", "", "", True), ("cleveland", "", "", True),
+    ])
+    def test_traps_parse_as_row_by_row(self, path, dialect, old, new, clean):
+        text = "".join(f"{CLEAN_ROWS[dialect]}\n" for _ in range(2))
+        path.write_bytes(text.replace(old, new).encode("ascii"))
+        ours, rows, read_clean = parse_both_ways(path, dialect)
+        assert ours == rows and read_clean == clean
+
+    @pytest.mark.parametrize("text, clean", [("ROW\n", True), ("ROW", True), (" \t\n \n", False),
+                                             ("", False)])
+    @pytest.mark.parametrize("dialect", dp.DIALECTS)
+    def test_one_row_and_blank_files(self, path, dialect, text, clean):
+        path.write_bytes(text.replace("ROW", CLEAN_ROWS[dialect]).encode("ascii"))
+        ours, rows, read_clean = parse_both_ways(path, dialect)
+        assert ours == rows and read_clean == clean
 
 
 class TestDatasetArrays:
