@@ -5,11 +5,25 @@ the k fold models of a k-fold `cv`: each mini-batch step is one
 forward, one backward and one Adam update for every model that has that
 step. A single training run (`train`) is a stack of one. Adam updates flat
 buffers laid out like `network.ModelParams.flat`, moments and gradient alike.
+
+The loop (its steps and its training-set scores) runs with numpy's ufunc
+buffer at `TRAIN_BUFSIZE`, 512 elements, not numpy's 8192, and restores the
+previous size on every exit. A step's broadcasts have short contiguous
+inner runs, such as the map build's taps (F, 3K, 1, 1) times rows
+(F, 1, 13, B), and numpy 2.4.6 sends them through a buffered path that is
+about three times slower per element with the larger buffer: 1.26-1.47
+against 0.41-0.51 ns per element at F = 10, B = 16. A whole step read
+0.83-0.85x its time there and 0.94-0.98x for one model (README "Library
+tour", `BENCH_22.json`; measured on numpy 2.4.6 only). Buffering only
+moves values, so every result keeps its bits. No other path sets the
+buffer, since none measurably gains: a one-row forward read 0.99-1.02x
+under 512 and the baselines' fold fits 0.96-0.98x, inside their spread.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
 
@@ -21,6 +35,10 @@ from .errors import (EmptyBatchError, NonFiniteLossError, NonFiniteProbabilityEr
                      ShapeMismatchError)
 
 PROB_CLAMP = 1e-12
+
+# numpy's ufunc buffer size, in elements, inside `train_folds`' loop (see the
+# module docstring); numpy's default is 8192.
+TRAIN_BUFSIZE = 512
 
 
 def predicted_class(probs):
@@ -203,6 +221,20 @@ def epoch_steps(sizes, batch_size):
     return steps
 
 
+@contextmanager
+def _loop_ufunc_state():
+    """The numpy state of `train_folds`' loop: every floating-point warning off
+    and a `TRAIN_BUFSIZE` ufunc buffer, both restored on exit. numpy 2 keeps
+    the buffer size with the error state and restores it with `errstate`;
+    numpy 1.24-1.26 does not, hence the explicit restore."""
+    with np.errstate(all="ignore"):
+        previous = np.setbufsize(TRAIN_BUFSIZE)
+        try:
+            yield
+        finally:
+            np.setbufsize(previous)
+
+
 def train_folds(datasets, hyper, seeds):
     """Train one CNN per dataset, all in lockstep: model f trains on
     datasets[f] with hyperparameters `hyper` and seed seeds[f], and gets the
@@ -241,7 +273,7 @@ def train_folds(datasets, hyper, seeds):
     # Every result computed here is checked (step losses, then the training-set
     # scores, which cover the final parameters), so numpy's overflow and
     # invalid-value warnings would only run ahead of the located error.
-    with np.errstate(all="ignore"):
+    with _loop_ufunc_state():
         for epoch in range(hyper.epochs):
             for f, rng in enumerate(rngs):
                 order[f, : sizes[f]] = offsets[f] + rng.permutation(sizes[f])

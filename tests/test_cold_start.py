@@ -1,6 +1,9 @@
 """Cold start: scipy is imported at the first PSO-ELM ridge solve, so importing
 the package and running any command that fits no PSO-ELM loads numpy only.
 
+Importing it also leaves numpy's ufunc buffer size at numpy's default: only
+the training loop sets its own, and restores it.
+
 Each check runs in a fresh interpreter, since this test process has long
 since loaded scipy.
 """
@@ -76,3 +79,10 @@ def test_commands_that_fit_no_pso_elm_load_no_scipy(fitted_models, tmp_path):
 def test_pso_elm_fit_loads_scipy_linalg():
     """The guard above is not vacuous: the first ridge solve does import it."""
     assert run_fresh(FIT_PSO_ELM) == [[], True]
+
+
+def test_import_leaves_numpy_buffer_size_at_its_default():
+    code = ("import json, numpy; default = numpy.getbufsize(); import cardioseq.cli; "
+            "print(json.dumps([default, numpy.getbufsize()]))")
+    default, after = run_fresh(code)
+    assert after == default

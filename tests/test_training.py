@@ -4,8 +4,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from cardioseq import cli, model_io, synthetic
 from cardioseq import data as dp
-from cardioseq import model_io
+from cardioseq import evaluation as ev
 from cardioseq import network as nn
 from cardioseq import training as tr
 from cardioseq.errors import (
@@ -17,6 +18,7 @@ from cardioseq.errors import (
 )
 
 import reference as ref
+from conftest import write_statlog_file
 
 FAST = tr.Hyperparams(epochs=5, seed=3)
 
@@ -418,3 +420,70 @@ def test_scoring_builds_no_backward_state(separable, monkeypatch):
     full = FAST.epochs * (len(separable) // FAST.batch_size)
     assert counts(tr.train, separable, FAST)[0] == [groups, groups, full]
     assert counts(model.predict_proba, separable.X)[0] == [0, 0, 0]
+
+
+def test_numpy_state_is_restored_on_every_exit(separable, fitted_models, tmp_path, capsys):
+    """`train_folds` sets numpy's ufunc buffer size and error state for its loop
+    only: every entry point leaves both as it found them, also when training
+    raises. The check starts from a 4096-element buffer, which no code here
+    sets, so that a reset to numpy's default would show as well."""
+    data, model_file = tmp_path / "h.dat", tmp_path / "cnn.txt"
+    write_statlog_file(data, separable)
+    model_io.save_model(model_file, fitted_models["cnn"])
+    one_epoch = replace(FAST, epochs=1)
+    runs = {
+        "train": lambda: tr.train(separable, one_epoch),
+        "train_folds": lambda: tr.train_folds([separable] * 3, one_epoch, [1, 2, 3]),
+        "non-finite loss": lambda: pytest.raises(
+            NonFiniteLossError, tr.train_folds, [separable] * 3,
+            replace(one_epoch, learning_rate=1e308), [1, 2, 3]),
+        "cli cv": lambda: cli.main(["cv", "--data", str(data), "--model", "cnn", "--epochs", "1",
+                                    "--kernels", "2", "--k", "3", "--out", str(tmp_path / "out")]),
+        "cli predict": lambda: cli.main(["predict", str(model_file), ",".join(["1"] * 13)]),
+    }
+    results = {}
+    previous = np.setbufsize(4096)
+    try:
+        for name, run in runs.items():
+            before = np.getbufsize(), np.geterr()
+            results[name] = run()
+            assert (np.getbufsize(), np.geterr()) == before, name
+    finally:
+        np.setbufsize(previous)
+    assert results["cli cv"] == results["cli predict"] == 0
+    assert "class" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("pool_mode", [nn.GLOBAL_POOL, ("windowed", 3, 2)])
+def test_cv_fits_the_same_bits_under_numpy_default_buffer(pool_mode, monkeypatch):
+    """The loop's `TRAIN_BUFSIZE` buffer only changes how numpy moves values,
+    never a result: a seeded lockstep CNN `cv` (dropout on, with a step that
+    has a one-row group) fits the same parameters and fold accuracies under
+    numpy's default 8192-element buffer."""
+    dataset = synthetic.separable_dataset(50, seed=31)
+    hyper = tr.Hyperparams(epochs=2, dropout_rate=0.5, pool_mode=pool_mode, seed=4)
+    plan = ev.kfold_split(dataset, k=3, seed=4)
+    sizes = [int(np.sum(plan.assignments != fold)) for fold in range(3)]
+    assert any(rows == 1 for groups in tr.epoch_steps(sizes, hyper.batch_size)
+               for rows, _ in groups)
+
+    seen, fitted = set(), []
+
+    def backward(*args, real=nn.model_backward):
+        seen.add(np.getbufsize())
+        return real(*args)
+
+    def fit(sets, hyper, seeds):
+        fitted.append(tr.train_folds(sets, hyper, seeds))
+        return fitted[-1]
+
+    monkeypatch.setattr(nn, "model_backward", backward)
+    monkeypatch.setitem(ev.FIT, "cnn", fit)
+    runs = []
+    for size in (tr.TRAIN_BUFSIZE, 8192):
+        monkeypatch.setattr(tr, "TRAIN_BUFSIZE", size)
+        seen.clear()
+        report = ev.cross_validate(dataset, "cnn", hyper, k=3, seed=4)
+        assert seen == {size}
+        runs.append((report.fold_accuracy, [model.params.flat.tobytes() for model in fitted.pop()]))
+    assert runs[0] == runs[1]
