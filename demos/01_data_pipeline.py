@@ -34,8 +34,8 @@ fills = dp.fill_values(dataset)
 imputed = dp.impute_with_values(dataset, fills)
 print(f"\nfill values: ca={fills[11]}, thal={fills[12]}")
 print("after imputation:")
-for i, rec in enumerate(imputed.records):
-    print(f"  record {i}: ca={rec.features[11]}, thal={rec.features[12]}")
+for i, row in enumerate(imputed.X):
+    print(f"  record {i}: ca={row[11]}, thal={row[12]}")
 
 # Z-score with population statistics; constant columns map to zero.
 scaler = dp.fit_scaler(imputed)

@@ -21,8 +21,8 @@ for i in range(0, len(model.curve), 10):
 print(f"{len(model.curve):5d}  {model.curve.train_accuracy[-1]:9.3f}  "
       f"{model.curve.train_loss[-1]:10.4f}")
 
-cls, probs = tr.predict(model, dataset.records[0])
-print(f"\nfirst training sample: true {dataset.records[0].label}, "
+cls, probs = tr.predict(model, dataset.X[0])
+print(f"\nfirst training sample: true {dataset.y[0]}, "
       f"predicted {cls}, probabilities {probs}")
 
 with tempfile.NamedTemporaryFile(suffix=".txt", delete=False) as fh:
@@ -30,5 +30,5 @@ with tempfile.NamedTemporaryFile(suffix=".txt", delete=False) as fh:
 model_io.save_model(path, model)
 reloaded = model_io.load_model(path)
 os.unlink(path)
-cls2, probs2 = tr.predict(reloaded, dataset.records[0])
+cls2, probs2 = tr.predict(reloaded, dataset.X[0])
 print(f"after save/load roundtrip: predicted {cls2}, probabilities {probs2}")

@@ -114,14 +114,15 @@ class DvLogisticModel(tr.Classifier):
         return np.column_stack([1.0 - p, p])
 
     def scores(self, dataset):
+        """p per row of a dataset; kept for the scaled_fit check in benchmarks/workloads.py."""
         return self.predict_proba(dataset.X)[:, 1]
 
 
 def dv_logistic_train(dataset, lr=0.1, epochs=2000, seed=0):
     """Full-batch gradient descent on mean binary cross-entropy over the
     dummy-encoded design matrix (`dv_logistic_train_folds` of one dataset).
-    Weights start at zero, so the fit is deterministic; the seed is kept for
-    interface symmetry."""
+    Weights start at zero, so the fit is deterministic and ignores the seed,
+    which the scaled_fit workload in benchmarks/workloads.py passes."""
     return dv_logistic_train_folds([dataset], lr, epochs)[0]
 
 
@@ -196,6 +197,8 @@ class ElmModel(tr.Classifier):
         return nn.softmax(self._scores(X))
 
     def outputs(self, dataset):
+        """Output scores per row of a dataset; kept for the scaled_fit check in
+        benchmarks/workloads.py."""
         return self._scores(dataset.X)
 
 
@@ -245,7 +248,8 @@ def _stratified_holdout(y, frac, rng):
 
 def pso_elm_train(dataset, hidden_size=32, swarm_size=20, iterations=50, seed=0):
     """Optimize an ELM's hidden weights/biases with a particle swarm
-    (`pso_elm_train_folds` of one dataset)."""
+    (`pso_elm_train_folds` of one dataset); kept for the scaled_fit workload
+    in benchmarks/workloads.py, which fits one dataset."""
     return pso_elm_train_folds([dataset], [seed], hidden_size, swarm_size, iterations)[0]
 
 

@@ -189,12 +189,13 @@ def cmd_compare(cfg):
 
 
 def parse_record(text):
+    """The (13,) float row of a `predict` record's text, NaN for `?`."""
     tokens = text.split(",")
     if len(tokens) != dp.N_FEATURES:
         raise ValueError(f"record: {len(tokens)} comma-separated values, not {dp.N_FEATURES}")
     values = dp.parse_values(tokens, True, lambda position, problem: ValueError(
         f"record value {position}: {problem}"))
-    return dp.SampleRecord(tuple(None if np.isnan(v) else v for v in values), 0)
+    return np.array(values)
 
 
 def cmd_predict(args):
@@ -209,7 +210,7 @@ def cmd_predict(args):
         cls, probs = tr.predict(model, record)
         if not np.isfinite(probs).all():
             # the record is at fault if the model scores its own fill values
-            fill_probs = tr.predict(model, dp.SampleRecord((None,) * dp.N_FEATURES, 0))[1]
+            fill_probs = tr.predict(model, np.full(dp.N_FEATURES, np.nan))[1]
             where = "record" if np.isfinite(fill_probs).all() else args.model_file
             raise NonFiniteProbabilityError(where, probs)
     print(f"class {cls}, p = {probs[0]:.6f} {probs[1]:.6f}")

@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -54,28 +53,13 @@ CATEGORICAL_FEATURES = frozenset(
 DEFAULT_CATEGORICAL_MASK = tuple(n in CATEGORICAL_FEATURES for n in FEATURE_NAMES)
 
 
-@dataclass(frozen=True)
-class SampleRecord:
-    """One subject: 13 clinical features (None = missing) and a binary label."""
-
-    features: tuple
-    label: int
-
-    def __post_init__(self):
-        if len(self.features) != N_FEATURES:
-            raise ArityMismatchError(
-                f"expected {N_FEATURES} features, got {len(self.features)}"
-            )
-        if self.label not in (0, 1):
-            raise ArityMismatchError(f"label must be 0 or 1, got {self.label}")
-
-
 @dataclass(frozen=True, eq=False)
 class Dataset:
     """n subjects held once, as arrays.
 
-    X is an (n, 13) read-only float64 array with NaN for missing values;
-    y is the (n,) read-only int64 array of 0/1 labels.
+    X is an (n, 13) read-only float64 array with NaN for missing values
+    (None given in X reads as NaN); y is the (n,) read-only int64 array of
+    0/1 labels. Row i is X[i], a (13,) array.
     """
 
     X: np.ndarray
@@ -93,14 +77,6 @@ class Dataset:
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "y", y)
 
-    @classmethod
-    def from_records(cls, records, categorical_mask=DEFAULT_CATEGORICAL_MASK):
-        """Build a dataset from SampleRecords (None = missing)."""
-        records = tuple(records)
-        X = np.array([r.features for r in records], dtype=np.float64)
-        y = np.array([r.label for r in records], dtype=np.int64)
-        return cls(X.reshape(len(records), N_FEATURES), y, categorical_mask)
-
     def __len__(self):
         return self.X.shape[0]
 
@@ -112,13 +88,11 @@ class Dataset:
         """All features as an (n, 13) float array with NaN for missing."""
         return self.X
 
-    @cached_property
+    @property
     def records(self):
-        """The rows as SampleRecords (NaN mapped to None), built on first use."""
-        return tuple(
-            SampleRecord(tuple(None if v != v else v for v in row), label)
-            for row, label in zip(self.X.tolist(), self.y.tolist())
-        )
+        """`X`: kept only for the benchmark's predict stream (benchmarks/workloads.py
+        and its test), until the benchmark streams `X` itself."""
+        return self.X
 
     @property
     def has_missing(self):

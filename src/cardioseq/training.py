@@ -31,8 +31,8 @@ import numpy as np
 
 from . import data as dp
 from . import network as nn
-from .errors import (EmptyBatchError, NonFiniteLossError, NonFiniteProbabilityError,
-                     ShapeMismatchError)
+from .errors import (ArityMismatchError, EmptyBatchError, NonFiniteLossError,
+                     NonFiniteProbabilityError, ShapeMismatchError)
 
 PROB_CLAMP = 1e-12
 
@@ -316,11 +316,24 @@ def train_folds(datasets, hyper, seeds):
     ]
 
 
-def predict(model, record):
-    """Classify one record with any model kind (CNN, Dv-Logistic or PSO-ELM):
-    (class, probabilities). Missing features are imputed from the model's
-    stored training statistics; exact probability ties resolve to class 0."""
-    probs = model.predict_proba(np.array([record.features], dtype=float))[0]
+def predict(model, row):
+    """Classify one row of 13 numbers (NaN or None = missing) with any model
+    kind (CNN, Dv-Logistic or PSO-ELM): (class, probabilities). Missing
+    features are imputed from the model's stored training statistics; exact
+    probability ties resolve to class 0. Anything but 13 numbers raises
+    ArityMismatchError.
+
+    A row scored alone can differ in the last bits from the same row scored
+    inside a batch by `predict_proba`, since BLAS picks another kernel for a
+    one-row product; an exact tie can then get another class."""
+    try:
+        x = np.asarray(row, dtype=float)
+    except (TypeError, ValueError):
+        raise ArityMismatchError(f"expected a row of {dp.N_FEATURES} numbers, "
+                                 f"got {type(row).__name__}") from None
+    if x.shape != (dp.N_FEATURES,):
+        raise ArityMismatchError(f"expected a row of {dp.N_FEATURES} numbers, got shape {x.shape}")
+    probs = model.predict_proba(x.reshape(1, dp.N_FEATURES))[0]
     return int(predicted_class(probs)), probs
 
 

@@ -34,9 +34,9 @@ def require_file(path, name):
 def write_statlog_file(path, dataset):
     """Serialize a fully observed dataset in the statlog dialect."""
     with open(path, "w") as fh:
-        for rec in dataset.records:
-            fields = " ".join(f"{v:.10g}" for v in rec.features)
-            fh.write(f"{fields} {rec.label + 1}\n")
+        for row, label in zip(dataset.X, dataset.y):
+            fields = " ".join(f"{v:.10g}" for v in row)
+            fh.write(f"{fields} {label + 1}\n")
 
 
 @pytest.fixture(scope="session")
@@ -52,11 +52,7 @@ def tiny_dataset():
         (41, 0, 2, 130, 204, 0, 2, 172, 0, 1.4, 1, 0, 3),
         (56, 1, 2, 120, 236, 0, 0, 178, 0, 0.8, 1, 0, 3),
     ]
-    labels = [0, 1, 0, 1]
-    records = tuple(
-        dp.SampleRecord(tuple(float(v) for v in f), y) for f, y in zip(feats, labels)
-    )
-    return dp.Dataset.from_records(records)
+    return dp.Dataset(feats, [0, 1, 0, 1])
 
 
 @pytest.fixture()

@@ -28,20 +28,14 @@ def gaussian_elimination(A, B):
 
 
 def numeric_dataset(rows, labels):
-    records = tuple(
-        dp.SampleRecord(tuple(float(v) for v in r), y) for r, y in zip(rows, labels)
-    )
-    return dp.Dataset.from_records(records, categorical_mask=(False,) * 13)
+    return dp.Dataset(rows, labels, categorical_mask=(False,) * 13)
 
 
 class TestDummyEncode:
     def test_reference_category_convention(self):
         rows = [[c] + [0.0] * 12 for c in (1.0, 2.0, 3.0, 4.0, 3.0)]
         mask = (True,) + (False,) * 12
-        ds = dp.Dataset.from_records(
-            tuple(dp.SampleRecord(tuple(r), i % 2) for i, r in enumerate(rows)),
-            categorical_mask=mask,
-        )
+        ds = dp.Dataset(rows, [i % 2 for i in range(len(rows))], categorical_mask=mask)
         X, enc = bl.dummy_encode(ds)
         # category 3 with observed {1,2,3,4}: reference is 1, indicators for 2,3,4
         assert X[2, :3].tolist() == [0.0, 1.0, 0.0]
@@ -49,10 +43,7 @@ class TestDummyEncode:
     def test_binary_categorical_single_column(self):
         rows = [[0.0] + [0.0] * 12, [1.0] + [0.0] * 12]
         mask = (True,) + (False,) * 12
-        ds = dp.Dataset.from_records(
-            tuple(dp.SampleRecord(tuple(r), i) for i, r in enumerate(rows)),
-            categorical_mask=mask,
-        )
+        ds = dp.Dataset(rows, [0, 1], categorical_mask=mask)
         X, enc = bl.dummy_encode(ds)
         assert sum(1 for j, c in enumerate(mask) if c and len(enc.categories[j]) > 1) == 1
         assert X.shape[1] == 13  # 1 indicator + 12 numeric columns
@@ -67,10 +58,7 @@ class TestDummyEncode:
     def test_unseen_category_all_zero(self):
         rows = [[1.0] + [0.0] * 12, [2.0] + [0.0] * 12]
         mask = (True,) + (False,) * 12
-        train = dp.Dataset.from_records(
-            tuple(dp.SampleRecord(tuple(r), i) for i, r in enumerate(rows)),
-            categorical_mask=mask,
-        )
+        train = dp.Dataset(rows, [0, 1], categorical_mask=mask)
         _, enc = bl.dummy_encode(train)
         test_row = np.array([[9.0] + [0.0] * 12])
         assert enc.transform(test_row)[0, 0] == 0.0
@@ -128,10 +116,9 @@ class TestDvLogistic:
     def test_monotone_in_positive_weight(self, separable):
         model = bl.dv_logistic_train(separable, epochs=200)
         j = int(np.argmax(model.weights))
-        rec = list(separable.records[0].features)
-        low = dp.SampleRecord(tuple(rec), 0)
-        rec[j] += 10.0
-        high = dp.SampleRecord(tuple(rec), 0)
+        low = separable.X[0]
+        high = low.copy()
+        high[j] += 10.0
         _, p_low = tr.predict(model, low)
         _, p_high = tr.predict(model, high)
         assert p_high[1] >= p_low[1]
@@ -255,18 +242,17 @@ class TestBaselinePredict:
     def test_zero_logistic_ties_to_class_zero(self, rng):
         ds = numeric_dataset(rng.standard_normal((10, 13)), [i % 2 for i in range(10)])
         model = bl.dv_logistic_train(ds, epochs=0)
-        cls, probs = tr.predict(model, ds.records[0])
+        cls, probs = tr.predict(model, ds.X[0])
         assert cls == 0 and probs.tolist() == [0.5, 0.5]
 
     def test_elm_hand_computed_argmax(self, separable):
         model = bl.pso_elm_train(separable, iterations=0, seed=1)
-        rec = separable.records[0]
-        cls, probs = tr.predict(model, rec)
-        imputed = np.array(rec.features, dtype=float)
-        x = dp.scale_values(imputed[None, :], model.scaler)
+        row = separable.X[0]
+        cls, probs = tr.predict(model, row)
+        x = dp.scale_values(row[None, :], model.scaler)
         h = 1.0 / (1.0 + np.exp(-(x @ model.hidden_weights + model.hidden_biases)))
         expected = (h @ model.output_weights)[0]
-        out = model.outputs(dp.Dataset.from_records((rec,)))[0]
+        out = model.outputs(separable.subset([0]))[0]
         np.testing.assert_allclose(out, expected, atol=1e-12)
         np.testing.assert_allclose(probs, np.exp(expected) / np.exp(expected).sum(), atol=1e-12)
         assert cls == (1 if expected[1] > expected[0] else 0)

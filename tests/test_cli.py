@@ -326,6 +326,21 @@ class TestCompare:
         assert parsed == [] and not out.exists()
 
 
+# Ten hand-written cleveland-dialect rows, three of them with a `?`.
+CLEVELAND_ROWS = """\
+63.0,1.0,1.0,145.0,233.0,1.0,2.0,150.0,0.0,2.3,3.0,0.0,6.0,0
+67.0,1.0,4.0,160.0,286.0,0.0,2.0,108.0,1.0,1.5,2.0,3.0,3.0,2
+67.0,1.0,4.0,120.0,229.0,0.0,2.0,129.0,1.0,2.6,2.0,?,7.0,1
+37.0,1.0,3.0,130.0,250.0,0.0,0.0,187.0,0.0,3.5,3.0,0.0,3.0,0
+41.0,0.0,2.0,130.0,204.0,0.0,2.0,172.0,0.0,1.4,1.0,0.0,?,0
+56.0,1.0,2.0,120.0,236.0,0.0,0.0,178.0,0.0,0.8,1.0,0.0,3.0,0
+62.0,0.0,4.0,140.0,268.0,0.0,2.0,160.0,0.0,3.6,3.0,2.0,3.0,3
+?,0.0,4.0,120.0,354.0,0.0,0.0,163.0,1.0,0.6,1.0,0.0,3.0,0
+63.0,1.0,4.0,130.0,254.0,0.0,2.0,147.0,0.0,1.4,2.0,1.0,7.0,2
+53.0,1.0,4.0,140.0,203.0,1.0,2.0,155.0,1.0,3.1,3.0,0.0,7.0,1
+"""
+
+
 class TestPredict:
     def test_zero_model_prints_half(self, statlog_file, tmp_path, capsys):
         ds = synthetic.separable_dataset(40, seed=2)
@@ -356,10 +371,27 @@ class TestPredict:
         model = tr.train(ds, tr.Hyperparams(seed=7))
         path = tmp_path / "m.txt"
         model_io.save_model(path, model)
-        rec = ds.records[0]
-        record = ",".join(f"{v:.10g}" for v in rec.features)
+        record = ",".join(f"{v:.10g}" for v in ds.X[0])
         assert cli.main(["predict", str(path), record]) == 0
-        assert f"class {rec.label}" in capsys.readouterr().out
+        assert f"class {ds.y[0]}" in capsys.readouterr().out
+        # a cleveland file's rows, `?` and all, score through `predict` with
+        # the bits of their parsed rows, for every model kind
+        data = tmp_path / "heart.data"
+        data.write_text(CLEVELAND_ROWS)
+        ds = dp.parse_dataset(data, "cleveland")
+        assert np.isnan(ds.X).sum() == 3
+        for kind in ev.MODEL_KINDS:
+            out = tmp_path / kind
+            assert cli.main(["train", "--data", str(data), "--dialect", "cleveland",
+                             "--model", kind, *FAST_FLAGS, "--out", str(out)]) == 0
+            capsys.readouterr()
+            model = model_io.load_model(out / "model.txt")
+            for i, line in enumerate(CLEVELAND_ROWS.splitlines()):
+                record = line.rsplit(",", 1)[0]
+                assert cli.parse_record(record).tobytes() == ds.X[i].tobytes()
+                assert cli.main(["predict", str(out / "model.txt"), record]) == 0
+                cls, p = tr.predict(model, ds.X[i])
+                assert capsys.readouterr().out == f"class {cls}, p = {p[0]:.6f} {p[1]:.6f}\n"
 
     def test_non_finite_probabilities_exit_code(self, tmp_path, capsys):
         ds = synthetic.separable_dataset(40, seed=2)

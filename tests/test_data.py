@@ -21,12 +21,9 @@ from cardioseq.errors import (
 def make_dataset(columns, labels=None, categorical_mask=None):
     """Build a dataset whose first columns are given; the rest are zeros."""
     n = len(columns[0])
-    rows = []
-    for i in range(n):
-        feats = [columns[j][i] if j < len(columns) else 0.0 for j in range(13)]
-        rows.append(dp.SampleRecord(tuple(feats), labels[i] if labels else i % 2))
-    mask = categorical_mask or (False,) * 13
-    return dp.Dataset.from_records(tuple(rows), categorical_mask=mask)
+    X = np.zeros((n, 13))
+    X[:, : len(columns)] = np.array(columns, dtype=float).T
+    return dp.Dataset(X, labels or [i % 2 for i in range(n)], categorical_mask or (False,) * 13)
 
 
 class TestParsing:
@@ -35,25 +32,25 @@ class TestParsing:
         p.write_text("70.0 1.0 4.0 130.0 322.0 0.0 2.0 109.0 0.0 2.4 2.0 3.0 3.0 2\n")
         ds = dp.parse_dataset(p, "statlog")
         assert len(ds) == 1
-        assert ds.records[0].label == 1
-        assert ds.records[0].features[0] == 70.0
+        assert ds.y[0] == 1
+        assert ds.X[0, 0] == 70.0
 
     def test_statlog_label_one_maps_to_absence(self, tmp_path):
         p = tmp_path / "heart.dat"
         p.write_text("70 1 4 130 322 0 2 109 0 2.4 2 3 3 1\n")
-        assert dp.parse_dataset(p, "statlog").records[0].label == 0
+        assert dp.parse_dataset(p, "statlog").y[0] == 0
 
     def test_cleveland_missing_marker(self, tmp_path):
         p = tmp_path / "cleveland.data"
         p.write_text("58.0,1.0,4.0,114.0,318.0,0.0,1.0,140.0,0.0,4.4,3.0,3.0,?,4\n")
-        rec = dp.parse_dataset(p, "cleveland").records[0]
-        assert rec.features[12] is None
-        assert rec.label == 1  # levels 1..4 collapse to presence
+        ds = dp.parse_dataset(p, "cleveland")
+        assert np.isnan(ds.X[0, 12])
+        assert ds.y[0] == 1  # levels 1..4 collapse to presence
 
     def test_cleveland_label_zero(self, tmp_path):
         p = tmp_path / "cleveland.data"
         p.write_text("58.0,1.0,4.0,114.0,318.0,0.0,1.0,140.0,0.0,4.4,3.0,3.0,6.0,0\n")
-        assert dp.parse_dataset(p, "cleveland").records[0].label == 0
+        assert dp.parse_dataset(p, "cleveland").y[0] == 0
 
     def test_empty_file(self, tmp_path):
         p = tmp_path / "empty.dat"
@@ -144,8 +141,8 @@ class TestParsing:
         assert dp._read_clean(p.read_text().splitlines(), "cleveland") is None
         X = dp.parse_dataset(p, "cleveland").X
         assert rows == [13] * 3 and np.isnan(X[:, 11]).all() and X[0, 1] == 1.0
-        assert cli.parse_record(" 70,1,4,130,322,0,2,109,0,2.4,2, ? ,3").features[10:] == (
-            2.0, None, 3.0)
+        row = cli.parse_record(" 70,1,4,130,322,0,2,109,0,2.4,2, ? ,3")
+        assert row.shape == (13,) and np.array_equal(row, X[0], equal_nan=True)
         assert rows == [13] * 4
         statlog = tmp_path / "h.dat"
         statlog.write_text("70 1 4 130 322 0 2 109 0 2.4 2 ? 3 2\n")
@@ -284,10 +281,11 @@ class TestDatasetArrays:
 
     def test_records_view_roundtrip(self):
         ds = make_dataset([[1.5, None, 3.0]], labels=[1, 0, 1])
-        assert ds.records[1].features[0] is None
-        assert ds.records[0].features[0] == 1.5
-        assert [r.label for r in ds.records] == [1, 0, 1]
-        again = dp.Dataset.from_records(ds.records, categorical_mask=ds.categorical_mask)
+        assert ds.records is ds.X
+        assert np.isnan(ds.X[1, 0])
+        assert ds.X[0, 0] == 1.5
+        assert ds.y.tolist() == [1, 0, 1]
+        again = dp.Dataset(ds.records, ds.y, ds.categorical_mask)
         np.testing.assert_array_equal(again.X, ds.X)
         np.testing.assert_array_equal(again.y, ds.y)
 
@@ -320,7 +318,7 @@ class TestImputation:
     def test_numeric_mean_fill(self):
         ds = make_dataset([[1.0, 2.0, None, 3.0]])
         out = impute(ds)
-        assert out.records[2].features[0] == pytest.approx(2.0)
+        assert out.X[2, 0] == pytest.approx(2.0)
 
     def test_mean_of_equal_values_is_that_value(self):
         # np.mean of 0.7 repeated 19 times is not 0.7; the fill must be, or
@@ -333,7 +331,7 @@ class TestImputation:
         mask = (True,) + (False,) * 12
         ds = make_dataset([[3.0, 3.0, None, 7.0]], categorical_mask=mask)
         out = impute(ds)
-        assert out.records[2].features[0] == 3.0
+        assert out.X[2, 0] == 3.0
 
     def test_categorical_mode_tie_takes_smallest(self):
         mask = (True,) + (False,) * 12
@@ -346,13 +344,15 @@ class TestImputation:
     def test_idempotent(self):
         ds = make_dataset([[1.0, None, 3.0, 5.0]])
         once = impute(ds)
-        assert impute(once).records == once.records
+        twice = impute(once)
+        assert np.array_equal(twice.X, once.X, equal_nan=True)
+        assert np.array_equal(twice.y, once.y)
 
     def test_stats_come_from_source_only(self):
         data = make_dataset([[None, 10.0, 10.0, 10.0]])
         source = make_dataset([[4.0, 6.0, 5.0, 5.0]])
         out = impute(data, stats_source=source)
-        assert out.records[0].features[0] == pytest.approx(5.0)
+        assert out.X[0, 0] == pytest.approx(5.0)
 
     def test_all_missing_column(self):
         data = make_dataset([[None, None, None, None]])
@@ -400,9 +400,7 @@ class TestScaler:
 
     def test_standardized_moments(self, rng):
         raw = rng.normal(50, 9, size=(40, 13))
-        ds = dp.Dataset.from_records(tuple(
-            dp.SampleRecord(tuple(row), int(i % 2)) for i, row in enumerate(raw)
-        ))
+        ds = dp.Dataset(raw, np.arange(40) % 2)
         scaled = dp.scale_values(ds.feature_array(), dp.fit_scaler(ds))
         assert np.all(np.abs(scaled.mean(axis=0)) < 1e-9)
         assert np.all(np.abs(scaled.std(axis=0) - 1.0) < 1e-9)
@@ -415,7 +413,7 @@ class TestScaler:
 
 def test_record_arity_enforced():
     with pytest.raises(ArityMismatchError):
-        dp.SampleRecord((1.0, 2.0), 0)
+        dp.Dataset([(1.0, 2.0)], [0])
 
 
 class TestFitPreprocessing:

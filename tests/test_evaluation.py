@@ -14,18 +14,12 @@ FAST_HYPER = tr.Hyperparams(epochs=2, kernels_per_width=2, seed=0)
 
 def random_dataset(n, seed, p1=0.5):
     rng = np.random.default_rng(seed)
-    records = tuple(
-        dp.SampleRecord(tuple(rng.standard_normal(13)), int(rng.random() < p1))
-        for _ in range(n)
-    )
-    ds = dp.Dataset.from_records(records, categorical_mask=(False,) * 13)
-    labels = ds.labels
-    if labels.min() == labels.max():  # ensure both classes
-        records = records[:-1] + (
-            dp.SampleRecord(records[-1].features, 1 - records[-1].label),
-        )
-        ds = dp.Dataset.from_records(records, categorical_mask=(False,) * 13)
-    return ds
+    X, y = np.empty((n, 13)), np.empty(n, dtype=np.int64)
+    for i in range(n):
+        X[i], y[i] = rng.standard_normal(13), rng.random() < p1
+    if y.min() == y.max():  # ensure both classes
+        y[-1] = 1 - y[-1]
+    return dp.Dataset(X, y, categorical_mask=(False,) * 13)
 
 
 def check_plan(plan, labels, k):
@@ -101,10 +95,9 @@ class TestKfoldSplit:
             ev.cross_validate(random_dataset(20, seed=1), "dv_logistic", k=2, seed=-1)
 
     def test_unstratified_fallback_warns(self):
-        records = tuple(
-            dp.SampleRecord((float(i),) + (0.0,) * 12, int(i == 0)) for i in range(20)
-        )
-        ds = dp.Dataset.from_records(records, categorical_mask=(False,) * 13)
+        X = np.zeros((20, 13))
+        X[:, 0] = np.arange(20)
+        ds = dp.Dataset(X, np.arange(20) == 0, categorical_mask=(False,) * 13)
         with pytest.warns(UserWarning):
             plan = ev.kfold_split(ds, k=10, seed=1)
         sizes = np.bincount(plan.assignments, minlength=10)
@@ -150,19 +143,13 @@ class TestCrossValidate:
         # mutating fold-0 rows must leave the fold-0 training subset, and
         # hence its preprocessing statistics, untouched
         plan = ev.kfold_split(separable, k=5, seed=3)
-        test_idx = set(plan.fold_indices(0).tolist())
-        mutated_records = [
-            dp.SampleRecord(tuple(v + 1000.0 for v in r.features), r.label)
-            if i in test_idx else r
-            for i, r in enumerate(separable.records)
-        ]
-        mutated = dp.Dataset.from_records(
-            mutated_records, categorical_mask=separable.categorical_mask
-        )
+        X = separable.X.copy()
+        X[plan.fold_indices(0)] += 1000.0
+        mutated = dp.Dataset(X, separable.y, separable.categorical_mask)
         train_idx = np.flatnonzero(plan.assignments != 0)
         a = separable.subset(train_idx)
         b = mutated.subset(train_idx)
-        assert a.records == b.records
+        assert np.array_equal(a.X, b.X, equal_nan=True) and np.array_equal(a.y, b.y)
         np.testing.assert_array_equal(
             dp.fit_scaler(a).mean, dp.fit_scaler(b).mean
         )

@@ -28,9 +28,9 @@ def test_cnn_roundtrip_preserves_predictions(tmp_path, separable):
     path = tmp_path / "model.txt"
     model_io.save_model(path, model)
     loaded = model_io.load_model(path)
-    for rec in separable.records[:10]:
-        c1, p1 = tr.predict(model, rec)
-        c2, p2 = tr.predict(loaded, rec)
+    for row in separable.X[:10]:
+        c1, p1 = tr.predict(model, row)
+        c2, p2 = tr.predict(loaded, row)
         assert c1 == c2
         np.testing.assert_array_equal(p1, p2)
 

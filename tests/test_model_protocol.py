@@ -36,7 +36,7 @@ def test_shared_protocol(kind, fitted_models, mixed, tmp_path, capsys):
 
     assert np.isnan(mixed.X[0]).any()  # row 0 exercises imputation
     for i in (0, 1, 2):
-        cls, p = tr.predict(model, mixed.records[i])
+        cls, p = tr.predict(model, mixed.X[i])
         np.testing.assert_array_equal(p, model.predict_proba(mixed.X[i : i + 1])[0])
         np.testing.assert_allclose(p, probs[i], rtol=0, atol=1e-12)
         assert cls == int(p[1] > p[0])

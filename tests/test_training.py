@@ -237,9 +237,10 @@ class TestTrain:
             np.testing.assert_array_equal(m2.params.tensors()[k], v)
 
     def test_single_class_rejected(self):
-        records = tuple(dp.SampleRecord((float(i),) + (0.0,) * 12, 1) for i in range(8))
+        X = np.zeros((8, 13))
+        X[:, 0] = np.arange(8)
         with pytest.raises(SingleClassDataError):
-            tr.train(dp.Dataset.from_records(records), FAST)
+            tr.train(dp.Dataset(X, np.ones(8)), FAST)
 
     def test_single_class_fold_rejected_before_any_training(self, separable, monkeypatch):
         calls = []
@@ -319,15 +320,15 @@ class TestPredict:
         model = tr.train(separable, replace(FAST, epochs=0))
         for t in model.params.tensors().values():
             t[...] = 0.0
-        cls, probs = tr.predict(model, separable.records[0])
+        cls, probs = tr.predict(model, separable.X[0])
         assert cls == 0
         np.testing.assert_array_equal(probs, [0.5, 0.5])
 
     def test_agrees_with_pipeline_composition(self, separable):
         model = tr.train(separable, FAST)
-        rec = separable.records[3]
-        cls, probs = tr.predict(model, rec)
-        x = dp.scale_values(np.array(rec.features)[None, :], model.scaler)
+        row = separable.X[3]
+        cls, probs = tr.predict(model, row)
+        x = dp.scale_values(row[None, :], model.scaler)
         expected, _ = ref.model_forward(x.reshape(13, 1), model.params)
         np.testing.assert_array_equal(probs, expected)
 
@@ -348,35 +349,39 @@ class TestPredict:
         monkeypatch.setattr(nn, "forward_batch", recording)
         model.predict_proba(separable.X)
         (batched,) = caches
-        for r, rec in enumerate(separable.records):
-            probs = tr.predict(model, rec)[1]
+        for r, row in enumerate(separable.X):
+            probs = tr.predict(model, row)[1]
             assert caches[-1].pooled.tobytes() == batched.pooled[r].tobytes(), r
             alone = nn.dense_softmax(batched.pooled[r : r + 1], model.params)[0]
             assert probs.tobytes() == alone.tobytes(), r
 
     def test_training_sample_classified_correctly(self, separable):
         model = tr.train(separable, tr.Hyperparams(seed=7))
-        rec = separable.records[0]
-        cls, _ = tr.predict(model, rec)
-        assert cls == rec.label
+        cls, _ = tr.predict(model, separable.X[0])
+        assert cls == separable.y[0]
 
     def test_missing_feature_imputed_from_stored_stats(self, separable):
         model = tr.train(separable, FAST)
-        feats = list(separable.records[0].features)
-        feats[4] = None
-        cls, probs = tr.predict(model, dp.SampleRecord(tuple(feats), 0))
-        feats[4] = model.fill_values[4]
-        cls2, probs2 = tr.predict(model, dp.SampleRecord(tuple(feats), 0))
+        row = separable.X[0].copy()
+        row[4] = np.nan
+        cls, probs = tr.predict(model, row)
+        row[4] = model.fill_values[4]
+        cls2, probs2 = tr.predict(model, row)
         assert cls == cls2
         np.testing.assert_array_equal(probs, probs2)
 
     def test_arity_check(self, separable):
+        """A row is 13 numbers, with None or NaN for a missing one; anything
+        else is refused."""
         model = tr.train(separable, FAST)
-        bad = dp.SampleRecord.__new__(dp.SampleRecord)
-        object.__setattr__(bad, "features", (1.0, 2.0))
-        object.__setattr__(bad, "label", 0)
-        with pytest.raises(ArityMismatchError):
-            tr.predict(model, bad)
+        row = separable.X[0]
+        for bad in (row[:12], np.append(row, 1.0), row[None, :], object(), ["a"] * 13):
+            with pytest.raises(ArityMismatchError):
+                tr.predict(model, bad)
+        with_none, with_nan = row.tolist(), row.copy()
+        with_none[4] = None
+        with_nan[4] = np.nan
+        assert tr.predict(model, with_none)[1].tobytes() == tr.predict(model, with_nan)[1].tobytes()
 
 
 def test_curve_export_format(tmp_path, separable):
@@ -413,7 +418,7 @@ def test_scoring_builds_no_backward_state(separable, monkeypatch):
     assert got == [groups, groups, 0]
     X = dp.scale_values(separable.X, model.scaler)
     assert counts(model.predict_proba, separable.X)[0] == [0, 0, 0]
-    assert counts(tr.predict, model, separable.records[0])[0] == [0, 0, 0]
+    assert counts(tr.predict, model, separable.X[0])[0] == [0, 0, 0]
     assert counts(tr.batch_loss, model.params, X, separable.labels)[0] == [0, 0, 0]
     # row blocks of 10 rows: the full 16-row batches rebuild their maps
     monkeypatch.setattr(nn, "INFER_BLOCK_ELEMENTS", 10 * 3 * FAST.kernels_per_width * 13)
