@@ -22,13 +22,13 @@ x = np.array([[1.0, 0.0, 2.0, 0.0, 1.0, 0, 0, 0, -1.0, 0, 0, 0, 0.5]])
 
 # One row through the batched forward pass; the cache keeps what it computed.
 # The banks' maps are stacked along the kernel axis, width 1 first, and are
-# position-major: (map, position, row).
+# position-outer: (position, map, row).
 probs, cache = nn.forward_batch(x, params)
 K = params.kernels_per_width
 print(f"input row: {x[0]}")
 for i, w in enumerate(nn.KERNEL_WIDTHS):
     print(f"\nwidth-{w} bank pre-activations (one map per kernel):")
-    print(cache.maps[i * K : (i + 1) * K, :, 0])
+    print(cache.maps[:, i * K : (i + 1) * K, 0].T)
 
 # Global max pooling of ReLU(map): one value per kernel, and where it sat
 # (the positions the backward derives from the maps and pooled values).

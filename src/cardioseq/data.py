@@ -302,7 +302,10 @@ def impute_with_values(data, fills):
 def fit_scaler(data):
     """Population mean/std per column of a fully imputed dataset. A column of
     equal values gets std exactly 0, so it scales to 0 (its computed std can
-    be a rounding residue: 2.2e-16 for 0.7 repeated 303 times)."""
+    be a rounding residue: 2.2e-16 for 0.7 repeated 303 times). A nonzero
+    std is at least sqrt(5e-324), about 2.2e-162, since the squared
+    deviations underflow to 0 below that, so 1/std is finite (`model_io`
+    refuses a file whose spread is not)."""
     if len(data) == 0:
         raise EmptyDatasetError("cannot fit a scaler on an empty dataset")
     if data.has_missing:

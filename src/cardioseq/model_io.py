@@ -134,8 +134,18 @@ def _scaler_tensors(scaler, prefix="scaler"):
 
 
 def _read_scaler(sections, prefix="scaler"):
-    return dp.ScalerStats(mean=sections.vector(f"{prefix}_mean", dp.N_FEATURES),
-                          std=sections.vector(f"{prefix}_std", dp.N_FEATURES))
+    """The scaler. A spread that is negative, or nonzero with an infinite
+    reciprocal (a value off the mean would scale to inf), names its line:
+    `data.fit_scaler` never gives one."""
+    name = f"{prefix}_std"
+    std = sections.vector(name, dp.N_FEATURES)
+    with np.errstate(divide="ignore", over="ignore"):
+        bad = np.flatnonzero((std < 0) | ((std > 0) & np.isinf(1.0 / std)))
+    if bad.size:
+        raise ModelFileError(f"line {sections.tensors[name][0]}: tensor {name!r}: column "
+                             f"{dp.FEATURE_NAMES[bad[0]]!r} has spread {float(std[bad[0]])!r}, "
+                             "which is negative or too small to scale by")
+    return dp.ScalerStats(mean=sections.vector(f"{prefix}_mean", dp.N_FEATURES), std=std)
 
 
 def _encode_cnn(model):

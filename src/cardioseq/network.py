@@ -13,8 +13,11 @@ built position-major, (3K, 13, B), block of rows by block of rows: the
 taps at one offset of every window of every row of a block are one
 contiguous slice of the block's zero-padded, transposed inputs, so the
 three banks are a few long multiply-adds, summed in the order of one
-`np.einsum` per bank and so with its bits. A window's pooled value is the
-ReLU of its largest pre-activation. The forward keeps what it computed
+`np.einsum` per bank and so with its bits. They are pooled position-outer,
+(13, 3K, B): a stack of models copies each block so (one copy, then every
+max over positions runs on 13 contiguous slices), and a single model reads
+a transposed view. A window's pooled value is the ReLU of its largest
+pre-activation. The forward keeps what it computed
 (`ForwardCache`); the backward finds the pool positions, the input windows
 and, past one row block, the maps itself, and gates by ReLU on the pooled
 values. With one pool window per map (global pooling) it gathers each
@@ -160,13 +163,15 @@ class ModelParams:
 @dataclass
 class ForwardCache:
     """What `forward_batch` computed, no more: `model_backward` builds the
-    rest. The banks' maps are stacked along the kernel axis, width 1 first
-    (bank i is rows i*K to (i+1)*K); a stack of models adds a leading axis."""
+    rest. The maps are position-outer, (13, 3K, B): one (3K, B) slice per
+    position, the banks stacked along its kernel axis, width 1 first (bank
+    i is maps i*K to (i+1)*K). A stack of models adds a leading axis and
+    owns its copy; a single model's maps are a transposed view."""
 
     params: ModelParams
     inputs: np.ndarray  # (B, 13)
     pool_mode: tuple
-    maps: np.ndarray  # (3K, 13, B) position-major if one row block held the batch, else None
+    maps: np.ndarray  # (13, 3K, B) position-outer if one row block held the batch, else None
     pooled: np.ndarray  # (B, D) pre-dropout concatenation
     dropout_mask: np.ndarray  # (B, D), or None without dropout
     dropout_rate: float
@@ -257,8 +262,8 @@ def softmax(logits):
 
 
 def _map_blocks(X, params):
-    """The pre-activation maps of a (..., B, 13) batch, position-major, one
-    block of rows at a time: yields (first row, (..., 3K, 13, rows) maps),
+    """The pre-activation maps of a (..., B, 13) batch, position-outer, one
+    block of rows at a time: yields (first row, (..., 13, 3K, rows) maps),
     a block holding at most INFER_BLOCK_ELEMENTS map values, with the bits
     of one einsum per bank ("...btw,...kw->...bkt") plus the bias.
 
@@ -266,17 +271,31 @@ def _map_blocks(X, params):
     buffer holds feature p of every row, so the taps at offset o of the
     5-wide windows of all 13 positions of all rows are its 13 rows from row
     o on, one contiguous slice x[o], and one multiply gives the products of
-    every bank that reads that offset (the scratch is 4K such maps). numpy
-    2.x's einsum sums a window in two lanes, the even taps in one running
-    sum, the odd ones in another, then the lanes: width 3 is (p0 + p2) + p1
-    and width 5 is ((p0 + p2) + p4) + (p1 + p3). The centre offset 2 is p0
-    of width 1, p1 of width 3 and p2 of width 5; offsets 1 and 3 add up
-    width 3's even lane and width 5's odd lane in one sum; offsets 0 and 4
-    complete width 5's even lane. (Addition commutes, so p1 + (p0 + p2) has
-    the bits of (p0 + p2) + p1.) einsum adds the sum to a zeroed output
-    (+ 0.0, which turns a -0.0 sum into +0.0) and the bias comes after; the
-    0.0 goes into the bias, since (s + 0.0) + b and s + (b + 0.0) are the
-    same bits for every s and b. So the maps hold no -0.0.
+    every bank that reads that offset into position-major (..., 3K, 13,
+    rows) maps (the scratch is 4K such maps). numpy 2.x's einsum sums a
+    window in two lanes, the even taps in one running sum, the odd ones in
+    another, then the lanes: width 3 is (p0 + p2) + p1 and width 5 is
+    ((p0 + p2) + p4) + (p1 + p3). The centre offset 2 is p0 of width 1, p1
+    of width 3 and p2 of width 5; offsets 1 and 3 add up width 3's even
+    lane and width 5's odd lane in one sum; offsets 0 and 4 complete width
+    5's even lane. (Addition commutes, so p1 + (p0 + p2) has the bits of
+    (p0 + p2) + p1.) einsum adds the sum to a zeroed output (+ 0.0, which
+    turns a -0.0 sum into +0.0) and the bias comes after; the 0.0 goes into
+    the bias, since (s + 0.0) + b and s + (b + 0.0) are the same bits for
+    every s and b. So the maps hold no -0.0.
+
+    A stack's block is then copied position-outer, so that a reduction over
+    positions is one pass over 13 contiguous (3K, rows) slices, not 13-long
+    strided loops of `rows` values per map. The copy's array is allocated
+    first and holds the taps' products until the copy; the maps and the
+    side sums share one allocation after it. So the copy, which the
+    forward's cache keeps, sits below all that the step frees, and the
+    block freed after the forward can hold the rest of the step. Other
+    arrangements let glibc trim the heap and fault it back every step: up
+    to 400 minor faults per step, 17,000-22,000 per default CNN `cv`
+    against about 460. A single model's block is a view of the
+    position-major maps, with no copy: its rows are many (scoring) or one
+    (`predict`), where a copy gains nothing.
     """
     *lead, B, T = X.shape
     K = params.kernels_per_width
@@ -290,8 +309,16 @@ def _map_blocks(X, params):
         padded = np.zeros((*lead, 1, T + 4, n))
         padded[..., 0, 2 : 2 + T, :] = X[..., lo : lo + n, :].swapaxes(-1, -2)
         x = [padded[..., o : o + T, :] for o in range(5)]
-        maps = np.multiply(centre, x[2])
-        sides, scratch = np.empty((2, *lead, 2 * K, T, n))
+        if lead:  # the copy's array first, scratch until the copy; maps and sides after it
+            outer = np.empty((*lead, T, 3 * K, n))
+            work = np.empty(5 * K * math.prod(lead) * T * n)
+            maps = np.multiply(centre, x[2], out=work[: 3 * work.size // 5].reshape(
+                *lead, 3 * K, T, n))
+            sides = work[maps.size :].reshape(*lead, 2 * K, T, n)
+            scratch = outer.reshape(-1)[: sides.size].reshape(sides.shape)
+        else:
+            maps = np.multiply(centre, x[2])
+            sides, scratch = np.empty((2, 2 * K, T, n))
         np.multiply(left, x[1], out=sides)
         sides += np.multiply(right, x[3], out=scratch)
         even5 = maps[..., 2 * K :, :, :]
@@ -299,28 +326,32 @@ def _map_blocks(X, params):
         even5 += np.multiply(w5[..., 4, None, None], x[4], out=scratch[..., :K, :, :])
         maps[..., K:, :, :] += sides
         maps += bias
-        yield lo, maps
+        if lead:
+            outer[...] = maps.swapaxes(-3, -2)
+            yield lo, outer
+        else:
+            yield lo, maps.swapaxes(-3, -2)
 
 
 def forward_maps(X, params):
-    """(..., 3K, 13, B) pre-activation maps of a whole batch, position-major."""
+    """(..., 13, 3K, B) pre-activation maps of a whole batch, position-outer."""
     return np.concatenate([maps for _, maps in _map_blocks(X, params)], -1)
 
 
 def pool_positions(maps, pooled, pool_mode):
-    """(..., B, 3K, W) position of each pool window's maximum in (..., 3K, 13, B)
+    """(..., B, 3K, W) position of each pool window's maximum in (..., 13, 3K, B)
     maps pooled to (..., B, 3K * W): the first position that reaches it, or
     the window's start when it is <= 0 (all zeros after ReLU)."""
-    M, T, _ = maps.shape[-3:]
+    T, M, _ = maps.shape[-3:]
     size, stride = _pool_geometry(pool_mode, T)
     pooled = pooled.reshape(pooled.shape[:-1] + (M, -1))
     idx = np.empty(pooled.shape, dtype=np.int64)
     # a hit at offset j scores size - j, so the highest score is the first hit
-    score = np.arange(size, 0, -1, dtype=np.uint8)[:, None]
+    score = np.arange(size, 0, -1, dtype=np.uint8)[:, None, None]
     for wi, start in enumerate(range(0, T - size + 1, stride)):
         top = pooled[..., wi].swapaxes(-1, -2)
-        hit = np.equal(maps[..., start : start + size, :], top[..., None, :])
-        first = (start + size) - (hit.view(np.uint8) * score).max(axis=-2)
+        hit = np.equal(maps[..., start : start + size, :, :], top[..., None, :, :])
+        first = (start + size) - (hit.view(np.uint8) * score).max(axis=-3)
         idx[..., wi] = np.where(top > 0, first, start).swapaxes(-1, -2)
     return idx
 
@@ -342,7 +373,7 @@ def forward_batch(inputs, params, dropout_rate=0.0, rng=None, pool_mode=GLOBAL_P
     kept = None
     for lo, maps in _map_blocks(X, params):
         for wi, start in enumerate(starts):
-            top = maps[..., start : start + size, :].max(axis=-2)
+            top = maps[..., start : start + size, :, :].max(axis=-3)
             pooled[..., lo : lo + maps.shape[-1], :, wi] = top.swapaxes(-1, -2)
         if maps.shape[-1] == B:  # one block holds the batch: keep it for the backward
             kept = maps

@@ -12,10 +12,14 @@ previous size on every exit. A step's broadcasts have short contiguous
 inner runs, such as the map build's taps (F, 3K, 1, 1) times rows
 (F, 1, 13, B), and numpy 2.4.6 sends them through a buffered path that is
 about three times slower per element with the larger buffer: 1.26-1.47
-against 0.41-0.51 ns per element at F = 10, B = 16. A whole step read
-0.83-0.85x its time there and 0.94-0.98x for one model (README "Library
-tour", `BENCH_22.json`; measured on numpy 2.4.6 only). Buffering only
-moves values, so every result keeps its bits. No other path sets the
+against 0.41-0.51 ns per element at F = 10, B = 16. A whole step reads
+0.77-0.82x its time there and 0.94-0.98x for one model at B = 16
+(quartiles over 11 rounds). The pooling's position-outer copy and
+reductions take the same time under either size: at F = 10, B = 16 the
+copy 28 us, the forward's max 16-19 us and `pool_positions` 69-70 us
+(README "Library tour", `BENCH_22.json`, `BENCH_24.json`; measured on
+numpy 2.4.6 only). Buffering only moves values, so every result keeps
+its bits. No other path sets the
 buffer, since none measurably gains: a one-row forward read 0.99-1.02x
 under 512 and the baselines' fold fits 0.96-0.98x, inside their spread.
 """
@@ -174,11 +178,14 @@ def batch_loss(params, X, y, pool_mode=nn.GLOBAL_POOL):
 
 def _bias_correction(beta, t):
     """1 - beta**t for one step count, or a (F, 1) column of them for a count
-    per model. The powers are Python float powers: numpy's array power
-    differs from them in the last bit for some t (beta 0.999 at t = 7)."""
+    per model, computed once per distinct count. The powers are Python float
+    powers: numpy's array power differs from them in the last bit for some t
+    (beta 0.999 at t = 7)."""
     if np.ndim(t) == 0:
         return 1 - beta**t
-    return np.array([1 - beta ** int(s) for s in t])[:, None]
+    counts = t.tolist()
+    corrections = {s: 1 - beta**s for s in set(counts)}
+    return np.array([corrections[s] for s in counts])[:, None]
 
 
 def adam_step(flat, grad, m, v, t, learning_rate):

@@ -409,21 +409,20 @@ class TestPredict:
     @pytest.mark.parametrize("kind", ["cnn", "dv_logistic", "pso_elm"])
     def test_subnormal_scaler_spread_is_bad_input(self, tmp_path, capsys, fitted_models, kind):
         """A spread of 1e-320 in every column overflows the scaling of any
-        record: the model file is named when even the model's fill values
-        get no finite probabilities (Dv-Logistic's saturate to 0 and 1)."""
+        record: loading the model file names the spread's line, for every
+        kind, before any record is scored."""
         path = tmp_path / "m.txt"
         model_io.save_model(path, fitted_models[kind])
         name = "numeric_std" if kind == "dv_logistic" else "scaler_std"
         lines = path.read_text().splitlines()
-        lines[lines.index(f"tensor {name} 1 13") + 1] = " ".join(["1e-320"] * 13)
+        at = lines.index(f"tensor {name} 1 13") + 1
+        lines[at] = " ".join(["1e-320"] * 13)
         path.write_text("\n".join(lines) + "\n")
         code = main_without_runtime_warnings(["predict", str(path), ",".join(["1.5"] * 13)])
         captured = capsys.readouterr()
-        if kind == "dv_logistic":
-            assert code == 0 and captured.out.startswith("class ")
-        else:
-            assert code == 2 and captured.out == ""
-            assert captured.err == f"error: {path}: non-finite class probabilities nan nan\n"
+        assert code == 2 and captured.out == ""
+        assert captured.err == (f"error: line {at}: tensor {name!r}: column 'age' has spread "
+                                "1e-320, which is negative or too small to scale by\n")
 
     @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "x"])
     def test_non_finite_record_rejected(self, tmp_path, capsys, token):

@@ -410,6 +410,16 @@ class TestScaler:
         with pytest.raises(MissingValueError):
             dp.fit_scaler(ds)
 
+    @pytest.mark.parametrize("scale", [1e-150, 1e-160, 1e-162, 1e-200, 1e-310, 5e-324])
+    def test_tiny_values_give_a_spread_that_scales(self, scale):
+        # np.std squares the deviations, so a nonzero spread is at least
+        # about 2.2e-162 and its reciprocal is finite, which model files need
+        stats = dp.fit_scaler(make_dataset([[scale * v for v in (1.0, 2.0, 3.0, 1.0)]]))
+        std = stats.std[0]
+        assert (std > 0) == (scale >= 1e-160)
+        assert std == 0.0 or np.isfinite(1.0 / std)
+        assert np.isfinite(dp.scale_values(np.ones((1, 13)), stats)).all()
+
 
 def test_record_arity_enforced():
     with pytest.raises(ArityMismatchError):

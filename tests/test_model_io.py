@@ -120,6 +120,8 @@ def _cnn_params(m, **changes):
     return replace(m, params=replace(m.params, **changes))
 
 
+TINY_STD = np.full(13, 1e-320)
+
 # id -> (kind, offending name, model edit, file-text edit): files whose
 # tensors or params do not fit together or do not parse.
 BROKEN_FILES = {
@@ -161,6 +163,18 @@ BROKEN_FILES = {
     "elm-output_weights-3-cols": (
         "pso_elm", "output_weights",
         lambda m: replace(m, output_weights=m.output_weights[:, [0, 1, 1]]), None),
+    # spreads whose reciprocal overflows: a record would scale to inf
+    "cnn-scaler_std-tiny": (
+        "cnn", "scaler_std", lambda m: replace(m, scaler=replace(m.scaler, std=TINY_STD)), None),
+    "cnn-scaler_std-negative": (
+        "cnn", "scaler_std", None, _sub(r"^(tensor scaler_std 1 13\n)\S+", r"\g<1>-1.0")),
+    "dv-numeric_std-tiny": (
+        "dv_logistic", "numeric_std",
+        lambda m: replace(m, encoder=replace(m.encoder, scaler=replace(m.encoder.scaler,
+                                                                       std=TINY_STD))), None),
+    "elm-scaler_std-tiny": (
+        "pso_elm", "scaler_std", lambda m: replace(m, scaler=replace(m.scaler, std=TINY_STD)),
+        None),
 }
 
 
@@ -203,6 +217,21 @@ def test_save_load_save_is_byte_identical(tmp_path, mixed, kind):
     assert _same_bits(loaded.predict_proba(mixed.X), model.predict_proba(mixed.X))
     if kind == "dv_logistic":
         assert "\ntensor categories_" in first.read_text()
+
+
+@pytest.mark.parametrize("kind", ROUND_TRIP_FITS)
+@pytest.mark.parametrize("scale", [1e-160, 1e-310])
+def test_model_fit_on_a_tiny_column_loads(tmp_path, mixed, kind, scale):
+    """A column of tiny values fits a spread that the load check accepts:
+    about 8e-161 at 1e-160, and 0 at 1e-310, whose squares underflow."""
+    X = mixed.X.copy()
+    X[:, 0] = scale * (1 + np.arange(len(X)) % 3)
+    model = ROUND_TRIP_FITS[kind](replace(mixed, X=X))
+    path = tmp_path / "m.txt"
+    model_io.save_model(path, model)
+    loaded = model_io.load_model(path)
+    assert _same_bits(loaded.predict_proba(X), model.predict_proba(X))
+    assert np.isfinite(loaded.predict_proba(np.ones((1, 13)))).all()
 
 
 def test_file_with_adam_params_loads_as_before(tmp_path, mixed, fitted_models):

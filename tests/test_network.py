@@ -142,10 +142,11 @@ class TestActivationsAndPooling:
     def test_batched_ties_pool_to_lowest_index_like_max_pool(self, mode, rng, monkeypatch):
         # integer inputs and weights give feature maps full of exact ties,
         # and windows with no positive entry, which tie at 0 after ReLU; one
-        # model and a stack of 3, their 6 rows in row blocks of 4 and 2
-        for models in (None, 3):
+        # model and a stack of 3, their 6 rows in row blocks of 4 and 2, and
+        # the stack in one row block, whose kept position-outer copy is read
+        for models, block_rows in ((None, 4), (3, 4), (3, 6)):
             lead = () if models is None else (models,)
-            monkeypatch.setattr(nn, "INFER_BLOCK_ELEMENTS", 4 * (models or 1) * 3 * 3 * 13)
+            monkeypatch.setattr(nn, "INFER_BLOCK_ELEMENTS", block_rows * (models or 1) * 3 * 3 * 13)
             singles = []
             for _ in range(models or 1):
                 params = nn.init_params(3, rng, pool_mode=mode)
@@ -156,10 +157,10 @@ class TestActivationsAndPooling:
             X = rng.integers(0, 2, lead + (6, 13)).astype(float)
             X[..., 0, :] = 0.0  # an all-tied row
             _, cache = nn.forward_batch(X, params, pool_mode=mode)
-            assert cache.maps is None  # more than one row block
-            pre = nn.forward_maps(cache.inputs, params)
+            assert (cache.maps is None) == (block_rows < 6)  # several row blocks
+            pre = nn.forward_maps(cache.inputs, params) if cache.maps is None else cache.maps
             # (model, row, map, position)
-            maps = nn.relu(np.moveaxis(pre, -1, -3)).reshape(-1, 6, 9, 13)
+            maps = nn.relu(pre.swapaxes(-1, -3)).reshape(-1, 6, 9, 13)
             idx = nn.pool_positions(pre, cache.pooled, mode).reshape(maps.shape[:3] + (-1,))
             pooled = cache.pooled.reshape(idx.shape)
             ties = 0
@@ -212,7 +213,7 @@ def test_value_only_forward_has_the_einsum_bits(rows, kernels, models, block_row
         maps = nn.forward_maps(X, params) if cache.maps is None else cache.maps
     assert (cache.maps is None) == (rows > block_rows)
     expected = ref.einsum_maps(X, params)
-    assert same_bits(np.moveaxis(maps, -1, -3), expected)
+    assert same_bits(maps.swapaxes(-1, -3), expected)
     pooled, idx = ref.relu_pool(expected, mode)
     pooled = pooled.reshape(lead + (rows, -1))
     assert same_bits(cache.pooled, pooled)
@@ -446,7 +447,7 @@ class TestModelBackward:
         dlogits /= 3
         dz = dlogits @ params.dense_w  # gradient on the pooled vector
         grads_b = nn.model_backward(cache, y).tensors()
-        pre = np.moveaxis(cache.maps, -1, -3)  # (row, map, position)
+        pre = cache.maps.swapaxes(-1, -3)  # (row, map, position)
         idx = nn.pool_positions(cache.maps, cache.pooled, cache.pool_mode)
         # conv bias gradient sums dpre over positions; with no dropout the
         # routed mass per map equals dz gated by ReLU at the argmax
@@ -518,7 +519,7 @@ def test_gradients_match_finite_differences(kernels, rows, mode, seed):
     y = rng.integers(0, 2, rows)
     _, cache = nn.forward_batch(X, params, pool_mode=mode)
     h = 1e-6
-    assume(pool_margin(np.moveaxis(cache.maps, -1, -3), mode) > 10 * h * max(1.0, np.abs(X).max()))
+    assume(pool_margin(cache.maps.swapaxes(-1, -3), mode) > 10 * h * max(1.0, np.abs(X).max()))
     grads = nn.model_backward(cache, y).tensors()
     # one stacked forward: model i has parameter i moved by +h, model P + i by -h
     P = params.flat.size

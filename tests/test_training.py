@@ -179,13 +179,14 @@ class TestAdam:
 
     def test_stack_matches_single_models_bit_for_bit(self, rng):
         """Models of a stack at different step counts get exactly their
-        single-model update. At t = 7 and 12 numpy's array power differs from
-        Python's float power in the last bit (checked below), and at t = 7 the
-        difference survives into 1 - beta2**t."""
+        single-model update, a count shared by several models included. At
+        t = 7 and 12 numpy's array power differs from Python's float power in
+        the last bit (checked below), and at t = 7 the difference survives
+        into 1 - beta2**t."""
         assert 0.999**7 != (0.999 ** np.array([7]))[0] and 0.9**12 != (0.9 ** np.array([12]))[0]
         assert 1 - 0.999**7 != (1 - 0.999 ** np.array([7]))[0]
         lr = tr.Hyperparams().learning_rate
-        steps = np.array([7, 12, 1, 23, 26])
+        steps = np.array([7, 12, 1, 23, 7, 26, 12])
         stack = nn.ModelParams.stack([nn.init_params(2, rng) for _ in steps])
         grad = rng.standard_normal(stack.flat.shape)
         m = rng.standard_normal(stack.flat.shape)
