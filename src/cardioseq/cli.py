@@ -63,11 +63,14 @@ class RunConfig:
             return k
         if key == "out" and not text:
             raise ValueError("empty output directory")
-        for name in text.split(",") if self.command == "compare" else [text]:
+        names = text.split(",") if self.command == "compare" else [text]
+        for i, name in enumerate(names):
             if key == "data" and not name:
                 raise ValueError("empty data path")
             if RUN_KEYS[key] and name not in RUN_KEYS[key]:
                 raise ValueError(f"unknown {key} {name!r}; expected {', '.join(RUN_KEYS[key])}")
+            if key == "model" and name in names[:i]:
+                raise ValueError(f"model {name!r} is listed twice")
         return text
 
 

@@ -157,12 +157,8 @@ def _decode_cnn(sections):
     hyper = tr.Hyperparams()
     for f in fields(hyper):  # params it does not read, as older files' `adam_*`, go unread
         hyper = sections.param(f.name, partial(hyper.with_text, f.name))
-    k = hyper.kernels_per_width
-    net = {"dense_w": sections.tensor("dense_w", 2, nn.pooled_dim(k, hyper.pool_mode)),
-           "dense_b": sections.vector("dense_b", 2)}
-    for w in nn.KERNEL_WIDTHS:
-        net[f"conv_w{w}"] = sections.tensor(f"conv_w{w}", k, w)
-        net[f"conv_b{w}"] = sections.vector(f"conv_b{w}", k)
+    net = {name: sections.tensor(name, *shape) if len(shape) == 2 else sections.vector(name, *shape)
+           for name, shape in nn.param_shapes(hyper.kernels_per_width, hyper.pool_mode).items()}
     return tr.TrainedModel(
         params=nn.ModelParams.from_tensors(net), scaler=_read_scaler(sections),
         fill_values=sections.vector("fill_values", dp.N_FEATURES), hyper=hyper,

@@ -23,9 +23,9 @@ and, past one row block, the maps itself, and gates by ReLU on the pooled
 values. With one pool window per map (global pooling) it gathers each
 map's window at its argmax; with more it scatters into gradient maps and
 runs a weight-gradient einsum per bank. All parameter tensors are views
-into one flat float64 buffer (`ModelParams.flat`), and so are the
-gradients (`model_backward`): an optimizer step is a handful of
-elementwise operations on whole buffers. Every step gives the bits of an
+into one flat float64 buffer (`ModelParams.flat`), laid out as
+`param_shapes` lists them, and so are the gradients (`model_backward`):
+an optimizer step is a handful of elementwise operations on whole buffers. Every step gives the bits of an
 einsum per bank on its own windows, but for the one-window backward at
 K = 1, whose kernel gradients sum row by row and so differ in the last
 bits.
@@ -77,6 +77,18 @@ def format_pool_mode(mode):
     return f"windowed:{mode[1]}:{mode[2]}"
 
 
+def pool_windows(pool_mode, length=N_FEATURES):
+    """(size, starts) of a pool mode's windows over a `length`-long map: the
+    whole map once for global pooling, else every window of SIZE that starts
+    at a multiple of STRIDE and fits."""
+    size, stride = (length, length) if pool_mode == GLOBAL_POOL else pool_mode[1:]
+    return size, range(0, length - size + 1, stride)
+
+
+def n_pool_windows(pool_mode, length=N_FEATURES):
+    return len(pool_windows(pool_mode, length)[1])
+
+
 def tensor_views(flat, shapes):
     """Name -> view of the next slice of `flat`'s last axis, reshaped, in
     `shapes` order; a leading model axis of `flat` is kept."""
@@ -88,41 +100,46 @@ def tensor_views(flat, shapes):
     return views
 
 
-@dataclass
+def param_shapes(kernels_per_width, pool_mode=GLOBAL_POOL):
+    """Name -> shape of one model's parameter tensors, in the order of the flat
+    layout: per width (1, 3, 5) its (K, w) kernels and (K,) biases, then the
+    dense head's (2, D) weights and (2,) biases, D the pooled values per row."""
+    K = kernels_per_width
+    shapes = {}
+    for w in KERNEL_WIDTHS:
+        shapes[f"conv_w{w}"], shapes[f"conv_b{w}"] = (K, w), (K,)
+    D = len(KERNEL_WIDTHS) * K * n_pool_windows(pool_mode)
+    return {**shapes, "dense_w": (2, D), "dense_b": (2,)}
+
+
 class ModelParams:
     """Trainable state: one kernel bank per width plus the dense head.
 
-    conv_w[w] is (K, w), conv_b[w] is (K,); dense_w is (2, pooled_dim).
-    The constructor copies the tensors into one flat float64 buffer, `flat`,
-    laid out in `tensors()` order, and keeps reshaped views of it, so an
-    in-place edit of a tensor edits `flat` and the reverse. A stack of
-    models (`stack`) has a leading model axis on `flat` and on every tensor;
-    `shapes` are always those of one model.
+    conv_w[w], conv_b[w], dense_w and dense_b are reshaped views of one flat
+    float64 buffer, `flat`, laid out as `shapes` says (`param_shapes`), so
+    an in-place edit of a tensor edits `flat` and the reverse. A stack of
+    models (`stack`) has a leading model axis on `flat` and on every
+    tensor; `shapes` are always those of one model.
     """
 
-    conv_w: dict
-    conv_b: dict
-    dense_w: np.ndarray
-    dense_b: np.ndarray
-
-    def __post_init__(self):
-        tensors = self.tensors()
-        flat = np.concatenate([np.ravel(a) for a in tensors.values()], dtype=float)
-        self._bind(flat, {k: np.shape(a) for k, a in tensors.items()})
-
-    def _bind(self, flat, shapes):
+    def __init__(self, flat, shapes):
         self.flat, self.shapes = flat, shapes
-        views = tensor_views(flat, shapes)
-        self.conv_w = {w: views[f"conv_w{w}"] for w in KERNEL_WIDTHS}
-        self.conv_b = {w: views[f"conv_b{w}"] for w in KERNEL_WIDTHS}
-        self.dense_w, self.dense_b = views["dense_w"], views["dense_b"]
+        self._tensors = tensor_views(flat, shapes)
+        self.conv_w = {w: self._tensors[f"conv_w{w}"] for w in KERNEL_WIDTHS}
+        self.conv_b = {w: self._tensors[f"conv_b{w}"] for w in KERNEL_WIDTHS}
+        self.dense_w, self.dense_b = self._tensors["dense_w"], self._tensors["dense_b"]
+
+    @classmethod
+    def from_tensors(cls, tensors):
+        """Copies of the named tensors in one new flat buffer, laid out in the
+        dict's order."""
+        flat = np.concatenate([np.ravel(a) for a in tensors.values()], dtype=float)
+        return cls(flat, {name: np.shape(a) for name, a in tensors.items()})
 
     def with_flat(self, flat):
         """Parameters shaped like these over another flat buffer (no copy);
         a (F, P) buffer gives a stack of F models."""
-        params = object.__new__(ModelParams)
-        params._bind(flat, self.shapes)
-        return params
+        return ModelParams(flat, self.shapes)
 
     @staticmethod
     def stack(models):
@@ -134,23 +151,8 @@ class ModelParams:
         return self.with_flat(self.flat[f])
 
     def tensors(self):
-        """Named parameter tensors in a fixed canonical order."""
-        out = {}
-        for w in KERNEL_WIDTHS:
-            out[f"conv_w{w}"] = self.conv_w[w]
-            out[f"conv_b{w}"] = self.conv_b[w]
-        out["dense_w"] = self.dense_w
-        out["dense_b"] = self.dense_b
-        return out
-
-    @classmethod
-    def from_tensors(cls, tensors):
-        return cls(
-            conv_w={w: tensors[f"conv_w{w}"] for w in KERNEL_WIDTHS},
-            conv_b={w: tensors[f"conv_b{w}"] for w in KERNEL_WIDTHS},
-            dense_w=tensors["dense_w"],
-            dense_b=tensors["dense_b"],
-        )
+        """Named parameter tensors (views of `flat`) in layout order."""
+        return dict(self._tensors)
 
     def copy(self):
         return self.with_flat(self.flat.copy())
@@ -184,32 +186,16 @@ def _glorot_uniform(rng, shape, fan_in, fan_out):
     return rng.uniform(-limit, limit, size=shape)
 
 
-def pooled_dim(kernels_per_width, pool_mode):
-    return len(KERNEL_WIDTHS) * kernels_per_width * n_pool_windows(pool_mode)
-
-
-def n_pool_windows(pool_mode, length=N_FEATURES):
-    size, stride = _pool_geometry(pool_mode, length)
-    return (length - size) // stride + 1
-
-
-def _pool_geometry(pool_mode, length):
-    if pool_mode[0] == "global":
-        return length, length
-    return pool_mode[1], pool_mode[2]
-
-
 def init_params(kernels_per_width, rng, pool_mode=GLOBAL_POOL):
     """Glorot-uniform weights from the given generator, zero biases; the
     dense head has one row per class (2)."""
-    conv_w, conv_b = {}, {}
-    for w in KERNEL_WIDTHS:
-        conv_w[w] = _glorot_uniform(rng, (kernels_per_width, w), w, w)
-        conv_b[w] = np.zeros(kernels_per_width)
-    d = pooled_dim(kernels_per_width, pool_mode)
-    dense_w = _glorot_uniform(rng, (2, d), d, 2)
-    dense_b = np.zeros(2)
-    return ModelParams(conv_w, conv_b, dense_w, dense_b)
+    shapes = param_shapes(kernels_per_width, pool_mode)
+    params = ModelParams(np.zeros(sum(map(math.prod, shapes.values()))), shapes)
+    for w, kernels in params.conv_w.items():
+        kernels[...] = _glorot_uniform(rng, kernels.shape, w, w)
+    d = params.dense_w.shape[1]
+    params.dense_w[...] = _glorot_uniform(rng, params.dense_w.shape, d, 2)
+    return params
 
 
 def conv_windows(inputs, width):
@@ -343,12 +329,12 @@ def pool_positions(maps, pooled, pool_mode):
     maps pooled to (..., B, 3K * W): the first position that reaches it, or
     the window's start when it is <= 0 (all zeros after ReLU)."""
     T, M, _ = maps.shape[-3:]
-    size, stride = _pool_geometry(pool_mode, T)
+    size, starts = pool_windows(pool_mode, T)
     pooled = pooled.reshape(pooled.shape[:-1] + (M, -1))
     idx = np.empty(pooled.shape, dtype=np.int64)
     # a hit at offset j scores size - j, so the highest score is the first hit
     score = np.arange(size, 0, -1, dtype=np.uint8)[:, None, None]
-    for wi, start in enumerate(range(0, T - size + 1, stride)):
+    for wi, start in enumerate(starts):
         top = pooled[..., wi].swapaxes(-1, -2)
         hit = np.equal(maps[..., start : start + size, :, :], top[..., None, :, :])
         first = (start + size) - (hit.view(np.uint8) * score).max(axis=-3)
@@ -367,8 +353,7 @@ def forward_batch(inputs, params, dropout_rate=0.0, rng=None, pool_mode=GLOBAL_P
     """
     X = np.atleast_2d(np.ascontiguousarray(inputs, dtype=float))
     *lead, B, T = X.shape
-    size, stride = _pool_geometry(pool_mode, T)
-    starts = range(0, T - size + 1, stride)
+    size, starts = pool_windows(pool_mode, T)
     pooled = np.empty((*lead, B, len(KERNEL_WIDTHS) * params.kernels_per_width, len(starts)))
     kept = None
     for lo, maps in _map_blocks(X, params):

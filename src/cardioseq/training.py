@@ -11,17 +11,10 @@ buffer at `TRAIN_BUFSIZE`, 512 elements, not numpy's 8192, and restores the
 previous size on every exit. A step's broadcasts have short contiguous
 inner runs, such as the map build's taps (F, 3K, 1, 1) times rows
 (F, 1, 13, B), and numpy 2.4.6 sends them through a buffered path that is
-about three times slower per element with the larger buffer: 1.26-1.47
-against 0.41-0.51 ns per element at F = 10, B = 16. A whole step reads
-0.77-0.82x its time there and 0.94-0.98x for one model at B = 16
-(quartiles over 11 rounds). The pooling's position-outer copy and
-reductions take the same time under either size: at F = 10, B = 16 the
-copy 28 us, the forward's max 16-19 us and `pool_positions` 69-70 us
-(README "Library tour", `BENCH_22.json`, `BENCH_24.json`; measured on
-numpy 2.4.6 only). Buffering only moves values, so every result keeps
-its bits. No other path sets the
-buffer, since none measurably gains: a one-row forward read 0.99-1.02x
-under 512 and the baselines' fold fits 0.96-0.98x, inside their spread.
+about three times slower per element with the default buffer (README
+"Library tour" and `BENCH_22.json`, `BENCH_24.json` hold the timings).
+Buffering only moves values, so every result keeps its bits. No other
+path sets the buffer, since none measurably gains.
 """
 
 from __future__ import annotations

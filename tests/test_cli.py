@@ -1,10 +1,11 @@
 import contextlib
 import io
+import re
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cardioseq import baselines as bl
@@ -588,6 +589,18 @@ class TestConfig:
         assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_compare_repeated_model_names_its_source(statlog_file, tmp_path, capsys, source):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("k = 2\nmodel = dv_logistic,pso_elm,dv_logistic\n")
+    argv, where = {"flag": (["--model", "dv_logistic,pso_elm,dv_logistic"], "--model"),
+                   "config": (["--config", str(cfg)], f"{cfg}:2: model")}[source]
+    out = tmp_path / "out"
+    assert cli.main(["compare", "--data", statlog_file, "--out", str(out)] + argv) == 2
+    assert capsys.readouterr() == ("", f"error: {where}: model 'dv_logistic' is listed twice\n")
+    assert not out.exists()
+
+
 def test_training_failure_exit_code(tmp_path, capsys):
     # single-class file: training must fail with the runtime exit code
     p = tmp_path / "one_class.dat"
@@ -916,3 +929,50 @@ def test_data_text_validates_or_names_the_file(data_path, file, bad_byte, at):
         assert err.count("\n") == 1
         assert err.startswith(f"error: {data_path}:"), err
         assert out == ""
+
+
+# Statlog files of finite values up to +-1.7e308, at least two rows per
+# class: ordinary values (repeated ones give equal and constant columns)
+# with a few entries replaced by any float in that range, often one past
+# 1e300, where a column's sum, range or a scaled record can overflow.
+ORDINARY_VALUES = (st.integers(-3, 300).map(str) | st.sampled_from(["0", "1", "0.5"])
+                   | st.floats(-1e6, 1e6, allow_nan=False).map(repr))
+EXTREME_VALUES = (st.floats(-1.7e308, 1.7e308, allow_nan=False).map(repr)
+                  | st.floats(1e300, 1.7e308).map(repr) | st.floats(-1.7e308, -1e300).map(repr)
+                  | st.sampled_from(["1.7e308", "-1.7e308", "1e154", "1e-160", "5e-324"]))
+STATLOG_LABEL_LISTS = st.lists(st.sampled_from(["1", "2"]), max_size=6).flatmap(
+    lambda extra: st.permutations(["1", "1", "2", "2"] + extra))
+
+
+@st.composite
+def finite_statlog_lines(draw):
+    labels = draw(STATLOG_LABEL_LISTS)
+    rows = draw(st.lists(st.lists(ORDINARY_VALUES, min_size=13, max_size=13),
+                         min_size=len(labels), max_size=len(labels)))
+    for _ in range(draw(st.sampled_from([2, 6, 1, 0, 12]))):
+        row = draw(st.sampled_from(rows))
+        row[draw(st.integers(0, 12))] = draw(EXTREME_VALUES)
+    return [" ".join([*row, label]) for row, label in zip(rows, labels)]
+
+
+@pytest.mark.parametrize("kind", ["cnn", "dv_logistic", "pso_elm"])
+@settings(max_examples=12)  # each runs a whole cv: kept short for the suite's time
+@given(lines=finite_statlog_lines())
+@example(lines=[" ".join(["1.7e308"] * 13 + [label]) for label in "1122"])
+def test_finite_data_file_cross_validates_or_names_the_problem(data_path, kind, lines):
+    """A statlog file of finite values, two rows of each class at least,
+    cross-validates, or exits 2 with one `error:` line that names the fold
+    and the column or record at fault: never 3, and never a numpy warning."""
+    data_path.write_text("\n".join(lines) + "\n")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main_without_runtime_warnings(
+            ["cv", "--data", str(data_path), "--model", kind, "--k", "2", "--epochs", "1",
+             "--kernels", "2", "--out", str(data_path.parent / "out")])
+    err = err.getvalue()
+    if code == 0:
+        assert err == ""
+    else:
+        assert code == 2, err
+        assert err.count("\n") == 1
+        assert re.match(r"error: fold \d: (column '\w+' |record \d+: )", err), err

@@ -3,24 +3,45 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cardioseq import baselines as bl
 from cardioseq import cli, model_io
+from cardioseq import network as nn
 from cardioseq import training as tr
 from cardioseq.errors import ModelFileError
 
 
-def test_cnn_roundtrip(tmp_path, separable):
-    model = tr.train(separable, tr.Hyperparams(epochs=2, kernels_per_width=2, seed=1))
-    path = tmp_path / "model.txt"
+@given(kernels=st.sampled_from([1, 3, 8]), mode=st.sampled_from(
+    [nn.GLOBAL_POOL, ("windowed", 1, 1), ("windowed", 3, 2), ("windowed", 13, 1)]))
+def test_cnn_roundtrip(tmp_path_factory, separable, kernels, mode):
+    model = tr.train(separable, tr.Hyperparams(epochs=2, kernels_per_width=kernels,
+                                               pool_mode=mode, seed=1))
+    path = tmp_path_factory.mktemp("roundtrip") / "model.txt"
     model_io.save_model(path, model)
     assert path.read_text().startswith("cardioseq-model v1\nmodel-kind cnn\n")
     loaded = model_io.load_model(path)
+    assert loaded.params.shapes == nn.param_shapes(kernels, mode)
+    assert _same_bits(loaded.params.flat, model.params.flat)
     for k, v in model.params.tensors().items():
         np.testing.assert_array_equal(loaded.params.tensors()[k], v)
     np.testing.assert_array_equal(loaded.scaler.mean, model.scaler.mean)
     np.testing.assert_array_equal(loaded.fill_values, model.fill_values)
     assert loaded.hyper == model.hyper
+
+
+def test_cnn_file_with_tensor_blocks_reordered_loads_the_same(tmp_path, separable):
+    """The tensor blocks are found by name: in reverse order they load to the
+    same flat buffer."""
+    model = tr.train(separable, tr.Hyperparams(epochs=1, kernels_per_width=3,
+                                               pool_mode=("windowed", 3, 2), seed=2))
+    path = tmp_path / "model.txt"
+    model_io.save_model(path, model)
+    head, *blocks = path.read_text().rstrip("\n").split("\ntensor ")
+    path.write_text("\ntensor ".join([head, *reversed(blocks)]) + "\n")
+    assert path.read_text().index("tensor fill_values") < path.read_text().index("tensor conv_w1")
+    assert _same_bits(model_io.load_model(path).params.flat, model.params.flat)
 
 
 def test_cnn_roundtrip_preserves_predictions(tmp_path, separable):
@@ -116,8 +137,8 @@ def _sub(pattern, repl):
     return lambda text: re.sub(pattern, repl, text, count=1, flags=re.M)
 
 
-def _cnn_params(m, **changes):
-    return replace(m, params=replace(m.params, **changes))
+def _cnn_params(m, name, tensor):
+    return replace(m, params=nn.ModelParams.from_tensors({**m.params.tensors(), name: tensor}))
 
 
 TINY_STD = np.full(13, 1e-320)
@@ -132,14 +153,12 @@ BROKEN_FILES = {
         lambda m: replace(m, scaler=replace(m.scaler, std=m.scaler.std[:12])), None),
     "cnn-conv_w3-narrow": (
         "cnn", "conv_w3",
-        lambda m: _cnn_params(m, conv_w={**m.params.conv_w, 3: m.params.conv_w[3][:, :2]}),
-        None),
+        lambda m: _cnn_params(m, "conv_w3", m.params.conv_w[3][:, :2]), None),
     "cnn-conv_b5-short": (
         "cnn", "conv_b5",
-        lambda m: _cnn_params(m, conv_b={**m.params.conv_b, 5: m.params.conv_b[5][:-1]}),
-        None),
+        lambda m: _cnn_params(m, "conv_b5", m.params.conv_b[5][:-1]), None),
     "cnn-dense_w-narrow": (
-        "cnn", "dense_w", lambda m: _cnn_params(m, dense_w=m.params.dense_w[:, :-1]), None),
+        "cnn", "dense_w", lambda m: _cnn_params(m, "dense_w", m.params.dense_w[:, :-1]), None),
     "cnn-tensor-header-3-fields": (
         "cnn", "dense_b", None, _sub(r"^tensor dense_b 1 2$", "tensor dense_b 1")),
     "cnn-param-no-value": ("cnn", "epochs", None, _sub(r"^param epochs .*$", "param epochs")),

@@ -493,9 +493,9 @@ def pool_margin(pre, pool_mode):
     """Smallest distance, over every pool window of (B, M, 13) maps, between
     its largest pre-activation and 0 or its runner-up: how far any
     pre-activation can move before the loss meets a ReLU or argmax kink."""
-    size, stride = nn._pool_geometry(pool_mode, pre.shape[-1])
+    size, starts = nn.pool_windows(pool_mode, pre.shape[-1])
     margin = np.inf
-    for start in range(0, pre.shape[-1] - size + 1, stride):
+    for start in starts:
         window = np.sort(pre[..., start : start + size], axis=-1)
         margin = min(margin, np.abs(window[..., -1]).min())
         if size > 1:
