@@ -204,13 +204,20 @@ class ElmModel(tr.Classifier):
 
 def normal_equations(hidden_activations, targets, ridge=ELM_RIDGE):
     """The ridge normal equations (HᵀH + λI, HᵀY) of one (n, H) activation
-    matrix and its targets, or of each of a stack (..., n, H) of them."""
+    matrix and its targets, or of each of a stack (..., n, H) of them.
+
+    Finiteness is checked on the (H, H) and (H, 2) products, not on the
+    larger H and Y: a non-finite entry of H makes a diagonal entry of HᵀH
+    non-finite, one of Y makes HᵀY non-finite, and a finite H whose squares
+    overflow is caught too. Any of these raises `NonFiniteInputError`."""
     H = np.asarray(hidden_activations, dtype=float)
     Y = np.asarray(targets, dtype=float)
-    if not (np.all(np.isfinite(H)) and np.all(np.isfinite(Y))):
-        raise NonFiniteInputError("hidden activations and targets must be finite")
     Ht = np.swapaxes(H, -1, -2)
-    return Ht @ H + ridge * np.eye(H.shape[-1]), Ht @ Y
+    with np.errstate(over="ignore", invalid="ignore"):
+        A, B = Ht @ H + ridge * np.eye(H.shape[-1]), Ht @ Y
+    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(B))):
+        raise NonFiniteInputError("hidden activations and targets must be finite")
+    return A, B
 
 
 def elm_solve_output(A, B):
@@ -276,6 +283,21 @@ def pso_elm_train_folds(datasets, seeds, hidden_size=32, swarm_size=20, iteratio
     return models
 
 
+def _pre_activations(X1, P, out):
+    """X @ W + b of rows X1 = [X, 1] and a block P = [W; b] of (s, 14, H)
+    positions, written to `out`, with the bits of the product-then-add.
+
+    Where numpy calls gemm, the one product [X, 1] @ [W; b] gives them: the
+    k-loop's last step adds 1·b to the 13-term sum, which rounds like the
+    add. With one row or H = 1 numpy calls gemv, whose sum order the ones
+    column changes, so there b is added after the 13-column product."""
+    if X1.shape[0] == 1 or P.shape[-1] == 1:
+        np.matmul(X1[:, :-1], P[:, :-1], out=out)
+        out += P[:, -1:]
+        return out
+    return np.matmul(X1, P, out=out)
+
+
 def _swarm_fit(X, y, rng, hidden_size, swarm_size, iterations):
     """The swarm-fit fields of an `ElmModel` of scaled rows X and labels y.
 
@@ -285,11 +307,19 @@ def _swarm_fit(X, y, rng, hidden_size, swarm_size, iterations):
     scores the particles in blocks of at most `SWARM_BLOCK_ELEMENTS` per
     hidden-layer array, one stacked solve per block, with the same results as
     scoring them one by one.
+
+    A position is laid out [W (13·H) | b (H)], so its (14, H) reshape is
+    [W; b], and the fit and validation rows carry a trailing ones column:
+    `_pre_activations` then adds the biases inside the product. A separate
+    broadcast add of b, with its inner run of only H elements, takes
+    numpy's slow buffered path and cost as much as the product. The fit and
+    validation workspaces stay separate: one combined workspace, with its
+    larger sigmoid scratch, measured slower and lost the gain.
     """
     fit_idx, val_idx = _stratified_holdout(y, 0.2, rng)
-    X_fit, y_fit = X[fit_idx], y[fit_idx]
-    X_val, y_val = X[val_idx], y[val_idx]
-    Y_fit = _one_hot(y_fit)
+    X_fit, X_val = (np.column_stack([X[idx], np.ones(idx.size)]) for idx in (fit_idx, val_idx))
+    y_val = y[val_idx]
+    Y_fit = _one_hot(y[fit_idx])
 
     n_weights = dp.N_FEATURES * hidden_size
     dim = n_weights + hidden_size
@@ -300,25 +330,15 @@ def _swarm_fit(X, y, rng, hidden_size, swarm_size, iterations):
     z_fit = np.empty((block, X_fit.shape[0], hidden_size))
     z_val = np.empty((block, X_val.shape[0], hidden_size))
 
-    def unpack(position):
-        """(..., dim) positions -> (..., 13, H) hidden weights, (..., H) biases."""
-        shape = position.shape[:-1] + (dp.N_FEATURES, hidden_size)
-        return position[..., :n_weights].reshape(shape), position[..., n_weights:]
-
-    def hidden(X_part, W, b, z):
-        np.matmul(X_part, W, out=z)
-        z += b[:, None, :]
-        return _sigmoid(z)
-
     def swarm_fitness(positions):
         fit = np.empty(swarm_size)
         for start in range(0, swarm_size, block):
-            W, b = unpack(positions[start : start + block])
-            s = W.shape[0]
-            A, B = normal_equations(hidden(X_fit, W, b, z_fit[:s]), Y_fit)
+            P = positions[start : start + block].reshape(-1, dp.N_FEATURES + 1, hidden_size)
+            s = P.shape[0]
+            A, B = normal_equations(_sigmoid(_pre_activations(X_fit, P, z_fit[:s])), Y_fit)
             out_w = elm_solve_output(A, B)
             residuals.append(solve_residual(A, B, out_w))
-            pred = tr.predicted_class(hidden(X_val, W, b, z_val[:s]) @ out_w)
+            pred = tr.predicted_class(_sigmoid(_pre_activations(X_val, P, z_val[:s])) @ out_w)
             fit[start : start + s] = np.mean(pred == y_val, axis=1)
         return fit
 
@@ -355,7 +375,7 @@ def _swarm_fit(X, y, rng, hidden_size, swarm_size, iterations):
             gbest = positions[g].copy()
         history.append(gbest_fit)
 
-    W, b = unpack(gbest)
+    W, b = gbest[:n_weights].reshape(dp.N_FEATURES, hidden_size), gbest[n_weights:]
     A, B = normal_equations(_sigmoid(X @ W + b), _one_hot(y))
     out_w = elm_solve_output(A, B)
     residuals.append(solve_residual(A, B, out_w))

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from cardioseq import baselines as bl
 from cardioseq import data as dp
 from cardioseq import synthetic
 from cardioseq import training as tr
-from cardioseq.errors import SingleClassDataError
+from cardioseq.errors import NonFiniteInputError, SingleClassDataError
 
 
 def gaussian_elimination(A, B):
@@ -152,6 +154,33 @@ class TestElmSolve:
             A, B = bl.normal_equations(H, Y)
             W = bl.elm_solve_output(A, B)
             assert bl.solve_residual(A, B, W) < 1e-8
+
+    @pytest.mark.parametrize("stack", [(), (3,)], ids=["single", "stack"])
+    @pytest.mark.parametrize("where", ["hidden", "targets"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_rejected(self, rng, stack, where, bad):
+        """One bad entry, in the last system of a stack, is caught on HᵀH or HᵀY."""
+        H = rng.uniform(0, 1, stack + (10, 4))
+        Y = bl._one_hot(rng.integers(0, 2, 10)) * np.ones(stack + (1, 1))
+        (H if where == "hidden" else Y)[(-1,) * len(stack) + (7, 1)] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteInputError):
+                bl.normal_equations(H, Y)
+
+    @pytest.mark.parametrize("stack", [(), (3,)], ids=["single", "stack"])
+    def test_overflowing_products_rejected(self, rng, stack):
+        """Finite activations whose squares overflow."""
+        H = np.full(stack + (10, 4), 1e200)
+        Y = bl._one_hot(rng.integers(0, 2, 10))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteInputError):
+                bl.normal_equations(H, Y)
+
+    def test_no_fit_rows_give_the_ridge_alone(self):
+        A, B = bl.normal_equations(np.empty((0, 4)), np.empty((0, 2)), ridge=0.5)
+        assert np.array_equal(A, 0.5 * np.eye(4)) and np.array_equal(B, np.zeros((4, 2)))
 
 
 class TestPsoElm:

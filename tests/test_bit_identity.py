@@ -455,6 +455,54 @@ def test_block_solve_and_scores_match_one_particle(hidden):
     assert bl.solve_residual(A, B, out_w) == max(residuals)
 
 
+@pytest.mark.parametrize("hidden", [1, 2, 3, 32, 64])
+def test_biases_ride_in_the_product_bit_for_bit(hidden):
+    """A position is laid out [W (13·H) | b (H)], so a block's (s, 14, H)
+    reshape is [W; b], and `_pre_activations` of the rows [X, 1] gives the
+    bits of X @ W + b. This covers the gemv shapes (one row, H = 1) too."""
+    n_weights = dp.N_FEATURES * hidden
+    for s in (1, 7, 20):
+        rng = np.random.default_rng([hidden, s])
+        positions = rng.uniform(-1, 1, (s, n_weights + hidden))
+        W = positions[:, :n_weights].reshape(s, dp.N_FEATURES, hidden)
+        b = positions[:, n_weights:]
+        P = positions.reshape(s, dp.N_FEATURES + 1, hidden)
+        for rows in (0, 1, 61, 242, 3000):
+            X = rng.normal(size=(rows, dp.N_FEATURES))
+            out = np.empty((s, rows, hidden))
+            got = bl._pre_activations(np.column_stack([X, np.ones(rows)]), P, out)
+            assert got is out
+            assert same_bits(got, X @ W + b[:, None, :]), (s, rows)
+
+
+# name -> (rows, data seed, keyword arguments) of PSO-ELM fits whose swarm
+# products numpy sends to gemv: H = 1, and one fit row (a 3-row set); digests
+# recorded before the biases moved into the swarm's product
+GEMV_BASELINE_CASES = {
+    "pso-elm-hidden-1": (150, 131, dict(hidden_size=1, iterations=10, seed=31)),
+    "pso-elm-one-fit-row": (3, 103, dict(iterations=10, seed=3)),
+}
+
+EXPECTED_GEMV_BASELINES = {
+    "pso-elm-hidden-1": {
+        "hidden_weights": "ceb838cfefdf1194", "hidden_biases": "24f873f4bcfdee29",
+        "output_weights": "be75008c1f9b4594", "gbest_history": "a0708b87456b7109",
+        "max_solve_residual": "ec15db5744ce8f28", "predict_proba": "7e7e13458aefd687",
+    },
+    "pso-elm-one-fit-row": {
+        "hidden_weights": "bbe95673e4eac8b2", "hidden_biases": "52643bea3572954b",
+        "output_weights": "ad786c0631d16e49", "gbest_history": "a0708b87456b7109",
+        "max_solve_residual": "99e98c3ca9a6efa9", "predict_proba": "1b4e4910496ac148",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(GEMV_BASELINE_CASES))
+def test_gemv_shaped_swarms_keep_their_bits(name, monkeypatch):
+    monkeypatch.setitem(BASELINE_CASES, name, ("pso_elm", *GEMV_BASELINE_CASES[name]))
+    assert run_baseline_digests(name) == EXPECTED_GEMV_BASELINES[name]
+
+
 def test_swarm_results_do_not_depend_on_block_size(monkeypatch):
     dataset = noisy_dataset(60, 38)
     results = []
@@ -496,6 +544,9 @@ if __name__ == "__main__":
 
     pprint.pprint({name: run_digests(name) for name in sorted(CASES)}, sort_dicts=False)
     pprint.pprint({name: run_baseline_digests(name) for name in sorted(BASELINE_CASES)},
+                  sort_dicts=False)
+    BASELINE_CASES.update({name: ("pso_elm", *case) for name, case in GEMV_BASELINE_CASES.items()})
+    pprint.pprint({name: run_baseline_digests(name) for name in sorted(GEMV_BASELINE_CASES)},
                   sort_dicts=False)
     pprint.pprint({name: run_cv_digest(name) for name in sorted(CV_CASES)}, sort_dicts=False)
     pprint.pprint({name: run_dv_cv_digest(name) for name in sorted(DV_CV_CASES)},
