@@ -2,8 +2,8 @@
 particle-swarm-optimized extreme learning machine.
 
 scipy is imported at the first ELM ridge solve (`elm_solve_output`), not
-with this module: it is about two thirds of a fresh `import cardioseq.cli`
-(0.41 s with it against 0.14 s without, on a 2-core host with one BLAS
+with this module: `import scipy.linalg` takes 0.15-0.16 s against 0.08-0.09 s
+for a fresh `import cardioseq.cli` without it (2-core host, one BLAS
 thread), which every command but a PSO-ELM fit would otherwise pay for.
 """
 
@@ -138,8 +138,7 @@ def dv_logistic_train_folds(datasets, lr=0.1, epochs=2000):
     bits of the unstacked product only when its shape is unchanged. Errors
     name the model as `fold f` when there are several.
     """
-    if epochs < 0:
-        raise ValueError(f"epochs must be at least 0, got {epochs}")
+    tr.check_at_least(("epochs", epochs, 0))
     if not (math.isfinite(lr) and lr > 0):
         raise ValueError(f"lr must be finite and positive, got {lr}")
     groups = {}  # (n, D) -> [(model index, design matrix, fills, encoder)]
@@ -235,22 +234,18 @@ def solve_residual(A, B, output_weights):
     return float(np.abs(A @ output_weights - B).max())
 
 
-def _one_hot(y, n_classes=2):
-    out = np.zeros((y.shape[0], n_classes))
-    out[np.arange(y.shape[0]), y] = 1.0
-    return out
+def _one_hot(y):
+    return np.eye(2)[y]
 
 
 def _stratified_holdout(y, frac, rng):
-    fit_idx, val_idx = [], []
-    for cls in np.unique(y):
-        idx = np.flatnonzero(y == cls)
-        idx = idx[rng.permutation(idx.size)]
-        n_val = max(1, int(round(idx.size * frac)))
-        val_idx.extend(idx[:n_val].tolist())
-        fit_idx.extend(idx[n_val:].tolist())
-    return (np.array(sorted(fit_idx), dtype=np.int64),
-            np.array(sorted(val_idx), dtype=np.int64))
+    """Fit and validation row numbers, each ascending. Each class sends the
+    first round(frac · size) rows of its permutation, at least one, to
+    validation."""
+    val = np.zeros(y.size, dtype=bool)
+    for idx in dp.class_permutations(y, rng):
+        val[idx[: max(1, int(round(idx.size * frac)))]] = True
+    return np.flatnonzero(~val), np.flatnonzero(val)
 
 
 def pso_elm_train(dataset, hidden_size=32, swarm_size=20, iterations=50, seed=0):
@@ -267,12 +262,8 @@ def pso_elm_train_folds(datasets, seeds, hidden_size=32, swarm_size=20, iteratio
     whose errors name the model as `fold f` when there are several), then
     each swarm runs on its own with its own generator, as in a run of its own.
     """
-    for name, value, least in (("hidden_size", hidden_size, 1),
-                               ("swarm_size", swarm_size, 1),
-                               ("iterations", iterations, 0),
-                               *(("seed", seed, 0) for seed in seeds)):
-        if value < least:
-            raise ValueError(f"{name} must be at least {least}, got {value}")
+    tr.check_at_least(("hidden_size", hidden_size, 1), ("swarm_size", swarm_size, 1),
+                      ("iterations", iterations, 0), *(("seed", seed, 0) for seed in seeds))
     preprocessing = dp.fit_preprocessing(datasets)
     models = []
     for dataset, seed, (fills, imputed, scaler) in zip(datasets, seeds, preprocessing):
@@ -308,21 +299,20 @@ def _swarm_fit(X, y, rng, hidden_size, swarm_size, iterations):
     hidden-layer array, one stacked solve per block, with the same results as
     scoring them one by one.
 
-    A position is laid out [W (13·H) | b (H)], so its (14, H) reshape is
-    [W; b], and the fit and validation rows carry a trailing ones column:
-    `_pre_activations` then adds the biases inside the product. A separate
-    broadcast add of b, with its inner run of only H elements, takes
-    numpy's slow buffered path and cost as much as the product. The fit and
-    validation workspaces stay separate: one combined workspace, with its
-    larger sigmoid scratch, measured slower and lost the gain.
+    A position is a (14, H) array [W; b], and the fit and validation rows
+    carry a trailing ones column: `_pre_activations` then adds the biases
+    inside the product. A separate broadcast add of b, with its inner run of
+    only H elements, takes numpy's slow buffered path and cost as much as
+    the product. The fit and validation workspaces stay separate: one
+    combined workspace, with its larger sigmoid scratch, measured slower and
+    lost the gain.
     """
     fit_idx, val_idx = _stratified_holdout(y, 0.2, rng)
     X_fit, X_val = (np.column_stack([X[idx], np.ones(idx.size)]) for idx in (fit_idx, val_idx))
     y_val = y[val_idx]
     Y_fit = _one_hot(y[fit_idx])
 
-    n_weights = dp.N_FEATURES * hidden_size
-    dim = n_weights + hidden_size
+    shape = (swarm_size, dp.N_FEATURES + 1, hidden_size)  # positions [W; b]
     residuals = []
     # a particle's fit and validation arrays hold X.shape[0] rows together
     block = min(swarm_size, max(1, SWARM_BLOCK_ELEMENTS // (X.shape[0] * hidden_size)))
@@ -333,7 +323,7 @@ def _swarm_fit(X, y, rng, hidden_size, swarm_size, iterations):
     def swarm_fitness(positions):
         fit = np.empty(swarm_size)
         for start in range(0, swarm_size, block):
-            P = positions[start : start + block].reshape(-1, dp.N_FEATURES + 1, hidden_size)
+            P = positions[start : start + block]
             s = P.shape[0]
             A, B = normal_equations(_sigmoid(_pre_activations(X_fit, P, z_fit[:s])), Y_fit)
             out_w = elm_solve_output(A, B)
@@ -344,25 +334,18 @@ def _swarm_fit(X, y, rng, hidden_size, swarm_size, iterations):
 
     bound = 1.0
     v_max = 0.5 * bound
-    positions = rng.uniform(-bound, bound, size=(swarm_size, dim))
-    velocities = np.zeros((swarm_size, dim))
-    pbest = positions.copy()
-    pbest_fit = swarm_fitness(positions)
-    g = int(pbest_fit.argmax())
-    gbest = pbest[g].copy()
-    gbest_fit = float(pbest_fit[g])
-    history = [gbest_fit]
-
-    for _ in range(iterations):
-        r1 = rng.random((swarm_size, dim))
-        r2 = rng.random((swarm_size, dim))
-        velocities = (
-            PSO_INERTIA * velocities
-            + PSO_COGNITIVE * r1 * (pbest - positions)
-            + PSO_SOCIAL * r2 * (gbest - positions)
-        )
-        np.clip(velocities, -v_max, v_max, out=velocities)
-        positions = positions + velocities
+    positions = rng.uniform(-bound, bound, size=shape)
+    velocities = np.zeros(shape)
+    pbest, pbest_fit = positions.copy(), np.full(swarm_size, -np.inf)
+    gbest, gbest_fit = None, -np.inf
+    history = []
+    for step in range(iterations + 1):
+        if step:  # the first pass scores the initial swarm
+            r1, r2 = rng.random((2, *shape))
+            velocities = (PSO_INERTIA * velocities + PSO_COGNITIVE * r1 * (pbest - positions)
+                          + PSO_SOCIAL * r2 * (gbest - positions))
+            np.clip(velocities, -v_max, v_max, out=velocities)
+            positions = positions + velocities
         # the same bests as updating in canonical particle order: gbest moves
         # to the first particle with the best fitness, if that beats it
         f = swarm_fitness(positions)
@@ -375,7 +358,7 @@ def _swarm_fit(X, y, rng, hidden_size, swarm_size, iterations):
             gbest = positions[g].copy()
         history.append(gbest_fit)
 
-    W, b = gbest[:n_weights].reshape(dp.N_FEATURES, hidden_size), gbest[n_weights:]
+    W, b = gbest[:-1], gbest[-1]
     A, B = normal_equations(_sigmoid(X @ W + b), _one_hot(y))
     out_w = elm_solve_output(A, B)
     residuals.append(solve_residual(A, B, out_w))

@@ -343,6 +343,13 @@ def fit_preprocessing(datasets):
     return fitted
 
 
+def class_permutations(labels, rng):
+    """Each class's row numbers in a random order, classes ascending: one
+    `rng.permutation` per class, drawn in that order."""
+    rows = [np.flatnonzero(labels == c) for c in np.unique(labels)]
+    return [idx[rng.permutation(idx.size)] for idx in rows]
+
+
 def scale_values(values, stats):
     """Z-score a raw (n, 13) array with fitted statistics."""
     safe_std = np.where(stats.constant, 1.0, stats.std)

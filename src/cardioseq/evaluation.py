@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import baselines as bl
+from . import data as dp
 from . import training as tr
 from .errors import NonFiniteProbabilityError, TooFewSamplesError
 
@@ -70,29 +71,21 @@ class ComparisonTable:
 def kfold_split(dataset, k=10, seed=0):
     """Seeded fold assignment; stratified by class unless a class is too
     small (then unstratified with a warning). Fold sizes differ by at most 1."""
-    if k < 2:
-        raise ValueError(f"k must be at least 2, got {k}")
-    if seed < 0:
-        raise ValueError(f"seed must be at least 0, got {seed}")
+    tr.check_at_least(("k", k, 2), ("seed", seed, 0))
     n = len(dataset)
     if n < k:
         raise TooFewSamplesError(f"{n} records cannot fill {k} folds")
     labels = dataset.labels
-    rng = np.random.default_rng(seed)
-    assignments = np.empty(n, dtype=np.int64)
-
-    if all(np.sum(labels == c) >= k / 2 for c in np.unique(labels)):
-        # round-robin per class, continuing the fold offset across classes
-        # so overall fold sizes stay balanced
-        offset = 0
-        for cls in np.unique(labels):
-            idx = np.flatnonzero(labels == cls)
-            idx = idx[rng.permutation(idx.size)]
-            assignments[idx] = (offset + np.arange(idx.size)) % k
-            offset = (offset + idx.size) % k
-    else:
+    if np.unique(labels, return_counts=True)[1].min() < k / 2:
         warnings.warn("class too small for stratification; using plain folds")
-        assignments[rng.permutation(n)] = np.arange(n) % k
+        labels = np.zeros(n, dtype=np.int64)  # all rows one class: one permutation
+    # round-robin per class, continuing the fold offset across classes so
+    # overall fold sizes stay balanced
+    assignments = np.empty(n, dtype=np.int64)
+    offset = 0
+    for idx in dp.class_permutations(labels, np.random.default_rng(seed)):
+        assignments[idx] = (offset + np.arange(idx.size)) % k
+        offset = (offset + idx.size) % k
     return FoldPlan(k=k, seed=seed, assignments=assignments)
 
 
@@ -126,7 +119,7 @@ def cross_validate(dataset, model_kind, hyper=tr.Hyperparams(), k=10, seed=0):
     return CvReport(
         model_kind=model_kind, k=k, seed=seed,
         fold_accuracy=fold_accuracy, fold_confusion=fold_confusion,
-        hyper_summary=repr(hyper) if model_kind == "cnn" else "defaults",
+        hyper_summary=repr(replace(hyper, seed=seed)) if model_kind == "cnn" else "defaults",
     )
 
 

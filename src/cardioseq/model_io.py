@@ -5,7 +5,8 @@ Model-file layout: a `cardioseq-model v1` header, a `model-kind` line,
 `param` lines for scalar settings, then `tensor <name> <rows> <cols>`
 blocks with row-major decimal values at 17 significant digits. Vectors are
 stored as one-row tensors. Loading checks every param and tensor shape
-against the model kind and names the offending line.
+against the model kind, refuses a repeated `model-kind` line, param or
+tensor, and names the offending line.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from . import baselines as bl
 from . import data as dp
 from . import network as nn
 from . import training as tr
-from .errors import ArityMismatchError, ModelFileError
+from .errors import ModelFileError
 
 HEADER = "cardioseq-model v1"
 
@@ -65,6 +66,13 @@ class _Sections:
     def __init__(self):
         self.params, self.tensors = {}, {}  # name -> (line number, value)
 
+    def add(self, section, name, line, value):
+        """Record param or tensor `name` read at `line`; a name read before raises."""
+        table = self.params if section == "param" else self.tensors
+        if name in table:
+            raise ModelFileError(f"line {line}: {section} {name!r} repeats line {table[name][0]}")
+        table[name] = (line, value)
+
     def param(self, name, convert):
         line, text = self.params[name]
         try:
@@ -97,12 +105,14 @@ def _parse(lines):
         if not line:
             continue
         if line.startswith("model-kind "):
-            kind = line.split(None, 1)[1]
+            if kind is not None:
+                raise ModelFileError(f"line {i}: model-kind repeats line {kind[0]}")
+            kind = (i, line.split(None, 1)[1])
         elif line.startswith("param "):
             _, key, *value = line.split(None, 2)
             if not value:
                 raise ModelFileError(f"line {i}: param {key!r}: no value")
-            sections.params[key] = (i, value[0])
+            sections.add("param", key, i, value[0])
         elif line.startswith("tensor "):
             parts = line.split()
             if len(parts) != 4 or not (parts[2].isdigit() and parts[3].isdigit()):
@@ -120,13 +130,13 @@ def _parse(lines):
                     raise ModelFileError(f"{where}: unparseable value") from None
                 if len(data[-1]) != cols or not np.isfinite(data[-1]).all():
                     raise ModelFileError(f"{where}: expected {cols} finite values")
-            sections.tensors[name] = (i, np.array(data).reshape(rows, cols))
+            sections.add("tensor", name, i, np.array(data).reshape(rows, cols))
             i += rows
         else:
             raise ModelFileError(f"line {i}: unrecognized line: {line!r}")
     if kind is None:
         raise ModelFileError("model-kind line missing")
-    return kind, sections
+    return kind[1], sections
 
 
 def _scaler_tensors(scaler, prefix="scaler"):
@@ -235,5 +245,3 @@ def load_model(path):
         return KINDS[kind][2](sections)
     except KeyError as exc:
         raise ModelFileError(f"{kind} model file lacks {exc.args[0]!r}") from None
-    except (ValueError, ArityMismatchError) as exc:  # the models' own checks
-        raise ModelFileError(f"{kind} model file: {exc}") from None

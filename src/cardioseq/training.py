@@ -80,6 +80,14 @@ _CODECS = {float: (lambda v: repr(float(v)), partial(parse_number, float)),
            tuple: (nn.format_pool_mode, nn.parse_pool_mode)}
 
 
+def check_at_least(*checks):
+    """Raise a ValueError that names the first (name, value, least) whose
+    value is below its least: the one wording of every such range check."""
+    for name, value, least in checks:
+        if value < least:
+            raise ValueError(f"{name} must be at least {least}, got {value}")
+
+
 @dataclass(frozen=True)
 class Hyperparams:
     """The CNN's settings: the one place that states each default and range."""
@@ -97,10 +105,8 @@ class Hyperparams:
             raise ValueError(f"learning_rate must be finite and positive, got {self.learning_rate}")
         if not 0 <= self.dropout_rate < 1:
             raise ValueError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
-        for name, least in (("epochs", 0), ("batch_size", 1), ("kernels_per_width", 1),
-                            ("seed", 0)):
-            if getattr(self, name) < least:
-                raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)}")
+        check_at_least(("epochs", self.epochs, 0), ("batch_size", self.batch_size, 1),
+                       ("kernels_per_width", self.kernels_per_width, 1), ("seed", self.seed, 0))
 
     def texts(self):
         """Field name -> the field's value as text, which `with_text` reads back."""

@@ -503,6 +503,47 @@ def test_gemv_shaped_swarms_keep_their_bits(name, monkeypatch):
     assert run_baseline_digests(name) == EXPECTED_GEMV_BASELINES[name]
 
 
+# name -> (models in a stack, or None for one model, batch rows, pool mode, seed)
+# of one backward pass with one kernel per width (K = 1) and several pool
+# windows. There each bank's weight-gradient einsum sums in an order that
+# follows its operands' layout, which `network.bank_windows` (width 1 is the
+# batch itself) and `network.model_backward` (a C-contiguous copy per bank)
+# fix. A trained tensor barely shows it: a one-ulp gradient difference is
+# mostly lost when Adam's small update is subtracted, so these pin the
+# gradients themselves.
+K1_GRADIENT_CASES = {
+    "one-model-3-2": (None, 16, ("windowed", 3, 2), 1),
+    "one-model-2-2": (None, 273, ("windowed", 2, 2), 2),
+    "stack-1-5-1": (1, 64, ("windowed", 5, 1), 3),
+    "stack-10-5-1": (10, 16, ("windowed", 5, 1), 4),
+    "stack-3-1-1": (3, 64, ("windowed", 1, 1), 5),
+}
+
+
+def run_k1_gradient_digest(name):
+    models, rows, pool_mode, seed = K1_GRADIENT_CASES[name]
+    rng = np.random.default_rng(seed)
+    lead = () if models is None else (models,)
+    X = rng.normal(size=lead + (rows, dp.N_FEATURES))
+    y = rng.integers(0, 2, size=lead + (rows,))
+    stack = [nn.init_params(1, rng, pool_mode) for _ in range(models or 1)]
+    params = stack[0] if models is None else nn.ModelParams.stack(stack)
+    _, cache = nn.forward_batch(X, params, pool_mode=pool_mode)
+    return digest(nn.model_backward(cache, y).flat)
+
+
+EXPECTED_K1_GRADIENTS = {
+    "one-model-2-2": "346e5ae084609c0b", "one-model-3-2": "8512deadb1ba0f81",
+    "stack-1-5-1": "ef1e6694fa5d84ed", "stack-10-5-1": "8de3f44e771cdc2d",
+    "stack-3-1-1": "76e8debc83c5e9a6",
+}
+
+
+@pytest.mark.parametrize("name", sorted(K1_GRADIENT_CASES))
+def test_one_kernel_several_window_gradients_pinned(name):
+    assert run_k1_gradient_digest(name) == EXPECTED_K1_GRADIENTS[name]
+
+
 def test_swarm_results_do_not_depend_on_block_size(monkeypatch):
     dataset = noisy_dataset(60, 38)
     results = []
@@ -547,6 +588,8 @@ if __name__ == "__main__":
                   sort_dicts=False)
     BASELINE_CASES.update({name: ("pso_elm", *case) for name, case in GEMV_BASELINE_CASES.items()})
     pprint.pprint({name: run_baseline_digests(name) for name in sorted(GEMV_BASELINE_CASES)},
+                  sort_dicts=False)
+    pprint.pprint({name: run_k1_gradient_digest(name) for name in sorted(K1_GRADIENT_CASES)},
                   sort_dicts=False)
     pprint.pprint({name: run_cv_digest(name) for name in sorted(CV_CASES)}, sort_dicts=False)
     pprint.pprint({name: run_dv_cv_digest(name) for name in sorted(DV_CV_CASES)},

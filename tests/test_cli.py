@@ -59,6 +59,14 @@ class TestValidate:
     def test_missing_data_flag(self, capsys):
         assert cli.main(["validate"]) == 2
 
+    def test_missing_values_listed_per_column(self, tmp_path, capsys):
+        p = tmp_path / "c.data"
+        p.write_text(CLEVELAND_ROWS)
+        assert cli.main(["validate", "--data", str(p), "--dialect", "cleveland"]) == 0
+        assert capsys.readouterr().out == (
+            "10 records\nclass balance: 5 absence, 5 presence\n"
+            "missing values per column:\n  age: 1\n  ca: 1\n  thal: 1\n")
+
     def test_non_finite_token_names_line(self, tmp_path, capsys):
         p = tmp_path / "bad.dat"
         p.write_text("70 1 4 130 322 0 2 109 0 2.4 2 3 3 2\n"
@@ -305,6 +313,16 @@ class TestCompare:
             f"error: --k: {statlog_file}: 80 records cannot fill 400 folds\n")
         assert not out.exists()
 
+
+    def test_dialect_count_must_match_data_files(self, statlog_file, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = cli.main(["compare", "--data", f"{statlog_file},{statlog_file}",
+                         "--dialect", "statlog,statlog,statlog", "--model", "dv_logistic",
+                         "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: --dialect: give one dialect or one per data file\n")
+        assert not out.exists()
 
     def test_shared_file_name_rejected_before_any_work(self, tmp_path, capsys, monkeypatch):
         """Each --data entry needs its own column: the first of a dialect is named

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cardioseq import cli
+from cardioseq import cli, synthetic
 from cardioseq import data as dp
 from cardioseq.errors import (
     AllMissingColumnError,
@@ -445,3 +445,42 @@ class TestFitPreprocessing:
             dp.fit_preprocessing([one_class])
         with pytest.raises(AllMissingColumnError):
             dp.fit_preprocessing([all_missing])
+
+
+class TestArgumentChecks:
+    def test_unknown_dialect(self, tmp_path):
+        p = tmp_path / "heart.dat"
+        p.write_text("70 1 4 130 322 0 2 109 0 2.4 2 3 3 2\n")
+        with pytest.raises(ValueError, match="^unknown dialect 'csv'$"):
+            dp.parse_dataset(p, "csv")
+
+    @pytest.mark.parametrize("rows, fills", [
+        (np.zeros(13), np.zeros(13)),
+        (np.zeros((2, 12)), np.zeros(13)),
+        (np.zeros((2, 13)), np.zeros(12)),
+    ])
+    def test_impute_array_needs_n_by_13_rows_and_13_fills(self, rows, fills):
+        with pytest.raises(ArityMismatchError, match=r"^expected \(n, 13\) rows and 13 fill"):
+            dp.impute_array(rows, fills)
+
+    def test_scaler_of_an_empty_dataset(self):
+        with pytest.raises(EmptyDatasetError, match="^cannot fit a scaler on an empty dataset$"):
+            dp.fit_scaler(dp.Dataset(np.empty((0, 13)), np.empty(0)))
+
+    def test_negative_spread(self):
+        with pytest.raises(ArityMismatchError, match="must be non-negative"):
+            dp.ScalerStats(mean=np.zeros(13), std=np.full(13, -1.0))
+
+    def test_spike_must_exceed_the_background(self):
+        with pytest.raises(ValueError, match="^spike must exceed"):
+            synthetic.separable_dataset(10, spike=13 * 0.1)
+
+
+def test_class_permutations_draw_one_permutation_per_class_in_class_order():
+    labels = np.array([1, 0, 1, 1, 0, 1, 0])
+    got = dp.class_permutations(labels, np.random.default_rng(3))
+    rng = np.random.default_rng(3)
+    zeros, ones = np.array([1, 4, 6]), np.array([0, 2, 3, 5])
+    expected = [zeros[rng.permutation(3)], ones[rng.permutation(4)]]
+    assert [a.tolist() for a in got] == [a.tolist() for a in expected]
+    assert [a.tolist() for a in dp.class_permutations(np.zeros(0, dtype=int), rng)] == []

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -90,6 +92,10 @@ class TestKfoldSplit:
         with pytest.raises(TooFewSamplesError):
             ev.kfold_split(ds, k=10)
 
+    def test_k_below_2_names_the_field(self):
+        with pytest.raises(ValueError, match="^k must be at least 2, got 1$"):
+            ev.kfold_split(random_dataset(20, seed=1), k=1)
+
     def test_negative_seed_names_the_field(self):
         with pytest.raises(ValueError, match="^seed must be at least 0, got -1$"):
             ev.cross_validate(random_dataset(20, seed=1), "dv_logistic", k=2, seed=-1)
@@ -153,6 +159,15 @@ class TestCrossValidate:
         np.testing.assert_array_equal(
             dp.fit_scaler(a).mean, dp.fit_scaler(b).mean
         )
+
+    def test_report_states_the_seed_it_ran_with(self, separable):
+        """The folds train from the CV seed, not from `hyper.seed`, and the
+        report's hyperparameter line says so."""
+        report = ev.cross_validate(separable, "cnn", hyper=FAST_HYPER, k=4, seed=2)
+        lines = ev.report_to_text(report).splitlines()
+        assert lines[0] == "model: cnn   k: 4   seed: 2"
+        assert lines[1] == f"hyper: {replace(FAST_HYPER, seed=2)!r}"
+        assert lines[1].endswith(", seed=2)") and FAST_HYPER.seed == 0
 
     def test_cnn_kind_runs_end_to_end(self, separable):
         report = ev.cross_validate(separable, "cnn", hyper=FAST_HYPER, k=5, seed=2)

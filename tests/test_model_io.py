@@ -141,6 +141,18 @@ def _cnn_params(m, name, tensor):
     return replace(m, params=nn.ModelParams.from_tensors({**m.params.tensors(), name: tensor}))
 
 
+def _repeat(header, value="9"):
+    """Append a second block of the tensor whose header line starts with
+    `header`, each of its values `value`, or a second param line `header`."""
+    def edit(text):
+        if header.startswith("param "):
+            return text + header + "\n"
+        (line,) = [line for line in text.splitlines() if line.startswith(header + " ")]
+        rows, cols = map(int, line.split()[2:])
+        return text + "\n".join([line] + [" ".join([value] * cols)] * rows) + "\n"
+    return edit
+
+
 TINY_STD = np.full(13, 1e-320)
 
 # id -> (kind, offending name, model edit, file-text edit): files whose
@@ -194,6 +206,12 @@ BROKEN_FILES = {
     "elm-scaler_std-tiny": (
         "pso_elm", "scaler_std", lambda m: replace(m, scaler=replace(m.scaler, std=TINY_STD)),
         None),
+    # a second section of one name: neither copy may silently win
+    "elm-output_weights-repeated": (
+        "pso_elm", "output_weights", None, _repeat("tensor output_weights")),
+    "dv-weights-repeated": ("dv_logistic", "weights", None, _repeat("tensor weights", "0")),
+    "cnn-param-repeated": (
+        "cnn", "learning_rate", None, _repeat("param learning_rate 0.5")),
 }
 
 
@@ -209,6 +227,72 @@ def test_inconsistent_model_file_names_line(tmp_path, capsys, fitted_models, cas
     captured = capsys.readouterr()
     assert re.search(rf"line \d+: (param|tensor) '{name}'", captured.err), captured.err
     assert "p = " not in captured.out
+
+
+def test_repeated_section_names_both_lines(tmp_path, capsys, fitted_models):
+    """A PSO-ELM file with a second `output_weights` block of 9s would score
+    every record p = 0.5 if the last block won."""
+    path = tmp_path / "m.txt"
+    model_io.save_model(path, fitted_models["pso_elm"])
+    lines = path.read_text().splitlines()
+    first = 1 + next(i for i, line in enumerate(lines) if line.startswith("tensor output_weights"))
+    path.write_text(_repeat("tensor output_weights")(path.read_text()))
+    assert cli.main(["predict", str(path), ",".join(["1"] * 13)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: line {len(lines) + 1}: tensor 'output_weights' "
+                            f"repeats line {first}\n")
+    assert captured.out == ""
+
+
+def test_repeated_model_kind_names_both_lines(tmp_path, capsys, fitted_models):
+    """A stray second `model-kind` line is named as such, not as a missing param
+    of the kind it names."""
+    path = tmp_path / "m.txt"
+    model_io.save_model(path, fitted_models["pso_elm"])
+    lines = path.read_text().splitlines() + ["model-kind cnn"]
+    path.write_text("\n".join(lines) + "\n")
+    assert cli.main(["predict", str(path), ",".join(["1"] * 13)]) == 2
+    assert capsys.readouterr().err == f"error: line {len(lines)}: model-kind repeats line 2\n"
+
+
+def test_blank_lines_are_skipped(tmp_path, mixed, fitted_models):
+    model = fitted_models["dv_logistic"]
+    path = tmp_path / "m.txt"
+    model_io.save_model(path, model)
+    # a blank line before every section and at the end; none inside a tensor block
+    text = re.sub(r"^(?=model-kind|param|tensor)", "\n", path.read_text(), flags=re.M)
+    path.write_text(text + "\n")
+    assert text.count("\n\n") >= 4
+    loaded = model_io.load_model(path)
+    assert _same_bits(loaded.predict_proba(mixed.X), model.predict_proba(mixed.X))
+
+
+@pytest.mark.parametrize("kind_line, message", [
+    (None, "model-kind line missing"),
+    ("model-kind svm", "unknown model-kind 'svm'"),
+])
+def test_model_kind_must_be_one_of_the_kinds(tmp_path, fitted_models, kind_line, message):
+    path = tmp_path / "m.txt"
+    model_io.save_model(path, fitted_models["pso_elm"])
+    lines = path.read_text().splitlines()
+    lines[1:2] = [kind_line] if kind_line else []
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ModelFileError, match=f"^{message}$"):
+        model_io.load_model(path)
+
+
+def test_save_of_a_non_model_rejected(tmp_path):
+    path = tmp_path / "m.txt"
+    with pytest.raises(ModelFileError, match="^cannot serialize dict$"):
+        model_io.save_model(path, {"weights": [1.0]})
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_atomic_write_failure_leaves_no_file(tmp_path):
+    target = tmp_path / "out.txt"
+    with pytest.raises(UnicodeEncodeError):
+        model_io.atomic_write(target, "caf\u00e9\n")  # files are written as ASCII
+    assert list(tmp_path.iterdir()) == []
 
 
 # Small models of each kind with settings away from the defaults.

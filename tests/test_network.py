@@ -368,6 +368,11 @@ class TestModelForward:
 
 
 class TestModelBackward:
+    def test_label_count_must_match_the_batch(self, rng):
+        _, cache = nn.forward_batch(rng.standard_normal((4, 13)), nn.init_params(2, rng))
+        with pytest.raises(ShapeMismatchError, match="^label count does not match batch size$"):
+            nn.model_backward(cache, [0, 1, 0])
+
     @pytest.mark.parametrize("models", [None, 3])
     def test_gradients_are_views_of_one_buffer_laid_out_like_the_parameters(self, models, rng):
         lead = () if models is None else (models,)
