@@ -55,12 +55,10 @@ def _sigmoid(z):
 
 @dataclass
 class DummyEncoder:
-    """Reference-category dummy coding for categorical columns, Z-score for
-    numeric ones (with the training set's scaler). Unseen test categories map
-    to all-zero indicators."""
+    """Reference-category dummy coding for categorical columns; numeric columns
+    pass through Z-scored. Unseen test categories map to all-zero indicators."""
 
     categories: dict  # column index -> sorted observed category values
-    scaler: dp.ScalerStats
     categorical_mask: tuple
 
     @property
@@ -68,9 +66,9 @@ class DummyEncoder:
         return sum(len(self.categories[j]) - 1 if is_cat else 1
                    for j, is_cat in enumerate(self.categorical_mask))
 
-    def transform(self, raw):
-        raw = np.atleast_2d(np.asarray(raw, dtype=float))
-        scaled = dp.scale_values(raw, self.scaler)
+    def transform(self, raw, scaled):
+        """The design matrix of imputed (n, 13) rows `raw`, whose Z-scored
+        copy `scaled` gives the numeric columns."""
         cols = []
         for j, is_cat in enumerate(self.categorical_mask):
             if is_cat:
@@ -83,21 +81,17 @@ class DummyEncoder:
         return np.column_stack(cols)
 
 
-def fit_dummy_encoder(dataset, scaler):
-    """The encoder of an imputed dataset: its observed categories, and the
-    scaler fit on it."""
+def dummy_encode(dataset, scaled=None):
+    """Imputed dataset -> (design matrix, encoder of its observed categories).
+    The numeric columns come from `scaled`, the dataset's rows Z-scored by
+    `data.fit_preprocessing`, which is fit here on the dataset when not given."""
     raw = dataset.feature_array()
+    if scaled is None:
+        scaled = dp.fit_preprocessing([dataset])[0][3]
     categories = {j: sorted(set(raw[:, j].tolist())) if is_cat else []
                   for j, is_cat in enumerate(dataset.categorical_mask)}
-    return DummyEncoder(categories, scaler, dataset.categorical_mask)
-
-
-def dummy_encode(dataset, encoder=None):
-    """Imputed dataset -> (design matrix, encoder). Fits the encoder (and its
-    scaler) when not given."""
-    if encoder is None:
-        encoder = fit_dummy_encoder(dataset, dp.fit_scaler(dataset))
-    return encoder.transform(dataset.feature_array()), encoder
+    encoder = DummyEncoder(categories, dataset.categorical_mask)
+    return encoder.transform(raw, scaled), encoder
 
 
 @dataclass
@@ -105,12 +99,10 @@ class DvLogisticModel(tr.Classifier):
     encoder: DummyEncoder
     weights: np.ndarray
     bias: float
-    fill_values: np.ndarray
 
-    def predict_proba(self, X):
-        """[1 - p, p] per raw (n, 13) row (NaN = missing), p the logistic output."""
-        design = self.encoder.transform(dp.impute_array(X, self.fill_values))
-        p = _sigmoid(design @ self.weights + self.bias)
+    def _proba(self, raw, scaled):
+        """[1 - p, p] per row, p the logistic output."""
+        p = _sigmoid(self.encoder.transform(raw, scaled) @ self.weights + self.bias)
         return np.column_stack([1.0 - p, p])
 
     def scores(self, dataset):
@@ -141,10 +133,10 @@ def dv_logistic_train_folds(datasets, lr=0.1, epochs=2000):
     tr.check_at_least(("epochs", epochs, 0))
     if not (math.isfinite(lr) and lr > 0):
         raise ValueError(f"lr must be finite and positive, got {lr}")
-    groups = {}  # (n, D) -> [(model index, design matrix, fills, encoder)]
-    for f, (fills, imputed, scaler) in enumerate(dp.fit_preprocessing(datasets)):
-        X, encoder = dummy_encode(imputed, fit_dummy_encoder(imputed, scaler))
-        groups.setdefault(X.shape, []).append((f, X, fills, encoder))
+    groups = {}  # (n, D) -> [(model index, design matrix, fills, scaler, encoder)]
+    for f, (fills, imputed, scaler, scaled) in enumerate(dp.fit_preprocessing(datasets)):
+        X, encoder = dummy_encode(imputed, scaled)
+        groups.setdefault(X.shape, []).append((f, X, fills, scaler, encoder))
 
     models = [None] * len(datasets)
     for (n, D), members in groups.items():
@@ -165,9 +157,9 @@ def dv_logistic_train_folds(datasets, lr=0.1, epochs=2000):
             g /= n
             w -= g
             b -= lr * (np.add.reduce(err, -1) / n)
-        for i, (f, _, fills, encoder) in enumerate(members):
-            models[f] = DvLogisticModel(encoder=encoder, weights=w[i, :, 0].copy(),
-                                        bias=float(b[i]), fill_values=fills)
+        for i, (f, _, fills, scaler, encoder) in enumerate(members):
+            models[f] = DvLogisticModel(fill_values=fills, scaler=scaler, encoder=encoder,
+                                        weights=w[i, :, 0].copy(), bias=float(b[i]))
     return models
 
 
@@ -180,25 +172,22 @@ class ElmModel(tr.Classifier):
     hidden_weights: np.ndarray  # (13, H), fixed after optimization
     hidden_biases: np.ndarray  # (H,)
     output_weights: np.ndarray  # (H, 2), closed-form least squares
-    fill_values: np.ndarray
-    scaler: dp.ScalerStats
     gbest_history: list = field(default_factory=list)
     max_solve_residual: float = 0.0
 
-    def _scores(self, X):
-        x = dp.scale_values(dp.impute_array(X, self.fill_values), self.scaler)
-        return _sigmoid(x @ self.hidden_weights + self.hidden_biases) @ self.output_weights
+    def _scores(self, scaled):
+        return _sigmoid(scaled @ self.hidden_weights + self.hidden_biases) @ self.output_weights
 
-    def predict_proba(self, X):
-        """Softmax of the least-squares output scores per raw (n, 13) row
-        (NaN = missing). These are ordered like the scores but not calibrated:
-        the output layer is fit to one-hot targets, not to likelihoods."""
-        return nn.softmax(self._scores(X))
+    def _proba(self, raw, scaled):
+        """Softmax of the least-squares output scores per row. These are ordered
+        like the scores but not calibrated: the output layer is fit to one-hot
+        targets, not to likelihoods."""
+        return nn.softmax(self._scores(scaled))
 
     def outputs(self, dataset):
         """Output scores per row of a dataset; kept for the scaled_fit check in
         benchmarks/workloads.py."""
-        return self._scores(dataset.X)
+        return self._scores(self._preprocess(dataset.X)[1])
 
 
 def normal_equations(hidden_activations, targets, ridge=ELM_RIDGE):
@@ -266,8 +255,7 @@ def pso_elm_train_folds(datasets, seeds, hidden_size=32, swarm_size=20, iteratio
                       ("iterations", iterations, 0), *(("seed", seed, 0) for seed in seeds))
     preprocessing = dp.fit_preprocessing(datasets)
     models = []
-    for dataset, seed, (fills, imputed, scaler) in zip(datasets, seeds, preprocessing):
-        X = dp.scale_values(imputed.feature_array(), scaler)
+    for dataset, seed, (fills, _, scaler, X) in zip(datasets, seeds, preprocessing):
         fitted = _swarm_fit(X, dataset.labels, np.random.default_rng(seed),
                             hidden_size, swarm_size, iterations)
         models.append(ElmModel(fill_values=fills, scaler=scaler, **fitted))

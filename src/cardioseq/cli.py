@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -238,6 +239,12 @@ def _add_common(parser):
     parser.add_argument("--config", help="key = value config file")
 
 
+def _show_warning(message, *_):
+    """`warnings.showwarning` in `main`: a warning that the filters let through
+    shows as one `warning: MESSAGE` line, as an error does."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="cardioseq",
@@ -255,17 +262,19 @@ def main(argv=None):
                       help="13 comma-separated values, ? = missing")
 
     args = parser.parse_args(argv)
-    try:
-        if args.command == "predict":
-            return cmd_predict(args)
-        return COMMANDS[args.command](build_config(args))
-    except (OSError, ValueError, CardioseqError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        input_error = isinstance(exc, (OSError, ValueError, InputError))
-        return EXIT_INPUT_ERROR if input_error else EXIT_RUNTIME_ERROR
-    except MemoryError:
-        print(f"error: out of memory in {args.command}", file=sys.stderr)
-        return EXIT_RUNTIME_ERROR
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning
+        try:
+            if args.command == "predict":
+                return cmd_predict(args)
+            return COMMANDS[args.command](build_config(args))
+        except (OSError, ValueError, CardioseqError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            input_error = isinstance(exc, (OSError, ValueError, InputError))
+            return EXIT_INPUT_ERROR if input_error else EXIT_RUNTIME_ERROR
+        except MemoryError:
+            print(f"error: out of memory in {args.command}", file=sys.stderr)
+            return EXIT_RUNTIME_ERROR
 
 
 if __name__ == "__main__":

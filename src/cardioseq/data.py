@@ -323,7 +323,9 @@ def fit_scaler(data):
 
 def fit_preprocessing(datasets):
     """The preprocessing fit of every model kind, for each training set:
-    (fill values, the set imputed with them, scaler of the imputed set).
+    (fill values, the set imputed with them, scaler of the imputed set, the
+    imputed rows Z-scored with it): the one place a training set is scaled.
+    A model holds the fill values and scaler (`training.Classifier`).
 
     Every set must hold both classes, checked before anything is fit. An
     error names the set as `fold f` when there are several.
@@ -337,9 +339,10 @@ def fit_preprocessing(datasets):
         try:
             fills = fill_values(dataset)
             imputed = impute_with_values(dataset, fills)
-            fitted.append((fills, imputed, fit_scaler(imputed)))
+            scaler = fit_scaler(imputed)
         except (AllMissingColumnError, ColumnOverflowError) as exc:
             raise type(exc)(f"{name}{exc}") from None
+        fitted.append((fills, imputed, scaler, scale_values(imputed.X, scaler)))
     return fitted
 
 

@@ -143,10 +143,11 @@ def _scaler_tensors(scaler, prefix="scaler"):
     return {f"{prefix}_mean": scaler.mean, f"{prefix}_std": scaler.std}
 
 
-def _read_scaler(sections, prefix="scaler"):
-    """The scaler. A spread that is negative, or nonzero with an infinite
-    reciprocal (a value off the mean would scale to inf), names its line:
-    `data.fit_scaler` never gives one."""
+def _read_preprocessing(sections, prefix):
+    """The `Classifier` fields `fill_values` and `scaler`, its tensors named
+    `<prefix>_mean` and `<prefix>_std`. A spread that is negative, or nonzero
+    with an infinite reciprocal (a value off the mean would scale to inf),
+    names its line: `data.fit_scaler` never gives one."""
     name = f"{prefix}_std"
     std = sections.vector(name, dp.N_FEATURES)
     with np.errstate(divide="ignore", over="ignore"):
@@ -155,7 +156,8 @@ def _read_scaler(sections, prefix="scaler"):
         raise ModelFileError(f"line {sections.tensors[name][0]}: tensor {name!r}: column "
                              f"{dp.FEATURE_NAMES[bad[0]]!r} has spread {float(std[bad[0]])!r}, "
                              "which is negative or too small to scale by")
-    return dp.ScalerStats(mean=sections.vector(f"{prefix}_mean", dp.N_FEATURES), std=std)
+    scaler = dp.ScalerStats(mean=sections.vector(f"{prefix}_mean", dp.N_FEATURES), std=std)
+    return {"scaler": scaler, "fill_values": sections.vector("fill_values", dp.N_FEATURES)}
 
 
 def _encode_cnn(model):
@@ -169,16 +171,14 @@ def _decode_cnn(sections):
         hyper = sections.param(f.name, partial(hyper.with_text, f.name))
     net = {name: sections.tensor(name, *shape) if len(shape) == 2 else sections.vector(name, *shape)
            for name, shape in nn.param_shapes(hyper.kernels_per_width, hyper.pool_mode).items()}
-    return tr.TrainedModel(
-        params=nn.ModelParams.from_tensors(net), scaler=_read_scaler(sections),
-        fill_values=sections.vector("fill_values", dp.N_FEATURES), hyper=hyper,
-    )
+    return tr.TrainedModel(params=nn.ModelParams.from_tensors(net), hyper=hyper,
+                           **_read_preprocessing(sections, "scaler"))
 
 
 def _encode_dv_logistic(model):
     enc = model.encoder
     tensors = {"weights": model.weights, "bias": np.array([model.bias]),
-               "fill_values": model.fill_values, **_scaler_tensors(enc.scaler, "numeric")}
+               "fill_values": model.fill_values, **_scaler_tensors(model.scaler, "numeric")}
     tensors.update({f"categories_{j}": np.array(c) for j, c in enc.categories.items() if c})
     return {"categorical_mask": "".join("1" if c else "0" for c in enc.categorical_mask)}, tensors
 
@@ -194,14 +194,12 @@ def _decode_dv_logistic(sections):
     encoder = bl.DummyEncoder(
         categories={j: sections.vector(f"categories_{j}").tolist() if is_cat else []
                     for j, is_cat in enumerate(mask)},
-        scaler=_read_scaler(sections, "numeric"),
         categorical_mask=mask,
     )
     return bl.DvLogisticModel(
-        encoder=encoder, weights=sections.vector("weights", encoder.width),
-        bias=float(sections.vector("bias", 1)[0]),
-        fill_values=sections.vector("fill_values", dp.N_FEATURES),
-    )
+        **_read_preprocessing(sections, "numeric"), encoder=encoder,
+        weights=sections.vector("weights", encoder.width),
+        bias=float(sections.vector("bias", 1)[0]))
 
 
 def _encode_pso_elm(model):
@@ -217,8 +215,7 @@ def _decode_pso_elm(sections):
     return bl.ElmModel(
         hidden_weights=hidden_weights, hidden_biases=sections.vector("hidden_biases", h),
         output_weights=sections.tensor("output_weights", h, 2),
-        fill_values=sections.vector("fill_values", dp.N_FEATURES), scaler=_read_scaler(sections),
-    )
+        **_read_preprocessing(sections, "scaler"))
 
 
 # model-kind -> (model class, encode(model) -> (params, tensors), decode(sections) -> model)

@@ -44,9 +44,25 @@ def predicted_class(probs):
     return (probs[..., 1] > probs[..., 0]).astype(np.int64)
 
 
+@dataclass
 class Classifier:
-    """The interface all three models share: `predict_proba(X)` maps raw (n, 13)
-    rows (NaN = missing) to (n, 2) class probabilities; predictions follow from it."""
+    """The base of all three models: the training set's preprocessing (from
+    `data.fit_preprocessing`) and the interface they share. `predict_proba`
+    imputes rows with `fill_values`, Z-scores them with `scaler` and hands
+    both forms to the kind's own head, `_proba(raw, scaled)`; predictions
+    follow from the probabilities."""
+
+    fill_values: np.ndarray
+    scaler: dp.ScalerStats
+
+    def _preprocess(self, X):
+        """Raw (n, 13) rows imputed with the fill values, and those rows Z-scored."""
+        raw = dp.impute_array(X, self.fill_values)
+        return raw, dp.scale_values(raw, self.scaler)
+
+    def predict_proba(self, X):
+        """(n, 2) class probabilities of raw (n, 13) rows (NaN = missing)."""
+        return self._proba(*self._preprocess(X))
 
     def predict_batch(self, dataset):
         """Classes of a dataset's rows; NonFiniteProbabilityError names the first
@@ -129,18 +145,14 @@ class TrainingCurve:
 
 @dataclass
 class TrainedModel(Classifier):
-    """A trained network plus the preprocessing statistics it was fit with."""
+    """A trained network: its parameters, settings and training curve."""
 
     params: nn.ModelParams
-    scaler: dp.ScalerStats
-    fill_values: np.ndarray
     hyper: Hyperparams
     curve: TrainingCurve = field(default_factory=TrainingCurve)
 
-    def predict_proba(self, X):
-        """(n, 2) softmax class probabilities of raw (n, 13) rows (NaN = missing)."""
-        x = dp.scale_values(dp.impute_array(X, self.fill_values), self.scaler)
-        return nn.forward_batch(x, self.params, pool_mode=self.hyper.pool_mode)[0]
+    def _proba(self, raw, scaled):
+        return nn.forward_batch(scaled, self.params, pool_mode=self.hyper.pool_mode)[0]
 
 
 def mean_loss(probs, labels):
@@ -254,8 +266,7 @@ def train_folds(datasets, hyper, seeds):
     """
     F = len(datasets)
     where = [f"fold {f}: " if F > 1 else "" for f in range(F)]
-    preprocessing = dp.fit_preprocessing(datasets)
-    Xs = [dp.scale_values(imputed.feature_array(), scaler) for _, imputed, scaler in preprocessing]
+    fills, _, scalers, Xs = zip(*dp.fit_preprocessing(datasets))
     ys = [dataset.labels for dataset in datasets]
 
     rngs = [np.random.default_rng(seed) for seed in seeds]
@@ -316,9 +327,9 @@ def train_folds(datasets, hyper, seeds):
                 curve.train_accuracy.append(acc)
 
     return [
-        TrainedModel(params=params.model(f).copy(), scaler=scaler, fill_values=fills,
+        TrainedModel(fill_values=fills[f], scaler=scalers[f], params=params.model(f).copy(),
                      hyper=replace(hyper, seed=seed), curve=curve if F == 1 else TrainingCurve())
-        for f, ((fills, _, scaler), seed) in enumerate(zip(preprocessing, seeds))
+        for f, seed in enumerate(seeds)
     ]
 
 

@@ -60,8 +60,7 @@ def rng():
     return np.random.default_rng(12345)
 
 
-@pytest.fixture(scope="session")
-def mixed():
+def mixed_dataset():
     """60 rows with integer categorical columns and some missing `ca` values."""
     rng = np.random.default_rng(7)
     y = np.arange(60) % 2
@@ -70,6 +69,11 @@ def mixed():
     X[:, cat] = rng.integers(0, 3, size=(60, int(cat.sum())))
     X[::7, 11] = np.nan
     return dp.Dataset(X, y)
+
+
+@pytest.fixture(scope="session")
+def mixed():
+    return mixed_dataset()
 
 
 @pytest.fixture(scope="session")

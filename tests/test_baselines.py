@@ -63,7 +63,7 @@ class TestDummyEncode:
         train = dp.Dataset(rows, [0, 1], categorical_mask=mask)
         _, enc = bl.dummy_encode(train)
         test_row = np.array([[9.0] + [0.0] * 12])
-        assert enc.transform(test_row)[0, 0] == 0.0
+        assert enc.transform(test_row, test_row)[0, 0] == 0.0
 
 
 class TestDvLogistic:

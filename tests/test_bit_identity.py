@@ -596,3 +596,13 @@ if __name__ == "__main__":
                   sort_dicts=False)
     pprint.pprint({name: run_pso_cv_digest(name) for name in sorted(PSO_CV_CASES)},
                   sort_dicts=False)
+
+    import pathlib
+    import tempfile
+
+    from conftest import mixed_dataset
+    from test_model_io import ROUND_TRIP_FITS, model_file_digest
+
+    with tempfile.TemporaryDirectory() as tmp:
+        pprint.pprint({kind: model_file_digest(kind, mixed_dataset(), pathlib.Path(tmp))
+                       for kind in ROUND_TRIP_FITS}, sort_dicts=False)

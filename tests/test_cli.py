@@ -619,6 +619,21 @@ def test_compare_repeated_model_names_its_source(statlog_file, tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("default::UserWarning")
+def test_library_warning_prints_one_warning_line(tmp_path, capsys):
+    """A file whose smaller class (3 of 40 rows) cannot fill 10 folds' strata
+    cross-validates on plain folds: `cv` says so in one `warning:` line on
+    stderr, not as a raw Python warning, and exits 0."""
+    ds = synthetic.separable_dataset(80, seed=21)
+    rows = np.concatenate([np.flatnonzero(ds.y == 0)[:37], np.flatnonzero(ds.y == 1)[:3]])
+    p = tmp_path / "rare.dat"
+    write_statlog_file(p, ds.subset(rows))
+    out = tmp_path / "out"
+    assert cli.main(["cv", "--data", str(p), "--model", "dv_logistic", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == (
+        "warning: class too small for stratification; using plain folds\n")
+
+
 def test_training_failure_exit_code(tmp_path, capsys):
     # single-class file: training must fail with the runtime exit code
     p = tmp_path / "one_class.dat"

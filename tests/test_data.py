@@ -429,11 +429,12 @@ def test_record_arity_enforced():
 class TestFitPreprocessing:
     def test_fits_each_set_on_its_own_rows(self):
         sets = [make_dataset([[1.0, None, 3.0, 4.0]]), make_dataset([[2.0, 2.0, None, 8.0]])]
-        for ds, (fills, imputed, scaler) in zip(sets, dp.fit_preprocessing(sets)):
+        for ds, (fills, imputed, scaler, scaled) in zip(sets, dp.fit_preprocessing(sets)):
             np.testing.assert_array_equal(fills, dp.fill_values(ds))
             np.testing.assert_array_equal(imputed.X, dp.impute_with_values(ds, fills).X)
             np.testing.assert_array_equal(scaler.mean, dp.fit_scaler(imputed).mean)
             np.testing.assert_array_equal(scaler.std, dp.fit_scaler(imputed).std)
+            np.testing.assert_array_equal(scaled, dp.scale_values(imputed.X, scaler))
 
     def test_both_classes_checked_before_any_fit(self):
         all_missing = make_dataset([[None, None]])

@@ -44,6 +44,25 @@ def test_shared_protocol(kind, fitted_models, mixed, tmp_path, capsys):
         assert capsys.readouterr().out.strip() == f"class {cls}, p = {p[0]:.6f} {p[1]:.6f}"
 
 
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_every_kind_carries_the_preprocessing_of_its_training_set(kind, fitted_models, mixed,
+                                                                  tmp_path):
+    """Each kind holds, as `fill_values` and `scaler`, the bits of
+    `data.fit_preprocessing` of its training set, and keeps them through its
+    model file."""
+    fills, _, scaler = dp.fit_preprocessing([mixed])[0][:3]
+    path = tmp_path / "model.txt"
+    model_io.save_model(path, fitted_models[kind])
+    for model in (fitted_models[kind], model_io.load_model(path)):
+        assert _same_bits(model.fill_values, fills)
+        assert _same_bits(model.scaler.mean, scaler.mean)
+        assert _same_bits(model.scaler.std, scaler.std)
+
+
 def test_predict_batch_names_the_first_row_without_finite_probabilities(mixed):
     class Fixed(tr.Classifier):
         def predict_proba(self, X):
@@ -53,7 +72,7 @@ def test_predict_batch_names_the_first_row_without_finite_probabilities(mixed):
 
     with pytest.raises(NonFiniteProbabilityError,
                        match=r"^record 3: non-finite class probabilities 0.5 nan$") as info:
-        Fixed().predict_batch(mixed)
+        Fixed(fill_values=None, scaler=None).predict_batch(mixed)
     assert info.value.row == 2 and isinstance(info.value, InputError)
 
 
