@@ -84,10 +84,11 @@ class DummyEncoder:
 def dummy_encode(dataset, scaled=None):
     """Imputed dataset -> (design matrix, encoder of its observed categories).
     The numeric columns come from `scaled`, the dataset's rows Z-scored by
-    `data.fit_preprocessing`, which is fit here on the dataset when not given."""
-    raw = dataset.feature_array()
+    `data.fit_preprocessing`. When not given, that is fit here on the dataset,
+    whose imputed rows then give the categories as well."""
     if scaled is None:
-        scaled = dp.fit_preprocessing([dataset])[0][3]
+        _, dataset, _, scaled = dp.fit_preprocessing([dataset])[0]
+    raw = dataset.feature_array()
     categories = {j: sorted(set(raw[:, j].tolist())) if is_cat else []
                   for j, is_cat in enumerate(dataset.categorical_mask)}
     encoder = DummyEncoder(categories, dataset.categorical_mask)

@@ -65,6 +65,16 @@ class TestDummyEncode:
         test_row = np.array([[9.0] + [0.0] * 12])
         assert enc.transform(test_row, test_row)[0, 0] == 0.0
 
+    def test_missing_values_are_imputed_in_every_column(self):
+        rows = [[c, c] + [float(i)] * 11 for i, c in enumerate((1.0, 2.0, 2.0, 1.0, 2.0))]
+        rows[0][0] = rows[1][1] = np.nan
+        mask = (True,) + (False,) * 12
+        ds = dp.Dataset(rows, [0, 1, 0, 1, 1], categorical_mask=mask)
+        X, enc = bl.dummy_encode(ds)
+        expected, _ = bl.dummy_encode(dp.impute_with_values(ds, dp.fill_values(ds)))
+        np.testing.assert_array_equal(X, expected)
+        assert enc.categories[0] == [1.0, 2.0]
+
 
 class TestDvLogistic:
     def test_separable_toy_full_accuracy(self, rng):

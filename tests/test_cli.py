@@ -2,6 +2,7 @@ import contextlib
 import io
 import re
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -31,12 +32,25 @@ FAST_FLAGS = ["--epochs", "2", "--kernels", "2", "--seed", "5"]
 
 
 def main_without_runtime_warnings(argv):
-    """cli.main(argv), asserting that numpy printed no RuntimeWarning."""
-    with warnings.catch_warnings(record=True) as caught:
+    """cli.main(argv), asserting that numpy printed no RuntimeWarning. Every
+    warning is recorded through `cli._show_warning`, the hook `cli.main`
+    shows warnings with, instead of being shown."""
+    caught = []
+    with warnings.catch_warnings(), mock.patch.object(
+            cli, "_show_warning", lambda message, category, *_: caught.append((message, category))):
         warnings.simplefilter("always")
         code = cli.main(argv)
-    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert [str(m) for m, category in caught if issubclass(category, RuntimeWarning)] == []
     return code
+
+
+def test_runtime_warning_inside_main_fails_the_warning_check(monkeypatch, statlog_file):
+    def warn(cfg):
+        warnings.warn("overflow encountered", RuntimeWarning)
+        return 0
+    monkeypatch.setitem(cli.COMMANDS, "validate", warn)
+    with pytest.raises(AssertionError):
+        main_without_runtime_warnings(["validate", "--data", statlog_file])
 
 
 class TestValidate:

@@ -13,6 +13,8 @@ from cardioseq import data as dp
 from cardioseq import training as tr
 from cardioseq.errors import InputError, NonFiniteProbabilityError
 
+from test_model_io import _same_bits
+
 KINDS = ("cnn", "dv_logistic", "pso_elm")
 
 
@@ -42,10 +44,6 @@ def test_shared_protocol(kind, fitted_models, mixed, tmp_path, capsys):
         assert cls == int(p[1] > p[0])
         assert cli.main(["predict", str(path), "--", record_text(mixed.X[i])]) == 0
         assert capsys.readouterr().out.strip() == f"class {cls}, p = {p[0]:.6f} {p[1]:.6f}"
-
-
-def _same_bits(a, b):
-    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 @pytest.mark.parametrize("kind", KINDS)
