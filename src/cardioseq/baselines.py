@@ -1,10 +1,11 @@
 """Comparison baselines: dummy-variable logistic regression and a
 particle-swarm-optimized extreme learning machine.
 
-scipy is imported at the first ELM ridge solve (`elm_solve_output`), not
-with this module: `import scipy.linalg` takes 0.15-0.16 s against 0.08-0.09 s
-for a fresh `import cardioseq.cli` without it (2-core host, one BLAS
-thread), which every command but a PSO-ELM fit would otherwise pay for.
+The ELM's ridge systems are solved with LAPACK's Cholesky solver `dposv`,
+from scipy. scipy is imported at the first such solve (`elm_solve_output`),
+not with this module: `import scipy.linalg` takes 0.15-0.16 s against
+0.08-0.09 s for a fresh `import cardioseq.cli` without it (2-core host, one
+BLAS thread), which every command but a PSO-ELM fit would otherwise pay for.
 """
 
 from __future__ import annotations
@@ -211,11 +212,40 @@ def normal_equations(hidden_activations, targets, ridge=ELM_RIDGE):
 
 def elm_solve_output(A, B):
     """Ridge least squares: solve the normal equations A W = B (from
-    `normal_equations`) with an SPD solver, for one system or a stack."""
-    # Imported here so that importing the package does not load scipy.
-    from scipy.linalg import solve
+    `normal_equations`), one (H, H) system or a stack (..., H, H) of them
+    with B (..., H, 2), into one C-ordered array shaped like B.
 
-    return solve(A, B, assume_a="pos")
+    Each system goes to LAPACK `dposv` (Cholesky, upper triangle), which
+    gives the bits of `scipy.linalg.solve(A, B, assume_a="pos")` without its
+    norm, condition estimate and two input scans per call. `dposv` returns
+    F-ordered solutions; they are copied into C order because `hidden @ W`
+    takes another BLAS path, with other bits, on an F-ordered W. A
+    one-element A gives B / A, as scipy does.
+
+    The dropped condition estimate only fed scipy's `LinAlgWarning` at
+    rcond < eps. With sigmoid activations in [0, 1], n rows and ridge λ,
+    cond₁(A) <= (n·H + λ)·√H/λ, so at λ = 1e-6 and H = 32 that warning cannot
+    fire below about 2.5·10⁷ rows.
+
+    A non-finite entry of A or B raises `ValueError`; a system that is not
+    positive definite, or a zero 1×1 system, raises
+    `numpy.linalg.LinAlgError` (a `ValueError` too)."""
+    # Imported here so that importing the package does not load scipy.
+    from scipy.linalg.lapack import dposv
+
+    if not (np.isfinite(A).all() and np.isfinite(B).all()):
+        raise ValueError("normal equations must be finite")
+    if A.size == 1:
+        if A.item() == 0:
+            raise np.linalg.LinAlgError("the normal equations are singular")
+        return B / A
+    H, m = B.shape[-2:]
+    out = np.empty(B.shape)
+    for a, b, x in zip(A.reshape(-1, H, H), B.reshape(-1, H, m), out.reshape(-1, H, m)):
+        _, x[...], info = dposv(a, b)
+        if info:
+            raise np.linalg.LinAlgError("the normal equations are not positive definite")
+    return out
 
 
 def solve_residual(A, B, output_weights):
@@ -328,13 +358,22 @@ def _swarm_fit(X, y, rng, hidden_size, swarm_size, iterations):
     pbest, pbest_fit = positions.copy(), np.full(swarm_size, -np.inf)
     gbest, gbest_fit = None, -np.inf
     history = []
+    # buffers of the in-place swarm step, which keeps the operation order of
+    # v = ((w·v) + (c1·r1)·(pbest − x)) + (c2·r2)·(gbest − x), and so its bits
+    r1, r2 = draws = np.empty((2, *shape))
+    pull = np.empty(shape)
     for step in range(iterations + 1):
         if step:  # the first pass scores the initial swarm
-            r1, r2 = rng.random((2, *shape))
-            velocities = (PSO_INERTIA * velocities + PSO_COGNITIVE * r1 * (pbest - positions)
-                          + PSO_SOCIAL * r2 * (gbest - positions))
+            rng.random(out=draws)
+            velocities *= PSO_INERTIA
+            r1 *= PSO_COGNITIVE
+            r1 *= np.subtract(pbest, positions, out=pull)
+            velocities += r1
+            r2 *= PSO_SOCIAL
+            r2 *= np.subtract(gbest, positions, out=pull)
+            velocities += r2
             np.clip(velocities, -v_max, v_max, out=velocities)
-            positions = positions + velocities
+            positions += velocities
         # the same bests as updating in canonical particle order: gbest moves
         # to the first particle with the best fitness, if that beats it
         f = swarm_fitness(positions)

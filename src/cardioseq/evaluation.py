@@ -98,9 +98,9 @@ def cross_validate(dataset, model_kind, hyper=tr.Hyperparams(), k=10, seed=0):
     """k-fold protocol: preprocessing and model are refit per fold on the
     other k-1 folds only, so test-fold rows never leak into training.
     `hyper` applies to the CNN only; the baselines use their own defaults."""
-    plan = kfold_split(dataset, k=k, seed=seed)
     if model_kind not in FIT:
         raise ValueError(f"unknown model kind {model_kind!r}")
+    plan = kfold_split(dataset, k=k, seed=seed)
     models = FIT[model_kind](
         [dataset.subset(np.flatnonzero(plan.assignments != fold)) for fold in range(k)],
         hyper, [_fold_seed(seed, fold) for fold in range(k)],

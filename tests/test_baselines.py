@@ -2,6 +2,9 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from cardioseq import baselines as bl
 from cardioseq import data as dp
@@ -191,6 +194,59 @@ class TestElmSolve:
     def test_no_fit_rows_give_the_ridge_alone(self):
         A, B = bl.normal_equations(np.empty((0, 4)), np.empty((0, 2)), ridge=0.5)
         assert np.array_equal(A, 0.5 * np.eye(4)) and np.array_equal(B, np.zeros((4, 2)))
+
+    @given(hidden=st.sampled_from([1, 2, 3, 32, 64]),
+           stack=st.sampled_from([(), (1,), (2,), (5,), (20,)]),
+           rows=st.integers(0, 300), seed=st.integers(0, 2**32 - 1),
+           twin=st.sampled_from([None, 0.0, 1e-15, 1e-12, 1e-8]))
+    @example(hidden=1, stack=(), rows=10, seed=0, twin=None)
+    @example(hidden=1, stack=(1,), rows=10, seed=1, twin=None)
+    @example(hidden=1, stack=(5,), rows=10, seed=2, twin=None)
+    @example(hidden=32, stack=(20,), rows=242, seed=3, twin=1e-15)
+    @example(hidden=64, stack=(), rows=300, seed=4, twin=0.0)
+    def test_same_bits_as_scipy_positive_definite_solve(self, hidden, stack, rows, seed, twin):
+        """The solve gives the bits of `scipy.linalg.solve(assume_a="pos")`,
+        C-ordered, for single systems and stacks, 1×1 systems included, and
+        for nearly equal hidden units (`twin` apart) at the default ridge."""
+        rng = np.random.default_rng(seed)
+        H = rng.uniform(0, 1, stack + (rows, hidden))
+        if twin is not None and hidden >= 2:
+            H[..., -1] = H[..., 0] + twin * rng.standard_normal(stack + (rows,))
+        Y = bl._one_hot(rng.integers(0, 2, rows)) * np.ones(stack + (1, 1))
+        A, B = bl.normal_equations(H, Y)
+        W = bl.elm_solve_output(A, B)
+        expected = scipy.linalg.solve(A, B, assume_a="pos")
+        assert W.shape == expected.shape and W.flags.c_contiguous
+        assert np.array_equal(W.view(np.uint64), expected.view(np.uint64))
+
+    @pytest.mark.parametrize("stack", [(), (3,)], ids=["single", "stack"])
+    def test_not_positive_definite_raises_linalg_error(self, stack):
+        """An indefinite system, alone or last in a stack, is refused."""
+        A = np.eye(2) * np.ones(stack + (1, 1))
+        A[(-1,) * len(stack)] = [[1.0, 2.0], [2.0, 1.0]]
+        with pytest.raises(np.linalg.LinAlgError):
+            bl.elm_solve_output(A, np.ones(stack + (2, 2)))
+
+    @pytest.mark.parametrize("stack", [(), (1,), (3,)], ids=["single", "one", "stack"])
+    def test_zero_one_by_one_system_raises_linalg_error(self, stack):
+        with pytest.raises(np.linalg.LinAlgError):
+            bl.elm_solve_output(np.zeros(stack + (1, 1)), np.ones(stack + (1, 2)))
+
+    @pytest.mark.parametrize("stack", [(), (3,)], ids=["single", "stack"])
+    @pytest.mark.parametrize("where", ["diagonal", "upper", "lower", "targets", "1x1"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_system_raises_value_error(self, stack, where, bad):
+        """One bad entry of A (in either triangle) or of B, in the last
+        system of a stack, is refused before any solve."""
+        size = 1 if where == "1x1" else 3
+        A, B = np.eye(size) * np.ones(stack + (1, 1)), np.ones(stack + (size, 2))
+        last = (-1,) * len(stack)
+        spot = {"diagonal": (A, (1, 1)), "upper": (A, (0, 2)), "lower": (A, (2, 0)),
+                "targets": (B, (2, 1)), "1x1": (A, (0, 0))}
+        array, index = spot[where]
+        array[last + index] = bad
+        with pytest.raises(ValueError):
+            bl.elm_solve_output(A, B)
 
 
 class TestPsoElm:

@@ -520,16 +520,21 @@ K1_GRADIENT_CASES = {
 }
 
 
-def run_k1_gradient_digest(name):
-    models, rows, pool_mode, seed = K1_GRADIENT_CASES[name]
+def gradient_digest(kernels, models, rows, pool_mode, seed):
+    """Digest of the flat gradient of one backward pass of `kernels` kernels
+    per width, for one model (`models` None) or a stack of them."""
     rng = np.random.default_rng(seed)
     lead = () if models is None else (models,)
     X = rng.normal(size=lead + (rows, dp.N_FEATURES))
     y = rng.integers(0, 2, size=lead + (rows,))
-    stack = [nn.init_params(1, rng, pool_mode) for _ in range(models or 1)]
+    stack = [nn.init_params(kernels, rng, pool_mode) for _ in range(models or 1)]
     params = stack[0] if models is None else nn.ModelParams.stack(stack)
     _, cache = nn.forward_batch(X, params, pool_mode=pool_mode)
     return digest(nn.model_backward(cache, y).flat)
+
+
+def run_k1_gradient_digest(name):
+    return gradient_digest(1, *K1_GRADIENT_CASES[name])
 
 
 EXPECTED_K1_GRADIENTS = {
@@ -542,6 +547,40 @@ EXPECTED_K1_GRADIENTS = {
 @pytest.mark.parametrize("name", sorted(K1_GRADIENT_CASES))
 def test_one_kernel_several_window_gradients_pinned(name):
     assert run_k1_gradient_digest(name) == EXPECTED_K1_GRADIENTS[name]
+
+
+# name -> (kernels per width, models in a stack or None, batch rows, pool mode,
+# seed) of one backward pass with several kernels per width. The trained-CNN
+# digests above miss a one-ulp gradient change, so these pin the gradients of
+# K >= 2 directly, for each pool mode, one model and a stack.
+GRADIENT_CASES = {
+    "k2-one-model-global": (2, None, 50, nn.GLOBAL_POOL, 11),
+    "k2-stack-3-global": (2, 3, 16, nn.GLOBAL_POOL, 12),
+    "k2-one-model-3-2": (2, None, 50, ("windowed", 3, 2), 13),
+    "k2-stack-3-3-2": (2, 3, 16, ("windowed", 3, 2), 14),
+    "k2-one-model-5-1": (2, None, 50, ("windowed", 5, 1), 15),
+    "k2-stack-3-5-1": (2, 3, 16, ("windowed", 5, 1), 16),
+    "k8-one-model-global": (8, None, 50, nn.GLOBAL_POOL, 17),
+    "k8-stack-3-global": (8, 3, 16, nn.GLOBAL_POOL, 18),
+    "k8-one-model-3-2": (8, None, 50, ("windowed", 3, 2), 19),
+    "k8-stack-3-3-2": (8, 3, 16, ("windowed", 3, 2), 20),
+    "k8-one-model-5-1": (8, None, 50, ("windowed", 5, 1), 21),
+    "k8-stack-3-5-1": (8, 3, 16, ("windowed", 5, 1), 22),
+}
+
+EXPECTED_GRADIENTS = {
+    "k2-one-model-3-2": "6f77922659119ec6", "k2-one-model-5-1": "91311bfc885d8a1f",
+    "k2-one-model-global": "f17751b8b02e4f7b", "k2-stack-3-3-2": "7fcec2bd21ada9a9",
+    "k2-stack-3-5-1": "92afa05095f16033", "k2-stack-3-global": "1586d9bef7674005",
+    "k8-one-model-3-2": "d1cd1eac838c780d", "k8-one-model-5-1": "30dbb1603aec5012",
+    "k8-one-model-global": "806ce57cb9b174f7", "k8-stack-3-3-2": "a3568698d4e2dee3",
+    "k8-stack-3-5-1": "8e4ecb24b80c1fbc", "k8-stack-3-global": "4ba74aaea70d4fd2",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GRADIENT_CASES))
+def test_several_kernel_gradients_pinned(name):
+    assert gradient_digest(*GRADIENT_CASES[name]) == EXPECTED_GRADIENTS[name]
 
 
 def test_swarm_results_do_not_depend_on_block_size(monkeypatch):
@@ -590,6 +629,8 @@ if __name__ == "__main__":
     pprint.pprint({name: run_baseline_digests(name) for name in sorted(GEMV_BASELINE_CASES)},
                   sort_dicts=False)
     pprint.pprint({name: run_k1_gradient_digest(name) for name in sorted(K1_GRADIENT_CASES)},
+                  sort_dicts=False)
+    pprint.pprint({name: gradient_digest(*case) for name, case in sorted(GRADIENT_CASES.items())},
                   sort_dicts=False)
     pprint.pprint({name: run_cv_digest(name) for name in sorted(CV_CASES)}, sort_dicts=False)
     pprint.pprint({name: run_dv_cv_digest(name) for name in sorted(DV_CV_CASES)},

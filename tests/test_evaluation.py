@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -173,6 +174,17 @@ class TestCrossValidate:
         report = ev.cross_validate(separable, "cnn", hyper=FAST_HYPER, k=5, seed=2)
         assert len(report.fold_accuracy) == 5
         assert all(0.0 <= a <= 1.0 for a in report.fold_accuracy)
+
+    def test_unknown_kind_named_before_the_folds(self):
+        """The kind is checked before the split: 8 rows cannot fill 10 folds,
+        and a one-row class would warn that it cannot be stratified."""
+        one_row_class = dp.Dataset(np.zeros((20, 13)), np.arange(20) == 0,
+                                   categorical_mask=(False,) * 13)
+        for ds in (random_dataset(8, seed=1), one_row_class):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="^unknown model kind 'svm'$"):
+                    ev.cross_validate(ds, "svm", k=10)
 
 
 class TestCompareModels:
