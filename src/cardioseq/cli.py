@@ -95,6 +95,8 @@ def build_config(args):
     cfg = RunConfig(args.command, out=".")
     if "CARDIOSEQ_OUT" in os.environ:
         cfg.set_value("out", os.environ["CARDIOSEQ_OUT"], "CARDIOSEQ_OUT")
+    if args.config == "":
+        raise ValueError("--config: empty config path")
     if args.config:
         load_config_file(args.config, cfg)
     for key in (*RUN_KEYS, *HYPER_KEYS):

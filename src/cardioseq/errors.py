@@ -62,9 +62,9 @@ class NonFiniteInputError(CardioseqError):
 class NonFiniteProbabilityError(InputError):
     """Values (a record's or a model's) too large for the model's arithmetic."""
 
-    def __init__(self, where, probs, row=None):
+    def __init__(self, where, probs):
         super().__init__(f"{where}: non-finite class probabilities {probs[0]} {probs[1]}")
-        self.probs, self.row = probs, row
+        self.probs = probs
 
 
 class TooFewSamplesError(CardioseqError):

@@ -47,16 +47,25 @@ class FoldPlan:
 
 @dataclass
 class CvReport:
+    """One cross-validation run. `probs` holds each record's (n, 2) class
+    probabilities from the model of the fold that held it out, in the
+    dataset's row order; every fold metric derives from them and the plan."""
+
     model_kind: str
-    k: int
-    seed: int
-    fold_accuracy: list
-    fold_confusion: list  # per fold: dict tp/tn/fp/fn
+    plan: FoldPlan
+    labels: np.ndarray
+    probs: np.ndarray
     hyper_summary: str
+
+    def fold_scores(self):
+        """Per fold, its accuracy and its tp/tn/fp/fn counts."""
+        pred, y = tr.predicted_class(self.probs), self.labels
+        return [(float(np.mean(pred[rows] == y[rows])), tr.confusion_counts(pred[rows], y[rows]))
+                for rows in map(self.plan.fold_indices, range(self.plan.k))]
 
     @property
     def mean_accuracy(self):
-        return float(np.mean(self.fold_accuracy))
+        return float(np.mean([acc for acc, _ in self.fold_scores()]))
 
 
 @dataclass
@@ -97,7 +106,10 @@ def _fold_seed(base_seed, fold):
 def cross_validate(dataset, model_kind, hyper=tr.Hyperparams(), k=10, seed=0):
     """k-fold protocol: preprocessing and model are refit per fold on the
     other k-1 folds only, so test-fold rows never leak into training.
-    `hyper` applies to the CNN only; the baselines use their own defaults."""
+    `hyper` applies to the CNN only; the baselines use their own defaults.
+    Each fold's model scores its held-out rows once, in one batch; a record
+    without finite probabilities raises NonFiniteProbabilityError naming
+    `fold F: record N` (from 1), the first such record of the first such fold."""
     if model_kind not in FIT:
         raise ValueError(f"unknown model kind {model_kind!r}")
     plan = kfold_split(dataset, k=k, seed=seed)
@@ -105,20 +117,17 @@ def cross_validate(dataset, model_kind, hyper=tr.Hyperparams(), k=10, seed=0):
         [dataset.subset(np.flatnonzero(plan.assignments != fold)) for fold in range(k)],
         hyper, [_fold_seed(seed, fold) for fold in range(k)],
     )
-    fold_accuracy, fold_confusion = [], []
-    for fold, model in enumerate(models):
-        test_rows = plan.fold_indices(fold)
-        test_ds = dataset.subset(test_rows)
-        try:
-            pred, y = model.predict_batch(test_ds), test_ds.labels
-        except NonFiniteProbabilityError as exc:
-            raise NonFiniteProbabilityError(f"fold {fold}: record {test_rows[exc.row] + 1}",
-                                            exc.probs) from None
-        fold_accuracy.append(float(np.mean(pred == y)))
-        fold_confusion.append(tr.confusion_counts(pred, y))
+    probs = np.empty((len(dataset), 2))
+    with np.errstate(all="ignore"):  # the probabilities are checked below
+        for rows, model in zip(map(plan.fold_indices, range(k)), models):
+            probs[rows] = model.predict_proba(dataset.X[rows])
+    bad = np.flatnonzero(~np.isfinite(probs).all(axis=1))
+    if bad.size:  # the first bad record of the first fold that has one
+        row = bad[np.argmin(plan.assignments[bad])]
+        raise NonFiniteProbabilityError(f"fold {plan.assignments[row]}: record {row + 1}",
+                                        probs[row])
     return CvReport(
-        model_kind=model_kind, k=k, seed=seed,
-        fold_accuracy=fold_accuracy, fold_confusion=fold_confusion,
+        model_kind=model_kind, plan=plan, labels=dataset.labels, probs=probs,
         hyper_summary=repr(replace(hyper, seed=seed)) if model_kind == "cnn" else "defaults",
     )
 
@@ -144,11 +153,11 @@ def compare_models(datasets, model_kinds=MODEL_KINDS, hyper=tr.Hyperparams(), k=
 
 def report_to_text(report):
     lines = [
-        f"model: {report.model_kind}   k: {report.k}   seed: {report.seed}",
+        f"model: {report.model_kind}   k: {report.plan.k}   seed: {report.plan.seed}",
         f"hyper: {report.hyper_summary}",
         f"{'fold':>4} {'accuracy':>10} {'tp':>4} {'tn':>4} {'fp':>4} {'fn':>4}",
     ]
-    for i, (acc, c) in enumerate(zip(report.fold_accuracy, report.fold_confusion)):
+    for i, (acc, c) in enumerate(report.fold_scores()):
         lines.append(
             f"{i:>4} {acc:>10.6f} {c['tp']:>4} {c['tn']:>4} {c['fp']:>4} {c['fn']:>4}"
         )
@@ -158,7 +167,7 @@ def report_to_text(report):
 
 def report_to_csv(report):
     lines = ["fold,accuracy,tp,tn,fp,fn"]
-    for i, (acc, c) in enumerate(zip(report.fold_accuracy, report.fold_confusion)):
+    for i, (acc, c) in enumerate(report.fold_scores()):
         lines.append(f"{i},{acc:.17g},{c['tp']},{c['tn']},{c['fp']},{c['fn']}")
     lines.append(f"mean,{report.mean_accuracy:.17g},,,,")
     return "\n".join(lines) + "\n"
@@ -210,10 +219,6 @@ def table_to_csv(table):
             ref = REFERENCE_ACCURACY.get((kind, name))
             ref_s = f"{ref}" if ref is not None else ""
             rep = table.reports.get((kind, name))
-            if rep:
-                lines.append(
-                    f"{kind},{name},{rep.mean_accuracy:.17g},{rep.seed},{ref_s},ok"
-                )
-            else:
-                lines.append(f"{kind},{name},,{table.seed},{ref_s},failed")
+            acc, status = (f"{rep.mean_accuracy:.17g}", "ok") if rep else ("", "failed")
+            lines.append(f"{kind},{name},{acc},{table.seed},{ref_s},{status}")
     return "\n".join(lines) + "\n"

@@ -71,7 +71,7 @@ class Classifier:
             probs = self.predict_proba(dataset.X)
         bad = np.flatnonzero(~np.isfinite(probs).all(axis=-1))
         if bad.size:
-            raise NonFiniteProbabilityError(f"record {bad[0] + 1}", probs[bad[0]], int(bad[0]))
+            raise NonFiniteProbabilityError(f"record {bad[0] + 1}", probs[bad[0]])
         return predicted_class(probs)
 
 

@@ -31,6 +31,13 @@ def require_file(path, name):
     return path
 
 
+def same_bits(a, b):
+    """Equal shapes and equal float64 bits: 0.0 and -0.0 differ, and a NaN
+    matches only a NaN of the same bits."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
 def write_statlog_file(path, dataset):
     """Serialize a fully observed dataset in the statlog dialect."""
     with open(path, "w") as fh:

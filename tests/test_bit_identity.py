@@ -9,7 +9,10 @@ convergence record and `predict_proba` exactly. Each digest is the first 16
 hex digits of the sha256 of the array's float64 bytes. The CNN,
 Dv-Logistic and PSO-ELM cross-validation digests (of `report_to_csv` text)
 were recorded from the fold-by-fold CV, where each fold's model trained on
-its own, with its own preprocessing fit.
+its own, with its own preprocessing fit. The digests of the same runs'
+out-of-fold probabilities (`CvReport.probs`) were recorded by refitting each
+fold (`kfold_split`, `FIT`, `_fold_seed`) and scoring its held-out rows in
+one batch, as the per-fold CV scored them.
 
 Regenerate (only for an intended change of results) with
 `PYTHONPATH=src python tests/test_bit_identity.py`.
@@ -27,6 +30,8 @@ from cardioseq import evaluation as ev
 from cardioseq import network as nn
 from cardioseq import synthetic
 from cardioseq import training as tr
+
+from conftest import same_bits
 
 # name -> (rows, data seed, hyperparameters); 64 rows fill batches of 16,
 # 50 leave a last batch of 2; the 1,800 rows of "curve-blocks" are scored for
@@ -261,11 +266,19 @@ CV_CASES = {
 }
 
 
+def cv_report(kind, name):
+    """The seeded cross-validation of `kind`'s case `name`."""
+    if kind == "cnn":
+        rows, data_seed, k, hyper = CV_CASES[name]
+    else:
+        rows, data_seed, k = {"dv_logistic": DV_CV_CASES, "pso_elm": PSO_CV_CASES}[kind][name]
+        hyper = {}
+    return ev.cross_validate(noisy_dataset(rows, data_seed), kind,
+                             hyper=tr.Hyperparams(**hyper), k=k, seed=data_seed)
+
+
 def run_cv_digest(name):
-    rows, data_seed, k, hyper = CV_CASES[name]
-    report = ev.cross_validate(noisy_dataset(rows, data_seed), "cnn",
-                               hyper=tr.Hyperparams(**hyper), k=k, seed=data_seed)
-    return hashlib.sha256(ev.report_to_csv(report).encode()).hexdigest()[:16]
+    return hashlib.sha256(ev.report_to_csv(cv_report("cnn", name)).encode()).hexdigest()[:16]
 
 
 EXPECTED_CV = {
@@ -324,8 +337,7 @@ def dv_fold_sets(name):
 
 
 def run_dv_cv_digest(name):
-    rows, data_seed, k = DV_CV_CASES[name]
-    report = ev.cross_validate(noisy_dataset(rows, data_seed), "dv_logistic", k=k, seed=data_seed)
+    report = cv_report("dv_logistic", name)
     return hashlib.sha256(ev.report_to_csv(report).encode()).hexdigest()[:16]
 
 
@@ -351,9 +363,7 @@ PSO_CV_CASES = {
 
 
 def run_pso_cv_digest(name):
-    rows, data_seed, k = PSO_CV_CASES[name]
-    report = ev.cross_validate(noisy_dataset(rows, data_seed), "pso_elm", k=k, seed=data_seed)
-    return hashlib.sha256(ev.report_to_csv(report).encode()).hexdigest()[:16]
+    return hashlib.sha256(ev.report_to_csv(cv_report("pso_elm", name)).encode()).hexdigest()[:16]
 
 
 EXPECTED_PSO_CV = {
@@ -364,6 +374,34 @@ EXPECTED_PSO_CV = {
 @pytest.mark.parametrize("name", sorted(PSO_CV_CASES))
 def test_pso_elm_cross_validation_reports_pinned(name):
     assert run_pso_cv_digest(name) == EXPECTED_PSO_CV[name]
+
+
+# (model kind, case name) -> digest of the out-of-fold probabilities of every
+# CNN, Dv-Logistic and PSO-ELM cross-validation case above: the report digests
+# hash only printed accuracies and counts, which a one-ulp change cannot reach.
+EXPECTED_CV_PROBS = {
+    ("cnn", "batch-over-n"): "c4c755825c533557", ("cnn", "dropout-0"): "f0399deae9359edf",
+    ("cnn", "epochs-0"): "c4fcc28472fbc341", ("cnn", "k-10"): "ae8c5bdbdb3dea81",
+    ("cnn", "k-2"): "2a85f3259279cba6", ("cnn", "k-3"): "395add442585b3f6",
+    ("cnn", "ragged-303"): "e750a61e9641e473", ("cnn", "windowed-3-2"): "b50a1769b3082bb5",
+    ("cnn", "windowed-5-1"): "6f799ab71c8b7b78",
+    ("dv_logistic", "k-2"): "f79795b8aa0ec691", ("dv_logistic", "k-3"): "bb71deb5aa2f0f99",
+    ("dv_logistic", "ragged-303"): "da99d319872facd4",
+    ("dv_logistic", "width-split"): "1e7f404543c1f784",
+    ("pso_elm", "k-2"): "54e0eb6babb7ee87", ("pso_elm", "k-3"): "c41929b1d4a6ebc7",
+    ("pso_elm", "ragged-127"): "25804ac3cfc37b11",
+}
+
+
+def test_every_cross_validation_case_pins_its_probabilities():
+    cases = {"cnn": CV_CASES, "dv_logistic": DV_CV_CASES, "pso_elm": PSO_CV_CASES}
+    assert sorted(EXPECTED_CV_PROBS) == sorted((kind, name) for kind, names in cases.items()
+                                               for name in names)
+
+
+@pytest.mark.parametrize("kind, name", sorted(EXPECTED_CV_PROBS))
+def test_out_of_fold_probabilities_pinned(kind, name):
+    assert digest(cv_report(kind, name).probs) == EXPECTED_CV_PROBS[(kind, name)]
 
 
 def test_dv_cases_cover_width_groups():
@@ -414,11 +452,6 @@ def mask_split_sigmoid(z):
     ez = np.exp(z[~pos])
     out[~pos] = ez / (1.0 + ez)
     return out
-
-
-def same_bits(a, b):
-    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
-    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 def test_sigmoid_matches_mask_split_bit_for_bit():
@@ -636,6 +669,8 @@ if __name__ == "__main__":
     pprint.pprint({name: run_dv_cv_digest(name) for name in sorted(DV_CV_CASES)},
                   sort_dicts=False)
     pprint.pprint({name: run_pso_cv_digest(name) for name in sorted(PSO_CV_CASES)},
+                  sort_dicts=False)
+    pprint.pprint({case: digest(cv_report(*case).probs) for case in sorted(EXPECTED_CV_PROBS)},
                   sort_dicts=False)
 
     import pathlib

@@ -620,6 +620,14 @@ class TestConfig:
         assert capsys.readouterr() == ("", f"error: {where}: empty data path\n")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["validate", "cv"])
+    def test_empty_config_path_is_named(self, statlog_file, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        argv = [command, "--data", statlog_file, "--config", "", "--out", str(out)]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr() == ("", "error: --config: empty config path\n")
+        assert not out.exists()
+
 
 @pytest.mark.parametrize("source", ["flag", "config"])
 def test_compare_repeated_model_names_its_source(statlog_file, tmp_path, capsys, source):

@@ -10,7 +10,9 @@ from cardioseq import data as dp
 from cardioseq import evaluation as ev
 from cardioseq import synthetic
 from cardioseq import training as tr
-from cardioseq.errors import TooFewSamplesError
+from cardioseq.errors import NonFiniteProbabilityError, TooFewSamplesError
+
+from conftest import mixed_dataset, same_bits
 
 FAST_HYPER = tr.Hyperparams(epochs=2, kernels_per_width=2, seed=0)
 
@@ -122,8 +124,8 @@ class TestCrossValidate:
         ds = random_dataset(100, seed=11, p1=0.6)
 
         class AlwaysOne:
-            def predict_batch(self, dataset):
-                return np.ones_like(dataset.labels)
+            def predict_proba(self, X):
+                return np.tile([0.0, 1.0], (len(X), 1))
 
         monkeypatch.setitem(ev.FIT, "cnn", lambda sets, hyper, seeds: [AlwaysOne() for _ in sets])
         report = ev.cross_validate(ds, "cnn", k=10, seed=0)
@@ -133,12 +135,12 @@ class TestCrossValidate:
     def test_confusion_counts_sum_to_fold_size(self, separable):
         report = ev.cross_validate(separable, "dv_logistic", k=5, seed=1)
         plan = ev.kfold_split(separable, k=5, seed=1)
-        for fold, c in enumerate(report.fold_confusion):
+        for fold, (_, c) in enumerate(report.fold_scores()):
             assert sum(c.values()) == plan.fold_indices(fold).size
 
     def test_mean_recomputation_exact(self, separable):
         report = ev.cross_validate(separable, "dv_logistic", k=5, seed=1)
-        assert report.mean_accuracy == float(np.mean(report.fold_accuracy))
+        assert report.mean_accuracy == float(np.mean([acc for acc, _ in report.fold_scores()]))
 
     def test_deterministic_reports(self, separable):
         r1 = ev.cross_validate(separable, "cnn", hyper=FAST_HYPER, k=5, seed=2)
@@ -161,6 +163,49 @@ class TestCrossValidate:
             dp.fit_scaler(a).mean, dp.fit_scaler(b).mean
         )
 
+    @pytest.mark.parametrize("kind", ev.MODEL_KINDS)
+    def test_out_of_fold_probabilities_are_the_fold_models_scores(self, kind):
+        """Each fold's rows of `report.probs` are, bit for bit, what that
+        fold's model (refit here as cross_validate fits it) gives them in one
+        batch; the fold metrics are those of its `predict_batch` classes."""
+        ds, k, seed = mixed_dataset(), 4, 3
+        report = ev.cross_validate(ds, kind, hyper=FAST_HYPER, k=k, seed=seed)
+        plan = ev.kfold_split(ds, k=k, seed=seed)
+        models = ev.FIT[kind]([ds.subset(np.flatnonzero(plan.assignments != f)) for f in range(k)],
+                              FAST_HYPER, [ev._fold_seed(seed, f) for f in range(k)])
+        assert (report.plan.k, report.plan.seed) == (k, seed)
+        assert np.array_equal(report.plan.assignments, plan.assignments)
+        assert np.array_equal(report.labels, ds.labels) and report.probs.shape == (len(ds), 2)
+        for fold, (model, (acc, counts)) in enumerate(zip(models, report.fold_scores())):
+            rows = plan.fold_indices(fold)
+            assert same_bits(report.probs[rows], model.predict_proba(ds.X[rows]))
+            pred = model.predict_batch(ds.subset(rows))
+            assert acc == float(np.mean(pred == ds.labels[rows]))
+            assert counts == tr.confusion_counts(pred, ds.labels[rows])
+
+    def test_non_finite_record_of_the_lowest_fold_is_named(self, monkeypatch):
+        """Records of folds 0 and 2 score NaN: the error names fold 0's
+        lowest-numbered one, though a record of fold 2 comes before it."""
+        ds = random_dataset(40, seed=5)
+        plan = ev.kfold_split(ds, k=4, seed=0)
+        first, second = plan.fold_indices(0)[-2:]
+        other = plan.fold_indices(2)[0]
+        assert other < first
+        X = ds.X.copy()
+        X[[first, second, other], 0] = 1e6
+
+        class NanOnMarked(tr.Classifier):
+            def predict_proba(self, X):
+                probs = np.full((len(X), 2), 0.5)
+                probs[X[:, 0] == 1e6] = np.nan
+                return probs
+
+        monkeypatch.setitem(ev.FIT, "dv_logistic",
+                            lambda sets, hyper, seeds: [NanOnMarked(None, None) for _ in sets])
+        with pytest.raises(NonFiniteProbabilityError, match=(
+                rf"^fold 0: record {first + 1}: non-finite class probabilities nan nan$")):
+            ev.cross_validate(dp.Dataset(X, ds.y, ds.categorical_mask), "dv_logistic", k=4)
+
     def test_report_states_the_seed_it_ran_with(self, separable):
         """The folds train from the CV seed, not from `hyper.seed`, and the
         report's hyperparameter line says so."""
@@ -172,8 +217,9 @@ class TestCrossValidate:
 
     def test_cnn_kind_runs_end_to_end(self, separable):
         report = ev.cross_validate(separable, "cnn", hyper=FAST_HYPER, k=5, seed=2)
-        assert len(report.fold_accuracy) == 5
-        assert all(0.0 <= a <= 1.0 for a in report.fold_accuracy)
+        fold_accuracy = [acc for acc, _ in report.fold_scores()]
+        assert len(fold_accuracy) == 5
+        assert all(0.0 <= a <= 1.0 for a in fold_accuracy)
 
     def test_unknown_kind_named_before_the_folds(self):
         """The kind is checked before the split: 8 rows cannot fill 10 folds,

@@ -13,6 +13,8 @@ from cardioseq import network as nn
 from cardioseq import training as tr
 from cardioseq.errors import ModelFileError
 
+from conftest import same_bits
+
 
 @given(kernels=st.sampled_from([1, 3, 8]), mode=st.sampled_from(
     [nn.GLOBAL_POOL, ("windowed", 1, 1), ("windowed", 3, 2), ("windowed", 13, 1)]))
@@ -24,7 +26,7 @@ def test_cnn_roundtrip(tmp_path_factory, separable, kernels, mode):
     assert path.read_text().startswith("cardioseq-model v1\nmodel-kind cnn\n")
     loaded = model_io.load_model(path)
     assert loaded.params.shapes == nn.param_shapes(kernels, mode)
-    assert _same_bits(loaded.params.flat, model.params.flat)
+    assert same_bits(loaded.params.flat, model.params.flat)
     for k, v in model.params.tensors().items():
         np.testing.assert_array_equal(loaded.params.tensors()[k], v)
     np.testing.assert_array_equal(loaded.scaler.mean, model.scaler.mean)
@@ -42,7 +44,7 @@ def test_cnn_file_with_tensor_blocks_reordered_loads_the_same(tmp_path, separabl
     head, *blocks = path.read_text().rstrip("\n").split("\ntensor ")
     path.write_text("\ntensor ".join([head, *reversed(blocks)]) + "\n")
     assert path.read_text().index("tensor fill_values") < path.read_text().index("tensor conv_w1")
-    assert _same_bits(model_io.load_model(path).params.flat, model.params.flat)
+    assert same_bits(model_io.load_model(path).params.flat, model.params.flat)
 
 
 def test_cnn_roundtrip_preserves_predictions(tmp_path, separable):
@@ -264,7 +266,7 @@ def test_blank_lines_are_skipped(tmp_path, mixed, fitted_models):
     path.write_text(text + "\n")
     assert text.count("\n\n") >= 4
     loaded = model_io.load_model(path)
-    assert _same_bits(loaded.predict_proba(mixed.X), model.predict_proba(mixed.X))
+    assert same_bits(loaded.predict_proba(mixed.X), model.predict_proba(mixed.X))
 
 
 @pytest.mark.parametrize("kind_line, message", [
@@ -327,10 +329,6 @@ def test_model_file_bytes_pinned(tmp_path, mixed, kind):
     assert model_file_digest(kind, mixed, tmp_path) == EXPECTED_MODEL_FILES[kind]
 
 
-def _same_bits(a, b):
-    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
-
-
 @pytest.mark.parametrize("kind", ROUND_TRIP_FITS)
 def test_save_load_save_is_byte_identical(tmp_path, mixed, kind):
     model = ROUND_TRIP_FITS[kind](mixed)
@@ -339,7 +337,7 @@ def test_save_load_save_is_byte_identical(tmp_path, mixed, kind):
     loaded = model_io.load_model(first)
     model_io.save_model(second, loaded)
     assert second.read_bytes() == first.read_bytes()
-    assert _same_bits(loaded.predict_proba(mixed.X), model.predict_proba(mixed.X))
+    assert same_bits(loaded.predict_proba(mixed.X), model.predict_proba(mixed.X))
     if kind == "dv_logistic":
         assert "\ntensor categories_" in first.read_text()
 
@@ -355,7 +353,7 @@ def test_model_fit_on_a_tiny_column_loads(tmp_path, mixed, kind, scale):
     path = tmp_path / "m.txt"
     model_io.save_model(path, model)
     loaded = model_io.load_model(path)
-    assert _same_bits(loaded.predict_proba(X), model.predict_proba(X))
+    assert same_bits(loaded.predict_proba(X), model.predict_proba(X))
     assert np.isfinite(loaded.predict_proba(np.ones((1, 13)))).all()
 
 
@@ -375,9 +373,9 @@ def test_file_with_adam_params_loads_as_before(tmp_path, mixed, fitted_models):
     loaded = model_io.load_model(old)
     assert loaded.hyper == model.hyper
     for name, tensor in model.params.tensors().items():
-        assert _same_bits(loaded.params.tensors()[name], tensor)
-    assert _same_bits(loaded.fill_values, model.fill_values)
-    assert _same_bits(loaded.predict_proba(mixed.X), model.predict_proba(mixed.X))
+        assert same_bits(loaded.params.tensors()[name], tensor)
+    assert same_bits(loaded.fill_values, model.fill_values)
+    assert same_bits(loaded.predict_proba(mixed.X), model.predict_proba(mixed.X))
     model_io.save_model(old, loaded)
     assert old.read_bytes() == path.read_bytes()
 
@@ -394,8 +392,8 @@ def test_file_with_ridge_param_loads_as_before(tmp_path, mixed, fitted_models):
     old.write_text("\n".join(lines) + "\n")
     loaded = model_io.load_model(old)
     for name in ("hidden_weights", "hidden_biases", "output_weights", "fill_values"):
-        assert _same_bits(getattr(loaded, name), getattr(model, name))
-    assert _same_bits(loaded.predict_proba(mixed.X), model.predict_proba(mixed.X))
+        assert same_bits(getattr(loaded, name), getattr(model, name))
+    assert same_bits(loaded.predict_proba(mixed.X), model.predict_proba(mixed.X))
     model_io.save_model(old, loaded)
     assert old.read_bytes() == path.read_bytes()
 

@@ -11,6 +11,7 @@ from cardioseq import training as tr
 from cardioseq.errors import ShapeMismatchError
 
 import reference as ref
+from conftest import same_bits
 
 
 def naive_conv(values, weights, bias):
@@ -179,10 +180,6 @@ def signed_values(rng, shape):
     values[rng.random(shape) < 0.15] = 0.0
     values[rng.random(shape) < 0.15] = -0.0
     return values
-
-
-def same_bits(a, b):
-    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 @given(rows=st.integers(1, 300), kernels=st.integers(1, 8), models=st.sampled_from([None, 1, 10]),

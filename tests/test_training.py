@@ -491,5 +491,6 @@ def test_cv_fits_the_same_bits_under_numpy_default_buffer(pool_mode, monkeypatch
         seen.clear()
         report = ev.cross_validate(dataset, "cnn", hyper, k=3, seed=4)
         assert seen == {size}
-        runs.append((report.fold_accuracy, [model.params.flat.tobytes() for model in fitted.pop()]))
+        runs.append(([acc for acc, _ in report.fold_scores()],
+                     [model.params.flat.tobytes() for model in fitted.pop()]))
     assert runs[0] == runs[1]
