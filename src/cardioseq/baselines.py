@@ -10,7 +10,6 @@ BLAS thread), which every command but a PSO-ELM fit would otherwise pay for.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -112,12 +111,13 @@ class DvLogisticModel(tr.Classifier):
         return self.predict_proba(dataset.X)[:, 1]
 
 
-def dv_logistic_train(dataset, lr=0.1, epochs=2000, seed=0):
+def dv_logistic_train(dataset, seed=0, **settings):
     """Full-batch gradient descent on mean binary cross-entropy over the
-    dummy-encoded design matrix (`dv_logistic_train_folds` of one dataset).
-    Weights start at zero, so the fit is deterministic and ignores the seed,
-    which the scaled_fit workload in benchmarks/workloads.py passes."""
-    return dv_logistic_train_folds([dataset], lr, epochs)[0]
+    dummy-encoded design matrix (`dv_logistic_train_folds` of one dataset,
+    which holds the settings' defaults). Weights start at zero, so the fit
+    is deterministic and ignores the seed, which the scaled_fit workload in
+    benchmarks/workloads.py passes."""
+    return dv_logistic_train_folds([dataset], **settings)[0]
 
 
 def dv_logistic_train_folds(datasets, lr=0.1, epochs=2000):
@@ -133,8 +133,7 @@ def dv_logistic_train_folds(datasets, lr=0.1, epochs=2000):
     name the model as `fold f` when there are several.
     """
     tr.check_at_least(("epochs", epochs, 0))
-    if not (math.isfinite(lr) and lr > 0):
-        raise ValueError(f"lr must be finite and positive, got {lr}")
+    tr.check_positive("lr", lr)
     groups = {}  # (n, D) -> [(model index, design matrix, fills, scaler, encoder)]
     for f, (fills, imputed, scaler, scaled) in enumerate(dp.fit_preprocessing(datasets)):
         X, encoder = dummy_encode(imputed, scaled)
@@ -268,11 +267,12 @@ def _stratified_holdout(y, frac, rng):
     return np.flatnonzero(~val), np.flatnonzero(val)
 
 
-def pso_elm_train(dataset, hidden_size=32, swarm_size=20, iterations=50, seed=0):
+def pso_elm_train(dataset, seed=0, **settings):
     """Optimize an ELM's hidden weights/biases with a particle swarm
-    (`pso_elm_train_folds` of one dataset); kept for the scaled_fit workload
-    in benchmarks/workloads.py, which fits one dataset."""
-    return pso_elm_train_folds([dataset], [seed], hidden_size, swarm_size, iterations)[0]
+    (`pso_elm_train_folds` of one dataset, which holds the settings'
+    defaults); kept for the scaled_fit workload in benchmarks/workloads.py,
+    which fits one dataset."""
+    return pso_elm_train_folds([dataset], [seed], **settings)[0]
 
 
 def pso_elm_train_folds(datasets, seeds, hidden_size=32, swarm_size=20, iterations=50):

@@ -58,7 +58,7 @@ class RunConfig:
 
     def _run_value(self, key, text):
         if key == "k":
-            k = tr.parse_number(int, text)
+            k = dp.parse_number(int, text)
             if k < 2:
                 raise ValueError(f"need at least 2 folds, got {k}")
             return k
@@ -76,7 +76,9 @@ class RunConfig:
 
 
 def load_config_file(path, cfg):
-    """Set `cfg` from a flat `key = value` file, one line at a time."""
+    """Set `cfg` from a flat `key = value` file, one line at a time. A key
+    set twice is refused: neither line may silently win."""
+    seen = {}  # key -> its line
     for line_no, line in enumerate(dp.read_ascii_lines(path, ValueError), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -86,6 +88,9 @@ def load_config_file(path, cfg):
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in HYPER_KEYS and key not in RUN_KEYS:
             raise ValueError(f"{path}:{line_no}: unknown key {key!r}")
+        if key in seen:
+            raise ValueError(f"{path}:{line_no}: {key} repeats line {seen[key]}")
+        seen[key] = line_no
         cfg.set_value(key, value, f"{path}:{line_no}: {key}")
 
 

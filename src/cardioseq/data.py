@@ -120,11 +120,16 @@ class ScalerStats:
         return self.std == 0.0
 
 
-def _numeral(tok):
-    """float() of an ASCII numeral with no `_` (float() reads both)."""
-    if "_" in tok or not tok.isascii():
-        raise ValueError(tok)
-    return float(tok)
+def parse_number(kind, text):
+    """`kind(text)`, kind int or float, of an ASCII numeral with no `_`: the one
+    grammar of every number the program reads (int() and float() read both).
+    The ValueError quotes the text."""
+    if "_" not in text and text.isascii():
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    raise ValueError(f"expected {kind.__name__}, got {text!r}")
 
 
 def parse_values(tokens, missing_ok, error):
@@ -138,7 +143,7 @@ def parse_values(tokens, missing_ok, error):
             values.append(math.nan)
             continue
         try:
-            value = _numeral(tok)
+            value = parse_number(float, tok)
         except ValueError:
             raise error(position, f"unparseable token {tok!a}") from None
         if not math.isfinite(value):
@@ -157,7 +162,7 @@ def _parse_row(tokens, path, line_no, dialect):
             raise UnknownLabelError(path, line_no, f"unknown statlog label {raw_label!r}")
         return values, int(float(raw_label)) - 1
     try:
-        value = _numeral(raw_label)
+        value = parse_number(float, raw_label)
         level = int(value)
     except (ValueError, OverflowError):
         raise UnknownLabelError(path, line_no, f"unparseable label {raw_label!a}")

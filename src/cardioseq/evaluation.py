@@ -174,41 +174,30 @@ def report_to_csv(report):
 
 
 def table_to_text(table):
-    width = max(len(n) for n in table.dataset_names) + 2
-    header = "model".ljust(14) + "".join(n.rjust(width) for n in table.dataset_names)
-    lines = [f"accuracy (%) per model and dataset   seed: {table.seed}", header]
-    for kind in table.model_kinds:
-        row = kind.ljust(14)
-        for name in table.dataset_names:
-            rep = table.reports.get((kind, name))
-            cell = f"{rep.mean_accuracy * 100:.2f}" if rep else "FAILED"
-            row += cell.rjust(width)
-        lines.append(row)
-    lines.append("")
-    lines.append("deltas between successive model rows (percentage points):")
-    for prev, kind in zip(table.model_kinds, table.model_kinds[1:]):
-        row = f"{kind} - {prev}".ljust(26)
-        for name in table.dataset_names:
-            a = table.reports.get((kind, name))
-            b = table.reports.get((prev, name))
-            cell = (
-                f"{(a.mean_accuracy - b.mean_accuracy) * 100:+.2f}" if a and b else "n/a"
-            )
-            row += cell.rjust(width)
-        lines.append(row)
-    lines.append("")
-    lines.append("published reference accuracies (%), for comparison:")
-    for kind in table.model_kinds:
-        row = kind.ljust(14)
-        for name in table.dataset_names:
-            ref = REFERENCE_ACCURACY.get((kind, name))
-            row += (f"{ref:.2f}" if ref is not None else "n/a").rjust(width)
-        lines.append(row)
+    names, kinds = table.dataset_names, table.model_kinds
+    width = max(len(n) for n in names) + 2
+    acc = {cell: report.mean_accuracy for cell, report in table.reports.items()}
+
+    def row(label, pad, cells):
+        """`label` padded to `pad`, then one right-aligned cell per dataset."""
+        return label.ljust(pad) + "".join(cell.rjust(width) for cell in cells)
+
+    lines = [f"accuracy (%) per model and dataset   seed: {table.seed}", row("model", 14, names)]
+    for kind in kinds:
+        lines.append(row(kind, 14, (f"{acc[kind, n] * 100:.2f}" if (kind, n) in acc else "FAILED"
+                                    for n in names)))
+    lines += ["", "deltas between successive model rows (percentage points):"]
+    for prev, kind in zip(kinds, kinds[1:]):
+        lines.append(row(f"{kind} - {prev}", 26, (
+            f"{(acc[kind, n] - acc[prev, n]) * 100:+.2f}" if {(kind, n), (prev, n)} <= acc.keys()
+            else "n/a" for n in names)))
+    lines += ["", "published reference accuracies (%), for comparison:"]
+    for kind in kinds:
+        refs = (REFERENCE_ACCURACY.get((kind, n)) for n in names)
+        lines.append(row(kind, 14, ("n/a" if ref is None else f"{ref:.2f}" for ref in refs)))
     if table.failures:
-        lines.append("")
-        lines.append("failed cells:")
-        for (kind, name), msg in sorted(table.failures.items()):
-            lines.append(f"  {kind} / {name}: {msg}")
+        lines += ["", "failed cells:"]
+        lines += [f"  {k} / {n}: {msg}" for (k, n), msg in sorted(table.failures.items())]
     return "\n".join(lines) + "\n"
 
 

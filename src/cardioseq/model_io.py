@@ -125,7 +125,7 @@ def _parse(lines):
                 if row_no > len(lines):
                     raise ModelFileError(f"{where}: file ends inside the tensor")
                 try:
-                    data.append([float(v) for v in lines[row_no - 1].split()])
+                    data.append([dp.parse_number(float, v) for v in lines[row_no - 1].split()])
                 except ValueError:
                     raise ModelFileError(f"{where}: unparseable value") from None
                 if len(data[-1]) != cols or not np.isfinite(data[-1]).all():
@@ -212,6 +212,9 @@ def _encode_pso_elm(model):
 def _decode_pso_elm(sections):
     hidden_weights = sections.tensor("hidden_weights", dp.N_FEATURES)
     h = hidden_weights.shape[1]
+    if h == 0:  # training never gives one: hidden_size is at least 1
+        raise ModelFileError(f"line {sections.tensors['hidden_weights'][0]}: tensor "
+                             f"'hidden_weights': expected at least 1 hidden unit, got 13x0")
     return bl.ElmModel(
         hidden_weights=hidden_weights, hidden_biases=sections.vector("hidden_biases", h),
         output_weights=sections.tensor("output_weights", h, 2),

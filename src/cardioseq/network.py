@@ -63,7 +63,9 @@ def parse_pool_mode(text):
     if text == "global":
         return GLOBAL_POOL
     kind, *numbers = text.split(":")
-    if kind == "windowed" and len(numbers) == 2 and all(n.isdecimal() for n in numbers):
+    # ASCII digits only: str.isdecimal alone also takes other scripts' digits
+    if kind == "windowed" and len(numbers) == 2 and all(
+            n.isascii() and n.isdecimal() for n in numbers):
         size, stride = map(int, numbers)
         if 1 <= size <= N_FEATURES and stride >= 1:
             return ("windowed", size, stride)

@@ -81,18 +81,10 @@ ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
 
 
-def parse_number(kind, text):
-    """`kind(text)` for int or float, with an error that quotes the text."""
-    try:
-        return kind(text)
-    except ValueError:
-        raise ValueError(f"expected {kind.__name__}, got {text!r}") from None
-
-
 # Each Hyperparams field's text form (model-file params, config values, CLI flags),
 # by the type of its default; numbers pass through Python scalars, as numpy ones may.
-_CODECS = {float: (lambda v: repr(float(v)), partial(parse_number, float)),
-           int: (lambda v: repr(int(v)), partial(parse_number, int)),
+_CODECS = {float: (lambda v: repr(float(v)), partial(dp.parse_number, float)),
+           int: (lambda v: repr(int(v)), partial(dp.parse_number, int)),
            tuple: (nn.format_pool_mode, nn.parse_pool_mode)}
 
 
@@ -102,6 +94,12 @@ def check_at_least(*checks):
     for name, value, least in checks:
         if value < least:
             raise ValueError(f"{name} must be at least {least}, got {value}")
+
+
+def check_positive(name, value):
+    """Raise a ValueError that names `value` unless it is finite and positive."""
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
 @dataclass(frozen=True)
@@ -117,8 +115,7 @@ class Hyperparams:
     seed: int = 0
 
     def __post_init__(self):
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ValueError(f"learning_rate must be finite and positive, got {self.learning_rate}")
+        check_positive("learning_rate", self.learning_rate)
         if not 0 <= self.dropout_rate < 1:
             raise ValueError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
         check_at_least(("epochs", self.epochs, 0), ("batch_size", self.batch_size, 1),
@@ -189,14 +186,11 @@ def batch_loss(params, X, y, pool_mode=nn.GLOBAL_POOL):
 
 def _bias_correction(beta, t):
     """1 - beta**t for one step count, or a (F, 1) column of them for a count
-    per model, computed once per distinct count. The powers are Python float
-    powers: numpy's array power differs from them in the last bit for some t
-    (beta 0.999 at t = 7)."""
+    per model. The powers are Python float powers: numpy's array power
+    differs from them in the last bit for some t (beta 0.999 at t = 7)."""
     if np.ndim(t) == 0:
         return 1 - beta**t
-    counts = t.tolist()
-    corrections = {s: 1 - beta**s for s in set(counts)}
-    return np.array([corrections[s] for s in counts])[:, None]
+    return np.array([1 - beta**s for s in t.tolist()])[:, None]
 
 
 def adam_step(flat, grad, m, v, t, learning_rate):

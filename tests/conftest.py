@@ -1,3 +1,4 @@
+import ctypes
 import os
 
 import numpy as np
@@ -20,6 +21,30 @@ DATA_DIR = os.environ.get(
 )
 STATLOG_PATH = os.path.join(DATA_DIR, "heart.dat")
 CLEVELAND_PATH = os.path.join(DATA_DIR, "processed.cleveland.data")
+
+
+def openblas_kernels():
+    """The kernel set (core name) of numpy's OpenBLAS, which the bit pins
+    depend on: threadpoolctl's `architecture` when it is installed, else
+    what the OpenBLAS bundled in `numpy.libs` reports, else "unknown"."""
+    try:
+        from threadpoolctl import threadpool_info
+        return next(lib["architecture"] for lib in threadpool_info()
+                    if lib["internal_api"] == "openblas")
+    except (ImportError, StopIteration):
+        pass
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    try:
+        (name,) = [f for f in os.listdir(libs) if "openblas" in f]
+        corename = ctypes.CDLL(os.path.join(libs, name)).scipy_openblas_get_corename64_
+    except (OSError, ValueError, AttributeError):
+        return "unknown"
+    corename.argtypes, corename.restype = [], ctypes.c_char_p
+    return corename().decode()
+
+
+def pytest_report_header(config):
+    return f"OpenBLAS kernels: {openblas_kernels()}"
 
 
 def require_file(path, name):

@@ -169,6 +169,39 @@ def test_bad_cnn_value_located_as_flag_and_config_line(statlog_file, tmp_path, c
     assert not out.exists()
 
 
+# int() and float() read `_` between digits and digits outside ASCII (here a
+# full-width 5); the one numeral grammar, the data files', refuses both
+ODD_NUMERALS = ["1_0", "\uff15"]
+NUMBER_KEYS = [("k", "int"), ("epochs", "int"), ("lr", "float")]
+
+
+@pytest.mark.parametrize("text", ODD_NUMERALS)
+@pytest.mark.parametrize("key, kind", NUMBER_KEYS)
+def test_flag_numeral_follows_the_data_file_grammar(statlog_file, capsys, key, kind, text):
+    assert cli.main(["validate", "--data", statlog_file, f"--{key}", text]) == 2
+    assert capsys.readouterr() == ("", f"error: --{key}: expected {kind}, got {text!r}\n")
+
+
+@pytest.mark.parametrize("text", ODD_NUMERALS)
+@pytest.mark.parametrize("key, kind", NUMBER_KEYS)
+def test_config_numeral_follows_the_data_file_grammar(statlog_file, tmp_path, capsys, key, kind,
+                                                      text):
+    """A full-width digit is refused as the config file's first non-ASCII byte."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"seed = 1\n{key} = {text}\n", encoding="utf-8")
+    assert cli.main(["validate", "--data", statlog_file, "--config", str(cfg)]) == 2
+    problem = (f"{key}: expected {kind}, got {text!r}" if text.isascii()
+               else f"byte 0xef at column {len(key) + 4} is not ASCII")
+    assert capsys.readouterr() == ("", f"error: {cfg}:2: {problem}\n")
+
+
+def test_pool_numbers_are_ascii_digits(statlog_file, capsys):
+    assert cli.main(["validate", "--data", statlog_file, "--pool", "windowed:\uff13:1"]) == 2
+    assert capsys.readouterr() == ("", "error: --pool: expected global or windowed:SIZE:STRIDE "
+                                       "with 1 <= SIZE <= 13 and STRIDE >= 1, got "
+                                       "'windowed:\uff13:1'\n")
+
+
 @pytest.mark.parametrize("command", ["cv", "compare"])
 @pytest.mark.parametrize("source", ["flag", "config", "default"])
 def test_too_few_rows_names_source_of_k_and_file(tmp_path, capsys, command, source):
@@ -619,6 +652,16 @@ class TestConfig:
         assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr() == ("", f"error: {where}: empty data path\n")
         assert not (tmp_path / "out").exists()
+
+    def test_repeated_key_names_both_lines(self, statlog_file, tmp_path, capsys):
+        """Neither line may silently win, even when a flag overrides both."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("k = 3\nseed = 1\n\nk = 4\n")
+        out = tmp_path / "out"
+        argv = ["cv", "--data", statlog_file, "--config", str(cfg), "--out", str(out)]
+        assert cli.main(argv + ["--k", "5"]) == 2
+        assert capsys.readouterr() == ("", f"error: {cfg}:4: k repeats line 1\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["validate", "cv"])
     def test_empty_config_path_is_named(self, statlog_file, tmp_path, capsys, command):

@@ -1,3 +1,4 @@
+import hashlib
 import warnings
 from dataclasses import replace
 
@@ -266,3 +267,80 @@ class TestCompareModels:
         )
         text = ev.table_to_text(table)
         assert "85.58" in text  # published reference for this model/dataset
+
+
+# name -> (model kinds, dataset name -> (rows, data seed) of `random_dataset`,
+# or None for `mixed_dataset`, k, seed): tables whose text and CSV are pinned
+# byte for byte, as are the text reports of `REPORT_CASES`. "failed-between"
+# puts a failed cell between two real kinds, so FAILED and n/a cells show;
+# "wide-names" has dataset names without published references.
+TABLE_CASES = {
+    "three-kinds": (ev.MODEL_KINDS, {"statlog": (60, 1), "cleveland": None}, 3, 2),
+    "failed-between": (("dv_logistic", "nonsense", "pso_elm"),
+                       {"statlog": (50, 3), "cleveland": (45, 4)}, 5, 0),
+    "wide-names": (("cnn", "dv_logistic"), {"a-long-dataset-name": (40, 5), "x": None}, 2, 9),
+    "one-cell": (("pso_elm",), {"cleveland": (30, 6)}, 3, 1),
+}
+
+# model kind -> (k, seed) of its cross-validation of `mixed_dataset`
+REPORT_CASES = {"cnn": (4, 3), "dv_logistic": (3, 5), "pso_elm": (5, 7)}
+
+
+def sha16(text):
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def table_digests(name):
+    kinds, sets, k, seed = TABLE_CASES[name]
+    datasets = {n: mixed_dataset() if s is None else random_dataset(*s) for n, s in sets.items()}
+    table = ev.compare_models(datasets, model_kinds=kinds, hyper=FAST_HYPER, k=k, seed=seed)
+    return sha16(ev.table_to_text(table)), sha16(ev.table_to_csv(table))
+
+
+def report_digest(kind):
+    k, seed = REPORT_CASES[kind]
+    return sha16(ev.report_to_text(ev.cross_validate(mixed_dataset(), kind, FAST_HYPER, k, seed)))
+
+
+# (text, CSV) and text digests, recorded where `table_to_text` wrote each of
+# its four row kinds in its own loop
+EXPECTED_TABLES = {
+    "failed-between": ("61acbe0892b83107", "750c11af93c57e9e"),
+    "one-cell": ("59c5354cea387931", "df669732f15ffa1d"),
+    "three-kinds": ("b5d327905bef3a9f", "c19fd689094cfebb"),
+    "wide-names": ("9deee4caefc0d51b", "a1c99fb4cb777e7b"),
+}
+EXPECTED_REPORTS = {"cnn": "0525d965e39fbdb9", "dv_logistic": "eee8337b311f1ed9",
+                    "pso_elm": "a0b92be4a12f91e1"}
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_CASES))
+def test_table_text_and_csv_pinned(name):
+    assert table_digests(name) == EXPECTED_TABLES[name]
+
+
+@pytest.mark.parametrize("kind", sorted(REPORT_CASES))
+def test_report_text_pinned(kind):
+    assert report_digest(kind) == EXPECTED_REPORTS[kind]
+
+
+def fold_report(kind, correct):
+    """A report on 13 rows in 5 folds of 3, 3, 3, 2 and 2 rows, whose fold f
+    gets its first correct[f] rows right."""
+    plan = ev.FoldPlan(k=5, seed=0, assignments=np.arange(13) % 5)
+    probs = np.tile([0.0, 1.0], (13, 1))  # class 1, wrong for label 0
+    for fold, count in enumerate(correct):
+        probs[plan.fold_indices(fold)[:count]] = [1.0, 0.0]
+    return ev.CvReport(kind, plan, np.zeros(13, dtype=np.int64), probs, "defaults")
+
+
+def test_delta_is_the_difference_times_100():
+    """Means 0.4 and 0.39999999999999997 both print as 40.00; their delta,
+    (a - b) * 100, prints as -0.00, where a * 100 - b * 100 would give +0.00."""
+    reports = {("dv_logistic", "x"): fold_report("dv_logistic", [3, 3, 0, 0, 0]),
+               ("pso_elm", "x"): fold_report("pso_elm", [2, 3, 1, 0, 0])}
+    table = ev.ComparisonTable(["x"], ["dv_logistic", "pso_elm"], reports)
+    assert [r.mean_accuracy for r in reports.values()] == [0.4, 0.39999999999999997]
+    lines = ev.table_to_text(table).splitlines()
+    assert lines[2:4] == ["dv_logistic".ljust(14) + "40.00", "pso_elm".ljust(14) + "40.00"]
+    assert lines[6] == "pso_elm - dv_logistic".ljust(26) + "-0.00"

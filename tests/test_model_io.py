@@ -128,6 +128,30 @@ def test_bad_tensor_value_names_line(tmp_path, separable, token):
         model_io.load_model(path)
 
 
+@pytest.mark.parametrize("text", ["1_0", "\uff15"])
+@pytest.mark.parametrize("section", ["param", "tensor"])
+def test_model_file_numeral_follows_the_data_file_grammar(tmp_path, capsys, separable, section,
+                                                          text):
+    """A `_` between digits or a full-width digit, which int() and float()
+    read, names its line; the full-width digit as the file's first non-ASCII
+    byte."""
+    path, lines = _saved_cnn_lines(tmp_path, separable)
+    if section == "param":
+        i = lines.index("param epochs 0")
+        lines[i] = f"param epochs {text}"
+        problem = f"param 'epochs': expected int, got {text!r}"
+    else:
+        i = next(j for j, line in enumerate(lines) if line.startswith("tensor conv_w3")) + 1
+        lines[i] = " ".join([text] + lines[i].split()[1:])
+        problem = "tensor 'conv_w3': unparseable value"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert cli.main(["predict", str(path), ",".join(["1"] * 13)]) == 2
+    if not text.isascii():
+        problem = f"byte 0xef at column {lines[i].index(text) + 1} is not ASCII"
+    where = "line " if text.isascii() else f"{path}:"
+    assert capsys.readouterr() == ("", f"error: {where}{i + 1}: {problem}\n")
+
+
 def test_missing_tensor_rejected(tmp_path, separable):
     path, lines = _saved_cnn_lines(tmp_path, separable)
     i = next(j for j, line in enumerate(lines) if line.startswith("tensor fill_values"))
@@ -255,6 +279,20 @@ def test_repeated_model_kind_names_both_lines(tmp_path, capsys, fitted_models):
     path.write_text("\n".join(lines) + "\n")
     assert cli.main(["predict", str(path), ",".join(["1"] * 13)]) == 2
     assert capsys.readouterr().err == f"error: line {len(lines)}: model-kind repeats line 2\n"
+
+
+def test_pso_elm_file_without_hidden_units_names_its_line(tmp_path, capsys, fitted_models):
+    """Training never gives one (hidden_size is at least 1); loaded, it would
+    score every record p = 0.5."""
+    model = fitted_models["pso_elm"]
+    path = tmp_path / "m.txt"
+    model_io.save_model(path, replace(model, hidden_weights=model.hidden_weights[:, :0],
+                                      hidden_biases=model.hidden_biases[:0],
+                                      output_weights=model.output_weights[:0]))
+    line = 1 + path.read_text().splitlines().index("tensor hidden_weights 13 0")
+    assert cli.main(["predict", str(path), ",".join(["1"] * 13)]) == 2
+    assert capsys.readouterr() == ("", f"error: line {line}: tensor 'hidden_weights': expected "
+                                       "at least 1 hidden unit, got 13x0\n")
 
 
 def test_blank_lines_are_skipped(tmp_path, mixed, fitted_models):
