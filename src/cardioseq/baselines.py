@@ -78,7 +78,7 @@ class DummyEncoder:
                     cols.append((raw[:, j] == c).astype(float))
             else:
                 cols.append(scaled[:, j])
-        return np.column_stack(cols)
+        return np.column_stack(cols) if cols else np.empty((len(raw), 0))
 
 
 def dummy_encode(dataset, scaled=None):
@@ -253,10 +253,6 @@ def solve_residual(A, B, output_weights):
     return float(np.abs(A @ output_weights - B).max())
 
 
-def _one_hot(y):
-    return np.eye(2)[y]
-
-
 def _stratified_holdout(y, frac, rng):
     """Fit and validation row numbers, each ascending. Each class sends the
     first round(frac · size) rows of its permutation, at least one, to
@@ -329,7 +325,7 @@ def _swarm_fit(X, y, rng, hidden_size, swarm_size, iterations):
     fit_idx, val_idx = _stratified_holdout(y, 0.2, rng)
     X_fit, X_val = (np.column_stack([X[idx], np.ones(idx.size)]) for idx in (fit_idx, val_idx))
     y_val = y[val_idx]
-    Y_fit = _one_hot(y[fit_idx])
+    Y_fit = np.eye(2)[y[fit_idx]]
 
     shape = (swarm_size, dp.N_FEATURES + 1, hidden_size)  # positions [W; b]
     residuals = []
@@ -387,7 +383,7 @@ def _swarm_fit(X, y, rng, hidden_size, swarm_size, iterations):
         history.append(gbest_fit)
 
     W, b = gbest[:-1], gbest[-1]
-    A, B = normal_equations(_sigmoid(X @ W + b), _one_hot(y))
+    A, B = normal_equations(_sigmoid(X @ W + b), np.eye(2)[y])
     out_w = elm_solve_output(A, B)
     residuals.append(solve_residual(A, B, out_w))
     return dict(hidden_weights=W, hidden_biases=b, output_weights=out_w,

@@ -59,8 +59,7 @@ class RunConfig:
     def _run_value(self, key, text):
         if key == "k":
             k = dp.parse_number(int, text)
-            if k < 2:
-                raise ValueError(f"need at least 2 folds, got {k}")
+            tr.check_at_least(("k", k, 2))
             return k
         if key == "out" and not text:
             raise ValueError("empty output directory")

@@ -80,16 +80,21 @@ class _Sections:
         except ValueError as exc:
             raise ModelFileError(f"line {line}: param {name!r}: {exc}") from None
 
-    def tensor(self, name, rows, cols=None):
-        """The tensor `name`, which must be rows x cols (cols None: any number)."""
+    def tensor(self, name, rows, cols):
+        """The tensor `name`, which must be rows x cols. `cols` may instead name
+        what each column holds (as "category"): then any number but 0 of them."""
         line, array = self.tensors[name]
-        if array.shape[0] != rows or cols not in (None, array.shape[1]):
+        if isinstance(cols, str):
+            want = f"{rows}xany" if array.shape[0] != rows else f"at least 1 {cols}"
+            ok = array.shape[0] == rows and array.shape[1] > 0
+        else:
+            want, ok = f"{rows}x{cols}", array.shape == (rows, cols)
+        if not ok:
             got = "x".join(map(str, array.shape))
-            want = f"{rows}x{'any' if cols is None else cols}"
             raise ModelFileError(f"line {line}: tensor {name!r}: expected {want}, got {got}")
         return array
 
-    def vector(self, name, size=None):
+    def vector(self, name, size):
         return self.tensor(name, 1, size)[0]
 
 
@@ -192,7 +197,7 @@ def _parse_mask(text):
 def _decode_dv_logistic(sections):
     mask = sections.param("categorical_mask", _parse_mask)
     encoder = bl.DummyEncoder(
-        categories={j: sections.vector(f"categories_{j}").tolist() if is_cat else []
+        categories={j: sections.vector(f"categories_{j}", "category").tolist() if is_cat else []
                     for j, is_cat in enumerate(mask)},
         categorical_mask=mask,
     )
@@ -210,11 +215,8 @@ def _encode_pso_elm(model):
 
 
 def _decode_pso_elm(sections):
-    hidden_weights = sections.tensor("hidden_weights", dp.N_FEATURES)
+    hidden_weights = sections.tensor("hidden_weights", dp.N_FEATURES, "hidden unit")
     h = hidden_weights.shape[1]
-    if h == 0:  # training never gives one: hidden_size is at least 1
-        raise ModelFileError(f"line {sections.tensors['hidden_weights'][0]}: tensor "
-                             f"'hidden_weights': expected at least 1 hidden unit, got 13x0")
     return bl.ElmModel(
         hidden_weights=hidden_weights, hidden_biases=sections.vector("hidden_biases", h),
         output_weights=sections.tensor("output_weights", h, 2),

@@ -87,10 +87,6 @@ def pool_windows(pool_mode, length=N_FEATURES):
     return size, range(0, length - size + 1, stride)
 
 
-def n_pool_windows(pool_mode, length=N_FEATURES):
-    return len(pool_windows(pool_mode, length)[1])
-
-
 def tensor_views(flat, shapes):
     """Name -> view of the next slice of `flat`'s last axis, reshaped, in
     `shapes` order; a leading model axis of `flat` is kept."""
@@ -110,7 +106,7 @@ def param_shapes(kernels_per_width, pool_mode=GLOBAL_POOL):
     shapes = {}
     for w in KERNEL_WIDTHS:
         shapes[f"conv_w{w}"], shapes[f"conv_b{w}"] = (K, w), (K,)
-    D = len(KERNEL_WIDTHS) * K * n_pool_windows(pool_mode)
+    D = len(KERNEL_WIDTHS) * K * len(pool_windows(pool_mode)[1])
     return {**shapes, "dense_w": (2, D), "dense_b": (2,)}
 
 

@@ -7,20 +7,21 @@ step. A single training run (`train`) is a stack of one. Adam updates flat
 buffers laid out like `network.ModelParams.flat`, moments and gradient alike.
 
 The loop (its steps and its training-set scores) runs with numpy's ufunc
-buffer at `TRAIN_BUFSIZE`, 512 elements, not numpy's 8192, and restores the
-previous size on every exit. A step's broadcasts have short contiguous
-inner runs, such as the map build's taps (F, 3K, 1, 1) times rows
-(F, 1, 13, B), and numpy 2.4.6 sends them through a buffered path that is
-about three times slower per element with the default buffer (README
-"Library tour" and `BENCH_22.json`, `BENCH_24.json` hold the timings).
-Buffering only moves values, so every result keeps its bits. No other
-path sets the buffer, since none measurably gains.
+buffer at `TRAIN_BUFSIZE`, 512 elements, not numpy's 8192. It sets the size
+inside the loop's `np.errstate` context, which in numpy 2 holds the buffer
+size too, so leaving the context restores the previous size on every exit.
+A step's broadcasts have short contiguous inner runs, such as the map
+build's taps (F, 3K, 1, 1) times rows (F, 1, 13, B), and numpy 2.4.6 sends
+them through a buffered path that is about three times slower per element
+with the default buffer (README "Library tour" and `BENCH_22.json`,
+`BENCH_24.json` hold the timings). Buffering only moves values, so every
+result keeps its bits. No other path sets the buffer, since none
+measurably gains.
 """
 
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
 
@@ -164,8 +165,7 @@ def mean_loss(probs, labels):
         -labels * np.log(np.maximum(pos, PROB_CLAMP))
         - (1 - labels) * np.log(np.maximum(1.0 - pos, PROB_CLAMP))
     )
-    mean = losses.mean(axis=-1)
-    return float(mean) if mean.ndim == 0 else mean
+    return losses.mean(axis=-1)
 
 
 def loss_and_accuracy(probs, labels):
@@ -185,12 +185,10 @@ def batch_loss(params, X, y, pool_mode=nn.GLOBAL_POOL):
 
 
 def _bias_correction(beta, t):
-    """1 - beta**t for one step count, or a (F, 1) column of them for a count
-    per model. The powers are Python float powers: numpy's array power
-    differs from them in the last bit for some t (beta 0.999 at t = 7)."""
-    if np.ndim(t) == 0:
-        return 1 - beta**t
-    return np.array([1 - beta**s for s in t.tolist()])[:, None]
+    """1 - beta**t with a trailing axis of 1: (1,) for one step count, (F, 1)
+    for a count per model. The powers are Python float powers: numpy's array
+    power differs from them in the last bit for some t (beta 0.999 at t = 7)."""
+    return np.reshape([1 - beta**s for s in np.ravel(t).tolist()], np.shape(t) + (1,))
 
 
 def adam_step(flat, grad, m, v, t, learning_rate):
@@ -233,20 +231,6 @@ def epoch_steps(sizes, batch_size):
     return steps
 
 
-@contextmanager
-def _loop_ufunc_state():
-    """The numpy state of `train_folds`' loop: every floating-point warning off
-    and a `TRAIN_BUFSIZE` ufunc buffer, both restored on exit. numpy 2 keeps
-    the buffer size with the error state and restores it with `errstate`;
-    numpy 1.24-1.26 does not, hence the explicit restore."""
-    with np.errstate(all="ignore"):
-        previous = np.setbufsize(TRAIN_BUFSIZE)
-        try:
-            yield
-        finally:
-            np.setbufsize(previous)
-
-
 def train_folds(datasets, hyper, seeds):
     """Train one CNN per dataset, all in lockstep: model f trains on
     datasets[f] with hyperparameters `hyper` and seed seeds[f], and gets the
@@ -284,7 +268,8 @@ def train_folds(datasets, hyper, seeds):
     # Every result computed here is checked (step losses, then the training-set
     # scores, which cover the final parameters), so numpy's overflow and
     # invalid-value warnings would only run ahead of the located error.
-    with _loop_ufunc_state():
+    with np.errstate(all="ignore"):
+        np.setbufsize(TRAIN_BUFSIZE)  # leaving the errstate context restores it
         for epoch in range(hyper.epochs):
             for f, rng in enumerate(rngs):
                 order[f, : sizes[f]] = offsets[f] + rng.permutation(sizes[f])

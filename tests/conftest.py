@@ -1,4 +1,5 @@
 import ctypes
+import functools
 import os
 
 import numpy as np
@@ -23,6 +24,7 @@ STATLOG_PATH = os.path.join(DATA_DIR, "heart.dat")
 CLEVELAND_PATH = os.path.join(DATA_DIR, "processed.cleveland.data")
 
 
+@functools.cache
 def openblas_kernels():
     """The kernel set (core name) of numpy's OpenBLAS, which the bit pins
     depend on: threadpoolctl's `architecture` when it is installed, else
@@ -45,6 +47,24 @@ def openblas_kernels():
 
 def pytest_report_header(config):
     return f"OpenBLAS kernels: {openblas_kernels()}"
+
+
+# OpenBLAS kernel set -> the family whose stored digests it gives. The bit pins
+# hold per family (numpy 2.4.6, scipy 1.17.1); "Zen" runs Haswell's kernels.
+KERNEL_FAMILIES = {"SkylakeX": "avx512", "Cooperlake": "avx512", "SapphireRapids": "avx512",
+                   "Haswell": "avx2", "Zen": "avx2"}
+
+
+def digest_table(avx512, avx2=None):
+    """The stored digests of this run's kernel family: `avx512`, recorded on
+    SkylakeX kernels, with the entries of `avx2` (those that differ on Haswell
+    and Zen kernels) put in on that family. On any other kernel set the test
+    fails, naming it."""
+    kernels = openblas_kernels()
+    if kernels not in KERNEL_FAMILIES:
+        pytest.fail(f"no stored digests for OpenBLAS kernels {kernels!r}; record them with "
+                    f"OPENBLAS_CORETYPE={kernels} PYTHONPATH=src python tests/test_bit_identity.py")
+    return avx512 if KERNEL_FAMILIES[kernels] == "avx512" else {**avx512, **(avx2 or {})}
 
 
 def require_file(path, name):

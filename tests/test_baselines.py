@@ -174,7 +174,7 @@ class TestElmSolve:
     def test_non_finite_input_rejected(self, rng, stack, where, bad):
         """One bad entry, in the last system of a stack, is caught on HᵀH or HᵀY."""
         H = rng.uniform(0, 1, stack + (10, 4))
-        Y = bl._one_hot(rng.integers(0, 2, 10)) * np.ones(stack + (1, 1))
+        Y = np.eye(2)[rng.integers(0, 2, 10)] * np.ones(stack + (1, 1))
         (H if where == "hidden" else Y)[(-1,) * len(stack) + (7, 1)] = bad
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -185,7 +185,7 @@ class TestElmSolve:
     def test_overflowing_products_rejected(self, rng, stack):
         """Finite activations whose squares overflow."""
         H = np.full(stack + (10, 4), 1e200)
-        Y = bl._one_hot(rng.integers(0, 2, 10))
+        Y = np.eye(2)[rng.integers(0, 2, 10)]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NonFiniteInputError):
@@ -212,7 +212,7 @@ class TestElmSolve:
         H = rng.uniform(0, 1, stack + (rows, hidden))
         if twin is not None and hidden >= 2:
             H[..., -1] = H[..., 0] + twin * rng.standard_normal(stack + (rows,))
-        Y = bl._one_hot(rng.integers(0, 2, rows)) * np.ones(stack + (1, 1))
+        Y = np.eye(2)[rng.integers(0, 2, rows)] * np.ones(stack + (1, 1))
         A, B = bl.normal_equations(H, Y)
         W = bl.elm_solve_output(A, B)
         expected = scipy.linalg.solve(A, B, assume_a="pos")

@@ -14,8 +14,14 @@ out-of-fold probabilities (`CvReport.probs`) were recorded by refitting each
 fold (`kfold_split`, `FIT`, `_fold_seed`) and scoring its held-out rows in
 one batch, as the per-fold CV scored them.
 
-Regenerate (only for an intended change of results) with
-`PYTHONPATH=src python tests/test_bit_identity.py`.
+The bits hold per OpenBLAS kernel family, so each table was recorded on
+SkylakeX (AVX-512) kernels, and its `_AVX2` table holds the entries that
+differ on Haswell kernels (`OPENBLAS_CORETYPE=Haswell`; `Zen` gives the
+same). `conftest.digest_table` picks the run's table, and fails on a kernel
+set with none. Regenerate (only for an intended change of results, or to
+record a family) with `PYTHONPATH=src python tests/test_bit_identity.py`,
+once per family: on AVX-512 kernels it prints each whole table, on any other
+kernels only the entries that differ from the stored AVX-512 ones.
 """
 
 import hashlib
@@ -31,7 +37,8 @@ from cardioseq import network as nn
 from cardioseq import synthetic
 from cardioseq import training as tr
 
-from conftest import same_bits
+from conftest import KERNEL_FAMILIES, digest_table, openblas_kernels, same_bits
+from test_model_io import EXPECTED_MODEL_FILES, EXPECTED_MODEL_FILES_AVX2
 
 # name -> (rows, data seed, hyperparameters); 64 rows fill batches of 16,
 # 50 leave a last batch of 2; the 1,800 rows of "curve-blocks" are scored for
@@ -117,10 +124,42 @@ EXPECTED = {
     },
 }
 
+# the entries of EXPECTED that differ on AVX2 kernels (Haswell, Zen)
+EXPECTED_AVX2 = {
+    "batch-size-1": {
+        "conv_w1": "8c21f653f7b65e2c", "conv_b1": "7abb121461866372",
+        "conv_w3": "db10ee4b24c0baf3", "conv_b3": "48dc9011db32c8ea",
+        "conv_w5": "5df1c5a90841e101", "conv_b5": "10b39a90157414ce",
+        "dense_w": "209b79c147458e84", "dense_b": "b1d1b30b8e6257cc",
+        "curve": "eb792072adec75d5", "predict_proba": "debcc96fb25fed5d",
+    },
+    "windowed-1-1": {
+        "conv_w1": "07276f3ebc5928e3", "conv_b1": "ee8eb56631493868",
+        "conv_w3": "b3ccb1fe35d3dda3", "conv_b3": "dc0179c0c6a63ed4",
+        "conv_w5": "762643da478557f7", "conv_b5": "d8d551e9172e9d56",
+        "dense_w": "9774f45d9e15ab77", "dense_b": "4d23696447d76aa4",
+        "curve": "74753f546402f417", "predict_proba": "28c79620b0987818",
+    },
+    "windowed-3-2": {
+        "conv_w1": "2c1ce69e9617f6e9", "conv_b1": "f0c26200a4d879c3",
+        "conv_w3": "abeb52bff330b026", "conv_b3": "70822bf6d288f54c",
+        "conv_w5": "4c3604dda833a577", "conv_b5": "4c5ce46389191614",
+        "dense_w": "c9a4a927035aa72c", "dense_b": "086fde94ed6ef1cc",
+        "curve": "c46e6ca25a38891f", "predict_proba": "d46c3feef97b2237",
+    },
+    "windowed-5-1": {
+        "conv_w1": "7546896329259aaf", "conv_b1": "1f370ab57e1aa609",
+        "conv_w3": "76923feb4a29580a", "conv_b3": "2e80a8c961c54586",
+        "conv_w5": "776e7e37c32dd165", "conv_b5": "2ec35ec526aff933",
+        "dense_w": "c5f26cc6b676910b", "dense_b": "841653847719a14e",
+        "curve": "f5083fe61a388f6c", "predict_proba": "7b172863e521f872",
+    },
+}
+
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_trained_tensors_and_probabilities_pinned(name):
-    assert run_digests(name) == EXPECTED[name]
+    assert run_digests(name) == digest_table(EXPECTED, EXPECTED_AVX2)[name]
 
 
 def test_curve_case_covers_several_and_partial_blocks(monkeypatch):
@@ -241,10 +280,49 @@ EXPECTED_BASELINES = {
     },
 }
 
+# the entries of EXPECTED_BASELINES that differ on AVX2 kernels (Haswell, Zen)
+EXPECTED_BASELINES_AVX2 = {
+    "dv-logistic-default": {
+        "weights": "961603bbbe780ef4", "bias": "ff88531b3358ee12",
+        "predict_proba": "47fd91a592820719",
+    },
+    "pso-elm-default": {
+        "hidden_weights": "a2197e98343df194", "hidden_biases": "8907ce9d4f196b62",
+        "output_weights": "e62274c3471ef449", "gbest_history": "d62ebf11f548c574",
+        "max_solve_residual": "331620b7cbfd7c7e", "predict_proba": "4e8b746f6309fcf0",
+    },
+    "pso-elm-hidden-2": {
+        "hidden_weights": "39347699a47b4eab", "hidden_biases": "8c15c13aec8daebb",
+        "output_weights": "28ab0cba40809901", "gbest_history": "d1dd952503150739",
+        "max_solve_residual": "ec15db5744ce8f28", "predict_proba": "e7983e092568ac1a",
+    },
+    "pso-elm-hidden-3": {
+        "hidden_weights": "5b4cd965e78ff411", "hidden_biases": "3d9141779cea3a7d",
+        "output_weights": "b4f5b93120ccd01c", "gbest_history": "7724ecdce8b19775",
+        "max_solve_residual": "05d07b24ff1d98bc", "predict_proba": "7743d86028926879",
+    },
+    "pso-elm-iterations-0": {
+        "hidden_weights": "384352fc3c98498b", "hidden_biases": "6e83865c2d8dee6f",
+        "output_weights": "0af8e46949d030e4", "gbest_history": "a0ceeea11ee9bac7",
+        "max_solve_residual": "cc5ff1a157fc8bb6", "predict_proba": "27c23a7d5cf22665",
+    },
+    "pso-elm-one-particle-blocks": {
+        "hidden_weights": "4b23d156fe05b5b9", "hidden_biases": "a2b91056d862423c",
+        "output_weights": "1360c83f64cbd29d", "gbest_history": "60c7bc2a7f5976fd",
+        "max_solve_residual": "6615068678cca2f2", "predict_proba": "efc86bcf7751388b",
+    },
+    "pso-elm-swarm-7": {
+        "hidden_weights": "f267912e4df5bb7e", "hidden_biases": "b9385555ff9e60a7",
+        "output_weights": "1a5813fbd97b8e80", "gbest_history": "9452d92f4b56a701",
+        "max_solve_residual": "84d567b7112e1347", "predict_proba": "ceae8a664271f0ba",
+    },
+}
+
 
 @pytest.mark.parametrize("name", sorted(BASELINE_CASES))
 def test_baseline_results_pinned(name):
-    assert run_baseline_digests(name) == EXPECTED_BASELINES[name]
+    assert run_baseline_digests(name) == digest_table(EXPECTED_BASELINES,
+                                                      EXPECTED_BASELINES_AVX2)[name]
 
 
 # name -> (rows, data seed, k, CNN hyperparameters) of a seeded CNN cross-validation.
@@ -292,7 +370,7 @@ EXPECTED_CV = {
 
 @pytest.mark.parametrize("name", sorted(CV_CASES))
 def test_cnn_cross_validation_reports_pinned(name):
-    assert run_cv_digest(name) == EXPECTED_CV[name]
+    assert run_cv_digest(name) == digest_table(EXPECTED_CV)[name]
 
 
 @pytest.mark.parametrize("name", sorted(CV_CASES))
@@ -349,7 +427,7 @@ EXPECTED_DV_CV = {
 
 @pytest.mark.parametrize("name", sorted(DV_CV_CASES))
 def test_dv_logistic_cross_validation_reports_pinned(name):
-    assert run_dv_cv_digest(name) == EXPECTED_DV_CV[name]
+    assert run_dv_cv_digest(name) == digest_table(EXPECTED_DV_CV)[name]
 
 
 # name -> (rows, data seed, k) of a seeded PSO-ELM cross-validation (default
@@ -373,7 +451,7 @@ EXPECTED_PSO_CV = {
 
 @pytest.mark.parametrize("name", sorted(PSO_CV_CASES))
 def test_pso_elm_cross_validation_reports_pinned(name):
-    assert run_pso_cv_digest(name) == EXPECTED_PSO_CV[name]
+    assert run_pso_cv_digest(name) == digest_table(EXPECTED_PSO_CV)[name]
 
 
 # (model kind, case name) -> digest of the out-of-fold probabilities of every
@@ -392,6 +470,16 @@ EXPECTED_CV_PROBS = {
     ("pso_elm", "ragged-127"): "25804ac3cfc37b11",
 }
 
+# the entries of EXPECTED_CV_PROBS that differ on AVX2 kernels (Haswell, Zen)
+EXPECTED_CV_PROBS_AVX2 = {
+    ("cnn", "dropout-0"): "e75faaa127bc054c", ("cnn", "ragged-303"): "bf6bfdf373e32d53",
+    ("cnn", "windowed-3-2"): "38903f60f4090339", ("cnn", "windowed-5-1"): "8d3007ec23f10d0f",
+    ("dv_logistic", "k-2"): "2b9e9538819eff7e", ("dv_logistic", "k-3"): "a6239ef6c03dbb07",
+    ("dv_logistic", "ragged-303"): "2df6dd6a2175acc4",
+    ("dv_logistic", "width-split"): "5aaa514eb31d4f7d", ("pso_elm", "k-2"): "4cb8f35fa4cd3825",
+    ("pso_elm", "k-3"): "ba691298f0e6e0af", ("pso_elm", "ragged-127"): "3f81ae57e4d5101b",
+}
+
 
 def test_every_cross_validation_case_pins_its_probabilities():
     cases = {"cnn": CV_CASES, "dv_logistic": DV_CV_CASES, "pso_elm": PSO_CV_CASES}
@@ -401,7 +489,8 @@ def test_every_cross_validation_case_pins_its_probabilities():
 
 @pytest.mark.parametrize("kind, name", sorted(EXPECTED_CV_PROBS))
 def test_out_of_fold_probabilities_pinned(kind, name):
-    assert digest(cv_report(kind, name).probs) == EXPECTED_CV_PROBS[(kind, name)]
+    table = digest_table(EXPECTED_CV_PROBS, EXPECTED_CV_PROBS_AVX2)
+    assert digest(cv_report(kind, name).probs) == table[(kind, name)]
 
 
 def test_dv_cases_cover_width_groups():
@@ -473,7 +562,7 @@ def test_block_solve_and_scores_match_one_particle(hidden):
     scores and residual of scoring it alone (H >= 2; see CHANGES.md for H = 1)."""
     rng = np.random.default_rng(hidden)
     X_fit, X_val = rng.normal(size=(40, 13)), rng.normal(size=(12, 13))
-    Y_fit = bl._one_hot(rng.integers(0, 2, 40))
+    Y_fit = np.eye(2)[rng.integers(0, 2, 40)]
     W, b = rng.uniform(-1, 1, (5, 13, hidden)), rng.uniform(-1, 1, (5, hidden))
     A, B = bl.normal_equations(bl._sigmoid(X_fit @ W + b[:, None, :]), Y_fit)
     out_w = bl.elm_solve_output(A, B)
@@ -529,11 +618,26 @@ EXPECTED_GEMV_BASELINES = {
     },
 }
 
+# the entries of EXPECTED_GEMV_BASELINES that differ on AVX2 kernels (Haswell, Zen)
+EXPECTED_GEMV_BASELINES_AVX2 = {
+    "pso-elm-hidden-1": {
+        "hidden_weights": "ceb838cfefdf1194", "hidden_biases": "24f873f4bcfdee29",
+        "output_weights": "be75008c1f9b4594", "gbest_history": "a0708b87456b7109",
+        "max_solve_residual": "05d07b24ff1d98bc", "predict_proba": "7e7e13458aefd687",
+    },
+    "pso-elm-one-fit-row": {
+        "hidden_weights": "bbe95673e4eac8b2", "hidden_biases": "52643bea3572954b",
+        "output_weights": "f0ca8720d0dcf6f2", "gbest_history": "a0708b87456b7109",
+        "max_solve_residual": "b855dd267faef09c", "predict_proba": "aa72531326c0e3b2",
+    },
+}
+
 
 @pytest.mark.parametrize("name", sorted(GEMV_BASELINE_CASES))
 def test_gemv_shaped_swarms_keep_their_bits(name, monkeypatch):
     monkeypatch.setitem(BASELINE_CASES, name, ("pso_elm", *GEMV_BASELINE_CASES[name]))
-    assert run_baseline_digests(name) == EXPECTED_GEMV_BASELINES[name]
+    assert run_baseline_digests(name) == digest_table(EXPECTED_GEMV_BASELINES,
+                                                      EXPECTED_GEMV_BASELINES_AVX2)[name]
 
 
 # name -> (models in a stack, or None for one model, batch rows, pool mode, seed)
@@ -576,10 +680,16 @@ EXPECTED_K1_GRADIENTS = {
     "stack-3-1-1": "76e8debc83c5e9a6",
 }
 
+# the entries of EXPECTED_K1_GRADIENTS that differ on AVX2 kernels (Haswell, Zen)
+EXPECTED_K1_GRADIENTS_AVX2 = {
+    "one-model-2-2": "ee863c5daf2b080b", "stack-3-1-1": "f3ddf5b286a60161",
+}
+
 
 @pytest.mark.parametrize("name", sorted(K1_GRADIENT_CASES))
 def test_one_kernel_several_window_gradients_pinned(name):
-    assert run_k1_gradient_digest(name) == EXPECTED_K1_GRADIENTS[name]
+    assert run_k1_gradient_digest(name) == digest_table(EXPECTED_K1_GRADIENTS,
+                                                         EXPECTED_K1_GRADIENTS_AVX2)[name]
 
 
 # name -> (kernels per width, models in a stack or None, batch rows, pool mode,
@@ -610,10 +720,19 @@ EXPECTED_GRADIENTS = {
     "k8-stack-3-5-1": "8e4ecb24b80c1fbc", "k8-stack-3-global": "4ba74aaea70d4fd2",
 }
 
+# the entries of EXPECTED_GRADIENTS that differ on AVX2 kernels (Haswell, Zen)
+EXPECTED_GRADIENTS_AVX2 = {
+    "k2-one-model-3-2": "0067b2a8cf590816", "k2-one-model-5-1": "36fec83c9afee2a7",
+    "k2-stack-3-3-2": "eb693da3bcfc6c14", "k2-stack-3-5-1": "46441d1208033e16",
+    "k8-one-model-3-2": "2aedbfb3221987b1", "k8-one-model-5-1": "d89c6b974720eff6",
+    "k8-stack-3-3-2": "0c570a1970877a73", "k8-stack-3-5-1": "a430861adb645d0c",
+}
+
 
 @pytest.mark.parametrize("name", sorted(GRADIENT_CASES))
 def test_several_kernel_gradients_pinned(name):
-    assert gradient_digest(*GRADIENT_CASES[name]) == EXPECTED_GRADIENTS[name]
+    table = digest_table(EXPECTED_GRADIENTS, EXPECTED_GRADIENTS_AVX2)
+    assert gradient_digest(*GRADIENT_CASES[name]) == table[name]
 
 
 def test_swarm_results_do_not_depend_on_block_size(monkeypatch):
@@ -652,33 +771,55 @@ def test_baseline_cases_cover_partial_and_single_blocks(monkeypatch):
     assert block_sizes("pso-elm-one-particle-blocks") == [1]
 
 
+# each stored digest table and its entries that differ on AVX2 kernels
+FAMILY_TABLES = {
+    "EXPECTED": (EXPECTED, EXPECTED_AVX2),
+    "EXPECTED_BASELINES": (EXPECTED_BASELINES, EXPECTED_BASELINES_AVX2),
+    "EXPECTED_GEMV_BASELINES": (EXPECTED_GEMV_BASELINES, EXPECTED_GEMV_BASELINES_AVX2),
+    "EXPECTED_K1_GRADIENTS": (EXPECTED_K1_GRADIENTS, EXPECTED_K1_GRADIENTS_AVX2),
+    "EXPECTED_GRADIENTS": (EXPECTED_GRADIENTS, EXPECTED_GRADIENTS_AVX2),
+    "EXPECTED_CV_PROBS": (EXPECTED_CV_PROBS, EXPECTED_CV_PROBS_AVX2),
+    "EXPECTED_MODEL_FILES": (EXPECTED_MODEL_FILES, EXPECTED_MODEL_FILES_AVX2),
+}
+
+
+@pytest.mark.parametrize("name", FAMILY_TABLES)
+def test_avx2_tables_hold_only_what_differs(name):
+    avx512, avx2 = FAMILY_TABLES[name]
+    assert all(key in avx512 and avx512[key] != value for key, value in avx2.items())
+
+
 if __name__ == "__main__":
-    import pprint
-
-    pprint.pprint({name: run_digests(name) for name in sorted(CASES)}, sort_dicts=False)
-    pprint.pprint({name: run_baseline_digests(name) for name in sorted(BASELINE_CASES)},
-                  sort_dicts=False)
-    BASELINE_CASES.update({name: ("pso_elm", *case) for name, case in GEMV_BASELINE_CASES.items()})
-    pprint.pprint({name: run_baseline_digests(name) for name in sorted(GEMV_BASELINE_CASES)},
-                  sort_dicts=False)
-    pprint.pprint({name: run_k1_gradient_digest(name) for name in sorted(K1_GRADIENT_CASES)},
-                  sort_dicts=False)
-    pprint.pprint({name: gradient_digest(*case) for name, case in sorted(GRADIENT_CASES.items())},
-                  sort_dicts=False)
-    pprint.pprint({name: run_cv_digest(name) for name in sorted(CV_CASES)}, sort_dicts=False)
-    pprint.pprint({name: run_dv_cv_digest(name) for name in sorted(DV_CV_CASES)},
-                  sort_dicts=False)
-    pprint.pprint({name: run_pso_cv_digest(name) for name in sorted(PSO_CV_CASES)},
-                  sort_dicts=False)
-    pprint.pprint({case: digest(cv_report(*case).probs) for case in sorted(EXPECTED_CV_PROBS)},
-                  sort_dicts=False)
-
     import pathlib
+    import pprint
     import tempfile
 
     from conftest import mixed_dataset
     from test_model_io import ROUND_TRIP_FITS, model_file_digest
 
+    whole = KERNEL_FAMILIES.get(openblas_kernels()) == "avx512"
+
+    def show(table, stored):
+        """Print a regenerated table: whole on AVX-512 kernels, else the entries
+        that differ from its stored AVX-512 table."""
+        pprint.pprint({key: value for key, value in table.items()
+                       if whole or value != stored.get(key)}, sort_dicts=False)
+
+    show({name: run_digests(name) for name in sorted(CASES)}, EXPECTED)
+    show({name: run_baseline_digests(name) for name in sorted(BASELINE_CASES)},
+         EXPECTED_BASELINES)
+    BASELINE_CASES.update({name: ("pso_elm", *case) for name, case in GEMV_BASELINE_CASES.items()})
+    show({name: run_baseline_digests(name) for name in sorted(GEMV_BASELINE_CASES)},
+         EXPECTED_GEMV_BASELINES)
+    show({name: run_k1_gradient_digest(name) for name in sorted(K1_GRADIENT_CASES)},
+         EXPECTED_K1_GRADIENTS)
+    show({name: gradient_digest(*case) for name, case in sorted(GRADIENT_CASES.items())},
+         EXPECTED_GRADIENTS)
+    show({name: run_cv_digest(name) for name in sorted(CV_CASES)}, EXPECTED_CV)
+    show({name: run_dv_cv_digest(name) for name in sorted(DV_CV_CASES)}, EXPECTED_DV_CV)
+    show({name: run_pso_cv_digest(name) for name in sorted(PSO_CV_CASES)}, EXPECTED_PSO_CV)
+    show({case: digest(cv_report(*case).probs) for case in sorted(EXPECTED_CV_PROBS)},
+         EXPECTED_CV_PROBS)
     with tempfile.TemporaryDirectory() as tmp:
-        pprint.pprint({kind: model_file_digest(kind, mixed_dataset(), pathlib.Path(tmp))
-                       for kind in ROUND_TRIP_FITS}, sort_dicts=False)
+        show({kind: model_file_digest(kind, mixed_dataset(), pathlib.Path(tmp))
+              for kind in ROUND_TRIP_FITS}, EXPECTED_MODEL_FILES)

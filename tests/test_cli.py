@@ -195,6 +195,16 @@ def test_config_numeral_follows_the_data_file_grammar(statlog_file, tmp_path, ca
     assert capsys.readouterr() == ("", f"error: {cfg}:2: {problem}\n")
 
 
+def test_k_below_2_is_worded_as_every_range_error(statlog_file, tmp_path, capsys):
+    """As `evaluation.kfold_split` words it, after the flag or the config line."""
+    assert cli.main(["cv", "--data", statlog_file, "--k", "1"]) == 2
+    assert capsys.readouterr() == ("", "error: --k: k must be at least 2, got 1\n")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed = 1\nk = 1\n")
+    assert cli.main(["cv", "--data", statlog_file, "--config", str(cfg)]) == 2
+    assert capsys.readouterr() == ("", f"error: {cfg}:2: k: k must be at least 2, got 1\n")
+
+
 def test_pool_numbers_are_ascii_digits(statlog_file, capsys):
     assert cli.main(["validate", "--data", statlog_file, "--pool", "windowed:\uff13:1"]) == 2
     assert capsys.readouterr() == ("", "error: --pool: expected global or windowed:SIZE:STRIDE "
